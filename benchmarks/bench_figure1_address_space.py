@@ -51,8 +51,14 @@ def test_translation_through_bound_regions(benchmark, world):
         for addr in addrs:
             kernel.reference(vas.space, addr)
 
+    # judge the translations alone, not the fill's misses: with the
+    # benchmark disabled, translate_all runs only once
+    stats = kernel.tlb.stats
+    lookups_before, hits_before = stats.lookups, stats.hits
     benchmark(translate_all)
-    assert kernel.tlb.stats.hit_rate > 0.5
+    lookups = stats.lookups - lookups_before
+    assert lookups >= len(addrs)
+    assert (stats.hits - hits_before) / lookups > 0.5
 
 
 def test_first_touch_fill_through_binding(benchmark, world):

@@ -14,13 +14,6 @@ from repro.analysis.experiments import (
     table2_and_3_applications,
     table4_transactions,
 )
-from repro.analysis.audit import (
-    AuditReport,
-    audit_kernel,
-    audit_manager,
-    audit_spcm,
-    audit_system,
-)
 from repro.analysis.sweeps import (
     SweepPoint,
     render_series,
@@ -31,11 +24,6 @@ from repro.analysis.sweeps import (
 from repro.analysis.tables import format_table
 
 __all__ = [
-    "AuditReport",
-    "audit_kernel",
-    "audit_manager",
-    "audit_spcm",
-    "audit_system",
     "SweepPoint",
     "render_series",
     "sweep_arrival_rate",

@@ -1,6 +1,6 @@
-"""repro.chaos: deterministic fault injection and invariant checking.
+"""repro.chaos: deterministic fault injection.
 
-The subsystem has four parts:
+The subsystem has three parts:
 
 * :mod:`repro.chaos.plan` --- declarative, frozen fault schedules
   (:class:`ChaosPlan`): per-choke-point injection rates plus a seed.
@@ -8,12 +8,10 @@ The subsystem has four parts:
   plan at the stack's choke points (disk transfers, frame ECC, manager
   invocation and allocation, manager IPC), and the zero-overhead
   :data:`NULL_INJECTOR` every component holds by default.
-* :mod:`repro.chaos.invariants` --- the :class:`InvariantChecker`
-  asserting the paper's global correctness claims (frame conservation,
-  SPCM/market accounting, translation coherence, binding sanity) after
-  every injected event.
 * :mod:`repro.chaos.harness` --- named scenarios pairing plans with real
-  workloads, run via :func:`run_schedule` or ``python -m repro chaos``.
+  workloads, run via :func:`run_schedule` or ``python -m repro chaos``;
+  the invariant engine (:mod:`repro.invariants`) sweeps the whole system
+  after every injected event.
 
 Faults the kernel and SPCM *survive* (see DESIGN.md, "Robustness
 model"): manager crash/hang/byzantine behavior fails the manager's
@@ -31,7 +29,6 @@ from repro.chaos.harness import (
     run_seed_matrix,
 )
 from repro.chaos.injector import Injector, NULL_INJECTOR, NullInjector
-from repro.chaos.invariants import InvariantChecker
 from repro.chaos.plan import (
     ChaosPlan,
     InjectedFault,
@@ -44,7 +41,6 @@ __all__ = [
     "ChaosResult",
     "InjectedFault",
     "Injector",
-    "InvariantChecker",
     "IPCFailureMode",
     "ManagerFailureMode",
     "NULL_INJECTOR",

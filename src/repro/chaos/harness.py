@@ -4,9 +4,9 @@ A *scenario* pairs a :class:`~repro.chaos.plan.ChaosPlan` template with a
 workload (the Figure-2 fault path, a Table-2 style application, the
 Table-4 DBMS configuration).  :func:`run_schedule` boots a fresh system,
 installs an :class:`~repro.chaos.injector.Injector` with the scenario's
-plan reseeded, hooks the :class:`~repro.chaos.invariants.InvariantChecker`
-to run after every injected event, executes the workload, and reports a
-:class:`ChaosResult`.
+plan reseeded, hooks the :class:`~repro.invariants.InvariantChecker` to
+sweep the whole invariant table after every injected event, executes the
+workload, and reports a :class:`ChaosResult`.
 
 The contract the property tests assert: a run either *completes* or fails
 with a typed :class:`~repro.errors.ReproError` --- never a bare exception
@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.chaos.injector import Injector
-from repro.chaos.invariants import InvariantChecker
 from repro.chaos.plan import ChaosPlan
 from repro.errors import ChaosError, InvariantViolationError, ReproError
+from repro.invariants import InvariantChecker
 
 #: the application manager every manager-directed scenario injects into
 #: (the kernel's fallback --- the real default manager --- stays exempt)
@@ -38,7 +38,7 @@ class Scenario:
     name: str
     description: str
     plan: ChaosPlan
-    workload: str  # key into _WORKLOADS
+    workload: str  # key into WORKLOADS
     #: install the warm-restart coordinator (recovery journal +
     #: checkpoints) before running; crashes then retry a restart
     #: before the kernel falls over to the fallback manager
@@ -115,10 +115,6 @@ def build_workload_system(tracer=None, n_nodes=None):
     )
 
 
-# back-compat alias (pre-verify name)
-_build = build_workload_system
-
-
 def _make_victim(system):
     """A second UCDS instance for the injector to break.
 
@@ -187,8 +183,10 @@ def _workload_disk(system, checker) -> int:
         system.uio.read(seg, 0, 8 * page)
         system.uio.write(seg, (8 + rep) * page, b"w" * page)
         refs += 9
-        # push the cached pages out so the next sweep re-fetches from disk
-        victim.reclaim_pages(8)
+        # push the cached pages out so the next sweep re-fetches from
+        # disk; after a failover that is the fallback's job, not the
+        # dead victim's
+        seg.manager.reclaim_pages(8)
     checker.check_all()
     return refs
 
@@ -321,10 +319,6 @@ WORKLOADS = {
     "serve": _workload_serve,
     "serve-thrash": _workload_serve_thrash,
 }
-
-# back-compat alias (pre-verify name)
-_WORKLOADS = WORKLOADS
-
 
 SCENARIOS: dict[str, Scenario] = {
     s.name: s
@@ -541,7 +535,7 @@ def run_schedule(
     if spec.workload == "dbms":
         return _run_dbms(effective)
 
-    system = _build(tracer=tracer, n_nodes=n_nodes)
+    system = build_workload_system(tracer=tracer, n_nodes=n_nodes)
     injector = Injector(effective, tracer=system.tracer)
     injector.install(system)
     coordinator = None
@@ -566,7 +560,7 @@ def run_schedule(
         )
     result = ChaosResult(scenario=scenario, seed=seed, completed=False)
     try:
-        result.references = _WORKLOADS[spec.workload](system, checker)
+        result.references = WORKLOADS[spec.workload](system, checker)
         result.completed = True
     except InvariantViolationError:
         raise

@@ -13,8 +13,8 @@ each choke point draws from its own named substream of one seeded
 bit-for-bit and independent of how other components consume randomness.
 Injected events are recorded in order, reported to the tracer (actor
 ``"chaos"``), and fanned out to observer callbacks --- the harness hooks
-the :class:`~repro.chaos.invariants.InvariantChecker` there so invariants
-are asserted after *every* injected event.
+the :class:`~repro.invariants.InvariantChecker` there so the whole
+invariant table is swept after *every* injected event.
 
 Import discipline: this module is imported by ``hw/disk.py`` and
 ``core/kernel.py``, so it must not import anything above the ``sim``/

@@ -58,6 +58,7 @@ from repro.hw.numa import NumaTopology
 from repro.hw.page_table import GlobalHashPageTable, Translation
 from repro.hw.phys_mem import PageFrame, PhysicalMemory
 from repro.hw.tlb import TLB
+from repro.invariants import enforce
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.recovery.journal import NULL_JOURNAL
 
@@ -1554,28 +1555,11 @@ class Kernel:
 
     # -- invariant support -------------------------------------------------
 
-    def frame_census(self) -> dict[int, int]:
-        """pfn -> owning seg_id for every frame (invariant checks)."""
-        census: dict[int, int] = {}
-        for segment in self._segments.values():
-            for frame in segment.pages.values():
-                if frame.pfn in census:
-                    raise MigrationError(
-                        f"frame {frame.pfn} owned by two segments"
-                    )
-                census[frame.pfn] = segment.seg_id
-        return census
-
     def check_frame_conservation(self) -> None:
         """Raise unless every in-service frame is owned by one segment.
 
-        Frames retired after ECC failures (:meth:`retire_frame`) have
-        left service on purpose and are excluded from the count.
+        Runs the invariant engine's ``frames`` check: frames retired
+        after ECC failures (:meth:`retire_frame`) have left service on
+        purpose and are excluded.
         """
-        census = self.frame_census()
-        expected = self.memory.n_frames - len(self.retired_frames)
-        if len(census) != expected:
-            missing = expected - len(census)
-            raise MigrationError(
-                f"{missing} frame(s) are not owned by any segment"
-            )
+        enforce(self, ("frames",))

@@ -127,7 +127,7 @@ class ChaosError(ReproError):
 
 
 class InvariantViolationError(ChaosError):
-    """A system-wide invariant did not hold after an injected event."""
+    """A check of the invariant engine (:mod:`repro.invariants`) failed."""
 
 
 class VerificationError(ReproError):

@@ -97,8 +97,8 @@ class TLB:
     def entries(self) -> list[tuple[tuple[int, int], object]]:
         """Snapshot of ``((space_id, vpn), payload)`` pairs, LRU order.
 
-        Read-only view for coherence audits (``chaos.InvariantChecker``);
-        does not refresh LRU order.
+        Read-only view for the invariant engine's ``translations`` check
+        (:mod:`repro.invariants`); does not refresh LRU order.
         """
         return list(self._entries.items())
 

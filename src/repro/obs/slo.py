@@ -9,24 +9,33 @@ healthy runs *and* chaos schedules --- and fires a structured
   the policy threshold;
 * **failover time** --- one manager failover's metered duration exceeds
   the budget;
-* **frame-conservation drift** --- the frame census disagrees with the
-  in-service frame count (a leak or double-ownership);
-* **market-balance drift** --- a shard market's dram total drifts from
-  its income/charge-conserving baseline, or the arbiter's zero-sum
-  transfer ledger stops summing to zero.
+* **frame conservation** --- the invariant engine's ``frames`` check
+  reports violations (a leaked, doubly owned or mis-filed frame);
+* **market balance** --- its ``market`` check reports violations (a
+  shard market or account stops conserving drams, or the arbiter's
+  transfers stop summing to zero).
 
-Alerts are edge-triggered (one per objective per excursion; re-armed
-when the objective recovers) so a long violation doesn't flood the log.
-The watchdog is callable with the same shape as the chaos
-:class:`~repro.chaos.invariants.InvariantChecker`, so the harness runs
-it after every injected event.
+The two swept objectives read :mod:`repro.invariants`, so they can never
+disagree with the chaos sweep; an alert's value is the violation count
+against a threshold of 0.  Alerts are edge-triggered (one per objective
+per excursion; re-armed when the objective recovers) so a long violation
+doesn't flood the log.  The watchdog is callable with the same shape as
+:class:`~repro.invariants.InvariantChecker`, so the harness runs it
+after every injected event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.invariants import check_frames, check_market
 from repro.sim.stats import Tally
+
+#: swept objective name -> the invariant check that judges it
+SWEPT_OBJECTIVES = (
+    ("frame_conservation", check_frames),
+    ("market_balance", check_market),
+)
 
 
 @dataclass(frozen=True)
@@ -37,15 +46,14 @@ class SLOPolicy:
     model: a cached-file default-manager fault is ~5 ms end to end, so
     20 ms p99 only fires when timeouts/retries pile up; failovers charge
     the 5 ms manager timeout plus seizure work, so 50 ms means several
-    stacked degradations.  Drift thresholds are exact-conservation.
+    stacked degradations.  The swept objectives have no threshold: they
+    fire on any invariant violation.
     """
 
     fault_p99_us: float = 20_000.0
     #: observations needed before the p99 objective is judged
     min_fault_samples: int = 20
     failover_us: float = 50_000.0
-    frame_drift_frames: float = 0.0
-    market_drift_drams: float = 1e-6
     #: per-tenant p99 latency objective for the serving layer (None
     #: disables; only judged via :meth:`SLOWatchdog.watch_serving`)
     tenant_p99_us: float | None = None
@@ -229,64 +237,19 @@ class SLOWatchdog:
     # -- swept objectives ---------------------------------------------------
 
     def check(self) -> list[Alert]:
-        """Sweep the drift objectives; returns alerts fired by this sweep."""
+        """Sweep the invariant objectives; returns alerts this sweep fired."""
         self.checks_run += 1
         before = len(self.alerts)
-        self._check_frame_drift()
-        self._check_market_drift()
-        return self.alerts[before:]
-
-    def _check_frame_drift(self) -> None:
-        kernel = self.system.kernel
-        try:
-            census = kernel.frame_census()
-        except Exception as exc:  # double ownership is itself the drift
-            self._fire(
-                "frame_conservation",
-                float("nan"),
-                self.policy.frame_drift_frames,
+        for name, check in SWEPT_OBJECTIVES:
+            found = check(self.system.kernel)
+            self._judge(
+                name,
+                float(len(found)),
+                0.0,
                 severity="critical",
-                detail=f"frame census failed: {exc}",
+                detail="; ".join(found[:3]),
             )
-            return
-        expected = kernel.memory.n_frames - len(kernel.retired_frames)
-        drift = float(expected - len(census))
-        self._judge(
-            "frame_conservation",
-            abs(drift),
-            self.policy.frame_drift_frames,
-            severity="critical",
-            detail=(
-                f"{abs(drift):.0f} frame(s) unaccounted for "
-                f"({len(census)} owned, {expected} in service)"
-            ),
-        )
-
-    def _check_market_drift(self) -> None:
-        # per-market conservation: every dram paid out came from the
-        # system sink, so balances + sink == net arbiter transfers in
-        markets = self.system.spcm.markets
-        if not markets:
-            return
-        threshold = self.policy.market_drift_drams
-        worst = 0.0
-        for market in markets:
-            drift = market.total_drams() - market.transfer_balance
-            worst = max(worst, abs(drift))
-        transfer_sum = abs(
-            sum(market.transfer_balance for market in markets)
-        )
-        worst = max(worst, transfer_sum)
-        self._judge(
-            "market_balance",
-            worst,
-            threshold,
-            severity="critical",
-            detail=(
-                f"worst dram drift {worst:.6g} "
-                f"(zero-sum transfer residue {transfer_sum:.6g})"
-            ),
-        )
+        return self.alerts[before:]
 
     # -- alert plumbing ------------------------------------------------------
 

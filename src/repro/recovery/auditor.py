@@ -3,28 +3,30 @@
 Journal replay rebuilds a crashed manager's policy state, but the replay
 can be *incomplete* --- a torn journal tail, a corrupt checkpoint
 generation, or a manager that was only tracked mid-life.  The auditor
-reconciles the restored private state against what the kernel and SPCM
-know to be true (which frames actually back which pages --- kernel state
-survives a *manager* crash by construction), repairing the private side:
+repairs the restored private state to match
+:func:`~repro.invariants.manager_truth`, what the kernel knows to be true
+(kernel state survives a *manager* crash by construction), the same
+ground truth the invariant engine's ``managers`` check reads:
 
 * residents the manager believes in but the kernel doesn't back are
   dropped; pages the kernel backs that the manager forgot are adopted;
-* the free-slot list is reconciled against the free segment's actually
-  backed slots (phantoms dropped, forgotten slots recovered, duplicates
-  removed);
+* the free-slot list becomes exactly the free segment's backed slots
+  (phantoms dropped, forgotten slots recovered, duplicates removed) ---
+  stricter than the sweep, because after a crash no fill is in flight;
 * the empty-slot recycling list is rebuilt from the unbacked slot
   indices, so a later reclaim can never migrate into an occupied slot;
 * migrate-back (stale) cache entries that disagree with the free list
   are dropped --- losing a fast-reclaim hint is safe, keeping a wrong
   one is not;
-* the SPCM's held-frame account is cross-checked and reported (never
-  silently rewritten --- accounting truth belongs to the SPCM).
+* the SPCM's held-frame account is cross-checked and only reported: a
+  cold failover leaves adopted pages booked to the dead manager's
+  account, so a mismatch is not evidence of damage.
 
 Every repair is a typed :class:`Discrepancy` record.  A repair count
 past ``max_repairs`` raises :class:`~repro.errors.RecoveryError` (the
-coordinator then falls back cold), and a final
-:class:`~repro.chaos.invariants.InvariantChecker` sweep proves the
-repaired system globally consistent.
+coordinator then falls back cold), and a closing
+:class:`~repro.invariants.InvariantChecker` sweep proves the repaired
+system globally consistent.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import RecoveryError
+from repro.invariants import InvariantChecker, manager_truth
 
 
 @dataclass(frozen=True)
@@ -91,11 +94,8 @@ class RecoveryAuditor:
                 f"auditor found {len(repaired)} repairs for {manager.name}, "
                 f"past the budget of {self.max_repairs}"
             )
-        # the repaired state must be globally consistent --- reuse the
-        # chaos invariant sweep as the recovery acceptance test
-        from repro.chaos.invariants import InvariantChecker
-
-        InvariantChecker(self.kernel, self.spcm).check_all()
+        # the repaired state must be globally consistent
+        InvariantChecker(self.kernel).check_all()
         return found
 
     def _audit(self, manager) -> list[Discrepancy]:
@@ -105,23 +105,18 @@ class RecoveryAuditor:
         def note(kind, seg_id, page, detail, action):
             found.append(Discrepancy(kind, name, seg_id, page, detail, action))
 
-        # ground truth: (seg_id, page) actually backed in managed segments
-        managed: dict[tuple[int, int], object] = {}
-        for segment in self.kernel.segments():
-            if segment.manager is manager and segment is not manager.free_segment:
-                for page in segment.pages:
-                    managed[(segment.seg_id, page)] = segment
+        truth = manager_truth(self.kernel, manager)
 
         # 1. residency: drop phantoms, adopt forgotten pages
         for key in list(manager._resident):
-            if key not in managed:
+            if key not in truth.resident:
                 del manager._resident[key]
                 note(
                     "phantom-resident", key[0], key[1],
                     "recovered state lists a page the kernel does not back",
                     "dropped",
                 )
-        for seg_id, page in sorted(managed):
+        for seg_id, page in sorted(truth.resident):
             if (seg_id, page) not in manager._resident:
                 manager._resident[(seg_id, page)] = None
                 note(
@@ -130,8 +125,8 @@ class RecoveryAuditor:
                     "adopted",
                 )
 
-        # 2. free slots: reconcile against the free segment's backed slots
-        backed = set(manager.free_segment.pages)
+        # 2. free slots: exactly the free segment's backed slots
+        backed = truth.backed
         free = manager._free_slots
         seen: set[int] = set()
         cleaned: list[int] = []
@@ -162,21 +157,20 @@ class RecoveryAuditor:
         free = manager._free_slots
 
         # 3. empty slots: exactly the unbacked indices below the segment end
-        n_slots = manager.free_segment.n_pages
-        truth_empty = [s for s in range(n_slots) if s not in backed]
+        unbacked = truth.unbacked
         current = manager._empty_slots
-        if sorted(set(current)) != truth_empty:
+        if sorted(set(current)) != unbacked:
+            wanted = set(unbacked)
             keep = [
                 s for i, s in enumerate(current)
-                if s not in backed and 0 <= s < n_slots
-                and s not in current[:i]
+                if s in wanted and s not in current[:i]
             ]
-            missing = [s for s in truth_empty if s not in keep]
+            missing = [s for s in unbacked if s not in keep]
             manager._empty_slots = keep + missing
             note(
                 "empty-slot-drift", None, None,
                 f"recycling list had {len(current)} entries, "
-                f"{len(truth_empty)} unbacked slots exist",
+                f"{len(unbacked)} unbacked slots exist",
                 "rebuilt",
             )
 
@@ -200,11 +194,11 @@ class RecoveryAuditor:
                     "dropped",
                 )
 
-        # 5. SPCM accounting: cross-check, report-only (the SPCM's ledger
-        # is ground truth; a real mismatch fails the invariant sweep)
+        # 5. SPCM accounting: cross-check, report-only (a cold failover
+        # legitimately leaves adopted pages on the dead manager's books)
         if self.spcm is not None:
             held = self.spcm.frames_held.get(manager.account)
-            actual = len(backed) + len(managed)
+            actual = len(backed) + len(truth.resident)
             if held is not None and held != actual:
                 note(
                     "held-frames-mismatch", None, None,

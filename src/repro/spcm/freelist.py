@@ -14,10 +14,10 @@ Because the machine's physical address space is partitioned into
 contiguous per-node ranges and boot pages are laid out in
 physical-address order, concatenating the buckets in node order yields
 the exact ascending page order the flat list had.  External readers
-(the invariant checker, the audit CLI, the verify digest) treat the
-free list as an iterable of page indices with ``append`` / ``remove`` /
-``in`` / ``len``; that contract is preserved, so the state digest over
-the free pool is unchanged by the refactor.
+(the invariant engine's ``spcm_pool`` check, the verify digest) treat
+the free list as an iterable of page indices with ``append`` /
+``remove`` / ``in`` / ``len``; that contract is preserved, so the state
+digest over the free pool is unchanged by the refactor.
 
 Pages whose node cannot be computed (e.g. a bogus index injected by a
 corruption test) land in an overflow bucket that sorts after every real

@@ -25,6 +25,10 @@ Workloads the gate can drive:
 A typed :class:`~repro.errors.ReproError` stopping the workload is
 itself recorded as a chain step --- a run that fails the same way at the
 same point is deterministic; one that fails differently is the bug.
+Every run closes with a full :class:`~repro.invariants.InvariantChecker`
+sweep before its final-state link, and an invariant violation --- during
+the run or in that sweep --- fails the gate even when both runs break
+the same invariant at the same step.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from repro.chaos.harness import (
     build_workload_system,
 )
 from repro.chaos.injector import Injector
-from repro.chaos.invariants import InvariantChecker
 from repro.chaos.plan import ChaosPlan
-from repro.errors import ReproError, VerificationError
+from repro.errors import InvariantViolationError, ReproError, VerificationError
+from repro.invariants import InvariantChecker
 from repro.verify.digest import DigestChain, Divergence, snapshot_state
 from repro.verify.oracle import build_vpp_system, drive_vpp
 from repro.verify.schedule import NAMED_SCHEDULES, WorkloadSchedule
@@ -110,6 +114,8 @@ class RunRecord:
     chain: DigestChain
     references: int = 0
     error_type: str | None = None
+    #: the invariant violation the run or its closing sweep raised
+    violation: str | None = None
 
 
 @dataclass
@@ -123,8 +129,18 @@ class DeterminismReport:
     divergence: Divergence | None = None
 
     @property
+    def failure(self) -> str | None:
+        """Why the gate fails: the divergence, else a broken invariant."""
+        if self.divergence is not None:
+            return self.divergence.describe()
+        for run in self.runs:
+            if run.violation is not None:
+                return f"run {run.label} broke invariants: {run.violation}"
+        return None
+
+    @property
     def ok(self) -> bool:
-        return self.divergence is None
+        return self.failure is None
 
     def render(self) -> str:
         """A human-readable verdict (both runs, then PASS or the step)."""
@@ -142,7 +158,7 @@ class DeterminismReport:
         if self.ok:
             lines.append("  PASS: digest chains identical")
         else:
-            lines.append(f"  FAIL: {self.divergence.describe()}")
+            lines.append(f"  FAIL: {self.failure}")
         return "\n".join(lines)
 
 
@@ -185,26 +201,44 @@ def _install_chaos(system, chaos_seed) -> None:
     injector.install(system)
 
 
+def _record(system, chain: DigestChain, label: str, body) -> RunRecord:
+    """Run ``body(checker)`` on ``system`` under a chain recorder.
+
+    A typed stop is chained; the run then closes with a full invariant
+    sweep and the final-state link.
+    """
+    recorder = ChainRecorder(system, chain)
+    record = RunRecord(label=label, chain=chain)
+    checker = InvariantChecker(system.kernel)
+    try:
+        record.references = body(checker)
+    except ReproError as exc:
+        # a typed failure is a legitimate, repeatable outcome; chain it
+        # so both runs must fail identically at the same point
+        record.error_type = type(exc).__name__
+        chain.append("error", [type(exc).__name__, str(exc)])
+        if isinstance(exc, InvariantViolationError):
+            record.violation = str(exc)
+    if record.violation is None:
+        try:
+            checker.check_all()
+        except InvariantViolationError as exc:
+            record.violation = str(exc)
+    recorder.finalize()
+    return record
+
+
 def _chaos_driver(fn, nodes):
     def drive(chaos_seed, label) -> RunRecord:
         system = build_workload_system(n_nodes=nodes)
         _install_chaos(system, chaos_seed)
-        checker = InvariantChecker(system.kernel)
         chain = DigestChain(
             meta={"workload": getattr(fn, "__name__", "custom"),
                   "nodes": nodes, "chaos_seed": chaos_seed}
         )
-        recorder = ChainRecorder(system, chain)
-        record = RunRecord(label=label, chain=chain)
-        try:
-            record.references = fn(system, checker)
-        except ReproError as exc:
-            # a typed failure is a legitimate, repeatable outcome; chain
-            # it so both runs must fail identically at the same point
-            record.error_type = type(exc).__name__
-            chain.append("error", [type(exc).__name__, str(exc)])
-        recorder.finalize()
-        return record
+        return _record(
+            system, chain, label, lambda checker: fn(system, checker)
+        )
 
     return drive
 
@@ -220,16 +254,12 @@ def _schedule_driver(schedule: WorkloadSchedule, nodes):
             meta={"workload": schedule.name, "nodes": schedule.nodes,
                   "chaos_seed": chaos_seed}
         )
-        recorder = ChainRecorder(system, chain)
-        record = RunRecord(label=label, chain=chain)
-        try:
+
+        def body(_checker) -> int:
             drive_vpp(system, schedule, segments)
-            record.references = len(schedule.ops)
-        except ReproError as exc:
-            record.error_type = type(exc).__name__
-            chain.append("error", [type(exc).__name__, str(exc)])
-        recorder.finalize()
-        return record
+            return len(schedule.ops)
+
+        return _record(system, chain, label, body)
 
     return drive
 

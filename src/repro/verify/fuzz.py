@@ -145,7 +145,7 @@ def _check_schedule(schedule: WorkloadSchedule) -> str | None:
     except ReproError as exc:
         return f"determinism gate raised {type(exc).__name__}: {exc}"
     if not det.ok:
-        return "determinism: " + det.divergence.describe()
+        return "determinism: " + det.failure
     return None
 
 

@@ -43,6 +43,7 @@ from repro.baseline.unix_retrofit import UnixRetrofitVM
 from repro.errors import VerificationError
 from repro.hw.costs import DECSTATION_5000_200
 from repro.hw.phys_mem import PhysicalMemory
+from repro.invariants import InvariantChecker
 from repro.managers.base import GenericSegmentManager
 from repro.managers.clock import ClockReplacer
 from repro.managers.dbms_manager import DBMSSegmentManager
@@ -234,9 +235,13 @@ def collect_vpp(system, schedule: WorkloadSchedule, anon_manager, segments):
 
 
 def run_vpp(schedule: WorkloadSchedule) -> ExecutionResult:
-    """Drive the schedule through the external-managed V++ kernel."""
+    """Drive the schedule through the external-managed V++ kernel.
+
+    A full invariant sweep closes the drive, before collection.
+    """
     system, anon_manager, segments = build_vpp_system(schedule)
     drive_vpp(system, schedule, segments)
+    InvariantChecker(system.kernel).check_all()
     return collect_vpp(system, schedule, anon_manager, segments)
 
 

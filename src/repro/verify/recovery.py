@@ -36,9 +36,9 @@ from repro.chaos.harness import (
     build_workload_system,
 )
 from repro.chaos.injector import Injector
-from repro.chaos.invariants import InvariantChecker
 from repro.chaos.plan import ChaosPlan
 from repro.errors import ReproError, VerificationError
+from repro.invariants import InvariantChecker
 from repro.verify.digest import digest_payload, snapshot_state
 
 #: the crash-only plan the gate injects in run B; every eligible manager

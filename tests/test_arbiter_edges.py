@@ -13,10 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import build_system
-from repro.chaos.invariants import InvariantChecker
 from repro.core.kernel import Kernel
 from repro.hw.numa import NumaTopology
 from repro.hw.phys_mem import PhysicalMemory
+from repro.invariants import InvariantChecker
 from repro.managers.base import GenericSegmentManager
 from repro.spcm.arbiter import GlobalArbiter
 from repro.spcm.market import MarketConfig, MemoryMarket
@@ -74,8 +74,10 @@ class TestCrossNodeLoanRetirement:
             if _node_of(system, manager.free_segment.pages[s]) == 1
         )
         kernel.retire_frame(frame)
+        # the manager's side of the retirement: the slot is now empty
         manager._free_slots.remove(slot)
         manager._drop_stale(slot)
+        manager._empty_slots.append(slot)
 
         assert shard1.frames_held[account] == held_before - 1
         assert shard1.retired_frames == 1

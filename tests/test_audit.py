@@ -1,24 +1,28 @@
-"""The consistency auditor: catches deliberately injected corruption."""
+"""Whole-system sweeps: clean systems pass, injected corruption is caught.
+
+Each corruption is made on the stock ``system`` fixture and must surface
+as a ``[check] message`` line from the invariant engine.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.audit import (
-    audit_kernel,
-    audit_manager,
-    audit_spcm,
-    audit_system,
-)
-from repro.errors import MigrationError
+from repro.errors import InvariantViolationError
+from repro.invariants import CHECKS, InvariantChecker
 from repro.managers.base import GenericSegmentManager
+
+
+def findings(system, check):
+    """The messages one named check reports on ``system``."""
+    return CHECKS[check](system.kernel)
 
 
 class TestCleanSystems:
     def test_fresh_system_is_consistent(self, system):
-        report = audit_system(system)
-        assert report.ok, report.findings
-        assert report.checks_run >= 5
+        checker = InvariantChecker(system.kernel)
+        assert checker.violations() == []
+        assert checker.checks_run == 1 and len(CHECKS) >= 5
 
     def test_exercised_system_is_consistent(self, system):
         kernel = system.kernel
@@ -35,36 +39,28 @@ class TestCleanSystems:
         )
         system.file_server.create_file(file_seg)
         system.uio.write(file_seg, 0, b"x" * (8 * 4096))
-        report = audit_system(system)
-        assert report.ok, report.findings
+        assert InvariantChecker(kernel).violations() == []
 
 
 class TestInjectedCorruption:
     def test_detects_lost_frame(self, system):
-        kernel = system.kernel
-        boot = kernel.initial_segment
-        page = next(iter(boot.pages))
-        del boot.pages[page]  # corruption: the frame vanishes
-        report = audit_kernel(kernel)
-        assert not report.ok
-        assert any("owned by nobody" in f for f in report.findings)
+        boot = system.kernel.initial_segment
+        del boot.pages[next(iter(boot.pages))]  # corruption: it vanishes
+        assert any("owned by no segment" in f
+                   for f in findings(system, "frames"))
 
     def test_detects_double_ownership(self, system):
         kernel = system.kernel
         boot = kernel.initial_segment
         seg = kernel.create_segment(4, name="dup")
-        page = next(iter(boot.pages))
-        seg.pages[0] = boot.pages[page]  # corruption: filed twice
-        report = audit_kernel(kernel)
-        assert any("AND segment" in f for f in report.findings)
+        seg.pages[0] = boot.pages[next(iter(boot.pages))]  # filed twice
+        assert any("owned twice" in f for f in findings(system, "frames"))
 
     def test_detects_bad_backref(self, system):
-        kernel = system.kernel
-        boot = kernel.initial_segment
-        frame = next(iter(boot.pages.values()))
+        frame = next(iter(system.kernel.initial_segment.pages.values()))
         frame.owner_segment_id = 9999  # corruption
-        report = audit_kernel(kernel)
-        assert any("records owner" in f for f in report.findings)
+        assert any("back-pointer names segment 9999" in f
+                   for f in findings(system, "frames"))
 
     def test_detects_stale_translation(self, system):
         kernel = system.kernel
@@ -78,8 +74,8 @@ class TestInjectedCorruption:
         spare = kernel.create_segment(4, name="spare")
         spare.pages[0] = frame
         frame.owner_segment_id = spare.seg_id
-        report = audit_kernel(kernel)
-        assert any("translation" in f for f in report.findings)
+        assert any("entry space" in f
+                   for f in findings(system, "translations"))
 
     def test_detects_manager_slot_confusion(self, system):
         manager = GenericSegmentManager(
@@ -87,20 +83,19 @@ class TestInjectedCorruption:
         )
         slot = manager._free_slots[0]
         manager._empty_slots.append(slot)  # corruption: both lists
-        report = audit_manager(manager)
-        assert any("both free and empty" in f for f in report.findings)
+        assert any(f"confused: slots listed twice: [{slot}]" == f
+                   for f in findings(system, "managers"))
 
     def test_detects_spcm_pool_drift(self, system):
         system.spcm._free[4096].append(999_999)  # corruption
-        report = audit_spcm(system.spcm)
-        assert any("pool" in f for f in report.findings)
+        assert any("pool(4096) != boot residency" in f
+                   for f in findings(system, "spcm_pool"))
 
     def test_raise_if_failed(self, system):
         boot = system.kernel.initial_segment
         del boot.pages[next(iter(boot.pages))]
-        report = audit_kernel(system.kernel)
-        with pytest.raises(MigrationError):
-            report.raise_if_failed()
+        with pytest.raises(InvariantViolationError, match=r"\[frames\] "):
+            InvariantChecker(system.kernel).check_all()
 
     def test_clean_report_does_not_raise(self, system):
-        audit_system(system).raise_if_failed()
+        InvariantChecker(system.kernel).check_all()

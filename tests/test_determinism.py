@@ -12,8 +12,10 @@ import random
 
 import pytest
 
+from repro.chaos.harness import WORKLOADS
 from repro.errors import VerificationError
 from repro.managers.base import GenericSegmentManager
+from repro.verify.cli import main
 from repro.verify.determinism import run_twice
 from repro.verify.schedule import NAMED_SCHEDULES
 
@@ -80,3 +82,51 @@ class TestInjectedNondeterminism:
         assert str(div.step) in report.render()
         # divergence points into the chain, not past its end
         assert div.step < len(report.runs[0].chain.steps)
+
+
+def _frame_popping_workload(system, checker) -> int:
+    """Deliberately broken: a frame leaves its segment outside
+    MigratePages, identically in both runs."""
+    kernel = system.kernel
+    segment = kernel.create_segment(
+        4, name="pop-space", manager=system.default_manager
+    )
+    kernel.reference(segment, 0, write=True)
+    segment.pages.pop(0)
+    checker.check_all()
+    return 1
+
+
+class TestInvariantViolations:
+    """Two runs that break the same invariant at the same step have
+    identical chains, and must still fail the gate."""
+
+    def test_identical_violations_fail_the_gate(self):
+        report = run_twice(_frame_popping_workload)
+        assert report.divergence is None
+        assert [run.error_type for run in report.runs] == [
+            "InvariantViolationError"
+        ] * 2
+        assert not report.ok
+        rendered = report.render()
+        assert "FAIL" in rendered and "PASS" not in rendered
+        assert "[frames]" in rendered
+
+    def test_cli_exits_1_on_a_violation(self, monkeypatch, capsys):
+        monkeypatch.setitem(WORKLOADS, "pop-frame", _frame_popping_workload)
+        assert main(["determinism", "--workload", "pop-frame"]) == 1
+        assert "[frames]" in capsys.readouterr().out
+
+    def test_closing_sweep_catches_an_unchecked_corruption(self):
+        def silent(system, checker) -> int:
+            segment = system.kernel.create_segment(
+                4, name="silent", manager=system.default_manager
+            )
+            system.kernel.reference(segment, 0, write=True)
+            segment.pages.pop(0)
+            return 1
+
+        report = run_twice(silent)
+        assert [run.error_type for run in report.runs] == [None, None]
+        assert not report.ok
+        assert "[frames]" in report.failure

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.audit import audit_kernel, audit_manager
 from repro.core.kernel import Kernel
 from repro.core.uio import FileServer
 from repro.hw.costs import DECSTATION_5000_200
 from repro.hw.disk import Disk
 from repro.hw.numa import NumaTopology
 from repro.hw.phys_mem import PhysicalMemory
+from repro.invariants import InvariantChecker
 from repro.managers.base import GenericSegmentManager
 from repro.managers.coloring_manager import ColoringSegmentManager
 from repro.managers.dbms_manager import DBMSSegmentManager
@@ -140,6 +140,4 @@ class TestManagerContract:
         for page in range(12):
             kernel.reference(seg, page * 4096, write=(page % 3 == 0))
         manager.reclaim_pages(5)
-        report = audit_kernel(kernel)
-        audit_manager(manager, report)
-        assert report.ok, report.findings
+        assert InvariantChecker(kernel).violations() == []

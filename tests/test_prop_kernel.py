@@ -21,6 +21,7 @@ from repro.core.api import MigratePagesRequest
 from repro.core.kernel import Kernel
 from repro.errors import KernelError, OutOfFramesError
 from repro.hw.phys_mem import PhysicalMemory
+from repro.invariants import InvariantChecker
 from repro.managers.base import GenericSegmentManager
 from repro.spcm.policy import ReservePolicy
 from repro.spcm.spcm import SystemPageCacheManager
@@ -110,12 +111,8 @@ class KernelMachine(RuleBasedStateMachine):
         self.kernel.check_frame_conservation()
 
     @invariant()
-    def full_audit_passes(self):
-        from repro.analysis.audit import audit_kernel, audit_manager
-
-        report = audit_kernel(self.kernel)
-        audit_manager(self.manager, report)
-        assert report.ok, report.findings
+    def full_sweep_passes(self):
+        assert InvariantChecker(self.kernel).violations() == []
 
     @invariant()
     def owner_backrefs_consistent(self):

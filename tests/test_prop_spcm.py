@@ -11,9 +11,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.analysis.audit import audit_kernel, audit_manager, audit_spcm
 from repro.core.kernel import Kernel
 from repro.hw.phys_mem import PhysicalMemory
+from repro.invariants import InvariantChecker
 from repro.managers.base import GenericSegmentManager
 from repro.spcm.policy import ReservePolicy
 from repro.spcm.spcm import FrameRequest, SystemPageCacheManager
@@ -98,12 +98,8 @@ class SPCMMachine(RuleBasedStateMachine):
         assert held + free == TOTAL_FRAMES
 
     @invariant()
-    def audits_pass(self):
-        report = audit_kernel(self.kernel)
-        audit_spcm(self.spcm, report)
-        for manager in self.managers:
-            audit_manager(manager, report)
-        assert report.ok, report.findings
+    def full_sweep_passes(self):
+        assert InvariantChecker(self.kernel).violations() == []
 
 
 TestSPCMMachine = SPCMMachine.TestCase

@@ -15,13 +15,13 @@ import pytest
 
 from repro.chaos import ChaosPlan, Injector
 from repro.chaos.harness import run_schedule
-from repro.chaos.invariants import InvariantChecker
 from repro.errors import (
     JournalCorruptionError,
     ManagerCrashError,
     TransientDiskError,
     UIOError,
 )
+from repro.invariants import InvariantChecker
 from repro.managers.default_manager import DefaultSegmentManager
 from repro.recovery import (
     CheckpointStore,

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from repro.chaos.harness import build_workload_system
 from repro.chaos.injector import Injector
-from repro.chaos.invariants import InvariantChecker
 from repro.chaos.plan import ChaosPlan
 from repro.core.api import AdmitTenantRequest, RetryAfter, TenantQuota
+from repro.invariants import InvariantChecker
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.loadgen import (
     SERVING_SCHEDULES,

@@ -1,4 +1,4 @@
-"""SLO watchdogs: latency/failover objectives, drift sweeps, chaos wiring."""
+"""SLO watchdogs: latency/failover objectives, invariant sweeps, chaos wiring."""
 
 from __future__ import annotations
 
@@ -88,8 +88,8 @@ class TestDriftObjectives:
     def test_vanished_frame_fires_critical(self):
         system = build_system(memory_mb=8)
         watchdog = SLOWatchdog(system).install()
-        # steal a frame outright: census now counts one fewer than the
-        # in-service total
+        # steal a frame outright: the engine's frames check reports it
+        # lost
         boot = next(iter(system.kernel.boot_segments.values()))
         page = next(iter(boot.pages))
         boot.pages.pop(page)
