@@ -122,7 +122,7 @@ def build_system(
     )
     # the default manager is the paper's safety net: faults of a failed
     # application manager are failed over here (chaos degradation paths)
-    kernel.fallback_manager = default_manager
+    kernel.supervisor.fallback = default_manager
     registry = metrics if metrics is not None else MetricsRegistry()
     registry.bind("kernel.cost_us", kernel.meter.snapshot)
     registry.bind("kernel", kernel.stats.as_dict)

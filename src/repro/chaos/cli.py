@@ -9,7 +9,10 @@ Examples::
 Each schedule boots a fresh system, injects the scenario's fault plan
 (reseeded per schedule), checks every global invariant after every
 injected event, and prints a one-line summary; the exit code is non-zero
-if any schedule violated an invariant.
+if any schedule violated an invariant or had a kernel listener raise.
+The kernel contains listener exceptions (they are observability, never
+control flow) and only counts them, so this exit code is where a broken
+SLO, telemetry or recovery listener shows up.
 """
 
 from __future__ import annotations
@@ -106,6 +109,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"seed {seed:>4}: INVARIANT VIOLATION: {exc}")
             continue
         last_result = result
+        if result.listener_errors:
+            failures += 1
+            print(
+                f"seed {seed:>4}: LISTENER ERRORS: "
+                f"{result.listener_errors} listener call(s) raised"
+            )
         outcome = (
             "completed"
             if result.completed
@@ -142,7 +151,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"{last_result.n_alerts} alert(s))"
             )
     if failures:
-        print(f"{failures}/{args.schedules} schedule(s) violated invariants")
+        print(
+            f"{failures}/{args.schedules} schedule(s) violated invariants "
+            "or raised in a listener"
+        )
         return 1
     print(f"all {args.schedules} schedule(s) invariant-clean")
     return 0

@@ -95,6 +95,10 @@ class ChaosResult:
     def cold_fallbacks(self) -> int:
         return int(self.recovery_stats.get("cold_fallbacks", 0))
 
+    @property
+    def listener_errors(self) -> int:
+        return int(self.kernel_stats.get("listener_errors", 0))
+
 
 # ---------------------------------------------------------------------------
 # workloads
@@ -511,8 +515,8 @@ def run_schedule(
     ``slo=True`` (or an explicit ``slo_policy``) arms the
     :class:`~repro.obs.slo.SLOWatchdog`: its drift objectives are swept
     after every injected event (alongside the invariant checker) and its
-    latency/failover objectives fire from the kernel hooks; the alerts
-    land on :attr:`ChaosResult.alerts`.  ``telemetry_interval_us``
+    latency/degradation objectives fire from the kernel's listeners; the
+    alerts land on :attr:`ChaosResult.alerts`.  ``telemetry_interval_us``
     additionally installs a continuous-telemetry collector sampling at
     that simulated interval; the collector rides on
     :attr:`ChaosResult.telemetry`.  Neither applies to the ``dbms``

@@ -1,11 +1,11 @@
 """The fault injector: seed-driven failures at the stack's choke points.
 
-Components (kernel, disk, physical memory, managers) hold an ``injector``
-attribute, :data:`NULL_INJECTOR` by default --- the same zero-overhead
-null-object pattern as :data:`repro.obs.trace.NULL_TRACER`.  Every
-injection site is guarded by ``injector.enabled``, so with injection
-disabled the benchmarked paths make no extra calls and charge no extra
-cost.
+Components (the kernel's manager supervisor, disk, physical memory) hold
+an ``injector`` attribute, :data:`NULL_INJECTOR` by default --- the same
+zero-overhead null-object pattern as :data:`repro.obs.trace.NULL_TRACER`.
+Every injection site is guarded by ``injector.enabled``, so with
+injection disabled the benchmarked paths make no extra calls and charge
+no extra cost.
 
 A live :class:`Injector` executes a :class:`~repro.chaos.plan.ChaosPlan`:
 each choke point draws from its own named substream of one seeded
@@ -16,9 +16,9 @@ Injected events are recorded in order, reported to the tracer (actor
 the :class:`~repro.invariants.InvariantChecker` there so the whole
 invariant table is swept after *every* injected event.
 
-Import discipline: this module is imported by ``hw/disk.py`` and
-``core/kernel.py``, so it must not import anything above the ``sim``/
-``obs``/``errors`` layers.
+Import discipline: this module is imported by ``hw/disk.py``,
+``hw/phys_mem.py`` and ``core/supervisor.py``, so it must not import
+anything above the ``sim``/``obs``/``errors`` layers.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ class Injector:
 
     def install(self, system) -> None:
         """Point every component of a built ``System`` at this injector."""
-        system.kernel.injector = self
+        system.kernel.supervisor.injector = self
         system.disk.injector = self
         system.memory.injector = self
         if self.tracer is NULL_TRACER and system.tracer.enabled:
@@ -277,7 +277,7 @@ class Injector:
     @staticmethod
     def uninstall(system) -> None:
         """Restore the null injector on every component."""
-        system.kernel.injector = NULL_INJECTOR
+        system.kernel.supervisor.injector = NULL_INJECTOR
         system.disk.injector = NULL_INJECTOR
         system.memory.injector = NULL_INJECTOR
         try:

@@ -1,12 +1,12 @@
-"""The versioned, typed kernel API facade (v2).
+"""The versioned, typed kernel API facade (v3).
 
-The paper's four external page-cache management operations (S2.1) were
-originally exposed as keyword-argument methods on :class:`~repro.core.kernel.Kernel`.
-This module is the canonical call surface from API v2 on: each primitive
-takes a frozen *request* dataclass and returns a frozen *result*
-dataclass, so the call forms are versionable, serializable (for IPC-style
-manager processes) and carry the NUMA placement hints and batch statistics
-the sharded System Page Cache Manager needs.
+The paper's four external page-cache management operations (S2.1) are
+methods on :class:`~repro.core.kernel.Kernel`, and this module is their
+only call surface: each primitive takes a frozen *request* dataclass and
+returns a frozen *result* dataclass, so the call forms are versionable,
+serializable (for IPC-style manager processes) and carry the NUMA
+placement hints and batch statistics the sharded System Page Cache
+Manager needs.
 
 * :class:`MigratePagesRequest` / :class:`MigratePagesResult`
 * :class:`ModifyPageFlagsRequest` / :class:`ModifyPageFlagsResult`
@@ -18,9 +18,8 @@ manager for frames with a :class:`FrameDemand` and frames change hands as
 a :class:`FrameGrant`, whichever direction they travel (release, seizure,
 adoption).
 
-The old keyword-argument call forms keep working through deprecation
-shims on the kernel; each shim emits one :class:`DeprecationWarning` per
-process (per operation) and will be removed one release after v2.
+API v3 removed the keyword-argument call forms that v2 deprecated, and
+the bare-int/bare-list manager callbacks with them.
 
 Requests reference segments by id (``Segment`` instances are accepted and
 coerced), so every request/result round-trips through
@@ -30,62 +29,20 @@ tests assert.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from repro.core.flags import PageFlags
 
-#: Facade version: (major, minor).  Major bumps may drop deprecated call
-#: forms; the keyword shims introduced alongside v2 last exactly one
-#: release.  v2.1 adds the multi-tenant serving vocabulary:
-#: :class:`BatchMigratePagesRequest` / :class:`BatchMigratePagesResult`
-#: (the batched kernel entry becomes a typed, serializable form),
-#: :class:`AdmitTenantRequest` / :class:`AdmitTenantResult`,
-#: :class:`TenantQuota`, and :class:`RetryAfter` (the typed shed).
-API_VERSION = (2, 1)
-
-
-# ---------------------------------------------------------------------------
-# deprecation machinery for the legacy keyword call forms
-# ---------------------------------------------------------------------------
-
-_WARNED_OPS: set[str] = set()
-
-_REQUEST_CLASS_FOR_OP = {
-    "Kernel.migrate_pages": "MigratePagesRequest",
-    "Kernel.migrate_pages_batch": "BatchMigratePagesRequest",
-    "Kernel.modify_page_flags": "ModifyPageFlagsRequest",
-    "Kernel.get_page_attributes": "GetPageAttributesRequest",
-    "Kernel.set_segment_manager": "SetSegmentManagerRequest",
-    "SegmentManager.release_frames": "FrameDemand",
-    "SegmentManager.on_frames_seized": "FrameGrant",
-}
-
-
-def warn_legacy_call(op: str) -> None:
-    """Emit the one-release deprecation warning for a legacy call form.
-
-    Each operation warns exactly once per process so hot fault paths do
-    not drown the warning filter; tests reset with
-    :func:`reset_legacy_warnings`.
-    """
-    if op in _WARNED_OPS:
-        return
-    _WARNED_OPS.add(op)
-    replacement = _REQUEST_CLASS_FOR_OP.get(op, "request dataclass")
-    warnings.warn(
-        f"{op}: keyword-argument call form is deprecated since API v2 "
-        f"and will be removed next release; pass a "
-        f"repro.core.api.{replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which legacy call forms already warned (test support)."""
-    _WARNED_OPS.clear()
+#: Facade version: (major, minor).  Major bumps may drop call forms.  v2
+#: introduced the request/result dataclasses; v2.1 added the multi-tenant
+#: serving vocabulary: :class:`BatchMigratePagesRequest` /
+#: :class:`BatchMigratePagesResult` (the batched kernel entry as a typed,
+#: serializable form), :class:`AdmitTenantRequest` /
+#: :class:`AdmitTenantResult`, :class:`TenantQuota`, and
+#: :class:`RetryAfter` (the typed shed).  v3 makes the dataclasses the only
+#: call forms.
+API_VERSION = (3, 0)
 
 
 def _seg_id(value: Any) -> int:
@@ -733,6 +690,4 @@ __all__ = [
     "SetSegmentManagerRequest",
     "SetSegmentManagerResult",
     "TenantQuota",
-    "reset_legacy_warnings",
-    "warn_legacy_call",
 ]

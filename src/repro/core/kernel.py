@@ -11,9 +11,13 @@ adds over a conventional VM interface (S2.1):
 
 The kernel does **no** page reclamation and **no** writeback; faults it
 cannot satisfy from its translation structures are forwarded to the
-segment's process-level manager, following the Figure-2 sequence.  On boot
-every page frame is placed, in physical-address order, in a well-known
-segment from which the System Page Cache Manager hands frames out.
+segment's process-level manager, following the Figure-2 sequence.  The
+delivery itself, and failover when a manager misbehaves, belong to the
+:class:`~repro.core.supervisor.ManagerSupervisor` (``kernel.supervisor``).
+Every operation takes its request dataclass from :mod:`repro.core.api`
+and returns the matching result.  On boot every page frame is placed, in
+physical-address order, in a well-known segment from which the System
+Page Cache Manager hands frames out.
 
 All code paths charge the kernel's :class:`~repro.hw.costs.CostMeter`, so
 an experiment can read both elapsed cost and its decomposition.
@@ -24,8 +28,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.chaos.injector import NULL_INJECTOR
-from repro.chaos.plan import IPCFailureMode, ManagerFailureMode
 from repro.core.api import (
     BatchMigratePagesRequest,
     BatchMigratePagesResult,
@@ -39,14 +41,13 @@ from repro.core.api import (
     PageAttribute,
     SetSegmentManagerRequest,
     SetSegmentManagerResult,
-    warn_legacy_call,
 )
 from repro.core.faults import FaultKind, FaultTrace, PageFault
 from repro.core.flags import MANAGER_SETTABLE, PageFlags
-from repro.core.manager_api import InvocationMode, SegmentManager
+from repro.core.manager_api import SegmentManager
 from repro.core.segment import ResolvedPage, Segment
+from repro.core.supervisor import FAILOVER_AFTER_ATTEMPTS, ManagerSupervisor
 from repro.errors import (
-    ManagerCrashError,
     MigrationError,
     NoManagerError,
     ProtectionError,
@@ -67,15 +68,6 @@ __all__ = ["Kernel", "KernelStats", "PageAttribute"]
 #: Maximum times a single reference retries after fault handling before the
 #: kernel declares the fault unresolvable.
 MAX_FAULT_RETRIES = 8
-
-#: After this many fruitless manager deliveries on one reference, the kernel
-#: stops trusting the manager and fails the segment over to the fallback
-#: (must be < MAX_FAULT_RETRIES so the fallback still gets retries).
-FAILOVER_AFTER_ATTEMPTS = 4
-
-#: Dropped fault messages are redelivered this many times before the kernel
-#: declares the manager unreachable.
-IPC_MAX_REDELIVERIES = 3
 
 # Integer mirrors of the PageFlags bits for the fault path.  Enum member
 # operators (`|`, `&`, `in`) dispatch through Flag.__and__/__or__ at
@@ -120,8 +112,8 @@ class KernelStats:
     #: crashed managers rebuilt from checkpoint + journal replay instead
     #: of failing over cold
     warm_restarts: int = 0
-    #: exceptions swallowed from fault/failover listeners (the hooks are
-    #: observability, never control flow)
+    #: exceptions swallowed from fault/degradation listeners (the hooks
+    #: are observability, never control flow)
     listener_errors: int = 0
     #: manager invocations by manager name (Table 3, column 1)
     manager_calls: dict[str, int] = field(default_factory=dict)
@@ -202,9 +194,6 @@ class Kernel:
     ) -> None:
         self.memory = memory
         self.costs = costs
-        # one fault-delivery IPC leg (message + context switch), summed
-        # once: charged twice per separate-process fault delivery
-        self._ipc_round_cost = costs.ipc_message + costs.context_switch
         #: NUMA topology of the machine (None models flat UMA memory);
         #: validated against the physical memory at construction so a
         #: mismatched node_bytes cannot survive to the first remote access
@@ -225,37 +214,19 @@ class Kernel:
         if tracer.enabled and getattr(tracer, "clock", None) is None:
             tracer.clock = lambda: self.meter.total_us  # type: ignore[union-attr]
         self.tlb.tracer = tracer
-        #: fault injector (NULL_INJECTOR when chaos is disabled)
-        self.injector = NULL_INJECTOR
         #: recovery write-ahead journal (NULL_JOURNAL when recovery is off)
         self.journal = NULL_JOURNAL
-        #: recovery coordinator, when installed (warm-restarts crashed
-        #: managers before the cold failover path below)
-        self._recovery = None
-        #: manager the kernel fails segments over to when their own manager
-        #: crashes, hangs, or keeps failing (``build_system`` points this at
-        #: the default manager; None disables failover)
-        self.fallback_manager: SegmentManager | None = None
+        #: carries forwarded faults to managers and fails misbehaving
+        #: managers over; chaos, recovery and the fallback plug in here
+        self.supervisor = ManagerSupervisor(self)
         #: the SPCM, once booted (lets the kernel trigger forcible reclaim
         #: of a dead manager's frames and report ECC retirements)
         self.spcm = None
         #: pfns removed from service after an uncorrectable ECC error
         self.retired_frames: set[int] = set()
-        # set while a failed-over fault is being retried, so the resolving
-        # reference can be attributed to the fallback manager
-        self._failover_pending = False
-        # continuous-telemetry listeners: called with the metered latency
-        # of each completed outermost fault service / failover.  Empty
-        # lists keep the fault path cost-free when telemetry is off.
+        # fault listeners (see on_fault_serviced); an empty list keeps the
+        # fault path cost-free when nothing observes it
         self._fault_listeners: list = []
-        self._failover_listeners: list = []
-        # per-fault step listeners: called with the faulting (space, vpn,
-        # write, latency_us, pfn) of each completed outermost slow-path
-        # entry; the verify harness records its digest chain here
-        self._fault_step_listeners: list = []
-        # sim time at which an in-flight manager degradation was detected
-        # (failover duration is measured from here, not from reassignment)
-        self._degradation_start: float | None = None
         self._fault_depth = 0
         self._segments: dict[int, Segment] = {}
         self._next_seg_id = 0
@@ -392,33 +363,18 @@ class Kernel:
             self.tracer.event(actor, action, cost_us)
 
     def set_segment_manager(
-        self,
-        segment: Segment | SetSegmentManagerRequest,
-        manager: SegmentManager | None = None,
-    ) -> SetSegmentManagerResult | None:
+        self, request: SetSegmentManagerRequest
+    ) -> SetSegmentManagerResult:
         """``SetSegmentManager(seg, manager)``.
 
-        Canonical form (API v2): pass a
-        :class:`~repro.core.api.SetSegmentManagerRequest`; returns a
-        :class:`~repro.core.api.SetSegmentManagerResult` naming the
-        previous manager.  The ``(segment, manager)`` keyword form is
-        deprecated (one release) and returns ``None`` as it always did.
+        Takes a :class:`~repro.core.api.SetSegmentManagerRequest`; returns
+        a :class:`~repro.core.api.SetSegmentManagerResult` naming the
+        previous manager.
         """
-        if isinstance(segment, SetSegmentManagerRequest):
-            if manager is not None:
-                raise TypeError(
-                    "pass either a SetSegmentManagerRequest or the legacy "
-                    "(segment, manager) pair, not both"
-                )
-            previous = self._set_segment_manager(
-                self.segment(segment.segment), segment.manager
-            )
-            return SetSegmentManagerResult(previous)
-        if manager is None:
-            raise TypeError("legacy call form requires a manager")
-        warn_legacy_call("Kernel.set_segment_manager")
-        self._set_segment_manager(segment, manager)
-        return None
+        previous = self._set_segment_manager(
+            self.segment(request.segment), request.manager
+        )
+        return SetSegmentManagerResult(previous)
 
     def _set_segment_manager(
         self, segment: Segment, manager: SegmentManager
@@ -448,24 +404,15 @@ class Kernel:
         return previous
 
     def migrate_pages(
-        self,
-        src: Segment | MigratePagesRequest,
-        dst: Segment | None = None,
-        src_page: int = 0,
-        dst_page: int = 0,
-        n_pages: int = 1,
-        set_flags: PageFlags = PageFlags.NONE,
-        clear_flags: PageFlags = PageFlags.NONE,
-    ) -> MigratePagesResult | list[PageFrame]:
-        """``MigratePages``: move frames from ``src`` to ``dst``.
+        self, request: MigratePagesRequest
+    ) -> MigratePagesResult:
+        """``MigratePages``: move frames from one segment to another.
 
-        Canonical form (API v2): pass a
-        :class:`~repro.core.api.MigratePagesRequest`; returns a
+        Takes a :class:`~repro.core.api.MigratePagesRequest`; returns a
         :class:`~repro.core.api.MigratePagesResult` with the moved pfns
         and batch statistics (a ``home_node`` hint splits the pages into
         local/remote and charges the DASH remote penalty for off-node
-        frames).  The keyword call form is deprecated (one release) and
-        still returns the moved :class:`PageFrame` list.
+        frames).
 
         Migration is the *only* way frames change segments, which is what
         makes the frame-conservation invariant checkable.  Migrating into a
@@ -482,33 +429,12 @@ class Kernel:
         migrates it to the bound segment.  The whole page range must lie
         within one binding (or none).
         """
-        if isinstance(src, MigratePagesRequest):
-            if dst is not None:
-                raise TypeError(
-                    "pass either a MigratePagesRequest or the legacy "
-                    "argument list, not both"
-                )
-            moved, batch = self._migrate_request(src)
-            return MigratePagesResult(
-                tuple([frame.pfn for frame in moved]), batch
-            )
-        if dst is None:
-            raise TypeError("legacy call form requires a destination")
-        warn_legacy_call("Kernel.migrate_pages")
-        request = MigratePagesRequest(
-            src, dst, src_page, dst_page, n_pages, set_flags, clear_flags
-        )
-        moved, _ = self._migrate_request(request)
-        return moved
+        moved, batch = self._migrate_request(request)
+        return MigratePagesResult(tuple([frame.pfn for frame in moved]), batch)
 
     def migrate_pages_batch(
-        self,
-        requests: (
-            BatchMigratePagesRequest
-            | list[MigratePagesRequest]
-            | tuple[MigratePagesRequest, ...]
-        ),
-    ) -> BatchMigratePagesResult | MigratePagesResult:
+        self, request: BatchMigratePagesRequest
+    ) -> BatchMigratePagesResult:
         """Several ``MigratePages`` runs in one kernel entry.
 
         The first run is charged the full ``vpp_migrate_call``;
@@ -519,42 +445,26 @@ class Kernel:
         the serving layer's batch scheduler coalesces per-(manager,
         node) refills the same way.
 
-        Canonical form (API v2.1): pass a
-        :class:`~repro.core.api.BatchMigratePagesRequest`; returns a
-        :class:`~repro.core.api.BatchMigratePagesResult`.  The bare
-        list/tuple form is deprecated (one release) and still returns
-        the v2.0 :class:`~repro.core.api.MigratePagesResult`.
+        Takes a :class:`~repro.core.api.BatchMigratePagesRequest`; returns
+        a :class:`~repro.core.api.BatchMigratePagesResult`.
         """
-        if isinstance(requests, BatchMigratePagesRequest):
-            runs = requests.requests
-            typed = True
-        else:
-            warn_legacy_call("Kernel.migrate_pages_batch")
-            runs = tuple(requests)
-            typed = False
+        runs = request.requests
         if not runs:
-            empty = BatchStats(n_calls=0)
-            if typed:
-                return BatchMigratePagesResult((), empty, 0)
-            return MigratePagesResult((), empty)
+            return BatchMigratePagesResult((), BatchStats(n_calls=0), 0)
         self.stats.migrate_batches += 1
         moved_pfns: list[int] = []
         batch: BatchStats | None = None
-        for i, request in enumerate(runs):
+        for i, run in enumerate(runs):
             cost = (
                 self.costs.vpp_migrate_call
                 if i == 0
                 else self.costs.vpp_migrate_batch_extra
             )
-            moved, stats = self._migrate_request(request, call_cost_us=cost)
+            moved, stats = self._migrate_request(run, call_cost_us=cost)
             moved_pfns.extend(frame.pfn for frame in moved)
             batch = stats if batch is None else batch.merged(stats)
         assert batch is not None
-        if typed:
-            return BatchMigratePagesResult(
-                tuple(moved_pfns), batch, len(runs)
-            )
-        return MigratePagesResult(tuple(moved_pfns), batch)
+        return BatchMigratePagesResult(tuple(moved_pfns), batch, len(runs))
 
     def _migrate_request(
         self,
@@ -749,47 +659,22 @@ class Kernel:
         return moved
 
     def modify_page_flags(
-        self,
-        segment: Segment | ModifyPageFlagsRequest,
-        page: int = 0,
-        n_pages: int = 1,
-        set_flags: PageFlags = PageFlags.NONE,
-        clear_flags: PageFlags = PageFlags.NONE,
-    ) -> ModifyPageFlagsResult | int:
+        self, request: ModifyPageFlagsRequest
+    ) -> ModifyPageFlagsResult:
         """``ModifyPageFlags``: flag changes without migration.
 
-        Canonical form (API v2): pass a
-        :class:`~repro.core.api.ModifyPageFlagsRequest`; returns a
+        Takes a :class:`~repro.core.api.ModifyPageFlagsRequest`; returns a
         :class:`~repro.core.api.ModifyPageFlagsResult` with the number of
-        present pages modified.  The keyword form is deprecated (one
-        release) and still returns the bare count.  Reducing protection
-        shoots down any cached translations so the next access re-enters
-        the kernel --- this is how a manager arranges to see references
-        (the clock algorithm) or writes.
+        present pages modified.  Reducing protection shoots down any
+        cached translations so the next access re-enters the kernel ---
+        this is how a manager arranges to see references (the clock
+        algorithm) or writes.
         """
-        if isinstance(segment, ModifyPageFlagsRequest):
-            request = segment
-            modified = self._modify_page_flags(
-                self.segment(request.segment),
-                request.page,
-                request.n_pages,
-                request.set_flags,
-                request.clear_flags,
-            )
-            return ModifyPageFlagsResult(modified)
-        warn_legacy_call("Kernel.modify_page_flags")
-        return self._modify_page_flags(
-            segment, page, n_pages, set_flags, clear_flags
-        )
-
-    def _modify_page_flags(
-        self,
-        segment: Segment,
-        page: int,
-        n_pages: int,
-        set_flags: PageFlags,
-        clear_flags: PageFlags,
-    ) -> int:
+        segment = self.segment(request.segment)
+        page = request.page
+        n_pages = request.n_pages
+        set_flags = request.set_flags
+        clear_flags = request.clear_flags
         if self.tracer.enabled:
             self.tracer.event(
                 "kernel",
@@ -819,37 +704,23 @@ class Kernel:
             if lowers_access:
                 self._invalidate_frame_translations(frame)
             modified += 1
-        return modified
+        return ModifyPageFlagsResult(modified)
 
     def get_page_attributes(
-        self,
-        segment: Segment | GetPageAttributesRequest,
-        page: int = 0,
-        n_pages: int = 1,
-    ) -> GetPageAttributesResult | list[PageAttribute]:
+        self, request: GetPageAttributesRequest
+    ) -> GetPageAttributesResult:
         """``GetPageAttributes``: flags plus physical frame addresses.
 
-        Canonical form (API v2): pass a
-        :class:`~repro.core.api.GetPageAttributesRequest`; returns a
-        :class:`~repro.core.api.GetPageAttributesResult` with a tuple of
-        :class:`~repro.core.api.PageAttribute`.  The keyword form is
-        deprecated (one release) and still returns the bare list.
+        Takes a :class:`~repro.core.api.GetPageAttributesRequest`; returns
+        a :class:`~repro.core.api.GetPageAttributesResult` with a tuple of
+        :class:`~repro.core.api.PageAttribute`.
 
         Exposing the physical address is deliberate --- it is what lets an
         application implement page coloring and physical placement (S1).
         """
-        if isinstance(segment, GetPageAttributesRequest):
-            request = segment
-            attributes = self._get_page_attributes(
-                self.segment(request.segment), request.page, request.n_pages
-            )
-            return GetPageAttributesResult(tuple(attributes))
-        warn_legacy_call("Kernel.get_page_attributes")
-        return self._get_page_attributes(segment, page, n_pages)
-
-    def _get_page_attributes(
-        self, segment: Segment, page: int, n_pages: int
-    ) -> list[PageAttribute]:
+        segment = self.segment(request.segment)
+        page = request.page
+        n_pages = request.n_pages
         if self.tracer.enabled:
             self.tracer.event(
                 "kernel",
@@ -877,7 +748,7 @@ class Kernel:
                         frame.phys_addr,
                     )
                 )
-        return result
+        return GetPageAttributesResult(tuple(result))
 
     # ------------------------------------------------------------------
     # memory references and fault handling
@@ -938,7 +809,6 @@ class Kernel:
         if (
             not self.tracer.enabled
             and not self._fault_listeners
-            and not self._fault_step_listeners
             and self._tenant is None
         ):
             return self._handle_slow_reference(space, vpn, write)
@@ -966,25 +836,23 @@ class Kernel:
                 latency = self.meter.total_us - before
                 if self._tenant is not None:
                     self.stats.note_tenant_fault(self._tenant, latency)
-                for listener in self._fault_listeners:
-                    try:
-                        listener(latency)
-                    except Exception:
-                        self.stats.listener_errors += 1
-                if self._fault_step_listeners:
+                if self._fault_listeners:
                     pfn = frame.pfn if frame is not None else None
-                    for listener in self._fault_step_listeners:
+                    for listener in self._fault_listeners:
                         try:
                             listener(space, vpn, write, latency, pfn)
                         except Exception:
                             self.stats.listener_errors += 1
 
     def on_fault_serviced(self, listener) -> None:
-        """Call ``listener(latency_us)`` after each outermost fault service.
+        """Call ``listener(space, vpn, write, latency_us, pfn)`` after each
+        outermost slow-path entry (fault service or slow reinstall).
 
-        The latency is the metered simulated cost of the whole slow path
-        (dispatches, retries, and failovers included).  Telemetry and the
-        SLO watchdogs subscribe here; with no listeners the fault path is
+        ``latency_us`` is the metered simulated cost of the whole slow
+        path (dispatches, retries, and failovers included); ``pfn`` is the
+        resolved frame number, or ``None`` when the slow path raised.
+        Telemetry, the SLO watchdog and the verify harness's digest chain
+        subscribe here; with no listeners (and no tracer) the fast path is
         untouched.
 
         Listeners are observability, never control flow: an exception a
@@ -994,28 +862,6 @@ class Kernel:
         unaffected.
         """
         self._fault_listeners.append(listener)
-
-    def on_failover(self, listener) -> None:
-        """Call ``listener(duration_us)`` after each manager failover.
-
-        Same contract as :meth:`on_fault_serviced`: a raising listener is
-        counted in ``KernelStats.listener_errors`` and otherwise ignored
-        --- it keeps its subscription and never disturbs the failover.
-        """
-        self._failover_listeners.append(listener)
-
-    def on_fault_step(self, listener) -> None:
-        """Call ``listener(space, vpn, write, latency_us, pfn)`` after each
-        outermost slow-path entry (fault service or slow reinstall).
-
-        ``pfn`` is the resolved frame number, or ``None`` when the slow
-        path raised.  The verify harness subscribes here to build its
-        per-fault incremental digest chain; with no listeners (and no
-        tracer) the fast path is untouched.  A raising listener follows
-        the :meth:`on_fault_serviced` contract: counted in
-        ``KernelStats.listener_errors``, never re-raised.
-        """
-        self._fault_step_listeners.append(listener)
 
     def _handle_slow_reference(
         self, space: Segment, vpn: int, write: bool
@@ -1028,41 +874,26 @@ class Kernel:
                 f"{access} of page {vpn} traps to kernel",
                 self.costs.trap_entry_exit,
             )
+        supervisor = self.supervisor
         for attempt in range(MAX_FAULT_RETRIES + 1):
             res = space.resolve(vpn, for_write=write)
             fault = self._fault_from_resolution(space, vpn, write, res)
             if fault is None:
                 assert res.frame is not None
-                if self._failover_pending:
+                if supervisor._failover_pending:
                     self.stats.fallback_resolutions += 1
-                    self._failover_pending = False
+                    supervisor._failover_pending = False
                 return self._install_and_touch(
                     space, vpn, res, write, post_fault=attempt > 0
                 )
             if attempt == MAX_FAULT_RETRIES:
                 break
-            if attempt >= FAILOVER_AFTER_ATTEMPTS:
-                # The manager keeps replying without resolving the fault
-                # (the byzantine mode): stop trusting it.
-                target = self.segment(fault.segment_id)
-                manager = target.manager
-                if (
-                    manager is not None
-                    and self.fallback_manager is not None
-                    and manager is not self.fallback_manager
-                ):
-                    if self._tracing:
-                        self._step(
-                            "kernel",
-                            f"fault persists after {attempt} deliveries to "
-                            f"{manager.name}; treating the manager as faulty",
-                        )
-                    self._fail_over(
-                        target, manager, fault, "failed to resolve the fault"
-                    )
-                    continue  # re-resolve; the next delivery goes to the fallback
+            if attempt >= FAILOVER_AFTER_ATTEMPTS and supervisor.distrust(
+                fault, attempt
+            ):
+                continue  # re-resolve; the next delivery goes to the fallback
             self.dispatch_fault(fault)
-        self._failover_pending = False
+        supervisor._failover_pending = False
         raise UnresolvedFaultError(
             f"fault on page {vpn} of {space.name} persisted after "
             f"{MAX_FAULT_RETRIES} manager invocations"
@@ -1147,8 +978,12 @@ class Kernel:
     def dispatch_fault(self, fault: PageFault) -> None:
         """Forward a fault to the responsible segment manager (Figure 2).
 
-        Charges the control-transfer costs for the manager's invocation
-        mode, invokes the handler, and charges resumption.
+        Charges the dispatch and hands the fault to the
+        :class:`~repro.core.supervisor.ManagerSupervisor`, which charges
+        the control transfer for the manager's invocation mode, invokes
+        the handler, and charges resumption.  When the manager fails
+        instead of replying (its segments failed over, or recovery
+        restarted it), the fault is dispatched again.
         """
         segment = self.segment(fault.segment_id)
         manager = segment.manager
@@ -1187,265 +1022,8 @@ class Kernel:
                 f"{manager.name}",
                 self.costs.vpp_fault_dispatch,
             )
-        # The fallback manager is exempt from injection: the paper's
-        # survival story assumes the default manager itself is sound.
-        outcome = None
-        if self.injector.enabled and manager is not self.fallback_manager:
-            outcome = self.injector.manager_invocation(manager.name)
-        if outcome is ManagerFailureMode.HANG:
-            self._manager_unresponsive(segment, manager, fault, "timed out")
-            return self.dispatch_fault(fault)
-        deliveries = 1
-        if (
-            self.injector.enabled
-            and outcome is None
-            and manager.invocation is InvocationMode.SEPARATE_PROCESS
-            and manager is not self.fallback_manager
-        ):
-            deliveries = self._ipc_deliveries(segment, manager, fault)
-            if deliveries == 0:
-                # undeliverable: failover already happened; redeliver there
-                return self.dispatch_fault(fault)
-        try:
-            if outcome is ManagerFailureMode.CRASH:
-                # control transfers to the manager, which then dies
-                if manager.invocation is InvocationMode.SEPARATE_PROCESS:
-                    ipc_cost = (
-                        self.costs.ipc_message + self.costs.context_switch
-                    )
-                    self.meter.charge("fault_ipc", ipc_cost)
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            "ipc",
-                            f"fault message to {manager.name} (crashes)",
-                            ipc_cost,
-                        )
-                else:
-                    self.meter.charge("fault_upcall", self.costs.vpp_upcall)
-                raise ManagerCrashError(
-                    f"manager {manager.name} died on fault delivery"
-                )
-            byzantine = outcome is ManagerFailureMode.BYZANTINE
-            for _ in range(deliveries):
-                self._invoke_manager(manager, fault, byzantine=byzantine)
-        except ManagerCrashError as crash:
-            self.stats.manager_crashes += 1
-            if self._tracing:
-                self._step("kernel", f"manager crash detected: {crash}")
-            # a second crash during an in-flight recovery/failover keeps
-            # the original detection time (the SLO measures degradation
-            # from first detection, not from the latest crash)
-            if self._degradation_start is None:
-                self._degradation_start = self.meter.total_us
-            recovery = self._recovery
-            if recovery is not None and recovery.try_restart(manager):
-                self.stats.warm_restarts += 1
-                self._degradation_start = None
-                return self.dispatch_fault(fault)
-            self._fail_over(segment, manager, fault, "crashed")
-            return self.dispatch_fault(fault)
-        recovery = self._recovery
-        if recovery is not None:
-            # the delivery succeeded: the manager is making progress, so
-            # its consecutive-restart budget resets
-            recovery.note_progress(manager)
-
-    def _invoke_manager(
-        self, manager: SegmentManager, fault: PageFault, byzantine: bool
-    ) -> None:
-        """One delivery: control transfer, handler, resumption charges."""
-        separate = manager.invocation is InvocationMode.SEPARATE_PROCESS
-        if separate:
-            ipc_cost = self._ipc_round_cost
-            self.meter.charge("fault_ipc", ipc_cost)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "ipc", f"fault message to {manager.name}", ipc_cost
-                )
-        else:
-            self.meter.charge("fault_upcall", self.costs.vpp_upcall)
-        if byzantine:
-            self.stats.byzantine_replies += 1
-            if self._tracing:
-                self._step(
-                    "manager",
-                    f"{manager.name} replies without resolving the fault",
-                )
-        else:
-            # attribution is pushed inline (not via attribute()): this
-            # runs once per fault delivery, and a context manager here
-            # costs a generator allocation on the hottest path
-            attribution = self._attribution
-            attribution.append(manager.name)
-            try:
-                if self.tracer.enabled:
-                    with self.tracer.span(
-                        "manager", "handle_fault", manager=manager.name
-                    ):
-                        manager.handle_fault(fault)
-                else:
-                    manager.handle_fault(fault)
-            finally:
-                attribution.pop()
-        if separate:
-            ipc_cost = self._ipc_round_cost
-            self.meter.charge("fault_ipc", ipc_cost)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "ipc", f"reply message from {manager.name}", ipc_cost
-                )
-            self.meter.charge("fault_resume", self.costs.vpp_kernel_resume)
-        else:
-            self.meter.charge("fault_resume", self.costs.vpp_resume_direct)
-        if self._tracing:
-            self._step(
-                "manager",
-                "reply to faulting process; application resumes",
-                self.costs.vpp_resume_direct
-                if manager.invocation is InvocationMode.IN_PROCESS
-                else self.costs.vpp_kernel_resume,
-            )
-
-    # ------------------------------------------------------------------
-    # graceful degradation (paper S2.2: the kernel protects itself from
-    # faulty or uncooperative segment managers)
-    # ------------------------------------------------------------------
-
-    def _ipc_deliveries(
-        self, segment: Segment, manager: SegmentManager, fault: PageFault
-    ) -> int:
-        """How many times to invoke the handler for one fault message.
-
-        Models at-least-once IPC: a dropped message costs the send plus a
-        reply timeout and is redelivered (bounded); a duplicated message
-        invokes the handler twice, which managers must tolerate.  Returns
-        0 when the manager proved unreachable (failover already done).
-        """
-        delivery = self.injector.ipc_delivery(manager.name)
-        redeliveries = 0
-        while delivery is IPCFailureMode.DROP:
-            self.stats.ipc_drops += 1
-            # the lost send still costs a message; then the kernel waits
-            # out its reply timeout before redelivering
-            self.meter.charge("fault_ipc", self.costs.ipc_message)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "ipc",
-                    f"lost fault message to {manager.name}",
-                    self.costs.ipc_message,
-                )
-            self.meter.charge(
-                "manager_timeout", self.costs.manager_timeout_us
-            )
-            if self._tracing:
-                self._step(
-                    "kernel",
-                    f"fault message to {manager.name} lost; redeliver "
-                    "after reply timeout",
-                    self.costs.manager_timeout_us,
-                )
-            redeliveries += 1
-            if redeliveries > IPC_MAX_REDELIVERIES:
-                self._manager_unresponsive(
-                    segment, manager, fault, "unreachable"
-                )
-                return 0
-            delivery = self.injector.ipc_delivery(manager.name)
-        if delivery is IPCFailureMode.DUPLICATE:
-            self.stats.ipc_duplicates += 1
-            if self._tracing:
-                self._step(
-                    "kernel",
-                    f"fault message to {manager.name} duplicated "
-                    "(at-least-once delivery)",
-                )
-            return 2
-        return 1
-
-    def _manager_unresponsive(
-        self,
-        segment: Segment,
-        manager: SegmentManager,
-        fault: PageFault,
-        reason: str,
-    ) -> None:
-        """Per-fault timeout expired with no manager reply: fail over."""
-        self.stats.manager_timeouts += 1
-        # the failover clock starts at detection: the timeout spent
-        # waiting is part of the failover latency the SLO budgets; an
-        # earlier in-flight detection keeps its (earlier) start time
-        if self._degradation_start is None:
-            self._degradation_start = self.meter.total_us
-        self.meter.charge("manager_timeout", self.costs.manager_timeout_us)
-        if self._tracing:
-            self._step(
-                "kernel",
-                f"manager {manager.name} unresponsive; per-fault timeout "
-                f"({self.costs.manager_timeout_us:.0f} us) expires",
-                self.costs.manager_timeout_us,
-            )
-        self._fail_over(segment, manager, fault, reason)
-
-    def _fail_over(
-        self,
-        segment: Segment,
-        manager: SegmentManager,
-        fault: PageFault,
-        reason: str,
-    ) -> None:
-        """Reassign every segment of a failed manager to the fallback.
-
-        The fallback (default) manager adopts the failed manager's
-        resident pages and the SPCM forcibly seizes its free frames ---
-        a dead manager cannot cooperate, so the SPCM takes the frames
-        back through the kernel directly.  With no fallback available
-        the fault becomes an :class:`UnresolvedFaultError`, which
-        suspends only the faulting process.
-        """
-        fallback = self.fallback_manager
-        if fallback is None or manager is fallback:
-            raise UnresolvedFaultError(
-                f"{fault.describe()}: manager {manager.name} {reason} and "
-                "no fallback manager is available; suspending the "
-                "faulting process"
-            )
-        self.stats.manager_failovers += 1
-        manager.failed = True
-        # measure from detection when the caller marked it (timeout or
-        # crash); a byzantine distrust decision starts the clock here
-        failover_start = self._degradation_start
-        if failover_start is None:
-            failover_start = self.meter.total_us
-        self._degradation_start = None
-        with self.tracer.span(
-            "kernel",
-            "manager_failover",
-            failed=manager.name,
-            to=fallback.name,
-            reason=reason,
-        ):
-            if self._tracing:
-                self._step(
-                    "kernel",
-                    f"fail segments of {manager.name} over to "
-                    f"{fallback.name} ({reason})",
-                )
-            for seg_id in sorted(manager.managed):
-                seg = self._segments.get(seg_id)
-                if seg is None:
-                    continue
-                self._set_segment_manager(seg, fallback)
-                fallback.adopt_segment(seg)
-            if self.spcm is not None:
-                self.spcm.seize_frames(manager)
-        self._failover_pending = True
-        if self._failover_listeners:
-            duration = self.meter.total_us - failover_start
-            for listener in self._failover_listeners:
-                try:
-                    listener(duration)
-                except Exception:
-                    self.stats.listener_errors += 1
+        if self.supervisor.deliver(manager, fault):
+            self.dispatch_fault(fault)
 
     def retire_frame(self, frame: PageFrame) -> None:
         """Remove a frame from service after an uncorrectable ECC error.

@@ -24,12 +24,7 @@ from abc import ABC, abstractmethod
 from enum import Enum, auto
 from typing import TYPE_CHECKING
 
-from repro.core.api import (
-    FrameDemand,
-    FrameGrant,
-    SetSegmentManagerRequest,
-    warn_legacy_call,
-)
+from repro.core.api import FrameDemand, FrameGrant, SetSegmentManagerRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.faults import PageFault
@@ -90,15 +85,15 @@ class SegmentManager(ABC):
         """
         return FrameGrant.empty()
 
-    def on_frames_seized(self, grant: "FrameGrant | list[int]") -> None:
+    def on_frames_seized(self, grant: FrameGrant) -> None:
         """The SPCM forcibly reclaimed these free-segment pages.
 
         The seizure arrives as a :class:`~repro.core.api.FrameGrant`
-        (frames travelling SPCM-ward; the bare page list is the
-        deprecated form).  Unlike :meth:`release_frames` (a negotiation
-        the manager controls), seizure happens *to* the manager after the
-        kernel declares it failed; this hook lets it drop the seized
-        pages from its free lists.  Default: no bookkeeping.
+        (frames travelling SPCM-ward).  Unlike :meth:`release_frames` (a
+        negotiation the manager controls), seizure happens *to* the
+        manager after the kernel declares it failed; this hook lets it
+        drop the seized pages from its free lists.  Default: no
+        bookkeeping.
         """
 
     def segment_deleted(self, segment: "Segment") -> None:
@@ -108,21 +103,15 @@ class SegmentManager(ABC):
         sweeps whatever remains back to the boot segment.
         """
 
-    def release_frames(
-        self, demand: "FrameDemand | int"
-    ) -> "FrameGrant | int":
+    def release_frames(self, demand: FrameDemand) -> FrameGrant:
         """The SPCM demands frames back; answer with what was surrendered.
 
-        The canonical exchange is typed both ways: a
+        The exchange is typed both ways: a
         :class:`~repro.core.api.FrameDemand` (how many, optionally from
         which node) answered by a :class:`~repro.core.api.FrameGrant`
-        naming the surrendered free-segment pages.  The bare-int call
-        form is deprecated (one release) and still returns a bare count.
+        naming the surrendered free-segment pages.
 
         The manager has "complete control over which page frames to
         surrender" (paper, S4); the default surrenders none.
         """
-        if isinstance(demand, FrameDemand):
-            return FrameGrant.empty()
-        warn_legacy_call("SegmentManager.release_frames")
-        return 0
+        return FrameGrant.empty()

@@ -31,7 +31,6 @@ from repro.core.api import (
     FrameGrant,
     MigratePagesRequest,
     ModifyPageFlagsRequest,
-    warn_legacy_call,
 )
 from repro.core.faults import FaultKind, PageFault
 from repro.core.flags import PageFlags
@@ -245,13 +244,14 @@ class GenericSegmentManager(SegmentManager):
     def _maybe_crash_in_alloc(self) -> None:
         """Chaos choke point: the manager can die inside its allocator.
 
-        Models a manager crashing mid-handler; the kernel catches the
-        resulting :class:`~repro.errors.ManagerCrashError` in its dispatch
-        path and fails the segment over.  The fallback manager is exempt.
+        Models a manager crashing mid-handler; the kernel's
+        :class:`~repro.core.supervisor.ManagerSupervisor` catches the
+        resulting :class:`~repro.errors.ManagerCrashError` and fails the
+        segment over.  The fallback manager is exempt.
         """
-        injector = self.kernel.injector
-        if injector.enabled and self is not self.kernel.fallback_manager:
-            injector.manager_alloc(self.name)
+        supervisor = self.kernel.supervisor
+        if supervisor.injectable(self):
+            supervisor.injector.manager_alloc(self.name)
 
     def _find_run(self, n: int) -> list[int] | None:
         if len(self._free_slots) < n:
@@ -704,24 +704,15 @@ class GenericSegmentManager(SegmentManager):
                 "mgr.segdel", self.name, seg=segment.seg_id, moves=moves
             )
 
-    def release_frames(
-        self, demand: FrameDemand | int
-    ) -> FrameGrant | int:
+    def release_frames(self, demand: FrameDemand) -> FrameGrant:
         """SPCM pressure: surrender frames, reclaiming if needed.
 
-        The canonical form takes a :class:`~repro.core.api.FrameDemand`
-        and answers with the :class:`~repro.core.api.FrameGrant` of
-        surrendered free-segment pages (honoring the demand's node
-        preference); the bare-int form is deprecated and still returns a
-        bare count.  The manager keeps "complete control over which page
-        frames to surrender" --- pinned segments are never victimized.
+        Takes a :class:`~repro.core.api.FrameDemand` and answers with the
+        :class:`~repro.core.api.FrameGrant` of surrendered free-segment
+        pages (honoring the demand's node preference).  The manager keeps
+        "complete control over which page frames to surrender" ---
+        pinned segments are never victimized.
         """
-        if not isinstance(demand, FrameDemand):
-            warn_legacy_call("SegmentManager.release_frames")
-            return self._release_frames(FrameDemand(int(demand))).n_frames
-        return self._release_frames(demand)
-
-    def _release_frames(self, demand: FrameDemand) -> FrameGrant:
         if len(self._free_slots) < demand.n_frames:
             self.reclaim_pages(demand.n_frames - len(self._free_slots))
         return self._surrender_slots(demand.n_frames, demand.node)
@@ -737,11 +728,8 @@ class GenericSegmentManager(SegmentManager):
             )
         return FrameGrant(tuple(pages))
 
-    def on_frames_seized(self, grant: FrameGrant | list[int]) -> None:
+    def on_frames_seized(self, grant: FrameGrant) -> None:
         """The SPCM forcibly took these free-segment pages back."""
-        if not isinstance(grant, FrameGrant):
-            warn_legacy_call("SegmentManager.on_frames_seized")
-            grant = FrameGrant(tuple(grant))
         seized = set(grant.pages)
         self._free_slots = [s for s in self._free_slots if s not in seized]
         for slot in grant.pages:

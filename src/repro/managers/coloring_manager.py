@@ -135,10 +135,9 @@ class ColoringSegmentManager(GenericSegmentManager):
             self._uncolor_slot(slot)
         return grant
 
-    def on_frames_seized(self, grant: "FrameGrant | list[int]") -> None:
-        pages = grant.pages if isinstance(grant, FrameGrant) else tuple(grant)
+    def on_frames_seized(self, grant: FrameGrant) -> None:
         super().on_frames_seized(grant)
-        for slot in pages:
+        for slot in grant.pages:
             self._uncolor_slot(slot)
 
     def reclaim_one(self, segment: Segment, page: int) -> None:

@@ -7,8 +7,10 @@ healthy runs *and* chaos schedules --- and fires a structured
 * **fault p99 latency** --- the p99 of outermost fault-service latencies
   (fed by :meth:`~repro.core.kernel.Kernel.on_fault_serviced`) exceeds
   the policy threshold;
-* **failover time** --- one manager failover's metered duration exceeds
-  the budget;
+* **failover time**, **warm restart time** and **cold fallback** --- one
+  manager failover's or warm restart's metered duration exceeds its
+  budget, or a restart falls back cold (fed by
+  :meth:`~repro.core.supervisor.ManagerSupervisor.on_degradation`);
 * **frame conservation** --- the invariant engine's ``frames`` check
   reports violations (a leaked, doubly owned or mis-filed frame);
 * **market balance** --- its ``market`` check reports violations (a
@@ -124,16 +126,13 @@ class SLOWatchdog:
     # -- wiring ------------------------------------------------------------
 
     def install(self) -> "SLOWatchdog":
-        """Subscribe to the kernel's fault/failover hooks."""
+        """Subscribe to the kernel's fault and degradation listeners."""
         if self._installed:
             return self
         self._installed = True
         kernel = self.system.kernel
         kernel.on_fault_serviced(self._on_fault)
-        kernel.on_failover(self._on_failover)
-        recovery = getattr(self.system, "recovery", None)
-        if recovery is not None:
-            recovery.on_restart(self._on_restart)
+        kernel.supervisor.on_degradation(self._on_degradation)
         return self
 
     def __call__(self, _event=None) -> None:
@@ -145,7 +144,7 @@ class SLOWatchdog:
     def _now(self) -> float:
         return self.system.kernel.meter.total_us
 
-    def _on_fault(self, latency_us: float) -> None:
+    def _on_fault(self, space, vpn, write, latency_us: float, pfn) -> None:
         self.fault_latency.record(latency_us)
         policy = self.policy
         if self.fault_latency.count < policy.min_fault_samples:
@@ -198,19 +197,21 @@ class SLOWatchdog:
             ),
         )
 
-    def _on_failover(self, duration_us: float) -> None:
-        # each failover is its own excursion: re-arm before judging
-        self._firing.discard("failover_time")
-        self._judge(
-            "failover_time",
-            duration_us,
-            self.policy.failover_us,
-            severity="warning",
-            detail=f"manager failover took {duration_us:.0f} us",
-        )
-
-    def _on_restart(self, manager: str, duration_us: float, warm: bool) -> None:
-        if warm:
+    def _on_degradation(
+        self, event: str, manager: str, duration_us: float
+    ) -> None:
+        if event == "failover":
+            # each failover is its own excursion: re-arm before judging
+            self._firing.discard("failover_time")
+            self._judge(
+                "failover_time",
+                duration_us,
+                self.policy.failover_us,
+                severity="warning",
+                detail=f"manager failover took {duration_us:.0f} us",
+            )
+            return
+        if event == "warm_restart":
             # like failovers, each restart is its own excursion
             self._firing.discard("warm_restart_time")
             self._judge(

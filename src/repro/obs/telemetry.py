@@ -9,10 +9,11 @@ simulated clock crosses a configurable interval boundary, and each
 Sampling is driven two ways, matching the two execution styles in the
 reproduction:
 
-* **fault-paced** --- :meth:`TelemetryCollector.install` subscribes to
-  :meth:`~repro.core.kernel.Kernel.on_fault_serviced`, so every serviced
-  fault both feeds the latency EWMA and gives the collector a chance to
-  emit any sample whose interval boundary the fault crossed;
+* **fault-paced** --- :meth:`TelemetryCollector.install` joins the
+  kernel's one fault-listener list
+  (:meth:`~repro.core.kernel.Kernel.on_fault_serviced`), so every
+  serviced fault both feeds the latency EWMA and gives the collector a
+  chance to emit any sample whose interval boundary the fault crossed;
 * **engine-paced** --- :meth:`attach_engine` registers a tick hook on the
   DES :class:`~repro.sim.engine.Engine`, so event-driven workloads (the
   DBMS study) are sampled as virtual time advances.
@@ -239,7 +240,7 @@ class TelemetryCollector:
         if recovery is not None:
             self.bind("recovery", recovery.stats_dict)
 
-        def paced(latency_us: float) -> None:
+        def paced(space, vpn, write, latency_us: float, pfn) -> None:
             self.observe_fault(latency_us)
             self.poll()
 

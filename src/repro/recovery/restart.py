@@ -1,8 +1,9 @@
 """Warm restart: rebuild a crashed manager instead of failing over cold.
 
-On :class:`~repro.errors.ManagerCrashError` the kernel asks the
+On :class:`~repro.errors.ManagerCrashError` the kernel's
+:class:`~repro.core.supervisor.ManagerSupervisor` asks the
 :class:`RecoveryCoordinator` to *warm restart* the manager before taking
-the PR-2 cold path (fail segments over to the fallback, seize frames).
+the cold path (fail segments over to the fallback, seize frames).
 A warm restart models exec()ing a fresh manager process that re-attaches
 to its existing segments: the in-memory object is reincarnated in place
 --- policy state wiped, the latest restorable checkpoint loaded, and the
@@ -21,9 +22,10 @@ The cold fallback remains the proven last resort, taken when:
 * the auditor's repair budget is exceeded, or the repaired state still
   fails the global invariant sweep.
 
-Either outcome is reported through ``on_restart`` hooks (the SLO
-watchdog's edge-triggered warm-restart/cold-fallback objectives ride
-there) and as a typed :class:`RestartReport`.
+Either outcome is a typed :class:`RestartReport`, returned to the
+supervisor, which reports it to its degradation listeners as a
+``"warm_restart"`` or ``"cold_fallback"`` event (the SLO watchdog's
+edge-triggered restart objectives ride there).
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ class RecoveryCoordinator:
         self.store = CheckpointStore(
             self.journal,
             every=checkpoint_every,
-            corrupt_hook=lambda name: self.kernel.injector.checkpoint_corrupt(
-                name
+            corrupt_hook=lambda name: (
+                self.kernel.supervisor.injector.checkpoint_corrupt(name)
             ),
         )
         self.auditor = RecoveryAuditor(
@@ -90,7 +92,6 @@ class RecoveryCoordinator:
         self.cold_fallbacks = 0
         self.records_replayed = 0
         self.reports: list[RestartReport] = []
-        self._hooks: list = []
 
     # -- wiring --------------------------------------------------------
 
@@ -117,10 +118,6 @@ class RecoveryCoordinator:
         if baseline and hasattr(manager, "serialize_policy_state"):
             self.store.take(manager)
 
-    def on_restart(self, hook) -> None:
-        """Call ``hook(manager_name, duration_us, warm)`` per attempt."""
-        self._hooks.append(hook)
-
     def note_progress(self, manager) -> None:
         """A fault serviced by ``manager`` --- reset its crash-loop streak."""
         if manager.name in self._streak:
@@ -128,13 +125,18 @@ class RecoveryCoordinator:
 
     # -- the warm path -------------------------------------------------
 
-    def try_restart(self, manager) -> bool:
-        """Attempt a warm restart; False means take the cold fallback."""
+    def try_restart(self, manager) -> RestartReport | None:
+        """Attempt a warm restart of a crashed manager.
+
+        Returns the attempt's :class:`RestartReport` (``warm=False`` means
+        take the cold fallback), or ``None`` for a manager this
+        coordinator does not track.
+        """
         name = manager.name
         if name not in self._tracked or not hasattr(
             manager, "restore_policy_state"
         ):
-            return False
+            return None
         kernel = self.kernel
         start = kernel.meter.total_us
         self._streak[name] = self._streak.get(name, 0) + 1
@@ -147,7 +149,7 @@ class RecoveryCoordinator:
             )
         # chaos choke point: the tail of the journal may be torn exactly
         # when we need it
-        kernel.injector.journal_tear(self.journal)
+        kernel.supervisor.injector.journal_tear(self.journal)
         with kernel.tracer.span(
             "recovery", "warm_restart", manager=name
         ) as span:
@@ -199,42 +201,34 @@ class RecoveryCoordinator:
         manager.restarts += 1
         self.warm_restarts += 1
         self.records_replayed += len(suffix)
-        duration = kernel.meter.total_us - start
-        self.reports.append(
-            RestartReport(
-                manager=name,
-                warm=True,
-                reason="",
-                records_replayed=len(suffix),
-                duration_us=duration,
-                discrepancies=len(discrepancies),
-            )
+        report = RestartReport(
+            manager=name,
+            warm=True,
+            reason="",
+            records_replayed=len(suffix),
+            duration_us=kernel.meter.total_us - start,
+            discrepancies=len(discrepancies),
         )
-        for hook in self._hooks:
-            hook(name, duration, True)
-        return True
+        self.reports.append(report)
+        return report
 
-    def _give_up(self, manager, reason: str, start: float) -> bool:
+    def _give_up(self, manager, reason: str, start: float) -> RestartReport:
         self.cold_fallbacks += 1
-        duration = self.kernel.meter.total_us - start
         if self.kernel.tracer.enabled:
             self.kernel.tracer.event(
                 "recovery",
                 f"cold fallback for {manager.name}: {reason}",
             )
-        self.reports.append(
-            RestartReport(
-                manager=manager.name,
-                warm=False,
-                reason=reason,
-                records_replayed=0,
-                duration_us=duration,
-                discrepancies=0,
-            )
+        report = RestartReport(
+            manager=manager.name,
+            warm=False,
+            reason=reason,
+            records_replayed=0,
+            duration_us=self.kernel.meter.total_us - start,
+            discrepancies=0,
         )
-        for hook in self._hooks:
-            hook(manager.name, duration, False)
-        return False
+        self.reports.append(report)
+        return report
 
     # -- observability -------------------------------------------------
 
@@ -279,7 +273,7 @@ def install_recovery(
     )
     kernel = system.kernel
     kernel.journal = coordinator.journal
-    kernel._recovery = coordinator
+    kernel.supervisor.recovery = coordinator
     spcm = system.spcm
     if spcm is not None:
         spcm.journal = coordinator.journal

@@ -277,7 +277,7 @@ class SystemPageCacheManager:
                 )
             else:
                 shard.market.open_account(name)
-        recovery = getattr(self.kernel, "_recovery", None)
+        recovery = self.kernel.supervisor.recovery
         if recovery is not None:
             # a coordinator is installed: journal and checkpoint this
             # manager from birth (chaos victims, admitted tenants)

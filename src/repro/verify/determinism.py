@@ -72,7 +72,7 @@ class ChainRecorder:
     def __init__(self, system, chain: DigestChain) -> None:
         self.system = system
         self.chain = chain
-        system.kernel.on_fault_step(self._on_fault)
+        system.kernel.on_fault_serviced(self._on_fault)
 
     def _on_fault(self, space, vpn, write, latency_us, pfn) -> None:
         kernel = self.system.kernel

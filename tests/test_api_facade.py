@@ -1,13 +1,15 @@
-"""API v2 facade: payload round-trips, deprecation shims, topology checks.
+"""API v3 facade: payload round-trips, removed legacy forms, topology checks.
 
-This file is the *only* place the deprecated keyword call forms are
-exercised on purpose; every other caller in the repo goes through the
-typed request/result dataclasses of :mod:`repro.core.api`.
+This file is the *only* place the removed v2 keyword call forms are
+exercised on purpose (to pin that they are rejected); every other caller
+in the repo goes through the typed request/result dataclasses of
+:mod:`repro.core.api`.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 
 import pytest
 
@@ -31,7 +33,6 @@ from repro.core.api import (
     SetSegmentManagerRequest,
     SetSegmentManagerResult,
     TenantQuota,
-    reset_legacy_warnings,
 )
 from repro.core.flags import PageFlags
 from repro.core.kernel import Kernel
@@ -53,7 +54,7 @@ class TestPayloadRoundTrips:
     """Every request/result survives to_payload -> from_payload."""
 
     def test_api_version(self):
-        assert API_VERSION == (2, 1)
+        assert API_VERSION == (3, 0)
 
     def test_page_attribute(self):
         attr = PageAttribute(
@@ -271,14 +272,12 @@ class TestPayloadRoundTrips:
 
 @pytest.fixture
 def legacy_world(system):
-    """A booted system with the warn-once registry reset around the test."""
-    reset_legacy_warnings()
+    """A booted system plus a generic manager to aim legacy calls at."""
     kernel, spcm = system.kernel, system.spcm
     manager = GenericSegmentManager(
         kernel, spcm, "legacy", initial_frames=16
     )
-    yield kernel, spcm, manager
-    reset_legacy_warnings()
+    return kernel, spcm, manager
 
 
 def _legacy_calls(record) -> list[warnings.WarningMessage]:
@@ -287,59 +286,53 @@ def _legacy_calls(record) -> list[warnings.WarningMessage]:
     ]
 
 
+@contextmanager
+def _rejected():
+    """The v2 call form inside raises Python's own error, silently.
+
+    API v3 keeps no rejection code: the typed signature alone turns a
+    legacy call into a ``TypeError`` (wrong arity) or ``AttributeError``
+    (a bare value where a request dataclass belongs), and no
+    ``DeprecationWarning`` is emitted on the way.
+    """
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises((TypeError, AttributeError)):
+            yield
+    assert _legacy_calls(record) == []
+
+
 class TestDeprecationShims:
-    """Each legacy keyword call form warns exactly once per process."""
+    """API v3 removed the v2 legacy call forms: each now raises, unwarned."""
 
     def test_modify_page_flags_warns_once(self, legacy_world):
         kernel, _, manager = legacy_world
         seg = kernel.create_segment(4, manager=manager)
         kernel.reference(seg, 0)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
+        with _rejected():
             kernel.modify_page_flags(
                 seg, 0, 1, clear_flags=PageFlags.REFERENCED
             )
-            kernel.modify_page_flags(
-                seg, 0, 1, set_flags=PageFlags.REFERENCED
-            )
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "ModifyPageFlagsRequest" in str(caught[0].message)
 
     def test_migrate_pages_warns_once_and_returns_frames(self, legacy_world):
         kernel, _, manager = legacy_world
         seg = kernel.create_segment(4, manager=manager)
         boot = kernel.initial_segment
-        pages = sorted(boot.pages)[:2]
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            moved = kernel.migrate_pages(boot, seg, pages[0], 0, 1)
-            kernel.migrate_pages(boot, seg, pages[1], 1, 1)
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "MigratePagesRequest" in str(caught[0].message)
-        # the legacy form still returns the moved PageFrame list
-        assert moved[0] is seg.pages[0]
+        page = min(boot.pages)
+        with _rejected():
+            kernel.migrate_pages(boot, seg, page, 0, 1)
+        assert 0 not in seg.pages  # nothing moved
 
     def test_migrate_pages_batch_list_warns_once(self, legacy_world):
         kernel, _, manager = legacy_world
         seg = kernel.create_segment(4, manager=manager)
         boot = kernel.initial_segment
-        pages = sorted(boot.pages)[:2]
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            result = kernel.migrate_pages_batch(
-                [MigratePagesRequest(boot, seg, pages[0], 0, 1)]
-            )
+        page = min(boot.pages)
+        with _rejected():
             kernel.migrate_pages_batch(
-                [MigratePagesRequest(boot, seg, pages[1], 1, 1)]
+                [MigratePagesRequest(boot, seg, page, 0, 1)]
             )
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "BatchMigratePagesRequest" in str(caught[0].message)
-        # the legacy list form keeps the v2.0 MigratePagesResult
-        assert isinstance(result, MigratePagesResult)
-        assert result.n_pages == 1
+        assert 0 not in seg.pages  # nothing moved
 
     def test_migrate_pages_batch_typed_form(self, legacy_world):
         kernel, _, manager = legacy_world
@@ -372,14 +365,10 @@ class TestDeprecationShims:
     def test_get_page_attributes_warns_once(self, legacy_world):
         kernel, _, manager = legacy_world
         seg = kernel.create_segment(4, manager=manager)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            attrs = kernel.get_page_attributes(seg, 0, 4)
-            kernel.get_page_attributes(seg, 0, 1)
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "GetPageAttributesRequest" in str(caught[0].message)
-        assert len(attrs) == 4  # legacy form keeps the bare list
+        with _rejected():
+            kernel.get_page_attributes(seg, 0, 4)
+        with _rejected():
+            kernel.get_page_attributes(seg)
 
     def test_set_segment_manager_warns_once(self, legacy_world):
         kernel, spcm, manager = legacy_world
@@ -387,45 +376,33 @@ class TestDeprecationShims:
             kernel, spcm, "legacy-other", initial_frames=0
         )
         seg = kernel.create_segment(2, manager=manager)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            assert kernel.set_segment_manager(seg, other) is None
-            kernel.set_segment_manager(seg, manager)
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "SetSegmentManagerRequest" in str(caught[0].message)
+        with _rejected():
+            kernel.set_segment_manager(seg, other)
+        assert seg.manager is manager
 
     def test_release_frames_warns_once(self, legacy_world):
         _, _, manager = legacy_world
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            freed = manager.release_frames(2)
-            manager.release_frames(1)
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "FrameDemand" in str(caught[0].message)
-        assert freed == 2  # legacy form keeps the bare count
+        free_before = manager.free_frames
+        with _rejected():
+            manager.release_frames(2)
+        assert manager.free_frames == free_before  # nothing surrendered
 
     def test_on_frames_seized_warns_once(self, legacy_world):
         _, _, manager = legacy_world
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
+        with _rejected():
             manager.on_frames_seized([])
-            manager.on_frames_seized([])
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "FrameGrant" in str(caught[0].message)
 
     def test_each_operation_warns_independently(self, legacy_world):
         kernel, _, manager = legacy_world
         seg = kernel.create_segment(4, manager=manager)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            kernel.get_page_attributes(seg, 0, 1)
-            kernel.modify_page_flags(seg, 0, 1)
-            kernel.get_page_attributes(seg, 0, 1)
-        caught = _legacy_calls(record)
-        assert len(caught) == 2
+        for call in (
+            lambda: kernel.get_page_attributes(seg, 0, 1),
+            lambda: kernel.modify_page_flags(seg, 0, 1),
+            lambda: kernel.migrate_pages(seg, seg),
+            lambda: kernel.set_segment_manager(seg, manager),
+        ):
+            with _rejected():
+                call()
 
     def test_typed_forms_never_warn(self, legacy_world):
         kernel, _, manager = legacy_world

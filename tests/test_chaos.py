@@ -28,10 +28,10 @@ from repro.chaos import (
     run_seed_matrix,
 )
 from repro.chaos.cli import main as chaos_main
-from repro.core.kernel import (
+from repro.core.kernel import Kernel
+from repro.core.supervisor import (
     FAILOVER_AFTER_ATTEMPTS,
     IPC_MAX_REDELIVERIES,
-    Kernel,
 )
 from repro.errors import (
     ChaosError,
@@ -231,7 +231,7 @@ class TestInjectorDeterminism:
 class TestZeroOverhead:
     def test_components_default_to_null_injector(self, system):
         assert system.injector is NULL_INJECTOR
-        assert system.kernel.injector is NULL_INJECTOR
+        assert system.kernel.supervisor.injector is NULL_INJECTOR
         assert system.disk.injector is NULL_INJECTOR
         assert system.memory.injector is NULL_INJECTOR
         assert NULL_INJECTOR.enabled is False
@@ -266,7 +266,7 @@ class TestZeroOverhead:
         assert sum(kernel.meter.delta_since(snap).values()) == 379.0
         assert injector.injected == []
         Injector.uninstall(system)
-        assert system.kernel.injector is NULL_INJECTOR
+        assert system.kernel.supervisor.injector is NULL_INJECTOR
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ class TestManagerFailover:
         victim = GenericSegmentManager(
             kernel, spcm, VICTIM, initial_frames=8
         )
-        kernel.injector = Injector(
+        kernel.supervisor.injector = Injector(
             ChaosPlan(manager_crash_rate=1.0, target_managers=(VICTIM,))
         )
         seg = kernel.create_segment(8, manager=victim)
@@ -665,3 +665,17 @@ class TestChaosCLI:
         out = capsys.readouterr().out
         assert "all 2 schedule(s) invariant-clean" in out
         assert "seed    0" in out
+
+    def test_listener_error_fails_the_schedule(self, capsys, monkeypatch):
+        """A contained listener exception still fails the chaos run."""
+        from repro.obs.slo import SLOWatchdog
+
+        def broken(self, event, manager, duration_us):
+            raise RuntimeError("broken SLO degradation handler")
+
+        monkeypatch.setattr(SLOWatchdog, "_on_degradation", broken)
+        argv = ["figure2-crash", "--schedules", "1", "--slo"]
+        assert chaos_main(argv) == 1
+        out = capsys.readouterr().out
+        assert "LISTENER ERRORS" in out
+        assert "1/1 schedule(s) violated invariants or raised" in out

@@ -315,8 +315,14 @@ class TestWarmRestart:
         )
         kernel = system.kernel
         durations = []
-        kernel.on_failover(durations.append)
-        kernel._degradation_start = 0.0  # an excursion began at t=0
+
+        def on_degradation(event, _manager, duration_us):
+            if event == "failover":
+                durations.append(duration_us)
+
+        kernel.supervisor.on_degradation(on_degradation)
+        # an excursion began at t=0
+        kernel.supervisor._degradation_start = 0.0
         t_detect = kernel.meter.total_us
         fault_pages(system, victim, n_pages=2)
         assert len(durations) == 1
@@ -330,11 +336,11 @@ class TestWarmRestart:
         kernel = system.kernel
         seen = []
 
-        def bad_listener(latency_us):
+        def bad_listener(space, vpn, write, latency_us, pfn):
             raise RuntimeError("observer bug")
 
         kernel.on_fault_serviced(bad_listener)
-        kernel.on_fault_serviced(seen.append)
+        kernel.on_fault_serviced(lambda *fault: seen.append(fault))
         seg = kernel.create_segment(
             2, name="listeners", manager=system.default_manager
         )
@@ -347,8 +353,11 @@ class TestWarmRestart:
     def test_failover_listener_exceptions_are_counted(self, system):
         kernel = system.kernel
         seen = []
-        kernel.on_failover(lambda d: (_ for _ in ()).throw(RuntimeError()))
-        kernel.on_failover(seen.append)
+        supervisor = kernel.supervisor
+        supervisor.on_degradation(
+            lambda *_: (_ for _ in ()).throw(RuntimeError())
+        )
+        supervisor.on_degradation(lambda *event: seen.append(event))
         victim = _CrashOnce(
             system.kernel, system.spcm, system.file_server,
             initial_frames=8, name=VICTIM, crash_on=1,

@@ -76,6 +76,36 @@ class TestFailoverObjective:
         # the failover charges at least the 5ms manager timeout
         assert alerts[0].value >= 5_000.0
 
+    def test_watchdog_installed_before_recovery_sees_cold_fallback(self):
+        """Install order is free: a watchdog armed before recovery still
+        hears the restart outcome of a later crash."""
+        from repro.chaos import ChaosPlan, Injector
+        from repro.managers.default_manager import DefaultSegmentManager
+        from repro.recovery import install_recovery
+
+        system = build_system(memory_mb=8)
+        watchdog = SLOWatchdog(system).install()
+        install_recovery(system, max_restarts=0)  # every crash goes cold
+        victim = DefaultSegmentManager(
+            system.kernel,
+            system.spcm,
+            system.file_server,
+            initial_frames=8,
+            name="slo-victim",
+        )
+        Injector(
+            ChaosPlan(
+                manager_crash_rate=1.0,
+                max_injections=1,
+                target_managers=("slo-victim",),
+            )
+        ).install(system)
+        seg = system.kernel.create_segment(
+            4, name="slo-crash", manager=victim
+        )
+        system.kernel.reference(seg, 0, write=True)
+        assert [a.name for a in watchdog.alerts] == ["cold_fallback"]
+
 
 class TestDriftObjectives:
     def test_clean_system_sweeps_quiet(self):

@@ -65,10 +65,9 @@ class TestFaultPathAllocations:
         system, _manager, segments = build_vpp_system(schedule)
         kernel = system.kernel
         assert kernel.tracer is NULL_TRACER
-        assert kernel.injector is NULL_INJECTOR
+        assert kernel.supervisor.injector is NULL_INJECTOR
         assert not kernel._fault_listeners
-        assert not kernel._fault_step_listeners
-        assert not kernel._failover_listeners
+        assert not kernel.supervisor._listeners
 
         tracemalloc.start()
         try:
