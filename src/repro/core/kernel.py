@@ -239,24 +239,24 @@ class Kernel:
         # attribute_tenant); None keeps the no-listener fast path intact
         self._tenant: str | None = None
         # Boot: one well-known segment per frame size, all frames in
-        # physical-address order (paper, S2.1).
+        # physical-address order (paper, S2.1).  Each pool fills its
+        # segment in one pass: page i holds the pool's i-th frame.
         self.boot_segments: dict[int, Segment] = {}
-        for frame in memory.frames():
-            boot = self.boot_segments.get(frame.page_size)
-            if boot is None:
-                boot = self.create_segment(
-                    0,
-                    page_size=frame.page_size,
-                    name=f"physmem-{frame.page_size}",
-                    auto_grow=True,
-                )
-                self.boot_segments[frame.page_size] = boot
-            page = boot.n_pages
-            boot.grow(1)
-            boot.pages[page] = frame
-            frame.owner_segment_id = boot.seg_id
-            frame.page_index = page
-            frame.flags = _RW_I
+        for size in memory.pools:
+            frames = memory.frames_of_size(size)
+            boot = self.create_segment(
+                len(frames),
+                page_size=size,
+                name=f"physmem-{size}",
+                auto_grow=True,
+            )
+            boot.pages.update(enumerate(frames))
+            seg_id = boot.seg_id
+            for page, frame in enumerate(frames):
+                frame.owner_segment_id = seg_id
+                frame.page_index = page
+                frame.flags = _RW_I
+            self.boot_segments[size] = boot
         self.initial_segment = self.boot_segments.get(
             memory.page_size,
             next(iter(self.boot_segments.values()), None),  # type: ignore[arg-type]

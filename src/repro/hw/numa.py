@@ -57,11 +57,14 @@ class NumaTopology:
         return topology
 
     def validate_for(self, memory: PhysicalMemory) -> None:
-        """Raise unless the node boundaries cover ``memory`` exactly.
+        """Raise unless the nodes cover ``memory`` exactly, frame-aligned.
 
         Called wherever a topology is attached to a machine (kernel and
         SPCM construction), so a mismatched ``node_bytes`` fails up front
-        instead of on the first remote access.
+        instead of on the first remote access.  Every node boundary must
+        also fall between frames: a frame split across two nodes would be
+        booked on the node of its first byte only.  The check walks the
+        frame pools, not the frames, so it costs nothing per frame.
         """
         if self.total_bytes != memory.size_bytes:
             raise HardwareError(
@@ -69,6 +72,14 @@ class NumaTopology:
                 f"({self.n_nodes} x {self.node_bytes}) but the machine "
                 f"has {memory.size_bytes} bytes of physical memory"
             )
+        for size, pfns in memory.pools.items():
+            pool_addr = memory.frame(pfns.start).phys_addr
+            for node in range(1, self.n_nodes):
+                offset = node * self.node_bytes - pool_addr
+                if 0 < offset < len(pfns) * size and offset % size:
+                    raise HardwareError(
+                        f"node {node} starts inside a {size}-byte frame"
+                    )
 
     @property
     def total_bytes(self) -> int:
@@ -76,7 +87,9 @@ class NumaTopology:
 
     def node_of(self, phys_addr: int) -> int:
         """The home node of a physical address."""
-        if not 0 <= phys_addr < self.total_bytes:
+        # total_bytes inlined: this runs once per frame granted on a NUMA
+        # machine, and a property read is a Python-level call
+        if not 0 <= phys_addr < self.n_nodes * self.node_bytes:
             raise HardwareError(f"address {phys_addr:#x} outside the machine")
         return phys_addr // self.node_bytes
 

@@ -11,6 +11,12 @@ index, with which flags) is written by the kernel but stored here so there
 is exactly one record per frame.  Frame data is allocated lazily --- an
 untouched frame reads as zeroes without the simulator paying for gigabytes
 of real buffers.
+
+Frames of one page size form a *pool*: a contiguous run of frame numbers
+in physical-address order (``PhysicalMemory.pools``).  The base pool comes
+first and each large pool follows in ascending page size, so a frame's
+place in its pool --- ``pfn - pools[size].start`` --- is also its page
+index in the boot segment, and boot can fill each segment in one pass.
 """
 
 from __future__ import annotations
@@ -113,7 +119,8 @@ class PhysicalMemory:
     ``size_bytes`` of base-size frames are created, optionally followed by
     extra pools of larger frames (``large_pools`` maps page size to frame
     count) to model machines with multiple page sizes (paper, S2.1, citing
-    the Alpha).
+    the Alpha).  ``pools`` maps each page size present to its frames' pfn
+    range, in physical-address order.
     """
 
     def __init__(
@@ -128,25 +135,30 @@ class PhysicalMemory:
                 f"page size {page_size}"
             )
         self.page_size = page_size
-        self._frames: list[PageFrame] = []
-        phys_addr = 0
-        for _ in range(size_bytes // page_size):
-            self._frames.append(
-                PageFrame(len(self._frames), page_size, phys_addr)
-            )
-            phys_addr += page_size
-        if large_pools:
-            for size, count in sorted(large_pools.items()):
-                if size % page_size != 0 or size <= page_size:
-                    raise PhysicalMemoryError(
-                        f"large page size {size} must be a larger multiple "
-                        f"of the base page size {page_size}"
-                    )
-                for _ in range(count):
-                    self._frames.append(
-                        PageFrame(len(self._frames), size, phys_addr)
-                    )
-                    phys_addr += size
+        n_base = size_bytes // page_size
+        self._frames: list[PageFrame] = [
+            PageFrame(pfn, page_size, pfn * page_size) for pfn in range(n_base)
+        ]
+        self.pools: dict[int, range] = {page_size: range(n_base)}
+        phys_addr = size_bytes
+        for size, count in sorted((large_pools or {}).items()):
+            if size % page_size != 0 or size <= page_size:
+                raise PhysicalMemoryError(
+                    f"large page size {size} must be a larger multiple "
+                    f"of the base page size {page_size}"
+                )
+            if count < 0:
+                raise PhysicalMemoryError(
+                    f"negative frame count {count} for page size {size}"
+                )
+            pfns = range(len(self._frames), len(self._frames) + count)
+            self._frames += [
+                PageFrame(pfn, size, phys_addr + (pfn - pfns.start) * size)
+                for pfn in pfns
+            ]
+            if pfns:
+                self.pools[size] = pfns
+            phys_addr += count * size
         self.size_bytes = phys_addr
         #: chaos choke point; frame ECC failures are drawn here
         self.injector = NULL_INJECTOR
@@ -179,8 +191,11 @@ class PhysicalMemory:
         return iter(self._frames)
 
     def frames_of_size(self, page_size: int) -> list[PageFrame]:
-        """All frames with the given page size."""
-        return [f for f in self._frames if f.page_size == page_size]
+        """All frames with the given page size, in physical-address order."""
+        pfns = self.pools.get(page_size)
+        if pfns is None:
+            return []
+        return self._frames[pfns.start : pfns.stop]
 
     def frames_in_addr_range(self, lo: int, hi: int) -> list[PageFrame]:
         """Frames whose physical address lies in ``[lo, hi)``."""

@@ -10,6 +10,12 @@ keeps one sorted bucket per NUMA node instead, so the common
 --- constant work per granted frame --- and a return is one bisected
 insert into the owning node's bucket.
 
+At boot the whole pool arrives at once, already ascending, so
+:meth:`NodeBucketedFreeList.load` cuts it into node buckets at the node
+boundaries (one bisection per node) instead of inserting page by page;
+``append``, ``remove`` and ``take`` keep their per-page code for the
+grants and returns that follow.
+
 Because the machine's physical address space is partitioned into
 contiguous per-node ranges and boot pages are laid out in
 physical-address order, concatenating the buckets in node order yields
@@ -26,7 +32,7 @@ node.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Iterator
 
 
@@ -72,6 +78,22 @@ class NodeBucketedFreeList:
             if i < len(self._extra) and self._extra[i] == page:
                 return self._extra, i
         return None
+
+    def load(self, pages: list[int]) -> None:
+        """Fill an empty list from ascending ``pages`` whose home nodes
+        never decrease.
+
+        Boot pages in physical-address order satisfy this, so each node's
+        pages are one run of ``pages``; the runs are found by bisection
+        and copied into the buckets whole.
+        """
+        start = 0
+        for node, bucket in enumerate(self._buckets[:-1]):
+            end = bisect_right(pages, node, start, key=self._node_of)
+            bucket.extend(pages[start:end])
+            start = end
+        self._buckets[-1].extend(pages[start:])
+        self._len += len(pages)
 
     # -- the list-like contract external readers rely on --------------------
 

@@ -26,6 +26,7 @@ that zeroing is needed only "if the page is being given to another user".
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.core.api import (
@@ -41,6 +42,7 @@ from repro.core.manager_api import SegmentManager
 from repro.core.segment import Segment
 from repro.errors import AllocationRefusedError, SPCMError
 from repro.hw.numa import NumaTopology
+from repro.hw.phys_mem import PageFrame
 from repro.recovery.journal import NULL_JOURNAL
 from repro.spcm.arbiter import GlobalArbiter
 from repro.spcm.freelist import NodeBucketedFreeList
@@ -138,6 +140,15 @@ class SystemPageCacheManager:
         market: MemoryMarket | None = None,
         topology: NumaTopology | None = None,
     ) -> None:
+        """Take over the kernel's boot segments as the free pool.
+
+        Each page size's free list is bulk-loaded from the pages still in
+        its boot segment, which ascend in physical-address order.  The
+        SPCM may be built after some boot pages have left (a second SPCM
+        over a running system): only the pages present are loaded.  A
+        frame's home page is computed from the pool layout
+        (:meth:`home_of`), not stored per frame.
+        """
         self.kernel = kernel
         self.policy = policy if policy is not None else ReservePolicy()
         self.market = market
@@ -176,8 +187,6 @@ class SystemPageCacheManager:
         # free pool per page size: boot-segment page indices, bucketed by
         # NUMA node and sorted within each bucket (iterates ascending)
         self._free: dict[int, NodeBucketedFreeList] = {}
-        # every frame's home (boot segment, boot page index)
-        self._home: dict[int, tuple[Segment, int]] = {}
         # which account last held each frame (zero-fill decision)
         self._last_account: dict[int, str] = {}
         self.frames_held: dict[str, int] = {}
@@ -199,15 +208,17 @@ class SystemPageCacheManager:
         #: machine-wide local/remote split of placement-hinted grants
         self.local_grant_pages = 0
         self.remote_grant_pages = 0
-        for boot in kernel.boot_segments.values():
-            free = self._free.get(boot.page_size)
-            if free is None:
-                free = self._free[boot.page_size] = NodeBucketedFreeList(
-                    len(self.shards), self._node_of_page_fn(boot)
-                )
-            for page, frame in sorted(boot.pages.items()):
+        for size, boot in kernel.boot_segments.items():
+            free = self._free[size] = NodeBucketedFreeList(
+                len(self.shards), self._node_of_page_fn(boot)
+            )
+            pages = sorted(boot.pages)
+            # pages past the pool hold frames a deleted segment swept into
+            # boot; their nodes need not ascend, so they go in one by one
+            n_pool = bisect_left(pages, len(kernel.memory.pools[size]))
+            free.load(pages[:n_pool])
+            for page in pages[n_pool:]:
                 free.append(page)
-                self._home[frame.pfn] = (boot, page)
         # the kernel's degradation paths (failover, ECC retirement) need
         # to reach the SPCM without threading it through every call
         kernel.spcm = self
@@ -225,6 +236,16 @@ class SystemPageCacheManager:
         pages = boot.pages
         node_of = self.topology.node_of
         return lambda page: node_of(pages[page].phys_addr)
+
+    def home_of(self, frame: PageFrame) -> tuple[Segment, int]:
+        """The boot segment and page a free ``frame`` lives at.
+
+        Boot puts the ``i``-th frame of each pool at page ``i`` of that
+        size's boot segment, so the home follows from the pool layout.
+        """
+        size = frame.page_size
+        first_pfn = self.kernel.memory.pools[size].start
+        return self.kernel.boot_segments[size], frame.pfn - first_pfn
 
     @property
     def n_shards(self) -> int:
@@ -717,7 +738,7 @@ class SystemPageCacheManager:
                         f"page {page} of {src_segment.name} has no frame "
                         "to return"
                     )
-                home_boot, home_page = self._home[frame.pfn]
+                home_boot, home_page = self.home_of(frame)
                 node = self.shard_of(frame.phys_addr).node
                 returned_by_node[node] = returned_by_node.get(node, 0) + 1
                 self.kernel.migrate_pages(
@@ -837,17 +858,14 @@ class SystemPageCacheManager:
         shard = self.shard_of(frame.phys_addr)
         shard.retired_frames += 1
         account = self._last_account.pop(frame.pfn, None)
-        home = self._home.pop(frame.pfn, None)
         # a frame sitting in the free pool is nobody's holding: only
         # frames retired while granted out come off their account's books
-        was_free = False
-        if home is not None:
-            home_boot, home_page = home
-            free = self._free.get(home_boot.page_size)
-            if free is not None and home_page in free:
-                free.remove(home_page)
-                was_free = True
-        if not was_free and account is not None:
+        # (a repeated notice finds the frame in neither place)
+        _, home_page = self.home_of(frame)
+        free = self._free[frame.page_size]
+        if home_page in free:
+            free.remove(home_page)
+        elif account is not None:
             if account in self.frames_held:
                 self.frames_held[account] = max(
                     0, self.frames_held[account] - 1

@@ -56,6 +56,26 @@ class TestTopology:
         with pytest.raises(HardwareError):
             NumaTopology.for_memory(memory, 3)
 
+    def test_node_boundary_inside_a_base_frame_rejected(self):
+        # six 4 KB frames over four nodes: 1.5 frames per node
+        memory = PhysicalMemory(6 * 4096)
+        with pytest.raises(HardwareError, match="inside a 4096-byte frame"):
+            NumaTopology.for_memory(memory, 4)
+
+    def test_large_frame_spanning_nodes_rejected(self):
+        # the 16 KB frame at 12 KB would span nodes 3 to 6 and be booked
+        # on node 3 only
+        memory = PhysicalMemory(3 * 4096, large_pools={16384: 1})
+        with pytest.raises(HardwareError, match="16384-byte frame"):
+            NumaTopology.for_memory(memory, 7)
+        with pytest.raises(HardwareError):
+            Kernel(memory, topology=NumaTopology(7, 4096))
+
+    def test_frame_aligned_nodes_over_mixed_pools_accepted(self):
+        memory = PhysicalMemory(4 * 4096, large_pools={16384: 1})
+        topology = NumaTopology.for_memory(memory, 2)
+        assert topology.node_of(memory.frames_of_size(16384)[0].phys_addr) == 1
+
     def test_remote_cheaper_than_local_rejected(self):
         with pytest.raises(HardwareError):
             NumaTopology(2, 1024, local_access_us=1.0, remote_access_us=0.5)

@@ -101,6 +101,26 @@ class TestPhysicalMemory:
         with pytest.raises(PhysicalMemoryError):
             PhysicalMemory(4 * 4096, large_pools={5000: 1})
 
+    def test_negative_large_pool_count_rejected(self):
+        with pytest.raises(PhysicalMemoryError, match="negative"):
+            PhysicalMemory(8 * 4096, large_pools={16384: -2})
+
+    def test_pools_are_pfn_ranges_in_address_order(self):
+        mem = PhysicalMemory(8 * 4096, large_pools={65536: 1, 16384: 2})
+        assert mem.pools == {
+            4096: range(0, 8),
+            16384: range(8, 10),
+            65536: range(10, 11),
+        }
+        for size, pfns in mem.pools.items():
+            assert [f.pfn for f in mem.frames_of_size(size)] == list(pfns)
+        assert mem.frames_of_size(8192) == []
+
+    def test_empty_large_pool_has_no_frames(self):
+        mem = PhysicalMemory(8 * 4096, large_pools={16384: 0})
+        assert list(mem.pools) == [4096]
+        assert mem.n_frames == 8
+
     def test_frame_lookup_bounds(self, memory):
         with pytest.raises(PhysicalMemoryError):
             memory.frame(-1)
