@@ -17,6 +17,7 @@ from repro import build_system
 from repro.core import FaultTrace, PageFlags, describe_flags
 from repro.core.api import GetPageAttributesRequest
 from repro.managers import GenericSegmentManager
+from repro.obs import NULL_TRACER, Tracer
 
 
 class LoggingManager(GenericSegmentManager):
@@ -67,10 +68,10 @@ def main() -> None:
 
     # --- watch one fault in Figure-2 detail ------------------------------
     print("\n== fault trace (Figure 2) ==")
-    kernel.trace = FaultTrace()
+    kernel.tracer = Tracer()
     kernel.reference(heap, 11 * 4096, write=True)
-    print(kernel.trace.render())
-    kernel.trace = None
+    print(FaultTrace.from_events(kernel.tracer.steps).render())
+    kernel.tracer = NULL_TRACER
 
     # --- cost comparison ---------------------------------------------------
     print("\n== minimal fault cost: in-process vs default manager ==")

@@ -125,7 +125,8 @@ def build_system(
     kernel.supervisor.fallback = default_manager
     registry = metrics if metrics is not None else MetricsRegistry()
     registry.bind("kernel.cost_us", kernel.meter.snapshot)
-    registry.bind("kernel", kernel.stats.as_dict)
+    # through the kernel: workload runners swap in a fresh KernelStats
+    registry.bind("kernel", lambda: kernel.stats.as_dict())
     registry.bind("tlb", kernel.tlb.stats.as_dict)
     registry.bind("disk", disk.stats.as_dict)
     registry.bind("spcm", spcm.stats_dict)

@@ -24,6 +24,7 @@ from repro.dbms.simulator import (
 from repro.hw.costs import DECSTATION_5000_200
 from repro.hw.phys_mem import PhysicalMemory
 from repro.managers.base import GenericSegmentManager
+from repro.obs.trace import Tracer, get_global_tracer
 from repro.workloads.apps import standard_applications
 from repro.workloads.runner import RunResult, run_on_ultrix, run_on_vpp
 
@@ -230,8 +231,16 @@ def figure1_address_space() -> str:
 
 def figure2_fault_trace() -> FaultTrace:
     """Reproduce the Figure-2 sequence: fault, manager fetch from the file
-    server, migrate, resume --- with the cost of each step."""
-    system = build_system(memory_mb=16)
+    server, migrate, resume --- with the cost of each step.
+
+    The steps are read off a tracer: the process-global one when it is
+    enabled (so a ``--trace`` dump keeps the fault's records), else a
+    private one.
+    """
+    tracer = get_global_tracer()
+    if not tracer.enabled:
+        tracer = Tracer()
+    system = build_system(memory_mb=16, tracer=tracer)
     kernel = system.kernel
     file_seg = kernel.create_segment(
         0, name="fig2-file", manager=system.default_manager, auto_grow=True
@@ -239,11 +248,10 @@ def figure2_fault_trace() -> FaultTrace:
     system.file_server.create_file(file_seg, data=b"fig2" * 2048)
     space = kernel.create_segment(8, name="fig2-space")
     space.bind(0, 2, file_seg, 0)
-    trace = FaultTrace()
-    kernel.trace = trace
+    # set-up grants emit MigratePages steps too: slice after them
+    first = len(tracer.steps)
     kernel.reference(space, 0, write=False)
-    kernel.trace = None
-    return trace
+    return FaultTrace.from_events(tracer.steps[first:])
 
 
 def main() -> None:  # pragma: no cover - exercised via report module

@@ -540,7 +540,7 @@ def run_schedule(
         return _run_dbms(effective)
 
     system = build_workload_system(tracer=tracer, n_nodes=n_nodes)
-    injector = Injector(effective, tracer=system.tracer)
+    injector = Injector(effective)
     injector.install(system)
     coordinator = None
     if recovery or spec.recovery:

@@ -88,7 +88,6 @@ class Injector:
         self,
         plan: ChaosPlan,
         rng: RandomSource | None = None,
-        tracer=NULL_TRACER,
     ) -> None:
         plan.validate()
         self.plan = plan
@@ -98,7 +97,8 @@ class Injector:
         self._mgr_rng = source.substream("chaos.manager")
         self._ipc_rng = source.substream("chaos.ipc")
         self._journal_rng = source.substream("chaos.journal")
-        self.tracer = tracer
+        #: where injected events are reported (the system's, once installed)
+        self.tracer = NULL_TRACER
         #: every injected event, in schedule order
         self.injected: list[InjectedFault] = []
         #: called with each InjectedFault right after it is recorded
@@ -267,8 +267,7 @@ class Injector:
         system.kernel.supervisor.injector = self
         system.disk.injector = self
         system.memory.injector = self
-        if self.tracer is NULL_TRACER and system.tracer.enabled:
-            self.tracer = system.tracer
+        self.tracer = system.tracer
         try:
             system.injector = self
         except AttributeError:  # pragma: no cover - read-only containers

@@ -22,15 +22,17 @@ API v3 removed the keyword-argument call forms that v2 deprecated, and
 the bare-int/bare-list manager callbacks with them.
 
 Requests reference segments by id (``Segment`` instances are accepted and
-coerced), so every request/result round-trips through
-:meth:`to_payload` / :meth:`from_payload` --- the property the facade
-tests assert.
+coerced), so every request/result round-trips through its plain-dict
+wire form, :meth:`WireForm.to_payload` / :meth:`WireForm.from_payload`.
+One codec derives that form from the dataclass fields and their type
+hints; no class writes its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from functools import cache
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from repro.core.flags import PageFlags
 
@@ -54,12 +56,101 @@ def _seg_id(value: Any) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the wire codec (one rule per field type hint)
+# ---------------------------------------------------------------------------
+
+#: decoder marker for the ``Any``-typed manager field: resolved by name
+_RESOLVE = object()
+
+
+def _field_codec(hint: Any) -> tuple[Callable, Any] | None:
+    """``(encode, decode)`` for one field's type hint; ``None`` when the
+    value is already plain (ints, floats, strings, bools)."""
+    if hint is PageFlags:
+        return int, PageFlags
+    if hint is Any:  # a live manager travels by name
+        return (lambda manager: manager.name), _RESOLVE
+    if isinstance(hint, type) and issubclass(hint, WireForm):
+        return (lambda value: value.to_payload()), hint.from_payload
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        item = _field_codec(args[0])
+        if item is None:
+            return list, tuple
+        enc, dec = item
+        return (
+            lambda values: [enc(v) for v in values],
+            lambda values: tuple(dec(v) for v in values),
+        )
+    if type(None) in args:  # ``X | None``
+        (inner,) = [a for a in args if a is not type(None)]
+        item = _field_codec(inner)
+        if item is None:
+            return None
+        enc, dec = item
+        return (
+            lambda value: None if value is None else enc(value),
+            lambda value: None if value is None else dec(value),
+        )
+    return None
+
+
+@cache
+def _plan(cls: type) -> tuple[tuple[str, Callable | None, Any], ...]:
+    """``(name, encode, decode)`` per dataclass field, in field order."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, *(_field_codec(hints[f.name]) or (None, None)))
+        for f in fields(cls)
+    )
+
+
+class WireForm:
+    """Plain-dict wire form for the request/result dataclasses.
+
+    Every field maps to one payload key, in field order; its type hint
+    picks the rule: ``PageFlags`` travels as an int, a tuple as a list, a
+    nested request/result as its own payload, ``X | None`` as ``None`` or
+    X, and the ``Any``-typed live manager as its name (converted back
+    through ``resolve_manager``, since manager processes are addressed by
+    name on the wire).  Plain values pass through unchanged.
+    """
+
+    __slots__ = ()
+
+    def to_payload(self) -> dict[str, Any]:
+        """Plain-dict wire form (inverse of :meth:`from_payload`)."""
+        payload = {}
+        for name, enc, _ in _plan(type(self)):
+            value = getattr(self, name)
+            payload[name] = value if enc is None else enc(value)
+        return payload
+
+    @classmethod
+    def from_payload(
+        cls,
+        payload: dict[str, Any],
+        resolve_manager: Callable[[str], Any] | None = None,
+    ):
+        """Rebuild an instance from :meth:`to_payload` output."""
+        kwargs = {}
+        for name, _, dec in _plan(cls):
+            value = payload[name]
+            if dec is _RESOLVE:
+                value = resolve_manager(value)
+            elif dec is not None:
+                value = dec(value)
+            kwargs[name] = value
+        return cls(**kwargs)
+
+
+# ---------------------------------------------------------------------------
 # page attributes (the GetPageAttributes payload element)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
-class PageAttribute:
+class PageAttribute(WireForm):
     """One entry of a ``GetPageAttributes`` result."""
 
     page: int
@@ -68,26 +159,6 @@ class PageAttribute:
     pfn: int | None
     phys_addr: int | None
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "page": self.page,
-            "present": self.present,
-            "flags": int(self.flags),
-            "pfn": self.pfn,
-            "phys_addr": self.phys_addr,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "PageAttribute":
-        return cls(
-            page=payload["page"],
-            present=payload["present"],
-            flags=PageFlags(payload["flags"]),
-            pfn=payload["pfn"],
-            phys_addr=payload["phys_addr"],
-        )
-
 
 # ---------------------------------------------------------------------------
 # batch statistics (returned with every MigratePages result)
@@ -95,7 +166,7 @@ class PageAttribute:
 
 
 @dataclass(frozen=True, slots=True)
-class BatchStats:
+class BatchStats(WireForm):
     """What one (possibly batched) ``MigratePages`` actually did.
 
     ``local_pages`` / ``remote_pages`` are only split when the kernel has
@@ -109,14 +180,6 @@ class BatchStats:
     cow_copies: int = 0
     local_pages: int = 0
     remote_pages: int = 0
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "BatchStats":
-        return cls(**payload)
 
     def merged(self, other: "BatchStats") -> "BatchStats":
         """Combine statistics of two batches into one."""
@@ -136,7 +199,7 @@ class BatchStats:
 
 
 @dataclass(frozen=True, slots=True)
-class MigratePagesRequest:
+class MigratePagesRequest(WireForm):
     """``MigratePages(src, dst, src_page, dst_page, n_pages, ...)``.
 
     ``home_node`` is a placement hint: the node the destination's pages
@@ -168,35 +231,9 @@ class MigratePagesRequest:
                 self, "clear_flags", PageFlags(self.clear_flags)
             )
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "src_page": self.src_page,
-            "dst_page": self.dst_page,
-            "n_pages": self.n_pages,
-            "set_flags": int(self.set_flags),
-            "clear_flags": int(self.clear_flags),
-            "home_node": self.home_node,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "MigratePagesRequest":
-        return cls(
-            src=payload["src"],
-            dst=payload["dst"],
-            src_page=payload["src_page"],
-            dst_page=payload["dst_page"],
-            n_pages=payload["n_pages"],
-            set_flags=PageFlags(payload["set_flags"]),
-            clear_flags=PageFlags(payload["clear_flags"]),
-            home_node=payload["home_node"],
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class MigratePagesResult:
+class MigratePagesResult(WireForm):
     """Frames moved by one ``MigratePages`` (or one batch of them)."""
 
     moved_pfns: tuple[int, ...]
@@ -206,23 +243,9 @@ class MigratePagesResult:
     def n_pages(self) -> int:
         return len(self.moved_pfns)
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "moved_pfns": list(self.moved_pfns),
-            "batch": self.batch.to_payload(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "MigratePagesResult":
-        return cls(
-            moved_pfns=tuple(payload["moved_pfns"]),
-            batch=BatchStats.from_payload(payload["batch"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class BatchMigratePagesRequest:
+class BatchMigratePagesRequest(WireForm):
     """Several ``MigratePages`` runs crossing into the kernel once (v2.1).
 
     The canonical form of the batched fast path: the first run is charged
@@ -246,24 +269,9 @@ class BatchMigratePagesRequest:
     def n_pages(self) -> int:
         return sum(r.n_pages for r in self.requests)
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"requests": [r.to_payload() for r in self.requests]}
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "BatchMigratePagesRequest":
-        return cls(
-            requests=tuple(
-                MigratePagesRequest.from_payload(r)
-                for r in payload["requests"]
-            )
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class BatchMigratePagesResult:
+class BatchMigratePagesResult(WireForm):
     """What one batched kernel entry moved, run statistics merged."""
 
     moved_pfns: tuple[int, ...]
@@ -274,27 +282,9 @@ class BatchMigratePagesResult:
     def n_pages(self) -> int:
         return len(self.moved_pfns)
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "moved_pfns": list(self.moved_pfns),
-            "batch": self.batch.to_payload(),
-            "n_requests": self.n_requests,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "BatchMigratePagesResult":
-        return cls(
-            moved_pfns=tuple(payload["moved_pfns"]),
-            batch=BatchStats.from_payload(payload["batch"]),
-            n_requests=payload["n_requests"],
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class ModifyPageFlagsRequest:
+class ModifyPageFlagsRequest(WireForm):
     """``ModifyPageFlags(seg, page, n_pages, set, clear)``."""
 
     segment: int
@@ -313,44 +303,16 @@ class ModifyPageFlagsRequest:
                 self, "clear_flags", PageFlags(self.clear_flags)
             )
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "segment": self.segment,
-            "page": self.page,
-            "n_pages": self.n_pages,
-            "set_flags": int(self.set_flags),
-            "clear_flags": int(self.clear_flags),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ModifyPageFlagsRequest":
-        return cls(
-            segment=payload["segment"],
-            page=payload["page"],
-            n_pages=payload["n_pages"],
-            set_flags=PageFlags(payload["set_flags"]),
-            clear_flags=PageFlags(payload["clear_flags"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class ModifyPageFlagsResult:
+class ModifyPageFlagsResult(WireForm):
     """How many present pages one ``ModifyPageFlags`` touched."""
 
     modified: int
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"modified": self.modified}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ModifyPageFlagsResult":
-        return cls(modified=payload["modified"])
-
 
 @dataclass(frozen=True)
-class GetPageAttributesRequest:
+class GetPageAttributesRequest(WireForm):
     """``GetPageAttributes(seg, page, n_pages)``."""
 
     segment: int
@@ -360,48 +322,16 @@ class GetPageAttributesRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "segment", _seg_id(self.segment))
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "segment": self.segment,
-            "page": self.page,
-            "n_pages": self.n_pages,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "GetPageAttributesRequest":
-        return cls(
-            segment=payload["segment"],
-            page=payload["page"],
-            n_pages=payload["n_pages"],
-        )
-
 
 @dataclass(frozen=True)
-class GetPageAttributesResult:
+class GetPageAttributesResult(WireForm):
     """Per-page attributes, physical addresses included (S1)."""
 
     attributes: tuple[PageAttribute, ...]
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"attributes": [a.to_payload() for a in self.attributes]}
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "GetPageAttributesResult":
-        return cls(
-            attributes=tuple(
-                PageAttribute.from_payload(a) for a in payload["attributes"]
-            )
-        )
-
 
 @dataclass(frozen=True)
-class SetSegmentManagerRequest:
+class SetSegmentManagerRequest(WireForm):
     """``SetSegmentManager(seg, manager)``.
 
     ``manager`` is the live manager object; the payload form carries its
@@ -415,37 +345,12 @@ class SetSegmentManagerRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "segment", _seg_id(self.segment))
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"segment": self.segment, "manager": self.manager.name}
-
-    @classmethod
-    def from_payload(
-        cls,
-        payload: dict[str, Any],
-        resolve_manager: Callable[[str], Any],
-    ) -> "SetSegmentManagerRequest":
-        return cls(
-            segment=payload["segment"],
-            manager=resolve_manager(payload["manager"]),
-        )
-
 
 @dataclass(frozen=True)
-class SetSegmentManagerResult:
+class SetSegmentManagerResult(WireForm):
     """The manager the segment had before (by name; None if unmanaged)."""
 
     previous_manager: str | None
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"previous_manager": self.previous_manager}
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "SetSegmentManagerResult":
-        return cls(previous_manager=payload["previous_manager"])
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +359,7 @@ class SetSegmentManagerResult:
 
 
 @dataclass(frozen=True, slots=True)
-class RetryAfter:
+class RetryAfter(WireForm):
     """A typed shed: the request was not admitted, try again later.
 
     ``retry_after_us`` is simulated microseconds from the shed; every
@@ -472,21 +377,9 @@ class RetryAfter:
                 f"retry_after_us must be non-negative: {self.retry_after_us}"
             )
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "tenant": self.tenant,
-            "retry_after_us": self.retry_after_us,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "RetryAfter":
-        return cls(**payload)
-
 
 @dataclass(frozen=True, slots=True)
-class TenantQuota:
+class TenantQuota(WireForm):
     """Per-tenant dram-pool cap, enforced through the SPCM market rules.
 
     ``frames`` caps the tenant's machine-wide SPCM frame grants (the
@@ -507,21 +400,9 @@ class TenantQuota:
         if self.dram_mb is not None and self.dram_mb < 0:
             raise ValueError(f"dram_mb quota must be >= 0: {self.dram_mb}")
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "account": self.account,
-            "frames": self.frames,
-            "dram_mb": self.dram_mb,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "TenantQuota":
-        return cls(**payload)
-
 
 @dataclass(frozen=True, slots=True)
-class AdmitTenantRequest:
+class AdmitTenantRequest(WireForm):
     """``AdmitTenant``: register one workload + manager + home node.
 
     ``working_set_pages`` sizes the tenant's address space; ``quota``
@@ -542,28 +423,9 @@ class AdmitTenantRequest:
                 f"working_set_pages must be positive: {self.working_set_pages}"
             )
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "tenant": self.tenant,
-            "home_node": self.home_node,
-            "working_set_pages": self.working_set_pages,
-            "quota": None if self.quota is None else self.quota.to_payload(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "AdmitTenantRequest":
-        quota = payload["quota"]
-        return cls(
-            tenant=payload["tenant"],
-            home_node=payload["home_node"],
-            working_set_pages=payload["working_set_pages"],
-            quota=None if quota is None else TenantQuota.from_payload(quota),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class AdmitTenantResult:
+class AdmitTenantResult(WireForm):
     """Whether the tenant was admitted; a shed carries the retry signal."""
 
     admitted: bool
@@ -572,33 +434,6 @@ class AdmitTenantResult:
     home_node: int | None = None
     retry_after: RetryAfter | None = None
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "admitted": self.admitted,
-            "tenant": self.tenant,
-            "account": self.account,
-            "home_node": self.home_node,
-            "retry_after": (
-                None
-                if self.retry_after is None
-                else self.retry_after.to_payload()
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "AdmitTenantResult":
-        retry = payload["retry_after"]
-        return cls(
-            admitted=payload["admitted"],
-            tenant=payload["tenant"],
-            account=payload["account"],
-            home_node=payload["home_node"],
-            retry_after=(
-                None if retry is None else RetryAfter.from_payload(retry)
-            ),
-        )
-
 
 # ---------------------------------------------------------------------------
 # the manager callback vocabulary (shared with the SPCM)
@@ -606,7 +441,7 @@ class AdmitTenantResult:
 
 
 @dataclass(frozen=True, slots=True)
-class FrameDemand:
+class FrameDemand(WireForm):
     """The SPCM (or arbiter) asking a manager for frames back.
 
     ``node`` narrows the demand to frames homed on one NUMA node (the
@@ -621,21 +456,9 @@ class FrameDemand:
         if self.n_frames < 0:
             raise ValueError("cannot demand a negative number of frames")
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "n_frames": self.n_frames,
-            "node": self.node,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "FrameDemand":
-        return cls(**payload)
-
 
 @dataclass(frozen=True, slots=True)
-class FrameGrant:
+class FrameGrant(WireForm):
     """Frames changing hands, named by free-segment page index.
 
     The single currency of the callback surface: what a manager
@@ -660,14 +483,6 @@ class FrameGrant:
 
     def __bool__(self) -> bool:
         return bool(self.pages)
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"pages": list(self.pages), "node": self.node}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "FrameGrant":
-        return cls(pages=tuple(payload["pages"]), node=payload["node"])
 
 
 __all__ = [

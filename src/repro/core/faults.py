@@ -2,14 +2,15 @@
 
 When a reference cannot be satisfied from the kernel's translation
 structures, the kernel packages a :class:`PageFault` and forwards it to the
-segment's manager (paper, Figure 2).  :class:`FaultTrace` records the
-numbered steps of that figure so the reproduction can regenerate it.
+segment's manager (paper, Figure 2).  :class:`FaultTrace` is the view
+of that figure: the fault path emits each numbered step once, through
+:meth:`~repro.obs.trace.Tracer.step`, and :meth:`FaultTrace.from_events`
+renders a slice of the tracer's ``steps`` so the reproduction can
+regenerate the figure.
 
 The step record is the *shared* telemetry event type,
-:class:`repro.obs.records.TraceStep`: a Figure-2 trace and a structured
-:class:`~repro.obs.trace.Tracer` emit the same records, so the two views
-of a fault never drift apart (and :meth:`FaultTrace.from_events` rebuilds
-the figure from a tracer's event stream).
+:class:`repro.obs.records.TraceStep`, so the figure and the tracer's
+event stream never drift apart.
 """
 
 from __future__ import annotations

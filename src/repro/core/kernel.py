@@ -42,7 +42,7 @@ from repro.core.api import (
     SetSegmentManagerRequest,
     SetSegmentManagerResult,
 )
-from repro.core.faults import FaultKind, FaultTrace, PageFault
+from repro.core.faults import FaultKind, PageFault
 from repro.core.flags import MANAGER_SETTABLE, PageFlags
 from repro.core.manager_api import SegmentManager
 from repro.core.segment import ResolvedPage, Segment
@@ -119,7 +119,8 @@ class KernelStats:
     manager_calls: dict[str, int] = field(default_factory=dict)
     #: MigratePages invocations by calling manager name (Table 3, column 2)
     migrate_calls_by_manager: dict[str, int] = field(default_factory=dict)
-    #: outermost fault services attributed to a serving tenant
+    #: outermost fault services on a serving tenant's working set
+    #: (booked by the serving layer's fault listener)
     tenant_faults: dict[str, int] = field(default_factory=dict)
     #: summed metered latency of those services, by tenant
     tenant_fault_us: dict[str, float] = field(default_factory=dict)
@@ -206,10 +207,9 @@ class Kernel:
             page_table if page_table is not None else GlobalHashPageTable()
         )
         self.stats = KernelStats()
-        #: when set, fault handling appends Figure-2 style steps here
-        self.trace: FaultTrace | None = None
         #: structured span/event collector (NULL_TRACER when disabled);
-        #: its clock follows this kernel's cost meter
+        #: its clock follows this kernel's cost meter, and its ``steps``
+        #: are the Figure-2 view of fault handling
         self.tracer = tracer
         if tracer.enabled and getattr(tracer, "clock", None) is None:
             tracer.clock = lambda: self.meter.total_us  # type: ignore[union-attr]
@@ -235,9 +235,6 @@ class Kernel:
         # who is invoking kernel operations (Table 3 counts MigratePages
         # calls per invoking module); innermost attribution wins
         self._attribution: list[str] = []
-        # serving tenant the current fault service is billed to (set by
-        # attribute_tenant); None keeps the no-listener fast path intact
-        self._tenant: str | None = None
         # Boot: one well-known segment per frame size, all frames in
         # physical-address order (paper, S2.1).  Each pool fills its
         # segment in one pass: page i holds the pool's i-th frame.
@@ -349,18 +346,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # the four external page-cache management operations
     # ------------------------------------------------------------------
-
-    @property
-    def _tracing(self) -> bool:
-        """True when any trace surface wants Figure-2 step text."""
-        return self.trace is not None or self.tracer.enabled
-
-    def _step(self, actor: str, action: str, cost_us: float = 0.0) -> None:
-        """Dual-emit one Figure-2 step to the FaultTrace and the tracer."""
-        if self.trace is not None:
-            self.trace.add(actor, action, cost_us)
-        if self.tracer.enabled:
-            self.tracer.event(actor, action, cost_us)
 
     def set_segment_manager(
         self, request: SetSegmentManagerRequest
@@ -649,8 +634,8 @@ class Kernel:
             frame.page_index = dst_page + i
             moved.append(frame)
         self.stats.pages_migrated += n_pages
-        if self.trace is not None or self.tracer.enabled:
-            self._step(
+        if self.tracer.enabled:
+            self.tracer.step(
                 "kernel",
                 f"MigratePages: {n_pages} frame(s) {src.name} -> {dst.name}"
                 f" page {dst_page}",
@@ -806,11 +791,7 @@ class Kernel:
 
     def _slow_reference(self, space: Segment, vpn: int, write: bool) -> PageFrame:
         """Full segment walk with fault dispatch and retry."""
-        if (
-            not self.tracer.enabled
-            and not self._fault_listeners
-            and self._tenant is None
-        ):
+        if not self.tracer.enabled and not self._fault_listeners:
             return self._handle_slow_reference(space, vpn, write)
         before = self.meter.total_us
         self._fault_depth += 1
@@ -834,8 +815,6 @@ class Kernel:
             # observation (a manager's fill may itself fault)
             if self._fault_depth == 0:
                 latency = self.meter.total_us - before
-                if self._tenant is not None:
-                    self.stats.note_tenant_fault(self._tenant, latency)
                 if self._fault_listeners:
                     pfn = frame.pfn if frame is not None else None
                     for listener in self._fault_listeners:
@@ -851,9 +830,9 @@ class Kernel:
         ``latency_us`` is the metered simulated cost of the whole slow
         path (dispatches, retries, and failovers included); ``pfn`` is the
         resolved frame number, or ``None`` when the slow path raised.
-        Telemetry, the SLO watchdog and the verify harness's digest chain
-        subscribe here; with no listeners (and no tracer) the fast path is
-        untouched.
+        Telemetry, the SLO watchdog, the verify harness's digest chain and
+        the serving layer's per-tenant billing subscribe here; with no
+        listeners (and no tracer) the fast path is untouched.
 
         Listeners are observability, never control flow: an exception a
         listener raises is swallowed (counted in
@@ -867,9 +846,9 @@ class Kernel:
         self, space: Segment, vpn: int, write: bool
     ) -> PageFrame:
         self.meter.charge("trap", self.costs.trap_entry_exit)
-        if self.trace is not None or self.tracer.enabled:
+        if self.tracer.enabled:
             access = "write" if write else "read"
-            self._step(
+            self.tracer.step(
                 "application",
                 f"{access} of page {vpn} traps to kernel",
                 self.costs.trap_entry_exit,
@@ -1014,8 +993,8 @@ class Kernel:
         stats.faults_by_kind[kind] = stats.faults_by_kind.get(kind, 0) + 1
         manager_calls = stats.manager_calls
         manager_calls[manager.name] = manager_calls.get(manager.name, 0) + 1
-        if self.trace is not None or self.tracer.enabled:
-            self._step(
+        if self.tracer.enabled:
+            self.tracer.step(
                 "kernel",
                 f"forward {fault.kind.name} fault (segment "
                 f"{segment.name}, page {fault.page}) to manager "
@@ -1034,8 +1013,8 @@ class Kernel:
         """
         self.stats.ecc_retirements += 1
         self.meter.charge("ecc_retire", self.costs.trap_entry_exit)
-        if self._tracing:
-            self._step(
+        if self.tracer.enabled:
+            self.tracer.step(
                 "kernel",
                 f"uncorrectable ECC error: retire frame pfn={frame.pfn}",
                 self.costs.trap_entry_exit,
@@ -1096,22 +1075,6 @@ class Kernel:
             yield
         finally:
             self._attribution.pop()
-
-    @contextmanager
-    def attribute_tenant(self, tenant: str):
-        """Bill outermost fault services inside the block to ``tenant``.
-
-        The serving layer wraps each scheduled reference in this so
-        ``KernelStats.tenant_faults`` / ``tenant_fault_us`` break the
-        shared fault pipeline down per tenant.  Outside any block the
-        field stays ``None`` and the no-listener fast path is untouched.
-        """
-        previous = self._tenant
-        self._tenant = tenant
-        try:
-            yield
-        finally:
-            self._tenant = previous
 
     def notify_manager_call(self, manager: SegmentManager) -> None:
         """Record a non-fault manager request forwarded by the kernel

@@ -174,8 +174,8 @@ class ManagerSupervisor:
             )
         if outcome is ManagerFailureMode.BYZANTINE:
             kernel.stats.byzantine_replies += 1
-            if kernel._tracing:
-                kernel._step(
+            if tracer.enabled:
+                tracer.step(
                     "manager",
                     f"{manager.name} replies without resolving the fault",
                 )
@@ -206,8 +206,8 @@ class ManagerSupervisor:
         else:
             resume_us = costs.vpp_resume_direct
         meter.charge("fault_resume", resume_us)
-        if kernel._tracing:
-            kernel._step(
+        if tracer.enabled:
+            tracer.step(
                 "manager",
                 "reply to faulting process; application resumes",
                 resume_us,
@@ -239,8 +239,8 @@ class ManagerSupervisor:
                     costs.ipc_message,
                 )
             kernel.meter.charge("manager_timeout", costs.manager_timeout_us)
-            if kernel._tracing:
-                kernel._step(
+            if kernel.tracer.enabled:
+                kernel.tracer.step(
                     "kernel",
                     f"fault message to {manager.name} lost; redeliver "
                     "after reply timeout",
@@ -253,8 +253,8 @@ class ManagerSupervisor:
             delivery = self.injector.ipc_delivery(manager.name)
         if delivery is IPCFailureMode.DUPLICATE:
             kernel.stats.ipc_duplicates += 1
-            if kernel._tracing:
-                kernel._step(
+            if kernel.tracer.enabled:
+                kernel.tracer.step(
                     "kernel",
                     f"fault message to {manager.name} duplicated "
                     "(at-least-once delivery)",
@@ -281,8 +281,8 @@ class ManagerSupervisor:
         fallback = self.fallback
         if manager is None or fallback is None or manager is fallback:
             return False
-        if kernel._tracing:
-            kernel._step(
+        if kernel.tracer.enabled:
+            kernel.tracer.step(
                 "kernel",
                 f"fault persists after {attempt} deliveries to "
                 f"{manager.name}; treating the manager as faulty",
@@ -299,8 +299,8 @@ class ManagerSupervisor:
         """The manager died: warm restart if recovery can, else fail over."""
         kernel = self.kernel
         kernel.stats.manager_crashes += 1
-        if kernel._tracing:
-            kernel._step("kernel", f"manager crash detected: {crash}")
+        if kernel.tracer.enabled:
+            kernel.tracer.step("kernel", f"manager crash detected: {crash}")
         # a second crash during an in-flight recovery/failover keeps the
         # original detection time (the SLO measures degradation from first
         # detection, not from the latest crash)
@@ -333,8 +333,8 @@ class ManagerSupervisor:
             self._degradation_start = kernel.meter.total_us
         timeout_us = kernel.costs.manager_timeout_us
         kernel.meter.charge("manager_timeout", timeout_us)
-        if kernel._tracing:
-            kernel._step(
+        if kernel.tracer.enabled:
+            kernel.tracer.step(
                 "kernel",
                 f"manager {manager.name} unresponsive; per-fault timeout "
                 f"({timeout_us:.0f} us) expires",
@@ -380,8 +380,8 @@ class ManagerSupervisor:
             to=fallback.name,
             reason=reason,
         ):
-            if kernel._tracing:
-                kernel._step(
+            if kernel.tracer.enabled:
+                kernel.tracer.step(
                     "kernel",
                     f"fail segments of {manager.name} over to "
                     f"{fallback.name} ({reason})",

@@ -210,8 +210,8 @@ class FileServer:
     def _fetch_page(
         self, file: CachedFile, segment: Segment, page: int
     ) -> bytes:
-        if self.kernel._tracing:
-            self.kernel._step(
+        if self.kernel.tracer.enabled:
+            self.kernel.tracer.step(
                 "manager",
                 f"request data for page {page} of {segment.name} "
                 "from the file server",
@@ -221,8 +221,8 @@ class FileServer:
             file.start_block + page * blocks_per_page, blocks_per_page
         )
         self.kernel.meter.charge("file_server", service_us + self.network_rtt_us)
-        if self.kernel._tracing:
-            self.kernel._step(
+        if self.kernel.tracer.enabled:
+            self.kernel.tracer.step(
                 "file server",
                 "reply with page data",
                 service_us + self.network_rtt_us,

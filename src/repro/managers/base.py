@@ -527,8 +527,8 @@ class GenericSegmentManager(SegmentManager):
                 page=fault.page,
                 slot=slot,
             )
-        if self.kernel.trace is not None or self.kernel.tracer.enabled:
-            self.kernel._step(
+        if self.kernel.tracer.enabled:
+            self.kernel.tracer.step(
                 "manager",
                 f"migrate frame pfn={frame.pfn} into {segment.name} "
                 f"page {fault.page}",

@@ -62,6 +62,9 @@ class NullTracer:
     ) -> None:
         """Discard the event."""
 
+    def step(self, actor: str, action: str, cost_us: float = 0.0) -> None:
+        """Discard the Figure-2 step."""
+
     def digest_event(self, step: int, digest: str, label: str = "") -> None:
         """Discard the digest checkpoint."""
 
@@ -110,6 +113,8 @@ class Tracer:
         self.clock = clock
         self.spans: list[SpanRecord] = []
         self.events: list[TraceStep] = []
+        #: the Figure-2 subset of ``events`` (see :meth:`step`)
+        self.steps: list[TraceStep] = []
         self._stack: list[_Span] = []
         self._next_span_id = 1
 
@@ -162,6 +167,15 @@ class Tracer:
             )
         )
 
+    def step(self, actor: str, action: str, cost_us: float = 0.0) -> None:
+        """Record one Figure-2 step: an event also kept in :attr:`steps`.
+
+        ``FaultTrace.from_events(tracer.steps[first:])`` renders the steps
+        emitted since index ``first`` as the figure.
+        """
+        self.event(actor, action, cost_us)
+        self.steps.append(self.events[-1])
+
     def digest_event(self, step: int, digest: str, label: str = "") -> None:
         """Record one verify digest-chain checkpoint as a trace event.
 
@@ -177,6 +191,7 @@ class Tracer:
         """Drop collected records (open spans are abandoned, not closed)."""
         self.spans.clear()
         self.events.clear()
+        self.steps.clear()
         self._stack.clear()
         self._next_span_id = 1
 

@@ -6,10 +6,10 @@ pre-refills the owning manager's frame stock with **one** SPCM request
 sized to the batch --- which the sharded SPCM turns into one batched
 ``MigratePages`` kernel entry
 (:class:`~repro.core.api.BatchMigratePagesRequest`, full entry cost once,
-marginal cost per further run) --- then drives the queued references under
-:meth:`~repro.core.kernel.Kernel.attribute_tenant` so the shared fault
-pipeline is billed per tenant.  A request's reported latency is its queue
-wait (engine time) plus the metered cost of its own service.
+marginal cost per further run) --- then drives the queued references
+through the kernel (the serving system's fault listener bills each service
+to its tenant).  A request's reported latency is its queue wait (engine
+time) plus the metered cost of its own service.
 """
 
 from __future__ import annotations
@@ -99,10 +99,7 @@ class BatchScheduler:
                 before = meter.total_us
                 ok = True
                 try:
-                    with kernel.attribute_tenant(session.tenant):
-                        kernel.reference(
-                            session.segment, item.vaddr, item.write
-                        )
+                    kernel.reference(session.segment, item.vaddr, item.write)
                 except ReproError:
                     ok = False
                     self.errors += 1

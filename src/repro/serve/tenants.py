@@ -101,6 +101,10 @@ class ServingSystem:
         # hooks called with (tenant, latency_us) per serviced request ---
         # the SLO watchdog and telemetry subscribe here
         self._fault_hooks: list = []
+        # working-set segment id -> tenant: the kernel's fault listener
+        # bills each outermost fault service on one of them to its tenant
+        self._tenant_of: dict[int, str] = {}
+        self.kernel.on_fault_serviced(self._bill_tenant)
 
     # -- admission (the typed v2.1 entry point) -----------------------------
 
@@ -151,6 +155,7 @@ class ServingSystem:
             quota=quota,
         )
         self.sessions[request.tenant] = session
+        self._tenant_of[segment.seg_id] = request.tenant
         return AdmitTenantResult(
             admitted=True,
             tenant=request.tenant,
@@ -159,6 +164,13 @@ class ServingSystem:
         )
 
     # -- the serving data path ----------------------------------------------
+
+    def _bill_tenant(self, space, vpn, write, latency_us: float, pfn) -> None:
+        """Book one outermost fault service on a working set (raised or
+        not) in ``KernelStats.tenant_faults`` / ``tenant_fault_us``."""
+        tenant = self._tenant_of.get(space.seg_id)
+        if tenant is not None:
+            self.kernel.stats.note_tenant_fault(tenant, latency_us)
 
     def submit(self, session: TenantSession, vaddr: int, write: bool) -> object | None:
         """Admit-or-shed one reference at the current engine time.
@@ -189,10 +201,19 @@ class ServingSystem:
             session.service_errors += 1
         session.latency.record(latency_us)
         for hook in self._fault_hooks:
-            hook(session.tenant, latency_us)
+            try:
+                hook(session.tenant, latency_us)
+            except Exception:
+                self.kernel.stats.listener_errors += 1
 
     def on_tenant_fault(self, hook) -> None:
-        """Call ``hook(tenant, latency_us)`` per serviced request."""
+        """Call ``hook(tenant, latency_us)`` per serviced request.
+
+        Like the kernel's fault listeners, hooks are observability, never
+        control flow: an exception a hook raises is swallowed (counted in
+        ``KernelStats.listener_errors``), the remaining hooks still run,
+        and the rest of the batch is still serviced.
+        """
         self._fault_hooks.append(hook)
 
     # -- observability -------------------------------------------------------

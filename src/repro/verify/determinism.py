@@ -195,10 +195,7 @@ def _resolve_workload(workload, nodes):
 def _install_chaos(system, chaos_seed) -> None:
     if chaos_seed is None:
         return
-    injector = Injector(
-        replace(VERIFY_CHAOS_PLAN, seed=chaos_seed), tracer=system.tracer
-    )
-    injector.install(system)
+    Injector(replace(VERIFY_CHAOS_PLAN, seed=chaos_seed)).install(system)
 
 
 def _record(system, chain: DigestChain, label: str, body) -> RunRecord:

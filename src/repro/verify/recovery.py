@@ -147,7 +147,7 @@ def _run(fn, nodes, plan) -> tuple[dict, object, object]:
 
     system = build_workload_system(n_nodes=nodes)
     if plan is not None:
-        Injector(plan, tracer=system.tracer).install(system)
+        Injector(plan).install(system)
     # an effectively unlimited restart budget: the gate asks whether the
     # warm path *converges*, not whether the crash-loop breaker trips
     coordinator = install_recovery(system, max_restarts=1_000_000)

@@ -8,6 +8,7 @@ in the repo goes through the typed request/result dataclasses of
 
 from __future__ import annotations
 
+import json
 import warnings
 from contextlib import contextmanager
 
@@ -50,6 +51,13 @@ class _NamedManager:
         self.name = name
 
 
+def _assert_round_trips(obj) -> None:
+    """``obj`` survives its wire form, and the wire form survives JSON."""
+    payload = obj.to_payload()
+    assert json.loads(json.dumps(payload)) == payload
+    assert type(obj).from_payload(payload) == obj
+
+
 class TestPayloadRoundTrips:
     """Every request/result survives to_payload -> from_payload."""
 
@@ -64,21 +72,21 @@ class TestPayloadRoundTrips:
             pfn=17,
             phys_addr=17 * 4096,
         )
-        assert PageAttribute.from_payload(attr.to_payload()) == attr
+        _assert_round_trips(attr)
 
     def test_page_attribute_absent(self):
         attr = PageAttribute(
             page=0, present=False, flags=PageFlags.NONE, pfn=None,
             phys_addr=None,
         )
-        assert PageAttribute.from_payload(attr.to_payload()) == attr
+        _assert_round_trips(attr)
 
     def test_batch_stats(self):
         stats = BatchStats(
             n_calls=2, n_pages=64, zero_fills=3, cow_copies=1,
             local_pages=48, remote_pages=16,
         )
-        assert BatchStats.from_payload(stats.to_payload()) == stats
+        _assert_round_trips(stats)
 
     def test_batch_stats_merged(self):
         a = BatchStats(n_calls=1, n_pages=8, local_pages=8)
@@ -95,7 +103,7 @@ class TestPayloadRoundTrips:
             set_flags=PageFlags.PINNED, clear_flags=PageFlags.DIRTY,
             home_node=1,
         )
-        assert MigratePagesRequest.from_payload(req.to_payload()) == req
+        _assert_round_trips(req)
 
     def test_migrate_pages_request_coerces_segments(self, kernel):
         seg = kernel.create_segment(1, name="coerce")
@@ -108,7 +116,7 @@ class TestPayloadRoundTrips:
             moved_pfns=(9, 10, 11),
             batch=BatchStats(n_pages=3, local_pages=3),
         )
-        assert MigratePagesResult.from_payload(result.to_payload()) == result
+        _assert_round_trips(result)
         assert result.n_pages == 3
 
     def test_modify_page_flags_request(self):
@@ -116,19 +124,15 @@ class TestPayloadRoundTrips:
             segment=7, page=1, n_pages=2,
             set_flags=PageFlags.READ, clear_flags=PageFlags.REFERENCED,
         )
-        assert ModifyPageFlagsRequest.from_payload(req.to_payload()) == req
+        _assert_round_trips(req)
 
     def test_modify_page_flags_result(self):
         result = ModifyPageFlagsResult(modified=5)
-        assert (
-            ModifyPageFlagsResult.from_payload(result.to_payload()) == result
-        )
+        _assert_round_trips(result)
 
     def test_get_page_attributes_request(self):
         req = GetPageAttributesRequest(segment=4, page=0, n_pages=8)
-        assert (
-            GetPageAttributesRequest.from_payload(req.to_payload()) == req
-        )
+        _assert_round_trips(req)
 
     def test_get_page_attributes_result(self):
         result = GetPageAttributesResult(
@@ -137,30 +141,26 @@ class TestPayloadRoundTrips:
                 PageAttribute(1, False, PageFlags.NONE, None, None),
             )
         )
-        assert (
-            GetPageAttributesResult.from_payload(result.to_payload())
-            == result
-        )
+        _assert_round_trips(result)
 
     def test_set_segment_manager_request(self):
         managers = {"dbms": _NamedManager("dbms")}
         req = SetSegmentManagerRequest(segment=9, manager=managers["dbms"])
+        payload = req.to_payload()
+        assert json.loads(json.dumps(payload)) == payload
         back = SetSegmentManagerRequest.from_payload(
-            req.to_payload(), managers.__getitem__
+            payload, managers.__getitem__
         )
         assert back.segment == 9
         assert back.manager is managers["dbms"]
 
     def test_set_segment_manager_result(self):
         result = SetSegmentManagerResult(previous_manager="default")
-        assert (
-            SetSegmentManagerResult.from_payload(result.to_payload())
-            == result
-        )
+        _assert_round_trips(result)
 
     def test_frame_demand(self):
         demand = FrameDemand(n_frames=4, node=1, reason="loan-recall")
-        assert FrameDemand.from_payload(demand.to_payload()) == demand
+        _assert_round_trips(demand)
 
     def test_frame_demand_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ class TestPayloadRoundTrips:
 
     def test_frame_grant(self):
         grant = FrameGrant(pages=(2, 5, 7), node=0)
-        assert FrameGrant.from_payload(grant.to_payload()) == grant
+        _assert_round_trips(grant)
         assert grant.n_frames == 3
         assert grant
 
@@ -176,7 +176,7 @@ class TestPayloadRoundTrips:
         grant = FrameGrant.empty()
         assert not grant
         assert grant.n_frames == 0
-        assert FrameGrant.from_payload(grant.to_payload()) == grant
+        _assert_round_trips(grant)
 
     # -- the v2.1 serving vocabulary ------------------------------------
 
@@ -187,9 +187,7 @@ class TestPayloadRoundTrips:
                 MigratePagesRequest(1, 2, 8, 4, 2, home_node=1),
             )
         )
-        assert (
-            BatchMigratePagesRequest.from_payload(req.to_payload()) == req
-        )
+        _assert_round_trips(req)
         assert req.n_requests == 2
         assert req.n_pages == 6
 
@@ -205,17 +203,14 @@ class TestPayloadRoundTrips:
             batch=BatchStats(n_calls=2, n_pages=3, local_pages=3),
             n_requests=2,
         )
-        assert (
-            BatchMigratePagesResult.from_payload(result.to_payload())
-            == result
-        )
+        _assert_round_trips(result)
         assert result.n_pages == 3
 
     def test_retry_after(self):
         shed = RetryAfter(
             tenant="tenant-3", retry_after_us=1500.0, reason="backpressure"
         )
-        assert RetryAfter.from_payload(shed.to_payload()) == shed
+        _assert_round_trips(shed)
 
     def test_retry_after_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -223,12 +218,12 @@ class TestPayloadRoundTrips:
 
     def test_tenant_quota(self):
         quota = TenantQuota(account="tenant-0", frames=16, dram_mb=0.0625)
-        assert TenantQuota.from_payload(quota.to_payload()) == quota
+        _assert_round_trips(quota)
 
     def test_tenant_quota_unlimited_axes(self):
         quota = TenantQuota(account="tenant-1")
         assert quota.frames is None and quota.dram_mb is None
-        assert TenantQuota.from_payload(quota.to_payload()) == quota
+        _assert_round_trips(quota)
 
     def test_tenant_quota_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -243,11 +238,11 @@ class TestPayloadRoundTrips:
             working_set_pages=32,
             quota=TenantQuota("tenant-7", frames=8),
         )
-        assert AdmitTenantRequest.from_payload(req.to_payload()) == req
+        _assert_round_trips(req)
 
     def test_admit_tenant_request_no_quota(self):
         req = AdmitTenantRequest(tenant="solo")
-        assert AdmitTenantRequest.from_payload(req.to_payload()) == req
+        _assert_round_trips(req)
 
     def test_admit_tenant_request_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -259,7 +254,52 @@ class TestPayloadRoundTrips:
         result = AdmitTenantResult(
             admitted=True, tenant="tenant-2", account="tenant-2", home_node=0
         )
-        assert AdmitTenantResult.from_payload(result.to_payload()) == result
+        _assert_round_trips(result)
+
+    def test_wire_form_is_pinned(self):
+        """Keys, key order and int flags of the wire contract."""
+        migrate = MigratePagesRequest(
+            1, 2, 3, 4, 5,
+            set_flags=PageFlags.PINNED,
+            clear_flags=PageFlags.DIRTY | PageFlags.REFERENCED,
+        ).to_payload()
+        assert list(migrate.items()) == [
+            ("src", 1), ("dst", 2), ("src_page", 3), ("dst_page", 4),
+            ("n_pages", 5), ("set_flags", 16), ("clear_flags", 12),
+            ("home_node", None),
+        ]
+        assert type(migrate["set_flags"]) is int
+        assert type(migrate["clear_flags"]) is int
+        attrs = GetPageAttributesResult(
+            (
+                PageAttribute(0, True, PageFlags.READ | PageFlags.DIRTY, 1, 4096),
+                PageAttribute(1, False, PageFlags.NONE, None, None),
+            )
+        ).to_payload()
+        assert list(attrs) == ["attributes"]
+        assert [list(a.items()) for a in attrs["attributes"]] == [
+            [("page", 0), ("present", True), ("flags", 9), ("pfn", 1),
+             ("phys_addr", 4096)],
+            [("page", 1), ("present", False), ("flags", 0), ("pfn", None),
+             ("phys_addr", None)],
+        ]
+        assert type(attrs["attributes"][0]["flags"]) is int
+        shed = AdmitTenantResult(
+            admitted=False,
+            tenant="tenant-9",
+            retry_after=RetryAfter("tenant-9", 250.0, reason="capacity"),
+        ).to_payload()
+        assert list(shed.items()) == [
+            ("admitted", False), ("tenant", "tenant-9"), ("account", None),
+            ("home_node", None),
+            ("retry_after", {
+                "tenant": "tenant-9", "retry_after_us": 250.0,
+                "reason": "capacity",
+            }),
+        ]
+        assert list(shed["retry_after"]) == [
+            "tenant", "retry_after_us", "reason"
+        ]
 
     def test_admit_tenant_result_shed(self):
         result = AdmitTenantResult(
@@ -267,7 +307,7 @@ class TestPayloadRoundTrips:
             tenant="tenant-9",
             retry_after=RetryAfter("tenant-9", 250.0, reason="capacity"),
         )
-        assert AdmitTenantResult.from_payload(result.to_payload()) == result
+        _assert_round_trips(result)
 
 
 @pytest.fixture

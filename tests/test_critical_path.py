@@ -205,8 +205,7 @@ class TestFailoverAttribution:
             name="cp-victim",
         )
         injector = Injector(
-            ChaosPlan(manager_hang_rate=1.0, target_managers=("cp-victim",)),
-            tracer=tracer,
+            ChaosPlan(manager_hang_rate=1.0, target_managers=("cp-victim",))
         )
         injector.install(system)
         file_seg = kernel.create_segment(

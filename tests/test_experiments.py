@@ -10,6 +10,7 @@ from repro.analysis.experiments import (
     table1_primitives,
 )
 from repro.analysis.tables import format_table, ratio
+from repro.obs.trace import NULL_TRACER, Tracer, set_global_tracer
 
 
 class TestTable1Driver:
@@ -54,6 +55,47 @@ class TestFigureDrivers:
             for i, s in enumerate(trace.steps)
             if "MigratePages" in s.action
         ].pop()
+
+
+FIGURE2_TEXT = """\
+  1. [application] read of page 0 traps to kernel  (20 us)
+  2. [kernel] forward MISSING_PAGE fault (segment fig2-file, page 0) to \
+manager default-manager  (15 us)
+  3. [manager] request data for page 0 of fig2-file from the file server
+  4. [file server] reply with page data  (17560 us)
+  5. [kernel] MigratePages: 1 frame(s) default-manager.free -> fig2-file \
+page 0  (35 us)
+  6. [manager] migrate frame pfn=1023 into fig2-file page 0
+  7. [manager] reply to faulting process; application resumes  (20 us)"""
+
+
+class TestFigure2Text:
+    """The figure is exactly the same with or without a global tracer."""
+
+    def _check(self, trace) -> None:
+        assert trace.render() == FIGURE2_TEXT
+        assert len(trace.steps) == 7
+        assert [s.step for s in trace.steps] == list(range(1, 8))
+        assert trace.total_cost_us == 17650
+
+    def test_without_a_tracer(self):
+        self._check(figure2_fault_trace())
+
+    def test_under_the_global_tracer(self):
+        tracer = Tracer()
+        tracer.event("test", "recorded before the figure")
+        set_global_tracer(tracer)
+        try:
+            trace = figure2_fault_trace()
+        finally:
+            set_global_tracer(NULL_TRACER)
+        self._check(trace)
+        # earlier records survive, and the fault's events were recorded
+        assert tracer.events[0].action == "recorded before the figure"
+        actions = [e.action for e in tracer.events]
+        for step in trace.steps:
+            assert step.action in actions
+        assert any(s.operation == "page_fault" for s in tracer.spans)
 
 
 class TestTableFormatting:

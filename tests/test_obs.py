@@ -488,6 +488,19 @@ class TestSystemMetrics:
         # key order is part of the export contract (byte-stable dumps)
         assert list(first) == list(second)
 
+    def test_snapshot_follows_replaced_kernel_stats(self):
+        from repro.core.kernel import KernelStats
+
+        system = build_system(memory_mb=8)
+        seg = system.kernel.create_segment(
+            4, name="x", manager=system.default_manager
+        )
+        # workload runners swap in fresh stats before measuring
+        system.kernel.stats = KernelStats()
+        system.kernel.reference(seg, 0, write=True)
+        assert system.kernel.stats.faults == 1
+        assert system.metrics_snapshot()["kernel.faults"] == 1.0
+
 
 # ---------------------------------------------------------------------------
 # integration: manager failover under injection (golden degradation trace)
@@ -539,7 +552,6 @@ def traced_failover():
             max_injections=1,
             target_managers=("victim-ucds",),
         ),
-        tracer=tracer,
     )
     injector.install(system)
     tracer.reset()  # drop boot/setup spans

@@ -189,6 +189,51 @@ class TestBatchScheduler:
         assert stats.tenant_fault_us["tenant-0"] > 0.0
         assert "tenant-1" not in stats.tenant_faults
 
+    def test_failed_services_are_still_billed(self):
+        system, serving = build_serving()
+        # no frames at all: every service raises out of the manager
+        admit_fleet(serving, 1, working_set_pages=8, quota_frames=0)
+        session = serving.sessions["tenant-0"]
+        page = session.segment.page_size
+        for i in range(3):
+            serving.submit(session, i * page, False)
+        serving.flush()
+        assert session.service_errors == 3
+        assert system.kernel.stats.tenant_faults == {"tenant-0": 3}
+
+    def test_faults_outside_working_sets_are_not_billed(self):
+        system, serving = build_serving()
+        admit_fleet(serving, 1, working_set_pages=8, quota_frames=16)
+        kernel = system.kernel
+        other = kernel.create_segment(
+            4, name="not-a-tenant", manager=system.default_manager
+        )
+        kernel.reference(other, 0, write=True)
+        assert kernel.stats.faults == 1
+        assert kernel.stats.tenant_faults == {}
+        assert kernel.stats.tenant_fault_us == {}
+
+    def test_raising_hook_keeps_the_batch_serviced(self):
+        system, serving = build_serving()
+        admit_fleet(serving, 1, working_set_pages=8, quota_frames=16)
+        session = serving.sessions["tenant-0"]
+        seen = []
+
+        def bad_hook(tenant, latency_us):
+            raise RuntimeError("observer bug")
+
+        serving.on_tenant_fault(bad_hook)
+        serving.on_tenant_fault(lambda tenant, us: seen.append(tenant))
+        page = session.segment.page_size
+        for i in range(4):
+            serving.submit(session, i * page, False)
+        assert serving.flush() == 4
+        assert session.serviced == 4
+        assert serving.scheduler.backlog == 0
+        assert serving.scheduler.errors == 0
+        assert seen == ["tenant-0"] * 4
+        assert system.kernel.stats.listener_errors == 4
+
     def test_latency_includes_queue_wait(self):
         _system, serving = build_serving()
         admit_fleet(serving, 1, working_set_pages=8, quota_frames=16)
@@ -311,7 +356,6 @@ def _serve_run(
                     f"tenant-{i}" for i in range(n_tenants)
                 ),
             ),
-            tracer=system.tracer,
         )
         injector.install(system)
     serving = ServingSystem(system, seed=seed, rate_per_s=8_000.0)
