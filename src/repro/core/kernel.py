@@ -242,10 +242,7 @@ class Kernel:
         for size in memory.pools:
             frames = memory.frames_of_size(size)
             boot = self.create_segment(
-                len(frames),
-                page_size=size,
-                name=f"physmem-{size}",
-                auto_grow=True,
+                len(frames), page_size=size, name=f"physmem-{size}"
             )
             boot.pages.update(enumerate(frames))
             seg_id = boot.seg_id
@@ -303,13 +300,25 @@ class Kernel:
         """All live segments."""
         return list(self._segments.values())
 
+    def home_of(self, frame: PageFrame) -> tuple[Segment, int]:
+        """The boot segment and page a free ``frame`` lives at.
+
+        Boot puts the ``i``-th frame of each pool at page ``i`` of that
+        size's boot segment, and a frame that comes back goes to the same
+        page, so the home follows from the pool layout.
+        """
+        size = frame.page_size
+        first_pfn = self.memory.pools[size].start
+        return self.boot_segments[size], frame.pfn - first_pfn
+
     def delete_segment(self, segment: Segment) -> None:
         """Delete a segment: notify the manager, sweep leftover frames.
 
         The manager "is informed when a segment it manages is closed or
         deleted, so that it can reclaim the segment page frames at that
         time" (S2.2).  Frames the manager leaves behind are swept back to
-        the boot segment by the kernel.
+        their home pages in the boot segment by the kernel, and the SPCM
+        is told each one came home.
         """
         if segment.deleted:
             raise SegmentError(f"segment {segment.name} already deleted")
@@ -330,14 +339,14 @@ class Kernel:
             self.stats.note_manager_call(segment.manager.name)
             segment.manager.segment_deleted(segment)
             segment.manager.managed.discard(segment.seg_id)
-        if segment.pages:
-            boot = self.boot_segments[segment.page_size]
-            for page in sorted(segment.pages):
-                dst = boot.n_pages
-                boot.grow(1)
-                self.migrate_pages(
-                    MigratePagesRequest(segment.seg_id, boot.seg_id, page, dst)
-                )
+        for page in sorted(segment.pages):
+            frame = segment.pages[page]
+            boot, home = self.home_of(frame)
+            self.migrate_pages(
+                MigratePagesRequest(segment.seg_id, boot.seg_id, page, home)
+            )
+            if self.spcm is not None:
+                self.spcm.note_frame_swept(frame)
         segment.deleted = True
         del self._segments[segment.seg_id]
         self.tlb.flush_space(segment.seg_id)
@@ -1024,15 +1033,16 @@ class Kernel:
             if frame.owner_segment_id is not None
             else None
         )
-        if owner is not None and owner.pages.get(frame.page_index) is frame:
-            del owner.pages[frame.page_index]
+        page = frame.page_index
+        if owner is not None and owner.pages.get(page) is frame:
+            del owner.pages[page]
         self._invalidate_frame_translations(frame)
         frame.owner_segment_id = None
         frame.page_index = None
         frame.flags = 0
         self.retired_frames.add(frame.pfn)
         if self.spcm is not None:
-            self.spcm.note_frame_retired(frame)
+            self.spcm.note_frame_retired(frame, owner, page)
 
     def _through_bindings(
         self,

@@ -8,9 +8,10 @@ named checks, each ``check(kernel) -> list[str]``:
 * ``frames`` --- every in-service frame is owned by exactly one segment
   and its back-pointers agree; a frame retired after an ECC failure is
   out of service and must not be filed anywhere.
-* ``spcm_pool`` --- the SPCM free pool equals the boot segment's
-  residency, with no repeats, in ascending order; no account holds a
-  negative frame count.
+* ``spcm_pool`` --- every frame in a boot segment sits at its home page,
+  which is what lets that residency serve as the SPCM's one free pool,
+  and no free page sits below the SPCM's grant marks, where grants would
+  never find it; no account holds a negative frame count.
 * ``shards`` --- on a sharded (NUMA) SPCM, each node's frames are its
   free frames plus its grants plus its retirements.
 * ``translations`` --- every TLB and page-table entry resolves to the
@@ -169,28 +170,33 @@ def check_bindings(kernel: "Kernel") -> list[str]:
 
 
 def check_spcm_pool(kernel: "Kernel") -> list[str]:
-    """The free pool is exactly the boot residency, ascending, no repeats."""
+    """Free frames sit at home, above the grant marks; no negative book."""
     spcm = kernel.spcm
     if spcm is None:
         return []
     found: list[str] = []
-    for size, free_pages in spcm._free.items():
-        boot = kernel.boot_segments.get(size)
-        if boot is None:
-            found.append(f"SPCM free list for unknown page size {size}")
-            continue
-        pool = list(free_pages)
-        repeats = sorted(p for p, n in Counter(pool).items() if n > 1)
-        if repeats:
-            found.append(f"pool({size}) repeats boot pages {repeats[:5]}")
-        if pool != sorted(pool):
-            found.append(f"pool({size}) is not in ascending order")
-        pool_set, resident = set(pool), set(boot.pages)
-        if pool_set != resident:
+    for size, boot in kernel.boot_segments.items():
+        away = sorted(
+            (page, frame.pfn)
+            for page, frame in boot.pages.items()
+            if kernel.home_of(frame) != (boot, page)
+        )
+        if away:
             found.append(
-                f"pool({size}) != boot residency; "
-                f"pool-only={sorted(pool_set - resident)[:5]} "
-                f"boot-only={sorted(resident - pool_set)[:5]}"
+                f"pool({size}) holds frames away from their home pages "
+                f"(page, pfn): {away[:5]}"
+            )
+        free = spcm._free[size]
+        hidden = [
+            page
+            for run, mark in zip(free._runs, free._marks)
+            for page in range(run.start, mark)
+            if page in boot.pages
+        ]
+        if hidden:
+            found.append(
+                f"pool({size}) hides free pages below its grant marks: "
+                f"{hidden[:5]}"
             )
     for account, held in spcm.frames_held.items():
         if held < 0:
@@ -208,14 +214,9 @@ def check_shards(kernel: "Kernel") -> list[str]:
     for frame in kernel.memory.frames():
         totals[spcm.shard_of(frame.phys_addr).node] += 1
     free_by_node = {shard.node: 0 for shard in spcm.shards}
-    for size, free_pages in spcm._free.items():
-        boot = kernel.boot_segments.get(size)
-        if boot is None:
-            continue
-        for page in free_pages:
-            frame = boot.pages.get(page)
-            if frame is not None:
-                free_by_node[spcm.shard_of(frame.phys_addr).node] += 1
+    for boot in kernel.boot_segments.values():
+        for frame in boot.pages.values():
+            free_by_node[spcm.shard_of(frame.phys_addr).node] += 1
     for shard in spcm.shards:
         for account, held in shard.frames_held.items():
             if held < 0:
@@ -334,7 +335,9 @@ def check_quotas(kernel: "Kernel") -> list[str]:
         for account, held in spcm.frames_held.items()
         if account not in quotas
     )
-    free_total = sum(len(free) for free in spcm._free.values())
+    free_total = sum(
+        len(boot.pages) for boot in kernel.boot_segments.values()
+    )
     retired = len(kernel.retired_frames)
     n_frames = kernel.memory.n_frames
     got = capped_total + uncapped_total + free_total + retired

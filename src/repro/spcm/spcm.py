@@ -2,8 +2,12 @@
 
 A process-level module that owns the machine's frame pool --- the
 well-known boot segment holding every frame in physical-address order ---
-and allocates frames to segment managers on request (paper, S2.4).  It
-supports requests constrained by physical address range or page color
+and allocates frames to segment managers on request (paper, S2.4).  That
+segment's residency is the only record of which frames are free: a free
+frame sits at its home page there
+(:meth:`~repro.core.kernel.Kernel.home_of`), and the SPCM grants straight
+out of it in node order (:class:`~repro.spcm.freelist.NodeBucketedFreeList`).
+It supports requests constrained by physical address range or page color
 (placement control / coloring), partially satisfies constrained requests
 it cannot fill ("it allocates and provides as many page frames as it can"),
 and optionally prices memory through the :class:`~repro.spcm.market.MemoryMarket`.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.api import (
     BatchMigratePagesRequest,
@@ -73,18 +78,29 @@ class FrameRequest:
     n_colors: int | None = None            # color modulus (required w/ colors)
     home_node: int | None = None           # NUMA placement hint (local-first)
 
+    def accepts(self, frame: PageFrame) -> bool:
+        """Whether ``frame`` meets the physical range and colors."""
+        return (
+            (self.phys_lo is None or frame.phys_addr >= self.phys_lo)
+            and (self.phys_hi is None or frame.phys_addr < self.phys_hi)
+            and (
+                self.colors is None
+                or frame.color(self.n_colors) in self.colors
+            )
+        )
+
 
 @dataclass
 class SPCMShard:
     """Per-node accounting for one slice of the frame pool.
 
-    The authoritative free list stays on the parent SPCM (free pages are
-    partitioned by physical address, so shard membership is a function of
-    the frame, not separate state); the shard carries what *differs* per
-    node: who holds how many of this node's frames, the node's own dram
-    market, and grant/loan counters.  The per-shard conservation
-    invariant is ``boot pages on this node == free here + sum(frames_held)
-    + retired here``.
+    The free frames stay in the boot segment (they are partitioned by
+    physical address, so shard membership is a function of the frame,
+    not separate state); the shard carries what *differs* per node: who
+    holds how many of this node's frames, the node's own dram market,
+    and grant/loan counters.  The per-shard conservation invariant is
+    ``frames on this node == free here + sum(frames_held) + retired
+    here``.
     """
 
     node: int
@@ -99,10 +115,6 @@ class SPCMShard:
     #: grants out of this pool serving another node's demand (loans out)
     loaned_grants: int = 0
     retired_frames: int = 0
-
-    def holds(self, phys_addr: int) -> bool:
-        """Whether a physical address falls in this shard's node."""
-        return self.phys_lo <= phys_addr < self.phys_hi
 
     def note_granted(self, account: str, n_frames: int, local: bool) -> None:
         """Book a grant of this node's frames to ``account``."""
@@ -142,12 +154,10 @@ class SystemPageCacheManager:
     ) -> None:
         """Take over the kernel's boot segments as the free pool.
 
-        Each page size's free list is bulk-loaded from the pages still in
-        its boot segment, which ascend in physical-address order.  The
-        SPCM may be built after some boot pages have left (a second SPCM
-        over a running system): only the pages present are loaded.  A
-        frame's home page is computed from the pool layout
-        (:meth:`home_of`), not stored per frame.
+        Nothing is copied: each page size's pool is its boot segment's
+        residency.  The constructor only cuts each pool into one run of
+        boot pages per shard, so an SPCM built over a running system (a
+        second SPCM) sees exactly the frames still at home.
         """
         self.kernel = kernel
         self.policy = policy if policy is not None else ReservePolicy()
@@ -184,8 +194,8 @@ class SystemPageCacheManager:
         ]
         #: the thin global layer between shards (loans + dram rebalancing)
         self.arbiter = GlobalArbiter(self.markets)
-        # free pool per page size: boot-segment page indices, bucketed by
-        # NUMA node and sorted within each bucket (iterates ascending)
+        # grant order over each page size's boot segment: per-shard runs
+        # of boot pages (the pages themselves stay in the segment)
         self._free: dict[int, NodeBucketedFreeList] = {}
         # which account last held each frame (zero-fill decision)
         self._last_account: dict[int, str] = {}
@@ -209,43 +219,23 @@ class SystemPageCacheManager:
         self.local_grant_pages = 0
         self.remote_grant_pages = 0
         for size, boot in kernel.boot_segments.items():
-            free = self._free[size] = NodeBucketedFreeList(
-                len(self.shards), self._node_of_page_fn(boot)
-            )
-            pages = sorted(boot.pages)
-            # pages past the pool hold frames a deleted segment swept into
-            # boot; their nodes need not ascend, so they go in one by one
-            n_pool = bisect_left(pages, len(kernel.memory.pools[size]))
-            free.load(pages[:n_pool])
-            for page in pages[n_pool:]:
-                free.append(page)
-        # the kernel's degradation paths (failover, ECC retirement) need
-        # to reach the SPCM without threading it through every call
+            # boot page i holds the pool's i-th frame, in physical-address
+            # order, so each shard's pages end where its range does
+            frames = kernel.memory.frames_of_size(size)
+            runs, start = [], 0
+            for shard in self.shards:
+                stop = bisect_left(
+                    frames, shard.phys_hi, start, key=attrgetter("phys_addr")
+                )
+                runs.append(range(start, stop))
+                start = stop
+            self._free[size] = NodeBucketedFreeList(boot.pages, runs)
+        # the kernel's degradation paths (failover, ECC retirement,
+        # segment deletion) need to reach the SPCM without threading it
+        # through every call
         kernel.spcm = self
 
     # -- shard plumbing -----------------------------------------------------
-
-    def _node_of_page_fn(self, boot: Segment):
-        """``boot page -> home node`` for the free list's bucketing.
-
-        Raises (routing the page to the overflow bucket) when the page
-        holds no frame --- only corruption tests inject such indices.
-        """
-        if self.topology is None:
-            return lambda page: 0
-        pages = boot.pages
-        node_of = self.topology.node_of
-        return lambda page: node_of(pages[page].phys_addr)
-
-    def home_of(self, frame: PageFrame) -> tuple[Segment, int]:
-        """The boot segment and page a free ``frame`` lives at.
-
-        Boot puts the ``i``-th frame of each pool at page ``i`` of that
-        size's boot segment, so the home follows from the pool layout.
-        """
-        size = frame.page_size
-        first_pfn = self.kernel.memory.pools[size].start
-        return self.kernel.boot_segments[size], frame.pfn - first_pfn
 
     @property
     def n_shards(self) -> int:
@@ -260,14 +250,12 @@ class SystemPageCacheManager:
     def free_frames_by_node(
         self, page_size: int | None = None
     ) -> dict[int, int]:
-        """Free-frame count per node (the invariant checker's view)."""
+        """Free-frame count per node (the telemetry gauges' view)."""
         size = page_size or self.kernel.memory.page_size
-        counts = {shard.node: 0 for shard in self.shards}
         free = self._free.get(size)
-        if free is None or self.kernel.boot_segments.get(size) is None:
-            return counts
-        counts.update(free.counts_by_node())
-        return counts
+        if free is None:
+            return {shard.node: 0 for shard in self.shards}
+        return free.counts_by_node()
 
     # -- registration -------------------------------------------------------
 
@@ -332,7 +320,8 @@ class SystemPageCacheManager:
     def available_frames(self, page_size: int | None = None) -> int:
         """Frames in the pool for one page size."""
         size = page_size or self.kernel.memory.page_size
-        return len(self._free.get(size, []))
+        boot = self.kernel.boot_segments.get(size)
+        return 0 if boot is None else len(boot.pages)
 
     def held_by(self, account: str) -> int:
         """Frames currently granted to ``account``."""
@@ -396,8 +385,8 @@ class SystemPageCacheManager:
             ("refused", self.refused_requests),
             ("quota_deferrals", self.quota_deferrals),
         ]
-        for size in sorted(self._free):
-            rows.append(("free", size, tuple(sorted(self._free[size]))))
+        for size, boot in sorted(self.kernel.boot_segments.items()):
+            rows.append(("free", size, tuple(sorted(boot.pages))))
         for account in sorted(self.frames_held):
             rows.append(("held", account, self.frames_held[account]))
         for shard in self.shards:
@@ -476,39 +465,28 @@ class SystemPageCacheManager:
         account = self.account_of(manager)
         free = self._free[size]
         home = request.home_node
-        unconstrained = (
+        # a placement hint serves local frames first, then spills to
+        # remote pools (cross-node loans the arbiter books below)
+        prefer_node = home if self.topology is not None else None
+        n_free = len(boot.pages)
+        if (
             request.phys_lo is None
             and request.phys_hi is None
             and request.colors is None
-        )
-        if unconstrained:
+        ):
             # the hot path: no candidate list is built at all --- the
-            # grant below slices bucket prefixes straight off the pool
+            # grant below scans the pool from its marks
             candidates: list[int] | None = None
-            n_matching = len(free)
+            n_matching = n_free
         else:
-            candidates = self._matching_free_pages(boot, size, request)
-            # a placement hint serves local frames first, then spills to
-            # remote pools (cross-node loans the arbiter books below)
-            if home is not None and self.topology is not None:
-                candidates = [
-                    p
-                    for p in candidates
-                    if self.topology.is_local(home, boot.pages[p].phys_addr)
-                ] + [
-                    p
-                    for p in candidates
-                    if not self.topology.is_local(
-                        home, boot.pages[p].phys_addr
-                    )
-                ]
+            if request.colors is not None and not request.n_colors:
+                raise SPCMError("color constraint requires n_colors")
+            candidates = free.matching(request.accepts, prefer_node)
             n_matching = len(candidates)
         # policy judges against the whole pool; physical constraints then
         # clamp the grant to what actually matches ("as many page frames
         # as it can", S2.4)
-        verdict = self.policy.decide(
-            account, request.n_frames, len(free), size
-        )
+        verdict = self.policy.decide(account, request.n_frames, n_free, size)
         if verdict.decision is AllocationDecision.REFUSE:
             self.refused_requests += 1
             if self.kernel.tracer.enabled:
@@ -548,16 +526,9 @@ class SystemPageCacheManager:
                 market.demand_outstanding = True
             return []
         if candidates is None:
-            chosen = free.take(
-                n_grant,
-                prefer_node=(
-                    home if self.topology is not None else None
-                ),
-            )
+            chosen = free.take(n_grant, prefer_node)
         else:
             chosen = candidates[:n_grant]
-            for boot_page in chosen:
-                free.remove(boot_page)
         boot_pages = boot.pages
         last_account = self._last_account
         for boot_page in chosen:
@@ -685,33 +656,6 @@ class SystemPageCacheManager:
                         self.arbiter.note_loan(home, node, len(node_pages))
         return granted_pages
 
-    def _matching_free_pages(
-        self, boot: Segment, size: int, request: FrameRequest
-    ) -> list[int]:
-        """Free boot pages satisfying the request's physical constraints."""
-        free = self._free.get(size, [])
-        if (
-            request.phys_lo is None
-            and request.phys_hi is None
-            and request.colors is None
-        ):
-            return list(free)
-        if request.colors is not None and not request.n_colors:
-            raise SPCMError("color constraint requires n_colors")
-        matching = []
-        for page in free:
-            frame = boot.pages[page]
-            if request.phys_lo is not None and frame.phys_addr < request.phys_lo:
-                continue
-            if request.phys_hi is not None and frame.phys_addr >= request.phys_hi:
-                continue
-            if request.colors is not None:
-                assert request.n_colors is not None
-                if frame.color(request.n_colors) not in request.colors:
-                    continue
-            matching.append(page)
-        return matching
-
     # -- return and reclamation --------------------------------------------------
 
     def return_frames(
@@ -738,7 +682,7 @@ class SystemPageCacheManager:
                         f"page {page} of {src_segment.name} has no frame "
                         "to return"
                     )
-                home_boot, home_page = self.home_of(frame)
+                home_boot, home_page = self.kernel.home_of(frame)
                 node = self.shard_of(frame.phys_addr).node
                 returned_by_node[node] = returned_by_node.get(node, 0) + 1
                 self.kernel.migrate_pages(
@@ -848,30 +792,52 @@ class SystemPageCacheManager:
                 held=self.frames_held[account],
             )
 
-    def note_frame_retired(self, frame) -> None:
-        """The kernel retired ``frame`` after an ECC failure.
+    def note_frame_swept(self, frame: PageFrame) -> None:
+        """The kernel swept ``frame`` home from a deleted segment.
+
+        The frame is free again: its run's mark comes down so grants see
+        it, and it comes off the books of the account it was granted to.
+        """
+        _, home_page = self.kernel.home_of(frame)
+        self._free[frame.page_size].append(home_page)
+        account = self._last_account.get(frame.pfn)
+        if account is not None:
+            self._unbook(account, frame)
+
+    def note_frame_retired(
+        self, frame: PageFrame, segment: Segment | None, page: int | None
+    ) -> None:
+        """The kernel retired ``frame``, which left ``page`` of ``segment``.
 
         The frame leaves the SPCM's books entirely: it no longer counts
-        against its holder's grant and can never be handed out again.
+        against its holder's grant and can never be handed out again.  A
+        frame retired out of a manager's free segment also leaves that
+        manager's free slots, as if the SPCM had seized it.
         """
         self.retired_frames += 1
-        shard = self.shard_of(frame.phys_addr)
-        shard.retired_frames += 1
+        self.shard_of(frame.phys_addr).retired_frames += 1
         account = self._last_account.pop(frame.pfn, None)
         # a frame sitting in the free pool is nobody's holding: only
         # frames retired while granted out come off their account's books
-        # (a repeated notice finds the frame in neither place)
-        _, home_page = self.home_of(frame)
-        free = self._free[frame.page_size]
-        if home_page in free:
-            free.remove(home_page)
-        elif account is not None:
-            if account in self.frames_held:
-                self.frames_held[account] = max(
-                    0, self.frames_held[account] - 1
-                )
-            shard.note_returned(account, 1)
-            self._update_market_holding(account, frame.page_size)
+        # (a repeated notice finds no account)
+        if segment is self.kernel.boot_segments.get(frame.page_size):
+            return
+        if account is not None:
+            self._unbook(account, frame)
+        if segment is None:
+            return
+        for manager in self.managers.values():
+            if getattr(manager, "free_segment", None) is segment:
+                manager.on_frames_seized(FrameGrant((page,)))
+
+    def _unbook(self, account: str, frame: PageFrame) -> None:
+        """Take one ``frame`` off ``account``'s machine-wide, shard and
+        market books."""
+        held = self.frames_held.get(account)
+        if held is not None:
+            self.frames_held[account] = max(0, held - 1)
+        self.shard_of(frame.phys_addr).note_returned(account, 1)
+        self._update_market_holding(account, frame.page_size)
 
     def charge_io(self, manager: SegmentManager, n_bytes: int) -> float:
         """Bill a manager's backing-store traffic to its dram account.

@@ -74,10 +74,9 @@ class TestCrossNodeLoanRetirement:
             if _node_of(system, manager.free_segment.pages[s]) == 1
         )
         kernel.retire_frame(frame)
-        # the manager's side of the retirement: the slot is now empty
-        manager._free_slots.remove(slot)
-        manager._drop_stale(slot)
-        manager._empty_slots.append(slot)
+        # the SPCM tells the manager, whose slot is now empty
+        assert slot not in manager._free_slots
+        assert slot in manager._empty_slots
 
         assert shard1.frames_held[account] == held_before - 1
         assert shard1.retired_frames == 1
@@ -98,9 +97,7 @@ class TestCrossNodeLoanRetirement:
         system = _sharded_system()
         spcm, kernel = system.spcm, system.kernel
         boot = kernel.boot_segments[kernel.memory.page_size]
-        size = kernel.memory.page_size
-        free_page = spcm._free[size][0]
-        frame = boot.pages[free_page]
+        frame = boot.pages[min(boot.pages)]
         node = _node_of(system, frame)
         held_before = dict(spcm.shards[node].frames_held)
         kernel.retire_frame(frame)
@@ -250,11 +247,9 @@ class TestConservationProperties:
             if n:
                 manager.return_frames(n)
         elif op == "retire":
-            size = kernel.memory.page_size
-            free = spcm._free[size]
-            if len(free):
-                boot = kernel.boot_segments[size]
-                kernel.retire_frame(boot.pages[free[0]])
+            boot = kernel.boot_segments[kernel.memory.page_size]
+            if boot.pages:
+                kernel.retire_frame(boot.pages[min(boot.pages)])
         elif op == "hold":
             name = f"m{step[1]}"
             for market in spcm.markets:

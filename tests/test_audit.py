@@ -87,8 +87,14 @@ class TestInjectedCorruption:
                    for f in findings(system, "managers"))
 
     def test_detects_spcm_pool_drift(self, system):
-        system.spcm._free[4096].append(999_999)  # corruption
-        assert any("pool(4096) != boot residency" in f
+        # corruption: two free frames trade boot pages, back-pointers and all
+        pages = system.kernel.initial_segment.pages
+        a, b = sorted(pages)[:2]
+        pages[a], pages[b] = pages[b], pages[a]
+        pages[a].page_index, pages[b].page_index = a, b
+        found = InvariantChecker(system.kernel).violations()
+        assert found and all(f.startswith("[spcm_pool] ") for f in found)
+        assert any("pool(4096) holds frames away from their home pages" in f
                    for f in findings(system, "spcm_pool"))
 
     def test_raise_if_failed(self, system):

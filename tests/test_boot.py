@@ -1,11 +1,12 @@
 """Bulk boot: every machine boots into the state a per-frame boot makes.
 
 Boot fills each page size's well-known segment from its frame pool in one
-pass (paper, S2.1), the SPCM bulk-loads its node-bucketed free lists from
-the boot pages, and a frame's home page is computed from the pool layout
-rather than stored.  These tests rebuild the reference the slow way ---
-one frame at a time, in pfn order --- and compare against it, then pin
-the call budget that keeps boot bulk.
+pass (paper, S2.1), the SPCM cuts each pool into one run of boot pages per
+node, and a frame's home page is computed from the pool layout rather than
+stored.  These tests rebuild the reference the slow way --- one frame at a
+time, in pfn order --- and compare against it, check that every frame that
+leaves the pool comes back to its home page, then pin the call budget that
+keeps boot bulk.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.hw.phys_mem import PhysicalMemory
 from repro.invariants import InvariantChecker, sweep
 from repro.managers.base import GenericSegmentManager
 from repro.spcm.policy import ReservePolicy
-from repro.spcm.spcm import SystemPageCacheManager
+from repro.spcm.spcm import FrameRequest, SystemPageCacheManager
 
 MB = 1024 * 1024
 LARGE = 16384
@@ -87,65 +88,75 @@ class TestBootMatchesPerFrameReference:
             assert got == [(seg_id, page, RW) for page in range(len(frames))]
 
     def test_free_list_order_and_buckets(self, machine):
+        """Each node's run holds exactly its frames' boot pages, and a
+        plain grant takes the whole pool in ascending page order."""
         kernel, spcm = machine
-        n_buckets = spcm.n_shards
+        n_runs = spcm.n_shards
         for size, frames in reference_pools(kernel).items():
             free = spcm._free[size]
-            assert list(free) == list(range(len(frames)))
-            assert len(free) == len(frames)
+            assert spcm.available_frames(size) == len(frames)
             by_node = Counter(node_of(kernel, f) for f in frames)
             assert free.counts_by_node() == {
-                node: by_node[node] for node in range(n_buckets)
+                node: by_node[node] for node in range(n_runs)
             }
-            for node in range(n_buckets):
-                assert free._buckets[node] == [
+            assert [list(run) for run in free._runs] == [
+                [
                     page
                     for page, frame in enumerate(frames)
                     if node_of(kernel, frame) == node
                 ]
+                for node in range(n_runs)
+            ]
+            assert free.take(len(frames)) == list(range(len(frames)))
 
     def test_every_frame_has_its_boot_page_as_home(self, machine):
-        kernel, spcm = machine
+        kernel, _ = machine
         for size, frames in reference_pools(kernel).items():
             boot_segment = kernel.boot_segments[size]
-            assert [spcm.home_of(f) for f in frames] == [
+            assert [kernel.home_of(f) for f in frames] == [
                 (boot_segment, page) for page in range(len(frames))
             ]
 
     def test_spcm_built_after_boot_pages_left(self):
-        """A second SPCM over a running system loads only the boot pages
-        still at home, bucketed by node."""
+        """A second SPCM over a running system sees the frames still at
+        home, by node, and grants the lowest of them first."""
         system = build_system(memory_mb=8, n_nodes=2, manager_frames=100)
         kernel = system.kernel
         spcm = SystemPageCacheManager(kernel)
         boot_segment = kernel.initial_segment
-        assert list(spcm._free[4096]) == sorted(boot_segment.pages)
-        assert list(spcm._free[4096]) == list(system.spcm._free[4096])
+        assert spcm.available_frames() == len(boot_segment.pages)
         assert spcm.free_frames_by_node() == system.spcm.free_frames_by_node()
+        assert spcm._free[4096].take(8) == sorted(boot_segment.pages)[:8]
 
-    def test_spcm_built_after_frames_were_swept_past_the_pool(self):
-        """Deleting a segment sweeps its frames to fresh boot pages past
-        the pool; the SPCM still buckets each by its frame's node."""
+    def test_spcm_built_after_frames_were_swept_home(self):
+        """Deleting a segment sweeps its frames back to their home pages,
+        so an SPCM built afterwards sees the pool exactly as booted."""
         memory = PhysicalMemory(8 * 4096)
         kernel = Kernel(memory, topology=NumaTopology.for_memory(memory, 2))
+        boot_segment = kernel.initial_segment
         scratch = kernel.create_segment(2, name="scratch")
         kernel.migrate_pages(
-            MigratePagesRequest(kernel.initial_segment, scratch, 0, 0, 2)
+            MigratePagesRequest(boot_segment, scratch, 0, 0, 2)
         )
         kernel.delete_segment(scratch)
-        assert sorted(kernel.initial_segment.pages) == [2, 3, 4, 5, 6, 7, 8, 9]
+        assert boot_segment.n_pages == 8
+        assert {page: f.pfn for page, f in boot_segment.pages.items()} == {
+            page: page for page in range(8)
+        }
         spcm = SystemPageCacheManager(kernel)
-        free = spcm._free[4096]
-        assert free._buckets == [[2, 3, 8, 9], [4, 5, 6, 7]]
         assert spcm.free_frames_by_node() == {0: 4, 1: 4}
+        assert sweep(kernel) == []
 
 
 class TestFramesComeHome:
     def test_large_frames_return_to_their_boot_pages(self):
+        """Returned frames land on their home pages, and the next grant
+        finds them again (every 16 KB frame sits on node 1, so node 0's
+        run is empty and the hinted request spills over)."""
         kernel, spcm = boot("large-2-nodes")
-        free = spcm._free[LARGE]
-        order_before = list(free)
-        buckets_before = [list(bucket) for bucket in free._buckets]
+        boot_segment = kernel.boot_segments[LARGE]
+        pool_before = dict(boot_segment.pages)
+        counts_before = spcm.free_frames_by_node(LARGE)
         manager = GenericSegmentManager(
             kernel, spcm, "large", initial_frames=0, page_size=LARGE
         )
@@ -154,47 +165,71 @@ class TestFramesComeHome:
         InvariantChecker(kernel).check_all()
 
         assert manager.return_frames(20) == 20
-        boot_segment = kernel.boot_segments[LARGE]
         for frame in frames:
-            home_segment, home_page = spcm.home_of(frame)
+            home_segment, home_page = kernel.home_of(frame)
             assert home_segment is boot_segment
             assert boot_segment.pages[home_page] is frame
             assert frame.owner_segment_id == boot_segment.seg_id
             assert frame.page_index == home_page
-        assert list(free) == order_before
-        assert [list(bucket) for bucket in free._buckets] == buckets_before
+        assert boot_segment.pages == pool_before
+        assert spcm.free_frames_by_node(LARGE) == counts_before
         InvariantChecker(kernel).check_all()
+
+        assert manager.request_frames(20, home_node=0) == 20
+        regranted = manager.free_segment.pages.values()
+        assert {f.pfn for f in regranted} == {f.pfn for f in frames}
 
     def test_retired_frames_leave_the_books_exactly_once(self):
         kernel, spcm = boot("8mb-2-nodes")
-        size = kernel.memory.page_size
         manager = GenericSegmentManager(kernel, spcm, "m", initial_frames=8)
         account = manager.account
-        free = spcm._free[size]
-        free_frame = kernel.initial_segment.pages[free[len(free) - 1]]
-        granted = manager.free_segment.pages[manager._free_slots[0]]
+        boot_segment = kernel.initial_segment
+        free_frame = boot_segment.pages[max(boot_segment.pages)]
+        slot = manager._free_slots[0]
+        granted = manager.free_segment.pages[slot]
         free_node = node_of(kernel, free_frame)
         granted_node = node_of(kernel, granted)
-        n_free = len(free)
+        n_free = spcm.available_frames()
         held = spcm.held_by(account)
         shard_held = spcm.shards[granted_node].frames_held[account]
 
         kernel.retire_frame(free_frame)
         kernel.retire_frame(granted)
-        assert len(free) == n_free - 1
-        assert spcm.home_of(free_frame)[1] not in free
+        assert spcm.available_frames() == n_free - 1
+        assert kernel.home_of(free_frame)[1] not in boot_segment.pages
         assert spcm.held_by(account) == held - 1
         assert spcm.shards[granted_node].frames_held[account] == shard_held - 1
         assert spcm.shards[free_node].retired_frames == 1
         assert spcm.shards[granted_node].retired_frames == 1
-        assert sweep(kernel, ("spcm_pool", "shards", "quotas")) == []
+        assert slot in manager._empty_slots
+        assert sweep(kernel) == []
 
-        # a repeated notice finds neither frame in the pool or on a book
-        spcm.note_frame_retired(free_frame)
-        spcm.note_frame_retired(granted)
-        assert len(free) == n_free - 1
+        # a repeated notice (the frame left no segment) touches no book
+        spcm.note_frame_retired(free_frame, None, None)
+        spcm.note_frame_retired(granted, None, None)
+        assert spcm.available_frames() == n_free - 1
         assert spcm.held_by(account) == held - 1
         assert spcm.shards[granted_node].frames_held[account] == shard_held - 1
+
+    def test_sweep_under_a_live_spcm_returns_frames_to_the_pool(self):
+        """A deleted segment's leftover frames go home and off their
+        holder's books, so the next grant hands them out again."""
+        system = build_system(memory_mb=8, manager_frames=16)
+        kernel, spcm = system.kernel, system.spcm
+        manager = system.default_manager
+        account = manager.account
+        bare = kernel.create_segment(4, name="bare")
+        spcm.request_frames(manager, FrameRequest(account, 4), bare)
+        assert spcm.available_frames() == 2028
+        assert spcm.held_by(account) == 20
+
+        kernel.delete_segment(bare)
+        assert spcm.available_frames() == 2032
+        assert spcm.held_by(account) == 16
+        assert sweep(kernel) == []
+        again = kernel.create_segment(4, name="again")
+        spcm.request_frames(manager, FrameRequest(account, 4), again)
+        assert sorted(f.pfn for f in again.pages.values()) == [16, 17, 18, 19]
 
 
 class TestBootStaysBulk:

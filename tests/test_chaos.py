@@ -450,13 +450,11 @@ class TestECCRetirement:
 
 
 def _free_frames_on_node(kernel, spcm, node: int) -> int:
-    """Free-list entries whose frames are physically homed on ``node``."""
+    """Free frames (boot-segment residents) physically homed on ``node``."""
     count = 0
-    for size, pages in spcm._free.items():
-        boot = kernel.boot_segments[size]
-        for page in pages:
-            frame = boot.pages.get(page)
-            if frame is not None and spcm.shard_of(frame.phys_addr).node == node:
+    for boot in kernel.boot_segments.values():
+        for frame in boot.pages.values():
+            if spcm.shard_of(frame.phys_addr).node == node:
                 count += 1
     return count
 

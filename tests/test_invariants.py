@@ -112,12 +112,17 @@ def invent_resident(system, manager, seg):
 
 
 def drift_spcm_pool(system, manager, seg):
-    system.spcm._free[PAGE].append(999_999)
+    """Two free frames trade boot pages, back-pointers and all."""
+    pages = system.kernel.initial_segment.pages
+    a, b = sorted(pages)[:2]
+    pages[a], pages[b] = pages[b], pages[a]
+    pages[a].page_index, pages[b].page_index = a, b
 
 
-def unsort_pool(system, manager, seg):
-    bucket = system.spcm._free[PAGE]._buckets[0]
-    bucket[0], bucket[1] = bucket[1], bucket[0]
+def hide_free_page(system, manager, seg):
+    """A grant mark rises above a free page, which grants then skip."""
+    pages = system.kernel.initial_segment.pages
+    system.spcm._free[PAGE]._marks[0] = min(pages) + 1
 
 
 def mint_drams(system, manager, seg):
@@ -147,7 +152,7 @@ CORRUPTIONS = [
     ),
     pytest.param(invent_resident, "managers", id="phantom-resident"),
     pytest.param(drift_spcm_pool, "spcm_pool", id="spcm-pool-drift"),
-    pytest.param(unsort_pool, "spcm_pool", id="unsorted-pool"),
+    pytest.param(hide_free_page, "spcm_pool", id="hidden-free-page"),
     pytest.param(mint_drams, "market", id="minted-drams"),
 ]
 
@@ -225,6 +230,22 @@ def test_retired_frames_sweep_clean(world):
     kernel.reference(seg, 15 * PAGE)  # the refault the kernel's ECC path runs
     assert checker.violations() == []
     kernel.check_frame_conservation()
+
+
+def test_retired_free_slot_frame_leaves_no_phantom_slot():
+    """Retiring the frame in a manager's free slot empties that slot, so
+    the sweep is clean and the next fault takes a slot that has a frame."""
+    system = build_system(memory_mb=8, manager_frames=16)
+    kernel, manager = system.kernel, system.default_manager
+    slot = manager._free_slots[-1]
+    kernel.retire_frame(manager.free_segment.pages[slot])
+    assert slot not in manager._free_slots
+    assert slot in manager._empty_slots
+    assert InvariantChecker(kernel).violations() == []
+    app = kernel.create_segment(4, name="app", manager=manager)
+    frame = kernel.reference(app, 0, write=True)
+    assert app.pages[0] is frame
+    assert InvariantChecker(kernel).violations() == []
 
 
 def test_cold_failover_sweeps_clean(world):
