@@ -9,6 +9,12 @@ Resources are arbitrary hashable names arranged by the caller into a
 hierarchy (database -> relation -> page); :meth:`LockManager.acquire`
 checks that a parent intention lock is held before granting a child lock,
 enforcing the protocol the invariants test.
+
+Every grant decision is a few integer operations.  Each mode carries a
+bit, the mask of the modes it conflicts with and the mask of the modes it
+covers, all derived once from Gray's matrix; each lock state counts its
+holders per mode and keeps the mask of the modes granted.  A state exists
+only while its resource is held or waited for.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Hashable
 
 from repro.errors import DeadlockError, LockProtocolError
@@ -27,13 +34,26 @@ Resource = Hashable
 
 
 class LockMode(Enum):
-    """Gray's hierarchical lock modes."""
+    """Gray's hierarchical lock modes, weakest first.
+
+    Each member also carries its per-mode data, set once below from
+    :data:`_COMPAT`: ``_index``, ``_bit``, ``_conflicts`` (the bits of the
+    modes it cannot be granted alongside), ``_covers`` (the bits of the
+    modes it is at least as strong as) and ``_intention`` (the mode a
+    parent must be held in before a child is locked in this one).
+    """
 
     IS = "IS"
     IX = "IX"
     S = "S"
     SIX = "SIX"
     X = "X"
+
+    _index: int
+    _bit: int
+    _conflicts: int
+    _covers: int
+    _intention: LockMode
 
 
 #: Gray's compatibility matrix.
@@ -45,31 +65,40 @@ _COMPAT: dict[LockMode, set[LockMode]] = {
     LockMode.X: set(),
 }
 
-#: mode strength for upgrades (combine(m1, m2) = the weakest mode at least
-#: as strong as both)
-_COMBINE: dict[frozenset[LockMode], LockMode] = {}
-for _m in LockMode:
-    _COMBINE[frozenset({_m})] = _m
-_COMBINE[frozenset({LockMode.IS, LockMode.IX})] = LockMode.IX
-_COMBINE[frozenset({LockMode.IS, LockMode.S})] = LockMode.S
-_COMBINE[frozenset({LockMode.IS, LockMode.SIX})] = LockMode.SIX
-_COMBINE[frozenset({LockMode.IS, LockMode.X})] = LockMode.X
-_COMBINE[frozenset({LockMode.IX, LockMode.S})] = LockMode.SIX
-_COMBINE[frozenset({LockMode.IX, LockMode.SIX})] = LockMode.SIX
-_COMBINE[frozenset({LockMode.IX, LockMode.X})] = LockMode.X
-_COMBINE[frozenset({LockMode.S, LockMode.SIX})] = LockMode.SIX
-_COMBINE[frozenset({LockMode.S, LockMode.X})] = LockMode.X
-_COMBINE[frozenset({LockMode.SIX, LockMode.X})] = LockMode.X
+for _index, _mode in enumerate(LockMode):
+    _mode._index = _index
+    _mode._bit = 1 << _index
+for _mode in LockMode:
+    _mode._conflicts = sum(m._bit for m in LockMode if m not in _COMPAT[_mode])
+for _mode in LockMode:
+    # a mode is at least as strong as every mode whose conflicts it shares
+    _mode._covers = sum(
+        m._bit for m in LockMode if not m._conflicts & ~_mode._conflicts
+    )
+for _mode in LockMode:
+    # reading modes (those S covers) need IS on the parent; the rest IX
+    _mode._intention = (
+        LockMode.IS if LockMode.S._covers & _mode._bit else LockMode.IX
+    )
+
+_N_MODES = len(LockMode)
+
+#: covers mask -> the weakest mode covering all of it (members are listed
+#: weakest first, so the first that covers the mask is the least one)
+_LEAST_COVERING: list[LockMode] = [
+    next(m for m in LockMode if not mask & ~m._covers)
+    for mask in range(1 << _N_MODES)
+]
 
 
 def compatible(requested: LockMode, held: LockMode) -> bool:
     """True when ``requested`` can be granted alongside ``held``."""
-    return held in _COMPAT[requested]
+    return not requested._conflicts & held._bit
 
 
 def combine(a: LockMode, b: LockMode) -> LockMode:
     """The weakest mode at least as strong as both ``a`` and ``b``."""
-    return _COMBINE[frozenset({a, b})]
+    return _LEAST_COVERING[a._covers | b._covers]
 
 
 @dataclass
@@ -85,23 +114,40 @@ class Transaction:
     def holds_at_least(self, resource: Resource, mode: LockMode) -> bool:
         """True when the held mode is at least as strong as ``mode``."""
         held = self.held.get(resource)
-        return held is not None and combine(held, mode) == held
+        return held is not None and bool(held._covers & mode._bit)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Waiter:
     txn: Transaction
+    #: the mode ``txn`` already holds (an upgrade), or None
+    held: LockMode | None
     mode: LockMode
     event: SimEvent
-    enqueued_at: float
 
 
 class _LockState:
-    __slots__ = ("granted", "queue")
+    __slots__ = ("granted", "counts", "mask", "queue")
 
     def __init__(self) -> None:
         self.granted: dict[int, tuple[Transaction, LockMode]] = {}
+        #: holders per mode index
+        self.counts = [0] * _N_MODES
+        #: bits of the modes granted to anyone
+        self.mask = 0
         self.queue: deque[_Waiter] = deque()
+
+    def others(self, held: LockMode | None) -> int:
+        """Bits of the modes granted to everyone but a holder of ``held``."""
+        if held is None or self.counts[held._index] > 1:
+            return self.mask
+        return self.mask & ~held._bit
+
+    def drop(self, mode: LockMode) -> None:
+        """Count one holder of ``mode`` fewer."""
+        self.counts[mode._index] -= 1
+        if not self.counts[mode._index]:
+            self.mask &= ~mode._bit
 
 
 class LockManager:
@@ -112,33 +158,30 @@ class LockManager:
         self._locks: dict[Resource, _LockState] = {}
         #: resource -> parent resource (for protocol checking)
         self._parent: dict[Resource, Resource] = {}
-        #: txn_id -> (resource, mode) it is blocked on (waits-for graph)
-        self._waiting_on: dict[int, tuple[Resource, LockMode]] = {}
+        #: txn_id -> (state, waiter) it is queued as (waits-for graph)
+        self._waiting_on: dict[int, tuple[_LockState, _Waiter]] = {}
         self.grants = 0
         self.waits = 0
         self.deadlocks_detected = 0
 
     # -- hierarchy ------------------------------------------------------------
 
-    def declare_child(self, parent: Resource, child: Resource) -> None:
-        """Register ``child`` under ``parent`` in the lock hierarchy."""
-        if child == parent:
+    def declare_child(self, parent: Resource, *children: Resource) -> None:
+        """Register each of ``children`` under ``parent`` in the lock
+        hierarchy."""
+        if parent in children:
             raise LockProtocolError("a resource cannot be its own parent")
-        self._parent[child] = parent
+        self._parent.update(dict.fromkeys(children, parent))
 
-    def _required_parent_mode(self, mode: LockMode) -> LockMode:
-        """Intention mode a parent must carry for a child lock in ``mode``."""
-        if mode in (LockMode.IS, LockMode.S):
-            return LockMode.IS
-        return LockMode.IX
-
-    def _check_protocol(self, txn: Transaction, resource: Resource, mode: LockMode) -> None:
+    def _check_protocol(
+        self, txn: Transaction, resource: Resource, mode: LockMode
+    ) -> None:
         parent = self._parent.get(resource)
         if parent is None:
             return
-        needed = self._required_parent_mode(mode)
+        needed = mode._intention
         held = txn.held.get(parent)
-        if held is None or combine(held, needed) != held:
+        if held is None or not held._covers & needed._bit:
             raise LockProtocolError(
                 f"txn {txn.txn_id} requests {mode.value} on {resource!r} "
                 f"without {needed.value} (or stronger) on parent {parent!r}"
@@ -153,105 +196,133 @@ class LockManager:
         simulation process.
         """
         self._check_protocol(txn, resource, mode)
-        state = self._locks.setdefault(resource, _LockState())
         current = txn.held.get(resource)
-        wanted = mode if current is None else combine(current, mode)
-        if current is not None and wanted == current:
-            return  # already strong enough
-        if self._grantable(state, txn, wanted, upgrade=current is not None):
-            self._grant(state, txn, resource, wanted)
+        if current is None:
+            wanted = mode
+        else:
+            wanted = _LEAST_COVERING[current._covers | mode._covers]
+            if wanted is current:
+                return  # already strong enough
+        state = self._locks.get(resource)
+        if state is None:
+            state = self._locks[resource] = _LockState()
+        if current is None:
+            # strict FIFO for fresh requests; upgrades pass the queue
+            blocked = state.queue or state.mask & wanted._conflicts
+        else:
+            blocked = state.others(current) & wanted._conflicts
+        if not blocked:
+            self._grant(state, txn, resource, current, wanted)
             return
-        if self._would_deadlock(txn, resource, wanted):
+        if self._would_deadlock(txn, state, wanted, current is not None):
             self.deadlocks_detected += 1
             raise DeadlockError(
                 f"txn {txn.txn_id} waiting for {resource!r} ({wanted.value}) "
                 "closes a waits-for cycle"
             )
-        event = SimEvent(self.engine)
-        waiter = _Waiter(txn, wanted, event, self.engine.now)
-        if current is not None:
+        waiter = _Waiter(txn, current, wanted, SimEvent(self.engine))
+        if current is None:
+            state.queue.append(waiter)
+        else:
             # upgrades go to the queue head: the holder cannot wait behind
             # requests that are themselves blocked on it
             state.queue.appendleft(waiter)
-        else:
-            state.queue.append(waiter)
         self.waits += 1
         txn.lock_waits += 1
-        self._waiting_on[txn.txn_id] = (resource, wanted)
+        self._waiting_on[txn.txn_id] = (state, waiter)
         started = self.engine.now
-        try:
-            yield Wait(event)
-        finally:
-            self._waiting_on.pop(txn.txn_id, None)
+        yield Wait(waiter.event)
         txn.lock_wait_us += self.engine.now - started
-        # _grant was performed by the releaser before firing the event
+        # _wake_queue granted the lock before firing the event
 
     def _would_deadlock(
-        self, txn: Transaction, resource: Resource, mode: LockMode
-    ) -> bool:
-        """DFS over the waits-for graph: would blocking ``txn`` on
-        ``resource`` close a cycle back to itself?"""
-        state = self._locks.get(resource)
-        if state is None:
-            return False
-        frontier = [
-            holder
-            for holder_id, (holder, held_mode) in state.granted.items()
-            if holder_id != txn.txn_id and not compatible(mode, held_mode)
-        ]
-        seen: set[int] = set()
-        while frontier:
-            blocker = frontier.pop()
-            if blocker.txn_id == txn.txn_id:
-                return True
-            if blocker.txn_id in seen:
-                continue
-            seen.add(blocker.txn_id)
-            waiting = self._waiting_on.get(blocker.txn_id)
-            if waiting is None:
-                continue
-            blocked_on, wanted_mode = waiting
-            blocked_state = self._locks.get(blocked_on)
-            if blocked_state is None:
-                continue
-            frontier.extend(
-                holder
-                for holder_id, (holder, held_mode)
-                in blocked_state.granted.items()
-                if holder_id != blocker.txn_id
-                and not compatible(wanted_mode, held_mode)
-            )
-        return False
-
-    def _grantable(
         self,
-        state: _LockState,
         txn: Transaction,
+        state: _LockState,
         mode: LockMode,
         upgrade: bool,
     ) -> bool:
-        if not upgrade and state.queue:
-            return False  # strict FIFO for fresh requests
-        return all(
-            compatible(mode, held_mode)
-            for holder_id, (_, held_mode) in state.granted.items()
-            if holder_id != txn.txn_id
-        )
+        """Would queueing ``txn`` for ``mode`` on ``state`` close a
+        waits-for cycle back to itself?
+
+        A waiter waits for every waiter queued ahead of it, and for every
+        holder that conflicts with its own mode or with a mode queued
+        ahead (those waiters are granted first).  So the waiter at queue
+        position k reaches exactly the holders that conflict with a mode
+        at positions 0..k, and the search expands each queue prefix once.
+        ``txn`` would join at the head of the queue when upgrading, so
+        every waiter already there would wait for it, and at the tail
+        otherwise.
+        """
+        me = txn.txn_id
+        conflicts = mode._conflicts
+        if not upgrade:
+            for waiter in state.queue:
+                if not state.mask & ~conflicts:
+                    break  # every holder is reached already
+                conflicts |= waiter.mode._conflicts
+        frontier = [
+            holder
+            for holder_id, (holder, held) in state.granted.items()
+            if held._bit & conflicts and holder_id != me
+        ]
+        seen: set[int] = set()
+        #: state -> length of its queue prefix expanded so far
+        expanded: dict[_LockState, int] = {}
+        while frontier:
+            blocker = frontier.pop()
+            blocker_id = blocker.txn_id
+            if blocker_id == me:
+                return True
+            if blocker_id in seen:
+                continue
+            seen.add(blocker_id)
+            waiting = self._waiting_on.get(blocker_id)
+            if waiting is None:
+                continue
+            blocked_state, target = waiting
+            if blocked_state is state:
+                if upgrade:
+                    return True  # it queues behind txn
+                continue  # the whole queue was expanded above
+            # the waiters in an expanded prefix are all seen, so ``target``
+            # lies past it
+            position = expanded.get(blocked_state, 0)
+            conflicts = 0
+            for waiter in islice(blocked_state.queue, position, None):
+                conflicts |= waiter.mode._conflicts
+                seen.add(waiter.txn.txn_id)
+                position += 1
+                if waiter is target:
+                    break
+            expanded[blocked_state] = position
+            frontier.extend(
+                holder
+                for holder, held in blocked_state.granted.values()
+                if held._bit & conflicts
+            )
+        return False
 
     def _grant(
         self,
         state: _LockState,
         txn: Transaction,
         resource: Resource,
+        held: LockMode | None,
         mode: LockMode,
     ) -> None:
+        """Grant ``mode`` to ``txn``, replacing the ``held`` mode if any."""
+        if held is not None:
+            state.drop(held)
+        state.counts[mode._index] += 1
+        state.mask |= mode._bit
         state.granted[txn.txn_id] = (txn, mode)
         txn.held[resource] = mode
         self.grants += 1
 
     def release_all(self, txn: Transaction) -> None:
         """Two-phase release: drop every lock the transaction holds."""
-        for resource in list(txn.held):
+        for resource in txn.held:
             self._release(txn, resource)
         txn.held.clear()
 
@@ -261,27 +332,24 @@ class LockManager:
             raise LockProtocolError(
                 f"txn {txn.txn_id} releases {resource!r} it does not hold"
             )
-        del state.granted[txn.txn_id]
-        self._wake_queue(state, resource)
+        state.drop(state.granted.pop(txn.txn_id)[1])
+        if state.queue:
+            self._wake_queue(state, resource)
+        elif not state.granted:
+            del self._locks[resource]
 
     def _wake_queue(self, state: _LockState, resource: Resource) -> None:
-        while state.queue:
-            waiter = state.queue[0]
-            upgrade = waiter.txn.txn_id in state.granted
-            if not all(
-                compatible(waiter.mode, held_mode)
-                for holder_id, (_, held_mode) in state.granted.items()
-                if holder_id != waiter.txn.txn_id
-            ):
+        """Grant waiters in FIFO order while the head fits the other
+        holders."""
+        queue = state.queue
+        while queue:
+            waiter = queue[0]
+            if state.others(waiter.held) & waiter.mode._conflicts:
                 return
-            state.queue.popleft()
-            self._grant(state, waiter.txn, resource, waiter.mode)
+            queue.popleft()
+            del self._waiting_on[waiter.txn.txn_id]
+            self._grant(state, waiter.txn, resource, waiter.held, waiter.mode)
             waiter.event.fire(waiter.mode)
-            if waiter.mode is LockMode.X or (
-                upgrade and waiter.mode is LockMode.SIX
-            ):
-                # an exclusive grant blocks everything behind it
-                return
 
     # -- introspection ---------------------------------------------------------
 

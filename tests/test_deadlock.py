@@ -93,6 +93,38 @@ class TestDeadlockDetection:
         engine.run()
         assert deadlocks == [2]
 
+    def test_cycle_through_fifo_queue_detected(self, world):
+        """A fresh request queued behind a waiter also waits for it.
+
+        T2's IS on ``a`` fits T1's IS but queues behind T3's X, which
+        waits for T1; T1 then asks for ``b``, held by T2.  No holder edge
+        closes the cycle, only the queue order does.
+        """
+        engine, locks = world
+        deadlocks = []
+        done = []
+
+        def txn_proc(i, steps):
+            txn = Transaction(i)
+            try:
+                for delay, resource, mode in steps:
+                    yield Delay(delay)
+                    yield from locks.acquire(txn, resource, mode)
+                yield Delay(5)
+                done.append(i)
+            except DeadlockError:
+                deadlocks.append(i)
+            locks.release_all(txn)
+
+        engine.spawn(txn_proc(1, [(0, "a", LockMode.IS), (3, "b", LockMode.X)]))
+        engine.spawn(txn_proc(2, [(0, "b", LockMode.IS), (2, "a", LockMode.IS)]))
+        engine.spawn(txn_proc(3, [(1, "a", LockMode.X)]))
+        engine.run()
+        assert deadlocks == [1]  # exactly one victim breaks the cycle
+        assert locks.deadlocks_detected == 1
+        assert sorted(done) == [2, 3]
+        assert engine.blocked_processes() == []
+
     def test_plain_contention_is_not_flagged(self, world):
         engine, locks = world
 

@@ -168,6 +168,44 @@ class TestAcquireRelease:
         engine.run()
         assert events == [30]
 
+    def test_six_upgrade_wakes_compatible_waiters_behind_it(self, world):
+        """An S->SIX upgrade granted at a release must not hold back an IS
+        waiter queued behind it: IS fits alongside SIX."""
+        engine, locks = world
+        granted = {}
+
+        def proc(i, steps, hold):
+            txn = Transaction(i)
+            for delay, mode in steps:
+                yield Delay(delay)
+                yield from locks.acquire(txn, "r", mode)
+                granted[i, mode] = engine.now
+            yield Delay(hold)
+            locks.release_all(txn)
+
+        run_txn(engine, proc(1, [(0, LockMode.S), (1, LockMode.IX)], 100))
+        run_txn(engine, proc(4, [(0, LockMode.S)], 10))
+        run_txn(engine, proc(5, [(2, LockMode.IS)], 0))
+        engine.run()
+        assert granted[1, LockMode.IX] == 10.0
+        assert granted[5, LockMode.IS] == 10.0
+        assert locks.holders("r") == {}
+
+    def test_idle_lock_state_is_dropped(self, world):
+        engine, locks = world
+
+        def proc(i):
+            txn = Transaction(i)
+            yield from locks.acquire(txn, "r", LockMode.X)
+            yield Delay(5)
+            locks.release_all(txn)
+
+        run_txn(engine, proc(1))
+        run_txn(engine, proc(2))
+        engine.run()
+        assert locks.grants == 2 and locks.waits == 1
+        assert locks._locks == {}
+
     def test_release_unheld_rejected(self, world):
         _, locks = world
         txn = Transaction(1)
@@ -258,6 +296,29 @@ class TestHierarchyProtocol:
         _, locks = world
         with pytest.raises(LockProtocolError):
             locks.declare_child("a", "a")
+
+    def test_bulk_declaration_checks_every_child(self, world):
+        engine, locks = world
+        with pytest.raises(LockProtocolError):
+            locks.declare_child("a", "b", "a")
+        pages = [("page", "t", n) for n in range(3)]
+        locks.declare_child(("rel", "t"), *pages)
+        outcomes = []
+
+        def writer(page):
+            txn = Transaction(page[2])
+            yield from locks.acquire(txn, ("rel", "t"), LockMode.IX)
+            yield from locks.acquire(txn, page, LockMode.X)
+            locks.release_all(txn)
+            try:
+                yield from locks.acquire(txn, page, LockMode.X)
+            except LockProtocolError:
+                outcomes.append(page)
+
+        for page in pages:
+            run_txn(engine, writer(page))
+        engine.run()
+        assert outcomes == pages
 
 
 class TestTheCouplingTable4DependsOn:

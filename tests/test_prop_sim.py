@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbms.locking import LockManager, LockMode, Transaction, combine, compatible
+from repro.errors import DeadlockError
 from repro.sim.engine import Engine
 from repro.sim.process import Acquire, Delay
 
@@ -111,3 +112,61 @@ def test_granted_sets_are_pairwise_compatible(requests):
     engine.run()
     # everything drained: no leaked grants
     assert locks.holders("r") == {}
+
+
+#: one transaction: (delay before the request, resource, mode) steps; a
+#: resource named twice makes an upgrade
+lock_plans = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from("abc"), modes),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=2,
+    max_size=5,
+)
+
+
+def _check_lock_table(locks: LockManager) -> None:
+    for resource, state in locks._locks.items():
+        assert state.granted or state.queue, f"idle state kept for {resource!r}"
+        holders = locks.holders(resource)
+        for a_id, a_mode in holders.items():
+            for b_id, b_mode in holders.items():
+                if a_id != b_id:
+                    assert compatible(a_mode, b_mode)
+        if state.queue:
+            head = state.queue[0]
+            assert any(
+                not compatible(head.mode, mode)
+                for tid, mode in holders.items()
+                if tid != head.txn.txn_id
+            ), f"lost wakeup: the head of {resource!r} fits its holders"
+
+
+@given(lock_plans)
+@settings(max_examples=200)
+def test_lock_table_under_random_schedules(plans):
+    """Random schedules of 2-5 transactions over three resources, with
+    upgrades and deadlock victims that abort: after every event no idle
+    state is kept, grants are pairwise compatible and no queue head fits
+    its holders; at the end nothing is blocked and no state is left."""
+    engine = Engine()
+    locks = LockManager(engine)
+
+    def proc(txn, plan):
+        try:
+            for delay, resource, mode in plan:
+                yield Delay(delay)
+                yield from locks.acquire(txn, resource, mode)
+            yield Delay(1)
+        except DeadlockError:
+            pass  # the victim aborts
+        locks.release_all(txn)
+
+    engine.add_tick_hook(lambda: _check_lock_table(locks))
+    for txn_id, plan in enumerate(plans):
+        engine.spawn(proc(Transaction(txn_id), plan))
+    engine.run()
+    assert engine.blocked_processes() == []
+    assert locks._locks == {}
