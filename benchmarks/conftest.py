@@ -57,4 +57,4 @@ def _obs_trace(request: pytest.FixtureRequest):
         out_dir = Path(request.config.getoption("--trace-dir"))
         out_dir.mkdir(parents=True, exist_ok=True)
         safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", request.node.nodeid)
-        write_jsonl(tracer, out_dir / f"{safe}.jsonl")
+        write_jsonl(tracer.spans + tracer.events, out_dir / f"{safe}.jsonl")

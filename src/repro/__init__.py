@@ -23,7 +23,7 @@ Quick start::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chaos.injector import NULL_INJECTOR
 from repro.core.kernel import Kernel
@@ -31,7 +31,7 @@ from repro.core.uio import UIO, FileServer
 from repro.hw.costs import DECSTATION_5000_200, CostMeter, MachineCosts
 from repro.hw.disk import Disk
 from repro.hw.phys_mem import PhysicalMemory
-from repro.obs import MetricsRegistry, NULL_TRACER, NullTracer, Tracer
+from repro.obs import NULL_TRACER, NullTracer, Tracer
 from repro.obs.trace import get_global_tracer
 
 __version__ = "1.0.0"
@@ -49,7 +49,6 @@ class System:
     spcm: "object"
     default_manager: "object"
     tracer: "Tracer | NullTracer" = NULL_TRACER
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: the installed fault injector (the zero-overhead null one by default)
     injector: "object" = NULL_INJECTOR
     #: the installed continuous-telemetry collector, if any (see
@@ -63,10 +62,6 @@ class System:
     def meter(self) -> CostMeter:
         return self.kernel.meter
 
-    def metrics_snapshot(self) -> dict:
-        """One flat dict of every bound metric (see `repro.obs`)."""
-        return self.metrics.snapshot()
-
 
 def build_system(
     memory_mb: int = 32,
@@ -74,7 +69,6 @@ def build_system(
     page_size: int | None = None,
     manager_frames: int = 1024,
     tracer: "Tracer | NullTracer | None" = None,
-    metrics: MetricsRegistry | None = None,
     injector: "object | None" = None,
     n_nodes: int | None = None,
 ) -> System:
@@ -85,10 +79,7 @@ def build_system(
     extended UCDS) running as a separate server process.
 
     ``tracer`` defaults to the process-global tracer (the ``--trace``
-    benchmark harness installs one; otherwise tracing is off).  The
-    returned system's :class:`~repro.obs.MetricsRegistry` is pre-bound to
-    every component's existing accounting (cost meter, kernel stats, TLB,
-    disk, SPCM, default manager).
+    benchmark harness installs one; otherwise tracing is off).
 
     ``n_nodes`` splits physical memory over that many NUMA nodes (DASH
     style, paper S1): the kernel becomes placement-aware and the SPCM
@@ -123,15 +114,6 @@ def build_system(
     # the default manager is the paper's safety net: faults of a failed
     # application manager are failed over here (chaos degradation paths)
     kernel.supervisor.fallback = default_manager
-    registry = metrics if metrics is not None else MetricsRegistry()
-    registry.bind("kernel.cost_us", kernel.meter.snapshot)
-    # through the kernel: workload runners swap in a fresh KernelStats
-    registry.bind("kernel", lambda: kernel.stats.as_dict())
-    registry.bind("tlb", kernel.tlb.stats.as_dict)
-    registry.bind("disk", disk.stats.as_dict)
-    registry.bind("spcm", spcm.stats_dict)
-    registry.bind("default_manager", default_manager.stats_dict)
-    registry.bind("file_server", file_server.stats_dict)
     system = System(
         memory=memory,
         kernel=kernel,
@@ -141,7 +123,6 @@ def build_system(
         spcm=spcm,
         default_manager=default_manager,
         tracer=tracer,
-        metrics=registry,
     )
     if injector is not None:
         injector.install(system)

@@ -137,13 +137,12 @@ def main(argv: list[str] | None = None) -> int:
             + slo_note
         )
     if args.telemetry_out and last_result is not None:
-        from repro.obs.telemetry import write_jsonl
+        from repro.obs.export import write_jsonl
 
         if last_result.telemetry is not None:
             write_jsonl(
-                last_result.telemetry,
+                last_result.telemetry.samples() + last_result.alerts,
                 args.telemetry_out,
-                alerts=last_result.alerts,
             )
             print(
                 f"wrote {args.telemetry_out} "

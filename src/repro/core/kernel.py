@@ -126,7 +126,7 @@ class KernelStats:
     tenant_fault_us: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, float]:
-        """Flat scalar view for :class:`repro.obs.MetricsRegistry`."""
+        """Flat scalar view for the verify state digest and chaos results."""
         out: dict[str, float] = {
             "references": float(self.references),
             "faults": float(self.faults),

@@ -146,17 +146,6 @@ class FileServer:
                         backoff,
                     )
 
-    def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        return {
-            "files": float(len(self._files)),
-            "io_retries": float(self.io_retries),
-            "io_errors": float(self.io_errors),
-            "io_backoff_us": self.io_backoff_us,
-            "io_retry_caps": float(self.io_retry_caps),
-            "io_exhausted": float(self.io_exhausted),
-        }
-
     def create_file(
         self, segment: Segment, size_bytes: int = 0, data: bytes | None = None
     ) -> CachedFile:

@@ -27,16 +27,6 @@ class CacheStats:
     misses: int = 0
     conflict_evictions: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        return {
-            "accesses": float(self.accesses),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "conflict_evictions": float(self.conflict_evictions),
-            "miss_rate": self.miss_rate,
-        }
-
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0

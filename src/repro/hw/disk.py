@@ -27,17 +27,6 @@ class DiskStats:
     #: transient errors surfaced to callers (chaos injection only)
     errors: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        return {
-            "reads": float(self.reads),
-            "writes": float(self.writes),
-            "bytes_read": float(self.bytes_read),
-            "bytes_written": float(self.bytes_written),
-            "busy_us": self.busy_us,
-            "errors": float(self.errors),
-        }
-
 
 class Disk:
     """A simple block device: ``block_size``-byte blocks, lazily zero-filled."""

@@ -29,16 +29,6 @@ class TLBStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        return {
-            "lookups": float(self.lookups),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "flushes": float(self.flushes),
-        }
-
 
 class TLB:
     """A fully-associative, LRU-replacement translation lookaside buffer."""

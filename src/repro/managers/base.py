@@ -270,18 +270,6 @@ class GenericSegmentManager(SegmentManager):
         (a no-op unless the SPCM runs a market)."""
         return self.spcm.charge_io(self, n_bytes)
 
-    def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        return {
-            "faults_handled": float(self.faults_handled),
-            "fast_reclaims": float(self.fast_reclaims),
-            "pages_reclaimed": float(self.pages_reclaimed),
-            "writebacks": float(self.writebacks),
-            "free_frames": float(self.free_frames),
-            "resident_pages": float(len(self._resident)),
-            "duplicate_deliveries": float(self.duplicate_deliveries),
-        }
-
     # ------------------------------------------------------------------
     # crash recovery (checkpoint serialization + journal replay)
     # ------------------------------------------------------------------

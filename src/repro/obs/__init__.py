@@ -1,4 +1,4 @@
-"""repro.obs: unified tracing, metrics, and fault-path profiling.
+"""repro.obs: unified tracing, telemetry, and fault-path profiling.
 
 The observability layer for the reproduction (see DESIGN.md):
 
@@ -6,14 +6,15 @@ The observability layer for the reproduction (see DESIGN.md):
   used by the Figure-2 :class:`~repro.core.faults.FaultTrace`);
 * :mod:`repro.obs.trace` --- the :class:`Tracer` (nested spans over
   simulated time) and the zero-overhead :data:`NULL_TRACER`;
-* :mod:`repro.obs.metrics` --- the :class:`MetricsRegistry` of counters,
-  gauges, and :class:`~repro.sim.stats.Tally`-backed histograms;
-* :mod:`repro.obs.export` --- JSONL dump/load, flamegraph-style trees,
-  and per-phase fault-latency breakdowns;
+* :mod:`repro.obs.export` --- the one JSONL reader and writer (span,
+  event, sample and alert records), flamegraph-style trees, and
+  per-phase fault-latency breakdowns;
 * :mod:`repro.obs.telemetry` --- continuous sim-time gauge sampling over
-  a ring buffer (:class:`TelemetryCollector`);
-* :mod:`repro.obs.critical_path` --- critical-path extraction and
-  conservative latency attribution over span trees;
+  a ring buffer (:class:`TelemetryCollector`), the one registry of named
+  values;
+* :mod:`repro.obs.critical_path` --- :class:`SpanTree`, the one set of
+  span-tree queries, plus critical-path extraction and conservative
+  latency attribution;
 * :mod:`repro.obs.slo` --- :class:`SLOWatchdog` structured alerting;
 * :mod:`repro.obs.dashboard` --- ``python -m repro top``;
 * :mod:`repro.obs.cli` --- ``python -m repro trace <target>``.
@@ -27,7 +28,6 @@ from repro.obs.critical_path import (
     attribute,
     critical_path,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.records import SpanRecord, TraceStep
 from repro.obs.slo import Alert, SLOPolicy, SLOWatchdog
 from repro.obs.telemetry import (
@@ -46,10 +46,6 @@ from repro.obs.trace import (
 __all__ = [
     "Alert",
     "Attribution",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "PathStep",

@@ -6,7 +6,7 @@ Targets:
   paper's Figure-2 sequence, rendered as a flamegraph-style span tree
   plus a per-phase latency breakdown.
 * ``table1`` --- the Table-1 primitive measurements, run with tracing
-  and metrics on; ``--json`` writes the machine-readable results (the
+  on; ``--json`` writes the machine-readable results (the
   file committed as ``BENCH_table1.json``).
 
 ``--out FILE`` additionally dumps the raw trace as JSONL (one span or
@@ -50,10 +50,7 @@ def _trace_figure2(tracer: Tracer) -> str:
     delta = kernel.meter.total_us - before
 
     lines = ["Figure 2: external page-cache fault handling", ""]
-    for root in tracer.roots():
-        lines.append(render_flame(tracer, root))
-    lines.append("")
-    lines.append(render_breakdown(tracer))
+    lines += [render_flame(tracer), "", render_breakdown(tracer)]
     tree = SpanTree(tracer.spans)
     for root in tree.roots():
         lines.append("")
@@ -142,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         report = _trace_table1(tracer, args.json)
     print(report)
     if args.out:
-        write_jsonl(tracer, args.out)
+        write_jsonl(tracer.spans + tracer.events, args.out)
         print(f"wrote {args.out} ({len(tracer.spans)} spans, "
               f"{len(tracer.events)} events)")
     return 0

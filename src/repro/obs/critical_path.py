@@ -5,9 +5,9 @@ bookkeeping vs. manager policy vs. IPC control transfer vs. disk vs.
 zeroing.  This module turns a collected (or replayed) span tree into
 exactly that decomposition:
 
-* :class:`SpanTree` --- tree queries (children, self-time, walk) over a
-  bare ``list[SpanRecord]``, so analysis works on live tracers and on
-  JSONL replays alike;
+* :class:`SpanTree` --- the span-tree queries (roots, children,
+  self-time, walk) over a bare ``list[SpanRecord]``, so analysis and the
+  exporters' renderings work on live tracers and on JSONL replays alike;
 * :func:`critical_path` --- the chain of dominant spans from a root to a
   leaf: at every level the child that consumed the most simulated time;
 * :func:`attribute` --- per-component attribution of a root span's whole
@@ -59,6 +59,14 @@ def classify_span(span: SpanRecord) -> str:
 def classify_event(event: TraceStep) -> str | None:
     """The bucket an event's cost re-attributes to, or ``None``."""
     return EVENT_BUCKETS.get(event.actor)
+
+
+def events_by_span(events: Iterable[TraceStep]) -> dict:
+    """Events grouped by the span they were emitted in, in emission order."""
+    grouped: dict[int | None, list[TraceStep]] = {}
+    for event in events:
+        grouped.setdefault(event.span_id, []).append(event)
+    return grouped
 
 
 class SpanTree:
@@ -167,14 +175,12 @@ def attribute(
     float addition), whatever the tree shape --- the property the
     Figure-2 tests assert for every traced fault and failover.
     """
-    events_by_span: dict[int | None, list[TraceStep]] = {}
-    for event in events:
-        events_by_span.setdefault(event.span_id, []).append(event)
+    grouped = events_by_span(events)
     attribution = Attribution(root)
     buckets = attribution.buckets
     for span in tree.walk(root):
         remaining = tree.self_us(span)
-        for event in events_by_span.get(span.span_id, ()):
+        for event in grouped.get(span.span_id, ()):
             bucket = classify_event(event)
             if bucket is None or event.cost_us <= 0:
                 continue

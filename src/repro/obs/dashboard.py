@@ -20,12 +20,12 @@ import re
 import sys
 from typing import Iterable, Sequence
 
-from repro.obs.slo import SLOPolicy, SLOWatchdog
+from repro.obs.export import read_jsonl
+from repro.obs.slo import Alert, SLOPolicy, SLOWatchdog
 from repro.obs.telemetry import (
     TelemetryCollector,
     TelemetrySample,
     install_telemetry,
-    read_jsonl,
 )
 
 #: eight-level bar glyphs for sparklines (space = no data)
@@ -74,7 +74,7 @@ def _fmt(value: float) -> str:
 
 def render_frame(
     samples: Sequence[TelemetrySample],
-    alerts: Sequence = (),
+    alerts: Sequence[Alert] = (),
     width: int = 78,
     spark_width: int = 30,
 ) -> str:
@@ -155,12 +155,11 @@ def render_frame(
     if alerts:
         lines.append("alerts")
         for alert in list(alerts)[-5:]:
-            a = alert if isinstance(alert, dict) else alert.to_dict()
             lines.append(
-                f"  [{a['severity']:<8}] t={_fmt(a['t_us'])} us"
-                f"  {a['name']}: {_fmt(a['value'])}"
-                f" > {_fmt(a['threshold'])}"
-                + (f"  ({a['detail']})" if a.get("detail") else "")
+                f"  [{alert.severity:<8}] t={_fmt(alert.t_us)} us"
+                f"  {alert.name}: {_fmt(alert.value)}"
+                f" > {_fmt(alert.threshold)}"
+                + (f"  ({alert.detail})" if alert.detail else "")
             )
     return "\n".join(line[:width] for line in lines)
 
@@ -241,8 +240,12 @@ def main(argv: list[str] | None = None) -> int:
         and sys.stdout.isatty()
     )
     if args.replay is not None:
-        samples, alerts = read_jsonl(args.replay)
-        print(render_frame(samples, alerts, width=args.width))
+        try:
+            records = read_jsonl(args.replay)
+        except ValueError as exc:
+            print(f"repro top: {args.replay}: {exc}", file=sys.stderr)
+            return 2
+        print(render_frame(records.samples, records.alerts, width=args.width))
         return 0
 
     if ansi:

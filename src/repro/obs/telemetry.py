@@ -20,17 +20,16 @@ reproduction:
 
 Either way the timestamps are **simulated** microseconds and samples are
 stamped at the interval boundary they represent, so two identical runs
-produce byte-identical series.  :func:`write_jsonl` exports the buffer
-(plus any SLO alerts) alongside the trace schema; ``python -m repro top
---replay`` renders the file.
+produce byte-identical series.  :func:`repro.obs.export.write_jsonl`
+exports the buffer (plus any SLO alerts) alongside the trace schema;
+``python -m repro top --replay`` renders the file.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 #: Default sampling interval: one sample per simulated millisecond.
 DEFAULT_INTERVAL_US = 1000.0
@@ -320,54 +319,3 @@ def install_telemetry(
     collector.install(system)
     system.telemetry = collector
     return collector
-
-
-# ---------------------------------------------------------------------------
-# JSONL
-# ---------------------------------------------------------------------------
-
-
-def write_jsonl(
-    collector: TelemetryCollector, path, alerts: Iterable | None = None
-) -> None:
-    """Export the sample buffer (and optional SLO alerts) as JSONL.
-
-    Each line is one ``sample`` or ``alert`` record (schema in
-    :data:`repro.obs.export.JSONL_SCHEMA`); alerts are interleaved after
-    the samples, both already time-stamped in simulated microseconds.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in collector.samples():
-            fh.write(json.dumps(sample.to_dict(), sort_keys=True) + "\n")
-        for alert in alerts or ():
-            record = alert.to_dict() if hasattr(alert, "to_dict") else alert
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def read_jsonl(source: str | IO[str]) -> tuple[list[TelemetrySample], list]:
-    """Parse a telemetry JSONL file back into (samples, alert dicts).
-
-    Validates every record against the shared schema; span/event records
-    (a combined export) are tolerated and skipped.
-    """
-    from repro.obs.export import validate_record
-
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    samples: list[TelemetrySample] = []
-    alerts: list[dict] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = validate_record(json.loads(line))
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
-        if record["type"] == "sample":
-            samples.append(TelemetrySample.from_dict(record))
-        elif record["type"] == "alert":
-            alerts.append(record)
-    return samples, alerts

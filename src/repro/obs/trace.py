@@ -13,7 +13,8 @@ microseconds, normally the kernel cost meter's ``total_us`` --- so a
 span's duration *is* the simulated cost charged while it was open, and
 per-span self time (duration minus child durations) decomposes a page
 fault's total cost exactly (the Figure-2 / Table-1 property the
-integration tests assert).
+integration tests assert).  The tracer only emits; tree queries over its
+spans are :class:`~repro.obs.critical_path.SpanTree`'s.
 
 Tracing is off by default: components hold :data:`NULL_TRACER`, whose
 ``enabled`` flag is ``False`` and whose methods are no-ops returning a
@@ -145,12 +146,10 @@ class Tracer:
 
     def _close_span(self, live: _Span) -> None:
         # Tolerate out-of-order exits (generators, error unwinds): close
-        # everything above the span too.
-        while self._stack:
-            top = self._stack.pop()
-            top.record.t_end_us = self.now_us()
-            if top is live:
-                return
+        # everything above the span too.  A span such an exit already
+        # closed is off the stack, so its own late exit closes nothing.
+        while live in self._stack:
+            self._stack.pop().record.t_end_us = self.now_us()
 
     def event(self, actor: str, action: str, cost_us: float = 0.0) -> None:
         """Record one point event inside the current span (if any)."""
@@ -195,42 +194,10 @@ class Tracer:
         self._stack.clear()
         self._next_span_id = 1
 
-    # -- tree queries ----------------------------------------------------
-
     @property
     def current_span(self) -> SpanRecord | None:
         """The innermost open span, or ``None``."""
         return self._stack[-1].record if self._stack else None
-
-    def roots(self) -> list[SpanRecord]:
-        """Spans with no parent, in start order."""
-        return [s for s in self.spans if s.parent_id is None]
-
-    def children(self, span: SpanRecord) -> list[SpanRecord]:
-        """Direct children of ``span``, in start order."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def self_cost_us(self, span: SpanRecord) -> float:
-        """Span duration minus direct children's durations (own cost)."""
-        return span.duration_us - sum(
-            c.duration_us for c in self.children(span)
-        )
-
-    def walk(self, root: SpanRecord) -> list[tuple[SpanRecord, int]]:
-        """Depth-first (span, depth) pairs under (and including) ``root``."""
-        out: list[tuple[SpanRecord, int]] = []
-
-        def visit(span: SpanRecord, depth: int) -> None:
-            out.append((span, depth))
-            for child in self.children(span):
-                visit(child, depth + 1)
-
-        visit(root, 0)
-        return out
-
-    def events_in(self, span: SpanRecord) -> list[TraceStep]:
-        """Events emitted while ``span`` was the innermost open span."""
-        return [e for e in self.events if e.span_id == span.span_id]
 
 
 #: Process-wide tracer the benchmark harness toggles; ``build_system``

@@ -208,7 +208,7 @@ class RecoveryAuditor:
         return found
 
     def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics/telemetry provider."""
+        """Flat values for a telemetry provider."""
         return {
             "audits": float(self.audits),
             "repairs": float(self.repairs),

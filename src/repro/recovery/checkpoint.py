@@ -125,7 +125,7 @@ class CheckpointStore:
         return 0, None
 
     def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics/telemetry provider."""
+        """Flat values for a telemetry provider."""
         return {
             "taken": float(self.checkpoints_taken),
             "corrupt": float(self.corrupt_checkpoints),

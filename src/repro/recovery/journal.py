@@ -153,7 +153,7 @@ class RecoveryJournal:
         return records, torn
 
     def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics/telemetry provider."""
+        """Flat values for a telemetry provider."""
         return {
             "appends": float(self.appends),
             "size_bytes": float(self.size_bytes),

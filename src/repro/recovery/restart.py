@@ -233,7 +233,7 @@ class RecoveryCoordinator:
     # -- observability -------------------------------------------------
 
     def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics/telemetry provider."""
+        """Flat values for a telemetry provider."""
         out = {
             "warm_restarts": float(self.warm_restarts),
             "cold_fallbacks": float(self.cold_fallbacks),

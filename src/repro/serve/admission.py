@@ -121,14 +121,3 @@ class AdmissionController:
             return self._shed(tenant, wait_us, "admission")
         self.admitted += 1
         return None
-
-    def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        out = {
-            "admitted": float(self.admitted),
-            "shed": float(self.shed),
-            "tenants": float(len(self.buckets)),
-        }
-        for reason, n in sorted(self.shed_by_reason.items()):
-            out[f"shed.{reason}"] = float(n)
-        return out

@@ -111,12 +111,3 @@ class BatchScheduler:
                 if on_serviced is not None:
                     on_serviced(session, latency, ok)
         return serviced
-
-    def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        return {
-            "backlog": float(self.backlog),
-            "batches_flushed": float(self.batches_flushed),
-            "items_serviced": float(self.items_serviced),
-            "errors": float(self.errors),
-        }

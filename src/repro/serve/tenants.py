@@ -218,12 +218,6 @@ class ServingSystem:
 
     # -- observability -------------------------------------------------------
 
-    def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        out = self.admission.stats_dict()
-        out.update(self.scheduler.stats_dict())
-        return out
-
     def digest_rows(self) -> list:
         """Canonical per-tenant accounting rows (deterministic order)."""
         rows: list = [

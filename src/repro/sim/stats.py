@@ -76,24 +76,6 @@ class Tally:
         """A copy of every observation, in arrival order."""
         return list(self._values)
 
-    def summary(self) -> dict[str, float]:
-        """The distribution digest the exporters serialize.
-
-        Keys: ``count``, ``total``, ``mean``, ``min``, ``max``,
-        ``stddev``, ``p50``, ``p90``, ``p99``.
-        """
-        return {
-            "count": float(self.count),
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "stddev": self.stddev,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-        }
-
 
 @dataclass
 class UtilizationTracker:

@@ -35,8 +35,6 @@ class GlobalArbiter:
         #: (borrower_node, lender_node) -> frames granted across that edge
         self.loans: dict[tuple[int, int], int] = {}
         self.loans_brokered = 0
-        #: total drams moved between shard markets (sum of |transfer|/2)
-        self.drams_rebalanced = 0.0
         self.rebalance_rounds = 0
         #: account -> machine-wide frame-holding cap (the serving layer's
         #: per-tenant dram quota); absent accounts are unlimited
@@ -134,7 +132,6 @@ class GlobalArbiter:
                 if delta:
                     market.receive_transfer(name, delta)
                     moved += abs(delta) / 2.0
-        self.drams_rebalanced += moved
         return moved
 
     # -- observability ------------------------------------------------------
@@ -152,13 +149,3 @@ class GlobalArbiter:
                 for account, frames in sorted(self.quotas.items())
             ]
         )
-
-    def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        return {
-            "loans_brokered": float(self.loans_brokered),
-            "loan_edges": float(len(self.loans)),
-            "drams_rebalanced": self.drams_rebalanced,
-            "rebalance_rounds": float(self.rebalance_rounds),
-            "quota_accounts": float(len(self.quotas)),
-        }

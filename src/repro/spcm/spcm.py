@@ -132,15 +132,6 @@ class SPCMShard:
         held = self.frames_held.get(account, 0)
         self.frames_held[account] = max(0, held - n_frames)
 
-    def stats_dict(self) -> dict[str, float]:
-        """Flat per-shard counters for the metrics registry."""
-        return {
-            f"shard{self.node}.granted_frames": float(self.granted_frames),
-            f"shard{self.node}.local_grants": float(self.local_grants),
-            f"shard{self.node}.loaned_grants": float(self.loaned_grants),
-            f"shard{self.node}.retired_frames": float(self.retired_frames),
-        }
-
 
 class SystemPageCacheManager:
     """Allocates the frame pool among segment managers, shard by shard."""
@@ -210,8 +201,6 @@ class SystemPageCacheManager:
         self.quota_deferrals = 0
         #: recovery journal (NULL_JOURNAL until a coordinator installs one)
         self.journal = NULL_JOURNAL
-        #: warm-restarted managers re-attached to surviving accounting
-        self.reattached_managers = 0
         self.granted_frames = 0
         self.seized_frames = 0
         self.retired_frames = 0
@@ -326,27 +315,6 @@ class SystemPageCacheManager:
     def held_by(self, account: str) -> int:
         """Frames currently granted to ``account``."""
         return self.frames_held.get(account, 0)
-
-    def stats_dict(self) -> dict[str, float]:
-        """Flat values for a metrics-registry provider."""
-        out = {
-            "granted_frames": float(self.granted_frames),
-            "deferred_requests": float(self.deferred_requests),
-            "refused_requests": float(self.refused_requests),
-            "quota_deferrals": float(self.quota_deferrals),
-            "available_frames": float(self.available_frames()),
-            "seized_frames": float(self.seized_frames),
-            "retired_frames": float(self.retired_frames),
-            "reattached_managers": float(self.reattached_managers),
-            "n_shards": float(self.n_shards),
-            "local_grant_pages": float(self.local_grant_pages),
-            "remote_grant_pages": float(self.remote_grant_pages),
-        }
-        if self.n_shards > 1:
-            for shard in self.shards:
-                out.update(shard.stats_dict())
-            out.update(self.arbiter.stats_dict())
-        return out
 
     def dram_balance(self, account: str) -> float:
         """An account's machine-wide dram balance (all shard markets).
@@ -777,7 +745,6 @@ class SystemPageCacheManager:
         account = self.account_of(manager)
         self.frames_held.setdefault(account, 0)
         self.managers[manager.name] = manager
-        self.reattached_managers += 1
         if self.kernel.tracer.enabled:
             self.kernel.tracer.event(
                 "spcm",

@@ -11,8 +11,9 @@ from repro.obs.dashboard import (
     series,
     sparkline,
 )
+from repro.obs.export import write_jsonl
 from repro.obs.slo import Alert
-from repro.obs.telemetry import TelemetryCollector, write_jsonl
+from repro.obs.telemetry import TelemetryCollector
 
 
 class TestSparkline:
@@ -108,7 +109,7 @@ class TestReplay:
         collector, _ = _samples()
         alert = Alert("fault_p99_latency", "warning", 500.0, 9.0, 5.0)
         path = tmp_path / "telemetry.jsonl"
-        write_jsonl(collector, path, alerts=[alert])
+        write_jsonl(collector.samples() + [alert], path)
         assert main(["--replay", str(path)]) == 0
         out = capsys.readouterr().out
         assert "repro top" in out
@@ -120,6 +121,32 @@ class TestReplay:
         path.write_text("")
         assert main(["--replay", str(path)]) == 0
         assert "no telemetry samples yet" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"type": "sample", "t_us": 1.0, "values": {"a": null}}',
+            '{"type": "sample", "t_us": 1.0, "values": {"a": "x"}}',
+            '{"type": "sample", "t_us": 1.0',
+            '{"type": "bogus"}',
+            '{"type": "sample", "t_us": 1%s, "values": {}}' % ("0" * 400),
+        ],
+        ids=[
+            "null-value",
+            "string-value",
+            "truncated",
+            "unknown-type",
+            "time-beyond-float",
+        ],
+    )
+    def test_replay_of_invalid_file_exits_2(self, tmp_path, capsys, bad_line):
+        path = tmp_path / "bad.jsonl"
+        good = '{"type": "sample", "t_us": 0.0, "values": {"a": 1}}'
+        path.write_text(f"{good}\n{bad_line}\n")
+        assert main(["--replay", str(path), "--no-ansi"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro top: {path}: line 2: ")
 
 
 @pytest.mark.obs_smoke

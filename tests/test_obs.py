@@ -1,4 +1,4 @@
-"""The observability layer: tracer, metrics, exporters, integration.
+"""The observability layer: tracer, exporters, trace CLI, integration.
 
 The integration tests pin the property the layer exists for: a traced
 default-manager page fault yields exactly the Figure-2 span sequence,
@@ -14,16 +14,8 @@ import pytest
 
 from repro import build_system
 from repro.core.faults import FaultTrace, TraceStep
-from repro.obs import (
-    NULL_TRACER,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullTracer,
-    SpanRecord,
-    Tracer,
-)
+from repro.obs import NULL_TRACER, NullTracer, SpanTree, Tracer
+from repro.obs.critical_path import events_by_span
 from repro.obs.export import (
     fault_breakdown,
     read_jsonl,
@@ -81,9 +73,10 @@ class TestSpans:
         assert c.parent_id == b.span_id
         assert d.parent_id == a.span_id  # sibling of dispatch_fault
         assert all(s.closed for s in t.spans)
-        assert t.roots() == [a]
-        assert t.children(a) == [b, d]
-        assert [s.span_id for s, _ in t.walk(a)] == [1, 2, 3, 4]
+        tree = SpanTree(t.spans)
+        assert tree.roots() == [a]
+        assert tree.children(a) == [b, d]
+        assert [s.span_id for s in tree.walk(a)] == [1, 2, 3, 4]
 
     def test_clock_drives_durations_and_self_cost(self):
         now = [0.0]
@@ -96,8 +89,9 @@ class TestSpans:
         root, child = t.spans
         assert root.duration_us == 127.0
         assert child.duration_us == 100.0
-        assert t.self_cost_us(root) == 27.0
-        assert t.self_cost_us(child) == 100.0
+        tree = SpanTree(t.spans)
+        assert tree.self_us(root) == 27.0
+        assert tree.self_us(child) == 100.0
 
     def test_events_attach_to_innermost_span(self):
         t = Tracer()
@@ -108,7 +102,7 @@ class TestSpans:
         assert outside.span_id is None
         assert inside.span_id == span.record.span_id
         assert inside.cost_us == 15.0
-        assert t.events_in(t.spans[0]) == [inside]
+        assert events_by_span(t.events)[t.spans[0].span_id] == [inside]
         # step numbers count emission order
         assert [e.step for e in t.events] == [1, 2]
 
@@ -123,11 +117,20 @@ class TestSpans:
         assert t.current_span is None
 
     def test_out_of_order_exit_closes_inner_spans(self):
-        t = Tracer()
+        now = [0.0]
+        t = Tracer(clock=lambda: now[0])
         outer = t.span("kernel", "outer")
-        t.span("manager", "inner-left-open")
+        middle = t.span("manager", "middle")
+        inner = t.span("manager", "inner-left-open")
+        now[0] = 10.0
+        middle.__exit__(None, None, None)
+        assert [s.t_end_us for s in t.spans] == [None, 10.0, 10.0]
+        # the late exit of a span already closed leaves the outer one open
+        now[0] = 20.0
+        inner.__exit__(None, None, None)
+        now[0] = 30.0
         outer.__exit__(None, None, None)
-        assert all(s.closed for s in t.spans)
+        assert [s.t_end_us for s in t.spans] == [30.0, 10.0, 10.0]
         assert t.current_span is None
 
     def test_reset(self):
@@ -141,113 +144,16 @@ class TestSpans:
         assert t.spans[0].span_id == 1  # ids restart
 
 
-# ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
-
-
-class TestMetrics:
-    def test_counter_semantics(self):
-        c = Counter("faults")
-        assert c.inc() == 1.0
-        assert c.inc(4.0) == 5.0
-        with pytest.raises(ValueError):
-            c.inc(-1.0)
-
-    def test_gauge_semantics(self):
-        g = Gauge("free_frames")
-        g.set(128.0)
-        assert g.add(-28.0) == 100.0
-        assert g.value == 100.0
-
-    def test_histogram_is_a_tally(self):
-        h = Histogram("latency")
-        assert isinstance(h, Tally)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.record(v)
-        assert h.percentile(50) == 2.0
-        assert h.summary()["count"] == 4.0
-
-    def test_registry_get_or_create(self):
-        r = MetricsRegistry()
-        assert r.counter("a") is r.counter("a")
-        assert r.gauge("b") is r.gauge("b")
-        assert r.histogram("c") is r.histogram("c")
-
-    def test_registry_rejects_cross_kind_collisions(self):
-        r = MetricsRegistry()
-        r.counter("a")
-        with pytest.raises(ValueError):
-            r.gauge("a")
-        with pytest.raises(ValueError):
-            r.histogram("a")
-        r.bind("p", lambda: {})
-        with pytest.raises(ValueError):
-            r.bind("p", lambda: {})
-        with pytest.raises(ValueError):
-            r.counter("p")
-
-    def test_bind_tally_adopts_existing_accumulator(self):
-        r = MetricsRegistry()
-        t = Tally("resp")
-        t.record(10.0)
-        r.bind_tally("response_s", t)
-        snap = r.snapshot()
-        assert snap["response_s"]["mean"] == 10.0
-
-    def test_check_free_covers_every_kind_pair(self):
-        # a histogram name blocks the other metric kinds...
-        r = MetricsRegistry()
-        r.histogram("h")
-        with pytest.raises(ValueError):
-            r.counter("h")
-        with pytest.raises(ValueError):
-            r.gauge("h")
-        # ...but get-or-create of the same kind stays legal
-        assert r.histogram("h") is r.histogram("h")
-        r.gauge("g")
-        with pytest.raises(ValueError):
-            r.histogram("g")
-        # a bound provider prefix blocks every kind, including adoption
-        r.bind("prov", lambda: {})
-        with pytest.raises(ValueError):
-            r.gauge("prov")
-        with pytest.raises(ValueError):
-            r.histogram("prov")
-        with pytest.raises(ValueError):
-            r.bind_tally("prov", Tally("t"))
-
-    def test_bind_tally_of_already_bound_name_rejected(self):
-        r = MetricsRegistry()
-        r.bind_tally("resp", Tally("resp"))
-        with pytest.raises(ValueError):
-            r.bind_tally("resp", Tally("other"))
-        # and a name held by another kind is just as taken
-        r.counter("c")
-        with pytest.raises(ValueError):
-            r.bind_tally("c", Tally("c"))
-
-    def test_snapshot_flattens_providers(self):
-        r = MetricsRegistry()
-        r.counter("faults").inc(3.0)
-        r.gauge("frames").set(7.0)
-        r.bind("disk", lambda: {"reads": 2.0, "writes": 1.0})
-        snap = r.snapshot()
-        assert snap["faults"] == 3.0
-        assert snap["frames"] == 7.0
-        assert snap["disk.reads"] == 2.0
-        assert snap["disk.writes"] == 1.0
-
-
 class TestTallySummary:
     def test_summary_keys_and_values(self):
         t = Tally("x")
         for v in range(1, 101):
             t.record(float(v))
-        s = t.summary()
-        assert s["count"] == 100.0
-        assert s["min"] == 1.0 and s["max"] == 100.0
-        assert s["p50"] == 50.0 and s["p90"] == 90.0 and s["p99"] == 99.0
+        assert t.count == 100
+        assert t.minimum == 1.0 and t.maximum == 100.0
+        assert t.percentile(50) == 50.0
+        assert t.percentile(90) == 90.0
+        assert t.percentile(99) == 99.0
 
     def test_percentile_zero_is_minimum(self):
         t = Tally("x")
@@ -264,9 +170,6 @@ class TestTallySummary:
         assert t.percentile(25) == 10.0
         assert t.percentile(50) == 10.0
         assert t.percentile(51) == 20.0
-
-    def test_empty_summary(self):
-        assert Tally("x").summary()["count"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +192,19 @@ class TestJsonl:
     def test_round_trip(self, tmp_path):
         t = _sample_tracer()
         path = tmp_path / "trace.jsonl"
-        write_jsonl(t, path)
-        spans, events = read_jsonl(str(path))
-        assert spans == t.spans
-        assert events == t.events
+        write_jsonl(t.spans + t.events, path)
+        records = read_jsonl(str(path))
+        assert records.spans == t.spans
+        assert records.events == t.events
 
     def test_round_trip_from_stream(self):
         t = _sample_tracer()
-        spans, events = read_jsonl(io.StringIO(to_jsonl(t)))
-        assert spans == t.spans and events == t.events
+        records = read_jsonl(io.StringIO(to_jsonl(t.spans + t.events)))
+        assert records.spans == t.spans and records.events == t.events
 
     def test_every_line_validates(self):
-        for line in to_jsonl(_sample_tracer()).splitlines():
+        t = _sample_tracer()
+        for line in to_jsonl(t.spans + t.events).splitlines():
             validate_record(json.loads(line))
 
     def test_validate_rejects_unknown_type(self):
@@ -404,31 +308,32 @@ def traced_fault():
 class TestFigure2Integration:
     def test_exact_span_sequence(self, traced_fault):
         tracer, _ = traced_fault
-        (root,) = tracer.roots()
-        got = [(s.component, s.operation) for s, _ in tracer.walk(root)]
+        tree = SpanTree(tracer.spans)
+        (root,) = tree.roots()
+        got = [(s.component, s.operation) for s in tree.walk(root)]
         assert got == FIGURE2_SPANS
 
     def test_self_costs_partition_meter_total(self, traced_fault):
         tracer, metered = traced_fault
-        (root,) = tracer.roots()
-        spans = [s for s, _ in tracer.walk(root)]
+        tree = SpanTree(tracer.spans)
+        (root,) = tree.roots()
+        spans = tree.walk(root)
         assert root.duration_us == pytest.approx(metered)
-        assert sum(tracer.self_cost_us(s) for s in spans) == pytest.approx(
-            metered
-        )
+        assert sum(tree.self_us(s) for s in spans) == pytest.approx(metered)
         # the paper's observation: the page fill dominates
         fetch = next(s for s in spans if s.operation == "fetch_page")
         assert fetch.duration_us > 0.9 * metered
 
     def test_span_attrs_identify_the_fault(self, traced_fault):
         tracer, _ = traced_fault
-        (root,) = tracer.roots()
+        tree = SpanTree(tracer.spans)
+        (root,) = tree.roots()
         assert root.attrs == {
             "space": "fig2-space",
             "vpn": 0,
             "write": False,
         }
-        dispatch = tracer.children(root)[0]
+        dispatch = tree.children(root)[0]
         assert dispatch.attrs["kind"] == "MISSING_PAGE"
         assert dispatch.attrs["manager"] == "default-manager"
 
@@ -455,51 +360,37 @@ class TestFigure2Integration:
         assert system.meter.total_us > 0
 
 
-class TestSystemMetrics:
-    def test_snapshot_covers_every_layer(self):
-        system = build_system(memory_mb=8)
-        seg = system.kernel.create_segment(
-            8, name="m", manager=system.default_manager
+# ---------------------------------------------------------------------------
+# the trace CLI: ``python -m repro trace figure2``
+# ---------------------------------------------------------------------------
+
+
+class TestTraceCli:
+    def test_figure2_report_and_jsonl(self, tmp_path, capsys):
+        from repro.obs.cli import main
+
+        path = tmp_path / "figure2.jsonl"
+        assert main(["figure2", "--out", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert (
+            "application/page_fault  total=18119.0us  self=20.0us  (100.0%)"
+            in lines
         )
-        system.kernel.reference(seg, 0, write=True)
-        snap = system.metrics_snapshot()
-        assert snap["kernel.faults"] == 1.0
-        assert snap["kernel.migrate_calls"] >= 1.0
-        assert snap["kernel.cost_us.trap"] > 0
-        assert "tlb.misses" in snap
-        assert "disk.reads" in snap
-        assert "spcm.granted_frames" in snap
-        assert snap["default_manager.faults_handled"] == 1.0
-
-    def test_snapshot_deterministic_across_identical_runs(self):
-        def run() -> dict:
-            system = build_system(memory_mb=8)
-            seg = system.kernel.create_segment(
-                8, name="m", manager=system.default_manager
-            )
-            for page in range(4):
-                system.kernel.reference(
-                    seg, page * seg.page_size, write=(page % 2 == 0)
-                )
-            return system.metrics_snapshot()
-
-        first, second = run(), run()
-        assert first == second
-        # key order is part of the export contract (byte-stable dumps)
-        assert list(first) == list(second)
-
-    def test_snapshot_follows_replaced_kernel_stats(self):
-        from repro.core.kernel import KernelStats
-
-        system = build_system(memory_mb=8)
-        seg = system.kernel.create_segment(
-            4, name="x", manager=system.default_manager
-        )
-        # workload runners swap in fresh stats before measuring
-        system.kernel.stats = KernelStats()
-        system.kernel.reference(seg, 0, write=True)
-        assert system.kernel.stats.faults == 1
-        assert system.metrics_snapshot()["kernel.faults"] == 1.0
+        # the phase breakdown, then the attribution, each sum to the fault
+        totals = [ln.split() for ln in lines if ln.split()[:1] == ["total"]]
+        assert totals == [["total", "18119.0"], ["total", "18119.0", "us"]]
+        start = lines.index("critical path:") + 1
+        hops = [ln.split()[1] for ln in lines[start : lines.index("", start)]]
+        assert hops == [
+            "application/page_fault",
+            "kernel/dispatch_fault",
+            "manager/handle_fault",
+            "manager/fill_page",
+            "file_server/fetch_page",
+        ]
+        assert "metered cost of the fault: 18119.0 us" in lines
+        spans, events, *_ = read_jsonl(str(path))
+        assert (len(spans), len(events)) == (6, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +453,16 @@ def traced_failover():
 class TestFailoverGoldenTrace:
     def test_exact_span_sequence(self, traced_failover):
         tracer, _ = traced_failover
-        (root,) = tracer.roots()
-        got = [(s.component, s.operation) for s, _ in tracer.walk(root)]
+        tree = SpanTree(tracer.spans)
+        (root,) = tree.roots()
+        got = [(s.component, s.operation) for s in tree.walk(root)]
         assert got == FAILOVER_SPANS
 
     def test_failover_span_names_the_handoff(self, traced_failover):
         tracer, _ = traced_failover
-        (root,) = tracer.roots()
-        spans = [s for s, _ in tracer.walk(root)]
+        tree = SpanTree(tracer.spans)
+        (root,) = tree.roots()
+        spans = tree.walk(root)
         failover = next(s for s in spans if s.operation == "manager_failover")
         assert failover.attrs["failed"] == "victim-ucds"
         assert failover.attrs["to"] == "default-manager"

@@ -664,7 +664,6 @@ class TestIOBackoff:
         fs._with_retries("read", 1, self._failing(fs, 9))
         # attempts 8..9 retry with doublings clamped at the cap
         assert fs.io_retry_caps == 2
-        assert "io_retry_caps" in fs.stats_dict()
 
     def test_backoff_never_exceeds_capped_doubling(self, system):
         from repro.core.uio import MAX_IO_BACKOFF_DOUBLINGS

@@ -120,9 +120,7 @@ class TestAdmissionController:
         ac.try_admit("t", 0.0)
         assert ac.admitted == 1
         assert ac.shed == 1
-        stats = ac.stats_dict()
-        assert stats["admitted"] == 1.0
-        assert stats["shed.admission"] == 1.0
+        assert ac.shed_by_reason == {"admission": 1}
 
 
 # ---------------------------------------------------------------------------

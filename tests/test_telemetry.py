@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from repro import build_system
-from repro.obs.export import validate_record
+from repro.obs.export import read_jsonl, validate_record, write_jsonl
 from repro.obs.slo import Alert
 from repro.obs.telemetry import (
     TelemetryCollector,
     TelemetrySample,
     install_telemetry,
-    read_jsonl,
-    write_jsonl,
 )
 from repro.sim.engine import Engine
 
@@ -178,6 +179,38 @@ class TestInstalledProbes:
         assert "spcm.node0.free_frames" in sample.values
         assert "spcm.node1.free_frames" in sample.values
 
+    def test_values_deterministic_across_identical_runs(self):
+        def run() -> dict:
+            system = build_system(memory_mb=8)
+            collector = install_telemetry(system)
+            seg = system.kernel.create_segment(
+                8, name="m", manager=system.default_manager
+            )
+            for page in range(4):
+                system.kernel.reference(
+                    seg, page * seg.page_size, write=(page % 2 == 0)
+                )
+            return collector.sample_now().values
+
+        first, second = run(), run()
+        assert first == second
+        # key order is part of the export contract (byte-stable dumps)
+        assert list(first) == list(second)
+
+    def test_values_follow_replaced_kernel_stats(self):
+        from repro.core.kernel import KernelStats
+
+        system = build_system(memory_mb=8)
+        collector = install_telemetry(system)
+        seg = system.kernel.create_segment(
+            4, name="x", manager=system.default_manager
+        )
+        # workload runners swap in fresh stats before measuring
+        system.kernel.stats = KernelStats()
+        system.kernel.reference(seg, 0, write=True)
+        assert system.kernel.stats.faults == 1
+        assert collector.sample_now().values["kernel.faults"] == 1.0
+
 
 class TestTelemetryJsonl:
     def test_round_trip_with_alerts(self, tmp_path):
@@ -193,13 +226,14 @@ class TestTelemetryJsonl:
             detail="p99 over budget",
         )
         path = tmp_path / "telemetry.jsonl"
-        write_jsonl(c, path, alerts=[alert])
-        samples, alerts = read_jsonl(str(path))
+        write_jsonl(c.samples() + [alert], path)
+        records = read_jsonl(str(path))
+        samples, alerts = records.samples, records.alerts
         assert len(samples) == 1
         assert samples[0].t_us == s.t_us
         assert samples[0].values == {"x": 1.5}
         assert len(alerts) == 1
-        assert Alert.from_dict(alerts[0]) == alert
+        assert alerts[0] == alert
 
     def test_records_validate_against_shared_schema(self):
         sample = TelemetrySample(t_us=5.0, values={"a": 1.0})
@@ -209,9 +243,22 @@ class TestTelemetryJsonl:
         with pytest.raises(ValueError):
             validate_record({"type": "sample", "t_us": 1.0})  # no values
 
-    def test_read_tolerates_span_and_event_records(self, tmp_path):
-        import io
+    @pytest.mark.parametrize(
+        "value",
+        ["null", '"x"', "[1]", "{}"],
+        ids=["null", "string", "list", "object"],
+    )
+    def test_non_numeric_sample_value_rejected_with_line(self, value):
+        record = '{"type": "sample", "t_us": 1.0, "values": {"a": %s}}'
+        with pytest.raises(ValueError, match="sample value 'a'"):
+            validate_record(json.loads(record % value))
+        text = '{"type": "sample", "t_us": 0.0, "values": {}}\n' + (
+            record % value
+        )
+        with pytest.raises(ValueError, match="^line 2: sample value 'a'"):
+            read_jsonl(io.StringIO(text))
 
+    def test_read_tolerates_span_and_event_records(self, tmp_path):
         text = (
             '{"type": "sample", "t_us": 1.0, "values": {}}\n'
             '{"type": "span", "span_id": 1, "parent_id": null,'
@@ -220,7 +267,8 @@ class TestTelemetryJsonl:
             '{"type": "event", "step": 1, "actor": "ipc",'
             ' "action": "msg", "cost_us": 31.0}\n'
         )
-        samples, alerts = read_jsonl(io.StringIO(text))
-        assert len(samples) == 1 and alerts == []
+        records = read_jsonl(io.StringIO(text))
+        assert len(records.samples) == 1 and records.alerts == []
+        assert len(records.spans) == 1 and len(records.events) == 1
         with pytest.raises(ValueError):
             read_jsonl(io.StringIO('{"type": "bogus"}\n'))
