@@ -45,7 +45,7 @@ from repro.core.api import (
 from repro.core.faults import FaultKind, PageFault
 from repro.core.flags import MANAGER_SETTABLE, PageFlags
 from repro.core.manager_api import SegmentManager
-from repro.core.segment import ResolvedPage, Segment
+from repro.core.segment import HomePages, ResolvedPage, Segment
 from repro.core.supervisor import FAILOVER_AFTER_ATTEMPTS, ManagerSupervisor
 from repro.errors import (
     MigrationError,
@@ -236,20 +236,16 @@ class Kernel:
         # calls per invoking module); innermost attribution wins
         self._attribution: list[str] = []
         # Boot: one well-known segment per frame size, all frames in
-        # physical-address order (paper, S2.1).  Each pool fills its
-        # segment in one pass: page i holds the pool's i-th frame.
+        # physical-address order (paper, S2.1).  Page i holds the pool's
+        # i-th frame, so each pool is filed with one record and no frame
+        # is made until it is used.
         self.boot_segments: dict[int, Segment] = {}
-        for size in memory.pools:
-            frames = memory.frames_of_size(size)
+        for size, pfns in memory.pools.items():
             boot = self.create_segment(
-                len(frames), page_size=size, name=f"physmem-{size}"
+                len(pfns), page_size=size, name=f"physmem-{size}"
             )
-            boot.pages.update(enumerate(frames))
-            seg_id = boot.seg_id
-            for page, frame in enumerate(frames):
-                frame.owner_segment_id = seg_id
-                frame.page_index = page
-                frame.flags = _RW_I
+            boot.pages = HomePages(memory, size)
+            memory.file_pool(size, boot.seg_id, _RW_I)
             self.boot_segments[size] = boot
         self.initial_segment = self.boot_segments.get(
             memory.page_size,
@@ -304,8 +300,9 @@ class Kernel:
         """The boot segment and page a free ``frame`` lives at.
 
         Boot puts the ``i``-th frame of each pool at page ``i`` of that
-        size's boot segment, and a frame that comes back goes to the same
-        page, so the home follows from the pool layout.
+        size's boot segment, and a frame can come back to that page only
+        (:class:`~repro.core.segment.HomePages`), so the home follows
+        from the pool layout.
         """
         size = frame.page_size
         first_pfn = self.memory.pools[size].start
@@ -594,6 +591,15 @@ class Kernel:
                     f"destination page {dst_page + i} of {dst.name} is "
                     "already backed"
                 )
+        if type(dst_pages) is HomePages:
+            # a boot segment takes back each page's own frame only
+            for i in range(n_pages):
+                pfn = src_pages[src_page + i].pfn
+                if pfn != dst_pages.first_pfn + dst_page + i:
+                    raise MigrationError(
+                        f"frame pfn={pfn} cannot go to page {dst_page + i} "
+                        f"of {dst.name}: it is not that page's frame"
+                    )
         moved: list[PageFrame] = []
         not_clear_i = ~clear_i
         dst_cow = dst.cow_source

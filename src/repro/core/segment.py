@@ -14,7 +14,9 @@ turns unsatisfiable resolutions into faults for that segment's manager.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, MutableMapping
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import TYPE_CHECKING
 
 from repro.core.flags import PageFlags
@@ -22,13 +24,80 @@ from repro.errors import BindingError, SegmentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.manager_api import SegmentManager
-    from repro.hw.phys_mem import PageFrame
+    from repro.hw.phys_mem import PageFrame, PhysicalMemory
 
 
 # integer mirrors of the hot PageFlags values (enum operators dispatch
 # at Python speed; resolution runs on ints and converts once at the end)
 _RW_I = int(PageFlags.READ | PageFlags.WRITE)
 _WRITE_I = int(PageFlags.WRITE)
+
+
+class HomePages(MutableMapping):
+    """A boot segment's residency: page ``i`` holds its pool's ``i``-th frame.
+
+    Boot files every frame of a pool at its own page of that page size's
+    well-known segment (S2.1), and a free frame only ever comes back to
+    that page, so the residency is just the set of pages whose frame is
+    at home: it records the pages that are not.  Page ``i`` is
+    ``memory.frame(first_pfn + i)``, made when first read or migrated
+    out.  Storing any other frame at a page raises.
+    """
+
+    __slots__ = ("_memory", "first_pfn", "_pages", "_away")
+
+    def __init__(self, memory: "PhysicalMemory", page_size: int) -> None:
+        pfns = memory.pools[page_size]
+        self._memory = memory
+        #: pfn of the frame at page 0
+        self.first_pfn = pfns.start
+        self._pages = range(len(pfns))
+        # pages whose frame is away: granted out, retired or lost
+        self._away: set[int] = set()
+
+    def __contains__(self, page: int) -> bool:  # type: ignore[override]
+        return page in self._pages and page not in self._away
+
+    def __len__(self) -> int:
+        return len(self._pages) - len(self._away)
+
+    def __iter__(self) -> Iterator[int]:
+        """The pages at home, ascending."""
+        return self.within(self._pages)
+
+    def __getitem__(self, page: int) -> "PageFrame":
+        if page not in self:
+            raise KeyError(page)
+        return self._memory.frame(self.first_pfn + page)
+
+    def __setitem__(self, page: int, frame: "PageFrame") -> None:
+        if page not in self._pages or frame.pfn != self.first_pfn + page:
+            raise SegmentError(
+                f"frame pfn={frame.pfn} cannot sit at boot page {page}: "
+                f"its home page is {frame.pfn - self.first_pfn}"
+            )
+        self._away.discard(page)
+
+    def __delitem__(self, page: int) -> None:
+        self.pop(page)
+
+    def pop(self, page: int, *default):
+        # inline membership: this runs once per frame the SPCM grants
+        if page not in self._pages or page in self._away:
+            if default:
+                return default[0]
+            raise KeyError(page)
+        self._away.add(page)
+        return self._memory.frame(self.first_pfn + page)
+
+    def within(self, pages: range) -> Iterator[int]:
+        """The pages of ``pages`` at home, ascending (``pages`` lies
+        inside the pool)."""
+        return filterfalse(self._away.__contains__, pages)
+
+    def count(self, pages: range) -> int:
+        """How many of ``pages`` are at home."""
+        return len(pages) - sum(1 for page in self._away if page in pages)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +161,7 @@ class Segment:
         self.auto_grow = auto_grow
         self.manager: "SegmentManager | None" = None
         self.deleted = False
-        self.pages: dict[int, "PageFrame"] = {}
+        self.pages: MutableMapping[int, "PageFrame"] = {}
         self.bindings: list[Binding] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

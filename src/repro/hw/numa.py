@@ -63,8 +63,8 @@ class NumaTopology:
         SPCM construction), so a mismatched ``node_bytes`` fails up front
         instead of on the first remote access.  Every node boundary must
         also fall between frames: a frame split across two nodes would be
-        booked on the node of its first byte only.  The check walks the
-        frame pools, not the frames, so it costs nothing per frame.
+        booked on the node of its first byte only.  The check is
+        arithmetic over each pool's base address and makes no frame.
         """
         if self.total_bytes != memory.size_bytes:
             raise HardwareError(
@@ -73,7 +73,7 @@ class NumaTopology:
                 f"has {memory.size_bytes} bytes of physical memory"
             )
         for size, pfns in memory.pools.items():
-            pool_addr = memory.frame(pfns.start).phys_addr
+            pool_addr = memory.pool_addrs[size]
             for node in range(1, self.n_nodes):
                 offset = node * self.node_bytes - pool_addr
                 if 0 < offset < len(pfns) * size and offset % size:

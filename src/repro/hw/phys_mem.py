@@ -8,15 +8,19 @@ happen through ``MigratePages``.
 Frames are deliberately dumb hardware: a physical address, a size, and
 bytes.  Ownership bookkeeping (which segment holds the frame, at which page
 index, with which flags) is written by the kernel but stored here so there
-is exactly one record per frame.  Frame data is allocated lazily --- an
-untouched frame reads as zeroes without the simulator paying for gigabytes
-of real buffers.
+is exactly one record per frame.
 
-Frames of one page size form a *pool*: a contiguous run of frame numbers
-in physical-address order (``PhysicalMemory.pools``).  The base pool comes
-first and each large pool follows in ascending page size, so a frame's
-place in its pool --- ``pfn - pools[size].start`` --- is also its page
-index in the boot segment, and boot can fill each segment in one pass.
+Nothing is paid per frame until the frame is used.  Frames of one page size
+form a *pool*: a contiguous run of frame numbers in physical-address order
+(``PhysicalMemory.pools``), starting at the pool's base address
+(``PhysicalMemory.pool_addrs``).  The base pool comes first and each large
+pool follows in ascending page size, so a frame's address, and its place in
+its pool --- ``pfn - pools[size].start``, which is also its page index in
+the boot segment --- are arithmetic.  Boot files each pool with one record
+(:meth:`PhysicalMemory.file_pool`), and :meth:`PhysicalMemory.frame` makes a
+frame's object the first time it is asked for, filed as boot left it.  Frame
+data is allocated later still, on first write --- an untouched frame reads
+as zeroes without the simulator paying for gigabytes of real buffers.
 """
 
 from __future__ import annotations
@@ -116,11 +120,12 @@ class PageFrame:
 class PhysicalMemory:
     """The machine's frame pool, in order of physical address.
 
-    ``size_bytes`` of base-size frames are created, optionally followed by
-    extra pools of larger frames (``large_pools`` maps page size to frame
-    count) to model machines with multiple page sizes (paper, S2.1, citing
-    the Alpha).  ``pools`` maps each page size present to its frames' pfn
-    range, in physical-address order.
+    ``size_bytes`` of base-size frames, optionally followed by extra pools
+    of larger frames (``large_pools`` maps page size to frame count) to
+    model machines with multiple page sizes (paper, S2.1, citing the
+    Alpha).  ``pools`` maps each page size present to its frames' pfn
+    range and ``pool_addrs`` to the physical address of its first frame.
+    A frame's object is made the first time :meth:`frame` asks for it.
     """
 
     def __init__(
@@ -135,11 +140,9 @@ class PhysicalMemory:
                 f"page size {page_size}"
             )
         self.page_size = page_size
-        n_base = size_bytes // page_size
-        self._frames: list[PageFrame] = [
-            PageFrame(pfn, page_size, pfn * page_size) for pfn in range(n_base)
-        ]
-        self.pools: dict[int, range] = {page_size: range(n_base)}
+        n_frames = size_bytes // page_size
+        self.pools: dict[int, range] = {page_size: range(n_frames)}
+        self.pool_addrs: dict[int, int] = {page_size: 0}
         phys_addr = size_bytes
         for size, count in sorted((large_pools or {}).items()):
             if size % page_size != 0 or size <= page_size:
@@ -151,15 +154,18 @@ class PhysicalMemory:
                 raise PhysicalMemoryError(
                     f"negative frame count {count} for page size {size}"
                 )
-            pfns = range(len(self._frames), len(self._frames) + count)
-            self._frames += [
-                PageFrame(pfn, size, phys_addr + (pfn - pfns.start) * size)
-                for pfn in pfns
-            ]
-            if pfns:
-                self.pools[size] = pfns
+            if count:
+                self.pools[size] = range(n_frames, n_frames + count)
+                self.pool_addrs[size] = phys_addr
+            n_frames += count
             phys_addr += count * size
         self.size_bytes = phys_addr
+        self.n_frames = n_frames
+        #: pfn -> frame, for every frame made so far (:meth:`frame` makes
+        #: them; read this to look at a frame without making it)
+        self.made: dict[int, PageFrame] = {}
+        # page size -> (seg_id, flags) boot filed that pool under
+        self._filed: dict[int, tuple[int, int]] = {}
         #: chaos choke point; frame ECC failures are drawn here
         self.injector = NULL_INJECTOR
 
@@ -174,36 +180,63 @@ class PhysicalMemory:
             return False
         return self.injector.frame_ecc(frame.pfn)
 
+    def file_pool(self, page_size: int, seg_id: int, flags: int) -> None:
+        """Boot's filing of one pool: the pool's ``i``-th frame sits at
+        page ``i`` of segment ``seg_id`` with ``flags``.
+
+        One record for the whole pool, which each frame takes when it is
+        made; boot files a pool before any of its frames is used.
+        """
+        self._filed[page_size] = (seg_id, flags)
+
     # -- lookup --------------------------------------------------------------
 
-    @property
-    def n_frames(self) -> int:
-        return len(self._frames)
-
     def frame(self, pfn: int) -> PageFrame:
-        """The frame with physical frame number ``pfn``."""
-        if not 0 <= pfn < len(self._frames):
-            raise PhysicalMemoryError(f"no such frame: pfn {pfn}")
-        return self._frames[pfn]
+        """The frame with physical frame number ``pfn``.
+
+        The first call for a frame makes it, filed where boot put it;
+        every later call returns that same object.
+        """
+        frame = self.made.get(pfn)
+        if frame is not None:
+            return frame
+        for size, pfns in self.pools.items():
+            if pfn in pfns:
+                page = pfn - pfns.start
+                addr = self.pool_addrs[size] + page * size
+                frame = PageFrame(pfn, size, addr)
+                filed = self._filed.get(size)
+                if filed is not None:
+                    frame.owner_segment_id, frame.flags = filed
+                    frame.page_index = page
+                self.made[pfn] = frame
+                return frame
+        raise PhysicalMemoryError(f"no such frame: pfn {pfn}")
 
     def frames(self) -> Iterator[PageFrame]:
-        """All frames in order of physical address."""
-        return iter(self._frames)
+        """All frames in order of physical address (this makes them all)."""
+        return map(self.frame, range(self.n_frames))
 
-    def frames_of_size(self, page_size: int) -> list[PageFrame]:
-        """All frames with the given page size, in physical-address order."""
-        pfns = self.pools.get(page_size)
-        if pfns is None:
-            return []
-        return self._frames[pfns.start : pfns.stop]
+    def pool_range(self, page_size: int, lo: int, hi: int) -> range:
+        """Places in the ``page_size`` pool (``pfn - pools[size].start``)
+        of the frames whose physical address lies in ``[lo, hi)``."""
+        base, n = self.pool_addrs[page_size], len(self.pools[page_size])
+        # -((base - x) // size) is ceil((x - base) / size)
+        first = min(n, max(0, -((base - lo) // page_size)))
+        return range(first, min(n, max(first, -((base - hi) // page_size))))
 
     def frames_in_addr_range(self, lo: int, hi: int) -> list[PageFrame]:
         """Frames whose physical address lies in ``[lo, hi)``."""
-        return [f for f in self._frames if lo <= f.phys_addr < hi]
+        return [
+            self.frame(pfns.start + i)
+            for size, pfns in self.pools.items()
+            for i in self.pool_range(size, lo, hi)
+        ]
 
     def frame_at_addr(self, phys_addr: int) -> PageFrame:
         """The frame covering physical address ``phys_addr``."""
-        for f in self._frames:
-            if f.phys_addr <= phys_addr < f.phys_addr + f.page_size:
-                return f
+        for size, pfns in self.pools.items():
+            i = (phys_addr - self.pool_addrs[size]) // size
+            if 0 <= i < len(pfns):
+                return self.frame(pfns.start + i)
         raise PhysicalMemoryError(f"physical address {phys_addr:#x} out of range")

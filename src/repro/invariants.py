@@ -8,10 +8,11 @@ named checks, each ``check(kernel) -> list[str]``:
 * ``frames`` --- every in-service frame is owned by exactly one segment
   and its back-pointers agree; a frame retired after an ECC failure is
   out of service and must not be filed anywhere.
-* ``spcm_pool`` --- every frame in a boot segment sits at its home page,
-  which is what lets that residency serve as the SPCM's one free pool,
-  and no free page sits below the SPCM's grant marks, where grants would
-  never find it; no account holds a negative frame count.
+* ``spcm_pool`` --- no free page sits below the SPCM's grant marks, where
+  grants would never find it, and no account holds a negative frame
+  count.  (That every frame in a boot segment sits at its home page, which
+  lets that residency serve as the one free pool, holds by construction:
+  :class:`~repro.core.segment.HomePages` holds no other frame.)
 * ``shards`` --- on a sharded (NUMA) SPCM, each node's frames are its
   free frames plus its grants plus its retirements.
 * ``translations`` --- every TLB and page-table entry resolves to the
@@ -52,43 +53,57 @@ DRAM_TOLERANCE = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def filed_frames(kernel: "Kernel", segment) -> list[tuple]:
+    """``(page, pfn, frame)`` for each backed page of ``segment``.
+
+    A boot segment's page ``i`` holds its pool's ``i``-th frame, and a
+    frame not made yet (``frame`` is None) is exactly as boot filed it,
+    so this makes no frame.
+    """
+    pages = segment.pages
+    if segment is not kernel.boot_segments.get(segment.page_size):
+        return [(page, frame.pfn, frame) for page, frame in pages.items()]
+    first = kernel.memory.pools[segment.page_size].start
+    made = kernel.memory.made
+    return [(page, first + page, made.get(first + page)) for page in pages]
+
+
 def check_frames(kernel: "Kernel") -> list[str]:
     """Every in-service frame has one owner whose back-pointers agree."""
     found: list[str] = []
     retired = kernel.retired_frames
     census: dict[int, int] = {}  # pfn -> the first seg_id filing it
     for segment in kernel.segments():
-        for page, frame in segment.pages.items():
-            if frame.pfn in census:
+        for page, pfn, frame in filed_frames(kernel, segment):
+            if pfn in census:
                 found.append(
-                    f"frame pfn={frame.pfn} owned twice: by segment "
-                    f"{census[frame.pfn]} and by segment {segment.seg_id} "
+                    f"frame pfn={pfn} owned twice: by segment "
+                    f"{census[pfn]} and by segment {segment.seg_id} "
                     f"page {page}"
                 )
                 continue
-            census[frame.pfn] = segment.seg_id
-            if frame.owner_segment_id != segment.seg_id:
+            census[pfn] = segment.seg_id
+            if frame is not None and frame.owner_segment_id != segment.seg_id:
                 found.append(
-                    f"frame pfn={frame.pfn} back-pointer names segment "
+                    f"frame pfn={pfn} back-pointer names segment "
                     f"{frame.owner_segment_id}, but segment "
                     f"{segment.seg_id} holds it"
                 )
-            if frame.page_index != page:
+            if frame is not None and frame.page_index != page:
                 found.append(
-                    f"frame pfn={frame.pfn} back-pointer names page "
+                    f"frame pfn={pfn} back-pointer names page "
                     f"{frame.page_index}, but it sits at page {page}"
                 )
-            if frame.pfn in retired:
+            if pfn in retired:
                 found.append(
-                    f"retired frame pfn={frame.pfn} still in service "
+                    f"retired frame pfn={pfn} still in service "
                     f"in segment {segment.seg_id}"
                 )
-    for frame in kernel.memory.frames():
-        if frame.pfn not in census and frame.pfn not in retired:
-            found.append(
-                f"frame pfn={frame.pfn} lost: owned by no segment and "
-                "not retired"
-            )
+    lost = set(range(kernel.memory.n_frames)).difference(census, retired)
+    for pfn in sorted(lost):
+        found.append(
+            f"frame pfn={pfn} lost: owned by no segment and not retired"
+        )
     return found
 
 
@@ -176,16 +191,6 @@ def check_spcm_pool(kernel: "Kernel") -> list[str]:
         return []
     found: list[str] = []
     for size, boot in kernel.boot_segments.items():
-        away = sorted(
-            (page, frame.pfn)
-            for page, frame in boot.pages.items()
-            if kernel.home_of(frame) != (boot, page)
-        )
-        if away:
-            found.append(
-                f"pool({size}) holds frames away from their home pages "
-                f"(page, pfn): {away[:5]}"
-            )
         free = spcm._free[size]
         hidden = [
             page
@@ -211,12 +216,13 @@ def check_shards(kernel: "Kernel") -> list[str]:
         return []
     found: list[str] = []
     totals = {shard.node: 0 for shard in spcm.shards}
-    for frame in kernel.memory.frames():
-        totals[spcm.shard_of(frame.phys_addr).node] += 1
     free_by_node = {shard.node: 0 for shard in spcm.shards}
-    for boot in kernel.boot_segments.values():
-        for frame in boot.pages.values():
-            free_by_node[spcm.shard_of(frame.phys_addr).node] += 1
+    memory = kernel.memory
+    for size, boot in kernel.boot_segments.items():
+        for shard in spcm.shards:
+            pages = memory.pool_range(size, shard.phys_lo, shard.phys_hi)
+            totals[shard.node] += len(pages)
+            free_by_node[shard.node] += boot.pages.count(pages)
     for shard in spcm.shards:
         for account, held in shard.frames_held.items():
             if held < 0:

@@ -2,12 +2,13 @@
 
 The free pool for a page size *is* the residency of that size's boot
 segment: the kernel boots every frame there, ``MigratePages`` is the
-only way a frame moves, and a free frame always sits at its home page
-(the SPCM returns frames there and the kernel sweeps a deleted segment's
-leftovers there).  :class:`NodeBucketedFreeList` therefore stores no
-pages.  Boot pages follow physical-address order and NUMA nodes own
-contiguous physical ranges, so each node's pages are one run of page
-indices; a grant scans the preferred node's run upward, then the other
+only way a frame moves, and a free frame can sit only at its home page
+(:class:`~repro.core.segment.HomePages`; the SPCM returns frames there
+and the kernel sweeps a deleted segment's leftovers there).
+:class:`NodeBucketedFreeList` therefore stores no pages, and it reads
+pages, never frames.  Boot pages follow physical-address order and NUMA
+nodes own contiguous physical ranges, so each node's pages are one run
+of page indices; a grant scans the preferred node's run upward, then the other
 runs in node order, which yields the lowest free pages, local first.
 
 Scanning each run from its start would revisit every page granted
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from itertools import islice
 
-from repro.hw.phys_mem import PageFrame
+from repro.core.segment import HomePages
 
 
 class NodeBucketedFreeList:
@@ -32,8 +33,8 @@ class NodeBucketedFreeList:
 
     __slots__ = ("_pages", "_runs", "_marks")
 
-    def __init__(self, pages: dict[int, PageFrame], runs: list[range]) -> None:
-        #: the boot segment's residency (page -> frame), read, never copied
+    def __init__(self, pages: HomePages, runs: list[range]) -> None:
+        #: the boot segment's residency, read, never copied
         self._pages = pages
         #: each node's boot pages, in node order (a run may be empty)
         self._runs = runs
@@ -47,9 +48,8 @@ class NodeBucketedFreeList:
 
     def _free_on(self, node: int) -> Iterator[int]:
         """``node``'s free pages, ascending."""
-        return filter(
-            self._pages.__contains__,
-            range(self._marks[node], self._runs[node].stop),
+        return self._pages.within(
+            range(self._marks[node], self._runs[node].stop)
         )
 
     def take(self, n: int, prefer_node: int | None = None) -> list[int]:
@@ -80,20 +80,18 @@ class NodeBucketedFreeList:
     def counts_by_node(self) -> dict[int, int]:
         """``node -> free page count``."""
         return {
-            node: len(list(self._free_on(node)))
-            for node in range(len(self._runs))
+            node: self._pages.count(run) for node, run in enumerate(self._runs)
         }
 
     def matching(
         self,
-        accept: Callable[[PageFrame], bool],
+        accept: Callable[[int], bool],
         prefer_node: int | None = None,
     ) -> list[int]:
-        """Every free page whose frame ``accept`` takes, in grant order."""
-        pages = self._pages
+        """Every free page that ``accept`` takes, in grant order."""
         return [
             page
             for node in self._order(prefer_node)
             for page in self._free_on(node)
-            if accept(pages[page])
+            if accept(page)
         ]

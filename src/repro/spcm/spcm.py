@@ -30,9 +30,7 @@ that zeroing is needed only "if the page is being given to another user".
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from repro.core.api import (
     BatchMigratePagesRequest,
@@ -78,14 +76,15 @@ class FrameRequest:
     n_colors: int | None = None            # color modulus (required w/ colors)
     home_node: int | None = None           # NUMA placement hint (local-first)
 
-    def accepts(self, frame: PageFrame) -> bool:
-        """Whether ``frame`` meets the physical range and colors."""
+    def accepts(self, phys_addr: int, page_size: int) -> bool:
+        """Whether a frame at ``phys_addr`` meets the physical range and
+        colors (:meth:`~repro.hw.phys_mem.PageFrame.color`)."""
         return (
-            (self.phys_lo is None or frame.phys_addr >= self.phys_lo)
-            and (self.phys_hi is None or frame.phys_addr < self.phys_hi)
+            (self.phys_lo is None or phys_addr >= self.phys_lo)
+            and (self.phys_hi is None or phys_addr < self.phys_hi)
             and (
                 self.colors is None
-                or frame.color(self.n_colors) in self.colors
+                or (phys_addr // page_size) % self.n_colors in self.colors
             )
         )
 
@@ -209,15 +208,11 @@ class SystemPageCacheManager:
         self.remote_grant_pages = 0
         for size, boot in kernel.boot_segments.items():
             # boot page i holds the pool's i-th frame, in physical-address
-            # order, so each shard's pages end where its range does
-            frames = kernel.memory.frames_of_size(size)
-            runs, start = [], 0
-            for shard in self.shards:
-                stop = bisect_left(
-                    frames, shard.phys_hi, start, key=attrgetter("phys_addr")
-                )
-                runs.append(range(start, stop))
-                start = stop
+            # order, so each shard's run is its address range's pages
+            runs = [
+                kernel.memory.pool_range(size, shard.phys_lo, shard.phys_hi)
+                for shard in self.shards
+            ]
             self._free[size] = NodeBucketedFreeList(boot.pages, runs)
         # the kernel's degradation paths (failover, ECC retirement,
         # segment deletion) need to reach the SPCM without threading it
@@ -449,7 +444,11 @@ class SystemPageCacheManager:
         else:
             if request.colors is not None and not request.n_colors:
                 raise SPCMError("color constraint requires n_colors")
-            candidates = free.matching(request.accepts, prefer_node)
+            base = self.kernel.memory.pool_addrs[size]
+            candidates = free.matching(
+                lambda page: request.accepts(base + page * size, size),
+                prefer_node,
+            )
             n_matching = len(candidates)
         # policy judges against the whole pool; physical constraints then
         # clamp the grant to what actually matches ("as many page frames
@@ -466,6 +465,11 @@ class SystemPageCacheManager:
                 f"SPCM refused {request.n_frames} frames for {account!r}"
             )
         n_grant = min(verdict.n_frames, n_matching)
+        # memory is in demand when the pool, not a tenant's own cap, is
+        # what holds a grant back (S2.4: free use absent competing demand)
+        pool_short = (
+            verdict.decision is AllocationDecision.DEFER or n_matching == 0
+        )
         # a per-tenant quota clamps the grant to the tenant's machine-wide
         # headroom; a breach defers (never refuses), so the tenant recycles
         # its own residents and retries rather than failing (S2.4 forced
@@ -482,7 +486,7 @@ class SystemPageCacheManager:
                         f"quota clamp for {account}: headroom {headroom} "
                         f"of {quota} frame cap",
                     )
-        if verdict.decision is AllocationDecision.DEFER or n_grant == 0:
+        if pool_short or n_grant == 0:
             self.deferred_requests += 1
             if self.kernel.tracer.enabled:
                 self.kernel.tracer.event(
@@ -490,21 +494,23 @@ class SystemPageCacheManager:
                     f"defer {request.n_frames} frame(s) for {account} "
                     f"({n_matching} matching free)",
                 )
-            for market in self.markets:
-                market.demand_outstanding = True
+            if pool_short:
+                for market in self.markets:
+                    market.demand_outstanding = True
             return []
         if candidates is None:
             chosen = free.take(n_grant, prefer_node)
         else:
             chosen = candidates[:n_grant]
-        boot_pages = boot.pages
+        # decided by pfn: a frame's object is made only as it migrates out
+        memory = self.kernel.memory
+        first_pfn = memory.pools[size].start
         last_account = self._last_account
         for boot_page in chosen:
-            frame = boot_pages[boot_page]
-            pfn = frame.pfn
+            pfn = first_pfn + boot_page
             previous = last_account.get(pfn)
             if previous is not None and previous != account:
-                frame.flags |= _ZERO_FILL_I
+                memory.frame(pfn).flags |= _ZERO_FILL_I
             last_account[pfn] = account
         if self.n_shards > 1:
             granted_pages = self._grant_sharded(
@@ -586,8 +592,10 @@ class SystemPageCacheManager:
         """
         granted_pages: list[int] = []
         by_node: dict[int, list[int]] = {}
+        size = boot.page_size
+        base = self.kernel.memory.pool_addrs[size]
         for page in chosen:
-            node = self.shard_of(boot.pages[page].phys_addr).node
+            node = self.shard_of(base + page * size).node
             by_node.setdefault(node, []).append(page)
         with self.kernel.attribute("SPCM"):
             for node, node_pages in sorted(by_node.items()):

@@ -31,8 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
+from repro.core.flags import PageFlags
 from repro.errors import DigestVersionError
+from repro.invariants import filed_frames
 
 #: Version of the canonical state encoding.  Bump whenever the encoding
 #: (or the set of state it covers) changes; recorded chains and corpus
@@ -75,14 +78,21 @@ def digest_payload(payload) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _frame_rows(segment) -> list:
+#: a boot page's frame that was never made: filed read-write, no data
+_BOOT_FLAGS = int(PageFlags.READ | PageFlags.WRITE)
+
+
+def _frame_rows(kernel, segment) -> list:
     rows = []
-    for page in sorted(segment.pages):
-        frame = segment.pages[page]
+    filed = sorted(filed_frames(kernel, segment), key=itemgetter(0))
+    for page, pfn, frame in filed:
+        if frame is None:
+            rows.append((page, pfn, _BOOT_FLAGS, False, ""))
+            continue
         rows.append(
             (
                 page,
-                frame.pfn,
+                pfn,
                 frame.flags,
                 # unmaterialized frames read as zeros but *are* different
                 # state (a later write materializes); distinguish them
@@ -114,7 +124,7 @@ def snapshot_state(system) -> dict:
                 "manager": (
                     segment.manager.name if segment.manager is not None else None
                 ),
-                "frames": _frame_rows(segment),
+                "frames": _frame_rows(kernel, segment),
             }
         )
     page_table = sorted(

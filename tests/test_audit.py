@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import InvariantViolationError
+from repro.core.api import MigratePagesRequest
+from repro.errors import InvariantViolationError, MigrationError, SegmentError
 from repro.invariants import CHECKS, InvariantChecker
 from repro.managers.base import GenericSegmentManager
 
@@ -87,15 +88,29 @@ class TestInjectedCorruption:
                    for f in findings(system, "managers"))
 
     def test_detects_spcm_pool_drift(self, system):
-        # corruption: two free frames trade boot pages, back-pointers and all
-        pages = system.kernel.initial_segment.pages
-        a, b = sorted(pages)[:2]
-        pages[a], pages[b] = pages[b], pages[a]
-        pages[a].page_index, pages[b].page_index = a, b
-        found = InvariantChecker(system.kernel).violations()
-        assert found and all(f.startswith("[spcm_pool] ") for f in found)
-        assert any("pool(4096) holds frames away from their home pages" in f
-                   for f in findings(system, "spcm_pool"))
+        # the drift cannot be made: two free frames trading boot pages
+        # raises, and so does MigratePages into another frame's home page
+        kernel = system.kernel
+        boot = kernel.initial_segment
+        a, b = sorted(boot.pages)[:2]
+        frame_a, frame_b = boot.pages[a], boot.pages[b]
+        with pytest.raises(SegmentError, match="its home page is"):
+            boot.pages[a], boot.pages[b] = boot.pages[b], boot.pages[a]
+        assert boot.pages[a] is frame_a and boot.pages[b] is frame_b
+
+        free = system.default_manager.free_segment
+        slot, other = sorted(free.pages)[:2]
+        frame = free.pages[slot]
+        home = kernel.home_of(free.pages[other])[1]
+        with pytest.raises(MigrationError, match=f"pfn={frame.pfn}"):
+            kernel.migrate_pages(
+                MigratePagesRequest(free.seg_id, boot.seg_id, slot, home, 1)
+            )
+        assert free.pages[slot] is frame and home not in boot.pages
+        assert (frame.owner_segment_id, frame.page_index) == (
+            free.seg_id, slot
+        )
+        assert InvariantChecker(kernel).violations() == []
 
     def test_raise_if_failed(self, system):
         boot = system.kernel.initial_segment

@@ -1,12 +1,14 @@
-"""Bulk boot: every machine boots into the state a per-frame boot makes.
+"""Boot makes no frames: every machine boots into the state a per-frame
+boot makes.
 
-Boot fills each page size's well-known segment from its frame pool in one
-pass (paper, S2.1), the SPCM cuts each pool into one run of boot pages per
-node, and a frame's home page is computed from the pool layout rather than
-stored.  These tests rebuild the reference the slow way --- one frame at a
-time, in pfn order --- and compare against it, check that every frame that
-leaves the pool comes back to its home page, then pin the call budget that
-keeps boot bulk.
+Boot files each page size's frame pool in its well-known segment with one
+record (paper, S2.1), a frame becomes an object on first use, the SPCM
+cuts each pool into one run of boot pages per node, and a frame's home
+page is computed from the pool layout rather than stored.  These tests
+rebuild the reference the slow way --- one frame at a time, in pfn order
+--- and compare against it, check that every frame that leaves the pool
+comes back to its home page, then pin that boot makes no frame object
+and that its Python calls do not grow with memory.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.invariants import InvariantChecker, sweep
 from repro.managers.base import GenericSegmentManager
 from repro.spcm.policy import ReservePolicy
 from repro.spcm.spcm import FrameRequest, SystemPageCacheManager
+from repro.verify.digest import state_digest
 
 MB = 1024 * 1024
 LARGE = 16384
@@ -86,6 +89,36 @@ class TestBootMatchesPerFrameReference:
             seg_id = kernel.boot_segments[size].seg_id
             got = [(f.owner_segment_id, f.page_index, f.flags) for f in frames]
             assert got == [(seg_id, page, RW) for page in range(len(frames))]
+
+    def test_frames_made_late_match_an_eager_boot(self, machine):
+        """A frame made on first use, after grants and returns around it,
+        has the fields an eager boot gave every frame, and each pfn is
+        one object on every call."""
+        kernel, spcm = machine
+        memory = kernel.memory
+        manager = GenericSegmentManager(kernel, spcm, "early", initial_frames=4)
+        manager.return_frames(2)
+        made_early = set(memory.made)
+        assert len(made_early) == 4
+        # the eager layout: frames end to end in pfn order, base pool first
+        sizes = sorted(
+            (pfn, size) for size, pfns in memory.pools.items() for pfn in pfns
+        )
+        phys_addr = 0
+        for pfn, size in sizes:
+            frame = memory.frame(pfn)
+            assert memory.frame(pfn) is frame
+            if pfn not in made_early:
+                boot_segment = kernel.boot_segments[size]
+                page = pfn - memory.pools[size].start
+                assert (
+                    frame.pfn, frame.page_size, frame.phys_addr,
+                    frame.owner_segment_id, frame.page_index, frame.flags,
+                    frame.is_materialized,
+                ) == (pfn, size, phys_addr, boot_segment.seg_id, page, RW, False)
+            phys_addr += size
+        assert phys_addr == memory.size_bytes
+        assert sweep(kernel) == []
 
     def test_free_list_order_and_buckets(self, machine):
         """Each node's run holds exactly its frames' boot pages, and a
@@ -235,21 +268,17 @@ class TestFramesComeHome:
 class TestBootStaysBulk:
     """A deterministic guard on boot's per-frame work.
 
-    The wall-clock bound on set-up time is too loose to catch boot sliding
-    back to per-frame Python calls; a count of Python-level calls is exact
-    and host-independent.  Generator resumptions count as calls, so the
-    bulk loads use comprehensions and C-level builtins.  The one call left
-    per frame is ``PageFrame.__init__``; the default manager's initial
-    grant accounts for most of the rest.
+    The wall-clock bound on set-up time is too loose to catch boot
+    sliding back to per-frame work; counts of frame objects and of
+    Python-level calls are exact and host-independent.  Boot files each
+    pool with one record, so it makes no frame: a frame's object is made
+    when the SPCM grants it out, and a sweep or a digest of the whole
+    machine reads unmade frames by pfn.
     """
 
-    MAX_CALLS_PER_FRAME = 1.25
-
-    @pytest.mark.parametrize("n_nodes", [None, 4])
-    def test_64mb_boot_makes_at_most_one_and_a_quarter_calls_per_frame(
-        self, n_nodes
-    ):
-        build_system(memory_mb=64, n_nodes=n_nodes)  # warm import caches
+    @staticmethod
+    def boot_calls(memory_mb: int, n_nodes: int | None) -> int:
+        """Python calls made by a bare boot of ``memory_mb`` megabytes."""
         calls = 0
 
         def count(_frame, event, _arg):
@@ -260,12 +289,35 @@ class TestBootStaysBulk:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            system = build_system(memory_mb=64, n_nodes=n_nodes)
+            memory = PhysicalMemory(memory_mb * MB)
+            topology = (
+                NumaTopology.for_memory(memory, n_nodes) if n_nodes else None
+            )
+            Kernel(memory, topology=topology)
         finally:
             sys.setprofile(previous)
-        n_frames = system.memory.n_frames
-        assert n_frames == 16384
-        assert calls <= self.MAX_CALLS_PER_FRAME * n_frames, (
-            f"booting {n_frames} frames made {calls} Python calls "
-            f"({calls / n_frames:.2f} per frame)"
-        )
+        return calls
+
+    @pytest.mark.parametrize("n_nodes", [None, 4])
+    def test_64mb_boot_makes_frames_only_as_they_are_granted(self, n_nodes):
+        memory = PhysicalMemory(64 * MB)
+        topology = NumaTopology.for_memory(memory, n_nodes) if n_nodes else None
+        kernel = Kernel(memory, topology=topology)
+        assert memory.n_frames == 16384 and memory.made == {}
+        SystemPageCacheManager(kernel)
+        assert memory.made == {}
+
+        system = build_system(memory_mb=64, n_nodes=n_nodes)
+        manager = system.default_manager
+        assert len(system.memory.made) == manager.free_frames == 1024
+        assert set(system.memory.made) == {
+            frame.pfn for frame in manager.free_segment.pages.values()
+        }
+        InvariantChecker(system.kernel).check_all()
+        state_digest(system)
+        assert len(system.memory.made) == 1024
+
+    @pytest.mark.parametrize("n_nodes", [None, 4])
+    def test_boot_calls_do_not_grow_with_memory(self, n_nodes):
+        self.boot_calls(8, n_nodes)  # warm import caches
+        assert self.boot_calls(64, n_nodes) == self.boot_calls(8, n_nodes)

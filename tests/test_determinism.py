@@ -16,7 +16,7 @@ from repro.chaos.harness import WORKLOADS
 from repro.errors import VerificationError
 from repro.managers.base import GenericSegmentManager
 from repro.verify.cli import main
-from repro.verify.determinism import run_twice
+from repro.verify.determinism import _resolve_workload, run_twice
 from repro.verify.schedule import NAMED_SCHEDULES
 
 pytestmark = pytest.mark.verify
@@ -43,6 +43,36 @@ class TestGreenPaths:
     def test_unknown_workload_is_a_verification_error(self):
         with pytest.raises(VerificationError, match="unknown workload"):
             run_twice("no-such-workload")
+
+
+#: run-A chain heads of the shipped workloads, as ``verify determinism``
+#: prints them.  Two runs of one tree agreeing shows determinism only; a
+#: head that moves here shows that simulated state changed, which a
+#: change must declare and re-record.
+PINNED_HEADS = {
+    ("figure2", None): "23e16752303b8437",
+    ("apps", None): "b45601db8e51e63e",
+    ("table1", None): "d3ff7838649733e3",
+    ("figure2", 2): "24a436ac0e7ad1c0",
+    ("apps", 2): "f186da7f382d157f",
+    ("table1", 2): "c702154f82ac55c1",
+    ("serve-64x2", 2): "29aa8871ff3db8f9",
+    ("figure2", 4): "9f3f9c69cc27ebb8",
+    ("apps", 4): "c8b9942c4c0784f2",
+    ("table1", 4): "325596e4e1faa56f",
+}
+
+
+@pytest.mark.parametrize(
+    "workload, nodes",
+    list(PINNED_HEADS),
+    ids=[f"{w}-{n or 'flat'}" for w, n in PINNED_HEADS],
+)
+def test_pinned_head(workload, nodes):
+    _, drive = _resolve_workload(workload, nodes)
+    record = drive(None, "A")
+    assert record.violation is None and record.error_type is None
+    assert record.chain.head[:16] == PINNED_HEADS[workload, nodes]
 
 
 class _ShuffledSlotManager(GenericSegmentManager):

@@ -240,3 +240,48 @@ class TestPolicies:
             policy.decide("p", 1, 4, 4096).decision
             is AllocationDecision.DEFER
         )
+
+
+class TestDemandFlag:
+    """S2.4: memory is charged only while other requests wait for it."""
+
+    @staticmethod
+    def machine(reserve_frames: int = 32):
+        from repro.core.kernel import Kernel
+        from repro.hw.phys_mem import PhysicalMemory
+        from repro.managers.base import GenericSegmentManager
+        from repro.spcm.spcm import SystemPageCacheManager
+
+        mkt = market(income_per_second=0.0, savings_tax_rate=0.0)
+        kernel = Kernel(PhysicalMemory(8 * 1024 * 1024))
+        spcm = SystemPageCacheManager(
+            kernel, policy=ReservePolicy(reserve_frames), market=mkt
+        )
+        capped = GenericSegmentManager(
+            kernel, spcm, "tenant-a", initial_frames=16
+        )
+        holder = GenericSegmentManager(
+            kernel, spcm, "tenant-b", initial_frames=64
+        )
+        return mkt, spcm, capped, holder
+
+    def test_a_tenant_at_its_own_quota_is_not_demand(self):
+        from repro.core.api import TenantQuota
+
+        mkt, spcm, capped, holder = self.machine()
+        spcm.set_tenant_quota(TenantQuota("tenant-a", frames=16))
+        assert capped.request_frames(1) == 0
+        assert spcm.quota_deferrals == 1 and spcm.deferred_requests == 1
+        assert spcm.available_frames() == 1968
+        assert not mkt.demand_outstanding
+        mkt.advance(10.0)
+        assert mkt.account(holder.account).total_memory_charges == 0.0
+
+    def test_a_pool_held_back_by_its_reserve_is_demand(self):
+        mkt, spcm, capped, holder = self.machine(reserve_frames=1968)
+        assert capped.request_frames(1) == 0
+        assert spcm.quota_deferrals == 0 and spcm.deferred_requests == 1
+        assert mkt.demand_outstanding
+        mkt.advance(10.0)
+        charged = mkt.account(holder.account).total_memory_charges
+        assert charged == pytest.approx(64 * 4096 / (1024 * 1024) * 10.0)

@@ -74,7 +74,8 @@ class TestTopology:
     def test_frame_aligned_nodes_over_mixed_pools_accepted(self):
         memory = PhysicalMemory(4 * 4096, large_pools={16384: 1})
         topology = NumaTopology.for_memory(memory, 2)
-        assert topology.node_of(memory.frames_of_size(16384)[0].phys_addr) == 1
+        big = memory.frame(memory.pools[16384].start)
+        assert topology.node_of(big.phys_addr) == 1
 
     def test_remote_cheaper_than_local_rejected(self):
         with pytest.raises(HardwareError):

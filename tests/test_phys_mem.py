@@ -89,8 +89,9 @@ class TestPhysicalMemory:
     def test_large_pools_follow_base_frames(self):
         mem = PhysicalMemory(8 * 4096, large_pools={16384: 2})
         assert mem.n_frames == 10
-        big = mem.frames_of_size(16384)
+        big = [mem.frame(pfn) for pfn in mem.pools[16384]]
         assert len(big) == 2
+        assert [f.page_size for f in big] == [16384, 16384]
         assert big[0].phys_addr == 8 * 4096
         assert big[1].phys_addr == 8 * 4096 + 16384
         assert mem.size_bytes == 8 * 4096 + 2 * 16384
@@ -112,9 +113,17 @@ class TestPhysicalMemory:
             16384: range(8, 10),
             65536: range(10, 11),
         }
-        for size, pfns in mem.pools.items():
-            assert [f.pfn for f in mem.frames_of_size(size)] == list(pfns)
-        assert mem.frames_of_size(8192) == []
+        assert mem.pool_addrs == {
+            4096: 0,
+            16384: 8 * 4096,
+            65536: 8 * 4096 + 2 * 16384,
+        }
+        assert [(f.page_size, f.phys_addr) for f in mem.frames()] == [
+            *((4096, pfn * 4096) for pfn in range(8)),
+            (16384, 8 * 4096),
+            (16384, 8 * 4096 + 16384),
+            (65536, 8 * 4096 + 2 * 16384),
+        ]
 
     def test_empty_large_pool_has_no_frames(self):
         mem = PhysicalMemory(8 * 4096, large_pools={16384: 0})
@@ -135,3 +144,49 @@ class TestPhysicalMemory:
         assert memory.frame_at_addr(4096 * 5 + 123).pfn == 5
         with pytest.raises(PhysicalMemoryError):
             memory.frame_at_addr(memory.size_bytes)
+
+
+class TestFramesMadeOnFirstUse:
+    """A frame's object is made the first time it is asked for, and the
+    address lookups are arithmetic: each makes only what it returns."""
+
+    def test_construction_makes_no_frame(self):
+        mem = PhysicalMemory(64 * 1024 * 1024, large_pools={16384: 64})
+        assert mem.n_frames == 16384 + 64
+        assert mem.made == {}
+
+    def test_frame_is_made_once(self, memory):
+        frame = memory.frame(7)
+        assert memory.frame(7) is frame
+        assert memory.made == {7: frame}
+
+    def test_address_lookups_make_only_what_they_return(self):
+        mem = PhysicalMemory(8 * 4096, large_pools={16384: 2, 65536: 1})
+        assert mem.frame_at_addr(8 * 4096 + 16384 + 5).pfn == 9
+        assert sorted(mem.made) == [9]
+        frames = mem.frames_in_addr_range(6 * 4096, 8 * 4096 + 16384 + 1)
+        assert [f.pfn for f in frames] == [6, 7, 8, 9]
+        assert sorted(mem.made) == [6, 7, 8, 9]
+        assert mem.frames_in_addr_range(3 * 4096 + 1, 4 * 4096) == []
+        assert mem.frames_in_addr_range(mem.size_bytes, 2 * mem.size_bytes) == []
+        assert [f.pfn for f in mem.frames_in_addr_range(-4096, 4096)] == [0]
+        assert sorted(mem.made) == [0, 6, 7, 8, 9]
+        with pytest.raises(PhysicalMemoryError):
+            mem.frame_at_addr(-1)
+        with pytest.raises(PhysicalMemoryError):
+            mem.frame_at_addr(mem.size_bytes)
+        assert sorted(mem.made) == [0, 6, 7, 8, 9]
+
+    def test_address_lookups_agree_with_a_scan(self):
+        mem = PhysicalMemory(8 * 4096, large_pools={16384: 2, 65536: 1})
+        frames = list(mem.frames())
+        for lo in range(0, mem.size_bytes + 1, 2048):
+            for hi in (lo, lo + 1, lo + 4096, lo + 20000, mem.size_bytes):
+                assert mem.frames_in_addr_range(lo, hi) == [
+                    f for f in frames if lo <= f.phys_addr < hi
+                ]
+            if lo < mem.size_bytes:
+                assert mem.frame_at_addr(lo) is next(
+                    f for f in frames
+                    if f.phys_addr <= lo < f.phys_addr + f.page_size
+                )
