@@ -21,6 +21,7 @@ the standard ``schema_version`` + ``meta`` run-identity header.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 import tracemalloc
@@ -80,9 +81,20 @@ def measure_allocations() -> dict:
     *retains* (translations, page contents, per-fault records that
     outlive the fault) and ``peak_kib`` bounds the transient high-water
     mark; both fall when per-fault records stop being allocated.
+
+    The figures must not depend on what ran before in the process: an
+    untimed drive first fills lazy caches (``fill_bytes``' lru_cache),
+    the cyclic collector is flushed, then held off for the traced drive,
+    so a collection of older garbage cannot land inside it, and the
+    snapshots' own blocks are left out of the count.
     """
     schedule = figure2_schedule()
+    warm_system, _manager, warm_segments = build_vpp_system(schedule)
+    drive_vpp(warm_system, schedule, warm_segments)
     system, _manager, segments = build_vpp_system(schedule)
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot()
@@ -93,7 +105,12 @@ def measure_allocations() -> dict:
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    stats = after.compare_to(before, "filename")
+        if gc_was_enabled:
+            gc.enable()
+    own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    stats = after.filter_traces(own).compare_to(
+        before.filter_traces(own), "filename"
+    )
     net_blocks = sum(s.count_diff for s in stats)
     net_bytes = sum(s.size_diff for s in stats)
     faults = system.kernel.stats.faults

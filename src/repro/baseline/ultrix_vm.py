@@ -97,7 +97,8 @@ class UltrixVM:
         self._spaces: dict[int, UltrixSpace] = {}
         self._files: dict[str, UltrixFile] = {}
         self._next_space = 0
-        self._free: list[PageFrame] = list(memory.frames())
+        # free frames by pfn: a frame object is made only when first used
+        self._free: list[int] = list(range(memory.n_frames))
         # FIFO of (space, page) for kernel reclamation, invisible to apps
         self._resident: list[tuple[UltrixSpace, int]] = []
 
@@ -115,7 +116,7 @@ class UltrixVM:
     def destroy_space(self, space: UltrixSpace) -> None:
         """Tear a space down, freeing its frames."""
         for page, frame in list(space.pages.items()):
-            self._free.append(frame)
+            self._free.append(frame.pfn)
         self._resident = [
             (s, p) for (s, p) in self._resident if s is not space
         ]
@@ -183,7 +184,7 @@ class UltrixVM:
             self._reclaim(16)
         if not self._free:
             raise OutOfFramesError("ULTRIX free list exhausted")
-        return self._free.pop()
+        return self.memory.frame(self._free.pop())
 
     def _reclaim(self, n_pages: int) -> None:
         """Kernel clock-ish reclamation: FIFO over unpinned residents."""
@@ -205,7 +206,7 @@ class UltrixVM:
             del space.pages[vpn]
             self.tlb.invalidate(space.space_id, vpn)
             self.page_table.remove(space.space_id, vpn)
-            self._free.append(frame)
+            self._free.append(frame.pfn)
             reclaimed += 1
             self.stats.reclaimed_pages += 1
         self._resident = survivors

@@ -123,7 +123,7 @@ class UnixRetrofitVM(UltrixVM):
             raise SegmentError(
                 f"page {file_page} of {name!r} is not allocated"
             )
-        self._free.append(frame)  # type: ignore[arg-type]
+        self._free.append(frame.pfn)  # type: ignore[attr-defined]
 
     def make_heap_manager(self) -> RetrofitHandler:
         """The standard anonymous-heap manager the oracle installs.
@@ -253,7 +253,7 @@ class UnixRetrofitVM(UltrixVM):
             del space.pages[vpn]
             self.tlb.invalidate(space.space_id, vpn)
             self.page_table.remove(space.space_id, vpn)
-            self._free.append(frame)
+            self._free.append(frame.pfn)
             reclaimed += 1
             self.stats.reclaimed_pages += 1
         self._resident = survivors

@@ -55,9 +55,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--recovery",
         action="store_true",
-        help="install the warm-restart coordinator (recovery journal + "
-        "checkpoints); manager crashes replay state in place and only "
-        "torn journals or crash loops fall back to cold failover",
+        help="install the warm-restart coordinator (recovery journals + "
+        "checkpoints); crashed, hung and unreachable managers replay "
+        "state in place and only torn journals or crash loops fall back "
+        "to cold failover",
     )
     parser.add_argument(
         "--slo",

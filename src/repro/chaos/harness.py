@@ -39,9 +39,10 @@ class Scenario:
     description: str
     plan: ChaosPlan
     workload: str  # key into WORKLOADS
-    #: install the warm-restart coordinator (recovery journal +
-    #: checkpoints) before running; crashes then retry a restart
-    #: before the kernel falls over to the fallback manager
+    #: install the warm-restart coordinator (recovery journals +
+    #: checkpoints) before running; crashes, hangs and unreachable
+    #: managers then retry a restart before the kernel falls over to
+    #: the fallback manager
     recovery: bool = False
 
 
@@ -465,9 +466,10 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "recovery-checkpoint-corrupt",
-            "checkpoints are corrupted on media; restore walks back to "
-            "an older generation (or the journal origin) and still "
-            "converges",
+            "checkpoints are corrupted on media; the read-back check "
+            "discards each damaged one, so restore takes the last good "
+            "checkpoint (or the journal origin) and a longer log, and "
+            "still converges",
             ChaosPlan(
                 manager_crash_rate=0.4,
                 checkpoint_corrupt_rate=0.5,
@@ -523,10 +525,10 @@ def run_schedule(
     scenario (no kernel in that loop).
 
     ``recovery=True`` (or a scenario declared with ``recovery=True``)
-    installs the warm-restart coordinator before the workload: manager
-    crashes then replay checkpoint+journal in place, and only torn
-    journals, corrupt checkpoints, or crash loops reach the kernel's
-    cold failover path.  The coordinator's counters land on
+    installs the warm-restart coordinator before the workload: crashed,
+    hung and unreachable managers then replay checkpoint+journal in
+    place, and only torn journals, crash loops or a failed audit reach
+    the kernel's cold failover path.  The coordinator's counters land on
     :attr:`ChaosResult.recovery_stats`.
     """
     spec = SCENARIOS.get(scenario)

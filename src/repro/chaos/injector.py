@@ -230,12 +230,14 @@ class Injector:
         return None
 
     def journal_tear(self, journal) -> None:
-        """Maybe shear bytes off the recovery journal's tail.
+        """Maybe shear bytes off the crashed manager's journal tail.
 
         Models the crash interrupting the journal append itself: the
-        warm-restart path calls this before decoding, and the torn tail
-        forces :class:`~repro.recovery.restart.RecoveryCoordinator` down
-        its cold-failover branch.
+        warm-restart path calls this on the manager's own log before
+        decoding it, and the torn tail forces
+        :class:`~repro.recovery.restart.RecoveryCoordinator` down its
+        cold-failover branch.  An empty log (just trimmed at a
+        checkpoint) has no tail to tear.
         """
         plan = self.plan
         if (

@@ -89,7 +89,8 @@ class ChaosPlan:
     journal_tear_rate: float = 0.0
     #: most bytes shaved off the journal tail when a tear fires (>= 1)
     journal_tear_max_bytes: int = 64
-    #: probability one checkpoint generation is unreadable at restore
+    #: probability a checkpoint is damaged as it is written (the
+    #: read-back check discards it)
     checkpoint_corrupt_rate: float = 0.0
 
     # -- scope -------------------------------------------------------------

@@ -61,7 +61,6 @@ from repro.hw.phys_mem import PageFrame, PhysicalMemory
 from repro.hw.tlb import TLB
 from repro.invariants import enforce
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.recovery.journal import NULL_JOURNAL
 
 __all__ = ["Kernel", "KernelStats", "PageAttribute"]
 
@@ -214,8 +213,6 @@ class Kernel:
         if tracer.enabled and getattr(tracer, "clock", None) is None:
             tracer.clock = lambda: self.meter.total_us  # type: ignore[union-attr]
         self.tlb.tracer = tracer
-        #: recovery write-ahead journal (NULL_JOURNAL when recovery is off)
-        self.journal = NULL_JOURNAL
         #: carries forwarded faults to managers and fails misbehaving
         #: managers over; chaos, recovery and the fallback plug in here
         self.supervisor = ManagerSupervisor(self)
@@ -384,14 +381,6 @@ class Kernel:
             segment.manager.managed.discard(segment.seg_id)
         segment.manager = manager
         manager.managed.add(segment.seg_id)
-        if self.journal.enabled:
-            # ground truth for the recovery auditor (not replayed)
-            self.journal.append(
-                "kernel.bind",
-                manager.name,
-                seg=segment.seg_id,
-                previous=previous,
-            )
         return previous
 
     def migrate_pages(

@@ -6,8 +6,9 @@ control transfer for the manager's invocation mode, the fault injector's
 manager and IPC choke points, and --- when the manager crashes, hangs,
 proves unreachable, or keeps replying without resolving the fault --- the
 one duty the kernel owes a misbehaving manager (paper S2.3): reassign its
-segments to the fallback (default) manager.  A crashed manager is first
-offered to the recovery coordinator for a warm restart.
+segments to the fallback (default) manager.  A crashed, hung or
+unreachable manager is first offered to the recovery coordinator for a
+warm restart; a byzantine one fails over at once.
 
 Every degradation is reported to the :meth:`ManagerSupervisor.on_degradation`
 listeners, which is where the SLO watchdog judges failover and restart
@@ -57,8 +58,8 @@ class ManagerSupervisor:
         self.kernel = kernel
         #: fault injector (NULL_INJECTOR when chaos is disabled)
         self.injector = NULL_INJECTOR
-        #: recovery coordinator, when installed (warm-restarts crashed
-        #: managers before the cold failover path)
+        #: recovery coordinator, when installed (warm-restarts crashed,
+        #: hung and unreachable managers before the cold failover path)
         self.recovery = None
         #: manager segments fail over to when their own manager crashes,
         #: hangs, or keeps failing (``build_system`` points this at the
@@ -125,7 +126,7 @@ class ManagerSupervisor:
             ):
                 deliveries = self._ipc_deliveries(manager, fault)
                 if deliveries == 0:
-                    return True  # unreachable: failover already happened
+                    return True  # unreachable: restarted or failed over
         try:
             for _ in range(deliveries):
                 self._invoke(manager, fault, outcome)
@@ -221,7 +222,8 @@ class ManagerSupervisor:
         Models at-least-once IPC: a dropped message costs the send plus a
         reply timeout and is redelivered (bounded); a duplicated message
         invokes the handler twice, which managers must tolerate.  Returns
-        0 when the manager proved unreachable (failover already done).
+        0 when the manager proved unreachable (already restarted or
+        failed over).
         """
         kernel = self.kernel
         costs = kernel.costs
@@ -301,9 +303,40 @@ class ManagerSupervisor:
         kernel.stats.manager_crashes += 1
         if kernel.tracer.enabled:
             kernel.tracer.step("kernel", f"manager crash detected: {crash}")
-        # a second crash during an in-flight recovery/failover keeps the
+        self._restart_or_fail_over(manager, fault, "crashed")
+
+    def _unresponsive(
+        self, manager: SegmentManager, fault: "PageFault", reason: str
+    ) -> None:
+        """Per-fault timeout expired with no manager reply: restart the
+        manager if recovery can, else fail over."""
+        kernel = self.kernel
+        kernel.stats.manager_timeouts += 1
+        # the degradation clock starts at detection: the timeout spent
+        # waiting is part of the restart or failover latency the SLO
+        # budgets
+        if self._degradation_start is None:
+            self._degradation_start = kernel.meter.total_us
+        timeout_us = kernel.costs.manager_timeout_us
+        kernel.meter.charge("manager_timeout", timeout_us)
+        if kernel.tracer.enabled:
+            kernel.tracer.step(
+                "kernel",
+                f"manager {manager.name} unresponsive; per-fault timeout "
+                f"({timeout_us:.0f} us) expires",
+                timeout_us,
+            )
+        self._restart_or_fail_over(manager, fault, reason)
+
+    def _restart_or_fail_over(
+        self, manager: SegmentManager, fault: "PageFault", reason: str
+    ) -> None:
+        """Offer a crashed, hung or unreachable manager to recovery for a
+        warm restart; fail it over when the restart declines."""
+        kernel = self.kernel
+        # a second failure during an in-flight recovery/failover keeps the
         # original detection time (the SLO measures degradation from first
-        # detection, not from the latest crash)
+        # detection, not from the latest failure)
         if self._degradation_start is None:
             self._degradation_start = kernel.meter.total_us
         report = (
@@ -318,28 +351,6 @@ class ManagerSupervisor:
             return
         if report is not None:
             self._notify("cold_fallback", manager.name, report.duration_us)
-        self._fail_over(manager, fault, "crashed")
-
-    def _unresponsive(
-        self, manager: SegmentManager, fault: "PageFault", reason: str
-    ) -> None:
-        """Per-fault timeout expired with no manager reply: fail over."""
-        kernel = self.kernel
-        kernel.stats.manager_timeouts += 1
-        # the failover clock starts at detection: the timeout spent waiting
-        # is part of the failover latency the SLO budgets; an earlier
-        # in-flight detection keeps its (earlier) start time
-        if self._degradation_start is None:
-            self._degradation_start = kernel.meter.total_us
-        timeout_us = kernel.costs.manager_timeout_us
-        kernel.meter.charge("manager_timeout", timeout_us)
-        if kernel.tracer.enabled:
-            kernel.tracer.step(
-                "kernel",
-                f"manager {manager.name} unresponsive; per-fault timeout "
-                f"({timeout_us:.0f} us) expires",
-                timeout_us,
-            )
         self._fail_over(manager, fault, reason)
 
     def _fail_over(

@@ -155,9 +155,9 @@ class RecoveryError(ReproError):
 class JournalCorruptionError(RecoveryError):
     """A journal record or checkpoint failed its CRC/framing check.
 
-    A corrupt *tail* is expected after a torn write and is truncated
-    silently; this error means state needed for a warm restart (a
-    checkpoint, or a record before the torn tail) was unusable.
+    A torn tail is truncated rather than replayed; this error means the
+    records it covered, which a warm restart needs, are lost (or a
+    checkpoint failed its CRC on restore).
     """
 
 

@@ -69,8 +69,8 @@ class GenericSegmentManager(SegmentManager):
     ) -> None:
         super().__init__(kernel, name)
         self.spcm = spcm
-        # recovery hooks: registration below swaps in the live journal
-        # when a recovery coordinator is installed
+        # recovery hooks: registration below gives the manager its own
+        # journal when a recovery coordinator is installed
         self.journal = NULL_JOURNAL
         self.restarts = 0
         self.account = spcm.register_manager(self)
@@ -131,10 +131,8 @@ class GenericSegmentManager(SegmentManager):
             self.free_segment,
         )
         self._free_slots.extend(pages)
-        if self.journal.enabled:
-            self.journal.append(
-                "mgr.slots_granted", self.name, slots=list(pages)
-            )
+        if pages and self.journal.enabled:
+            self.journal.append("mgr.slots_granted", slots=list(pages))
         return len(pages)
 
     def return_frames(self, n_frames: int, node: int | None = None) -> int:
@@ -170,9 +168,7 @@ class GenericSegmentManager(SegmentManager):
         self.spcm.return_frames(self, self.free_segment, slots)
         self._empty_slots.extend(slots)
         if self.journal.enabled:
-            self.journal.append(
-                "mgr.slots_surrendered", self.name, slots=list(slots)
-            )
+            self.journal.append("mgr.slots_surrendered", slots=list(slots))
         return FrameGrant(tuple(slots), node=node)
 
     def allocate_slot(self) -> int:
@@ -202,7 +198,7 @@ class GenericSegmentManager(SegmentManager):
         slot = self._free_slots.pop()
         self._drop_stale(slot)
         if self.journal.enabled:
-            self.journal.append("mgr.alloc", self.name, slot=slot)
+            self.journal.append("mgr.alloc", slot=slot)
         return slot
 
     def allocate_run(self, n_slots: int) -> list[int]:
@@ -224,7 +220,7 @@ class GenericSegmentManager(SegmentManager):
             self._free_slots.remove(slot)
             self._drop_stale(slot)
         if self.journal.enabled:
-            self.journal.append("mgr.allocrun", self.name, slots=list(run))
+            self.journal.append("mgr.allocrun", slots=list(run))
         return run
 
     def _pop_slot(self) -> int:
@@ -238,7 +234,7 @@ class GenericSegmentManager(SegmentManager):
         slot = self._free_slots.pop()
         self._drop_stale(slot)
         if self.journal.enabled:
-            self.journal.append("mgr.alloc", self.name, slot=slot)
+            self.journal.append("mgr.alloc", slot=slot)
         return slot
 
     def _maybe_crash_in_alloc(self) -> None:
@@ -339,15 +335,12 @@ class GenericSegmentManager(SegmentManager):
         """Apply one journal record to the policy structures.
 
         Mutates the structures directly (never through the emitting
-        methods, which would journal again or touch the kernel).  Kinds
-        outside the ``mgr.`` namespace are ground-truth records for the
-        auditor and are ignored here.  Removals are tolerant --- after a
-        torn journal the referenced entry may already be gone; the
-        auditor reconciles what replay cannot.
+        methods, which would journal again or touch the kernel).
+        Removals are tolerant --- after a torn journal the referenced
+        entry may already be gone; the auditor reconciles what replay
+        cannot.
         """
-        kind = str(record.get("kind", ""))
-        if not kind.startswith("mgr."):
-            return
+        kind = record["kind"]
         if kind == "mgr.slots_granted":
             self._free_slots.extend(record["slots"])
         elif kind == "mgr.slots_surrendered":
@@ -426,7 +419,7 @@ class GenericSegmentManager(SegmentManager):
         self._stale_origin.clear()
         self._stale_slot.clear()
         if self.journal.enabled:
-            self.journal.append("mgr.invalidate", self.name)
+            self.journal.append("mgr.invalidate")
 
     def _drop_stale(self, slot: int) -> None:
         origin = self._stale_origin.pop(slot, None)
@@ -475,7 +468,6 @@ class GenericSegmentManager(SegmentManager):
             if self.journal.enabled:
                 self.journal.append(
                     "mgr.fastreclaim",
-                    self.name,
                     seg=fault.segment_id,
                     page=fault.page,
                     slot=stale_slot,
@@ -510,7 +502,6 @@ class GenericSegmentManager(SegmentManager):
         if self.journal.enabled:
             self.journal.append(
                 "mgr.place",
-                self.name,
                 seg=fault.segment_id,
                 page=fault.page,
                 slot=slot,
@@ -650,7 +641,6 @@ class GenericSegmentManager(SegmentManager):
         if self.journal.enabled:
             self.journal.append(
                 "mgr.evict",
-                self.name,
                 seg=segment.seg_id,
                 page=page,
                 slot=slot,
@@ -688,9 +678,7 @@ class GenericSegmentManager(SegmentManager):
             moves.append([page, slot, int(grew)])
         self.pinned_segments.discard(segment.seg_id)
         if self.journal.enabled:
-            self.journal.append(
-                "mgr.segdel", self.name, seg=segment.seg_id, moves=moves
-            )
+            self.journal.append("mgr.segdel", seg=segment.seg_id, moves=moves)
 
     def release_frames(self, demand: FrameDemand) -> FrameGrant:
         """SPCM pressure: surrender frames, reclaiming if needed.
@@ -712,7 +700,7 @@ class GenericSegmentManager(SegmentManager):
             self._note_resident(segment, page)
         if self.journal.enabled:
             self.journal.append(
-                "mgr.adopt", self.name, seg=segment.seg_id, pages=list(pages)
+                "mgr.adopt", seg=segment.seg_id, pages=list(pages)
             )
         return FrameGrant(tuple(pages))
 
@@ -724,9 +712,7 @@ class GenericSegmentManager(SegmentManager):
             self._drop_stale(slot)
         self._empty_slots.extend(grant.pages)
         if self.journal.enabled:
-            self.journal.append(
-                "mgr.seized", self.name, slots=list(grant.pages)
-            )
+            self.journal.append("mgr.seized", slots=list(grant.pages))
 
     # ------------------------------------------------------------------
     # pinning helpers (S2.2: the manager keeps its own pages in memory)
@@ -736,13 +722,13 @@ class GenericSegmentManager(SegmentManager):
         """Exclude a segment's pages from replacement."""
         self.pinned_segments.add(segment.seg_id)
         if self.journal.enabled:
-            self.journal.append("mgr.pin", self.name, seg=segment.seg_id)
+            self.journal.append("mgr.pin", seg=segment.seg_id)
 
     def unpin_segment(self, segment: Segment) -> None:
         """Re-admit a segment's pages to replacement."""
         self.pinned_segments.discard(segment.seg_id)
         if self.journal.enabled:
-            self.journal.append("mgr.unpin", self.name, seg=segment.seg_id)
+            self.journal.append("mgr.unpin", seg=segment.seg_id)
 
     def resident_pages_of(self, segment: Segment) -> list[int]:
         """Page indices of ``segment`` currently backed by frames."""

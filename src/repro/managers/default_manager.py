@@ -159,7 +159,6 @@ class DefaultSegmentManager(GenericSegmentManager):
         if self.journal.enabled:
             self.journal.append(
                 "mgr.place_run",
-                self.name,
                 seg=fault.segment_id,
                 pages=list(run),
                 slots=list(slots),
@@ -171,7 +170,6 @@ class DefaultSegmentManager(GenericSegmentManager):
         if self.journal.enabled:
             self.journal.append(
                 "mgr.sample",
-                self.name,
                 seg=segment.seg_id,
                 restored=restored,
             )
@@ -212,7 +210,6 @@ class DefaultSegmentManager(GenericSegmentManager):
             # post-sweep position so replay restores the same rotation
             self.journal.append(
                 "mgr.clock",
-                self.name,
                 ring=[[seg, page] for seg, page in self.clock._ring],
                 hand=self.clock._hand,
             )
@@ -342,7 +339,7 @@ class DefaultSegmentManager(GenericSegmentManager):
         self.files_closed = counters.get("files_closed", 0)
 
     def replay_record(self, record: dict) -> None:
-        kind = str(record.get("kind", ""))
+        kind = record["kind"]
         if kind == "mgr.place_run":
             seg = record["seg"]
             self._empty_slots.extend(record["slots"])

@@ -1,9 +1,9 @@
 """Crash-consistent manager recovery.
 
-Write-ahead journal (:mod:`repro.recovery.journal`), replay-bounding
-checkpoints (:mod:`repro.recovery.checkpoint`), the warm-restart
-coordinator (:mod:`repro.recovery.restart`), and the fsck-style recovery
-auditor (:mod:`repro.recovery.auditor`).
+Per-manager write-ahead journals (:mod:`repro.recovery.journal`),
+replay-bounding checkpoints (:mod:`repro.recovery.checkpoint`), the
+warm-restart coordinator (:mod:`repro.recovery.restart`), and the
+fsck-style recovery auditor (:mod:`repro.recovery.auditor`).
 """
 
 from repro.recovery.auditor import Discrepancy, RecoveryAuditor

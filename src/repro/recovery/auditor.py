@@ -1,8 +1,8 @@
 """The recovery auditor: fsck for a warm-restarted manager.
 
 Journal replay rebuilds a crashed manager's policy state, but the replay
-can be *incomplete* --- a torn journal tail, a corrupt checkpoint
-generation, or a manager that was only tracked mid-life.  The auditor
+can be *incomplete* --- a torn journal tail, or a manager that was only
+tracked mid-life.  The auditor
 repairs the restored private state to match
 :func:`~repro.invariants.manager_truth`, what the kernel knows to be true
 (kernel state survives a *manager* crash by construction), the same

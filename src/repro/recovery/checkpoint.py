@@ -1,18 +1,21 @@
 """Periodic policy-state checkpoints bounding journal replay.
 
-A :class:`CheckpointStore` subscribes to the journal's on-append hook and
-snapshots a tracked manager's serialized policy state every
-``every`` records that manager writes.  Because journal records are
-appended *after* the mutation they describe and the checkpoint is taken
-synchronously inside the hook, a checkpoint stored at journal position
-``P`` is exactly the state produced by applying records ``[0, P)`` ---
-warm restart restores the checkpoint and replays only the suffix.
+A :class:`CheckpointStore` subscribes to each tracked manager's own
+journal and snapshots the manager's serialized policy state every
+``every`` records of that log.  Because journal records are appended
+*after* the mutation they describe and the checkpoint is taken
+synchronously inside the append hook, a checkpoint stored at journal
+position ``P`` is exactly the state produced by applying records
+``[0, P)`` --- warm restart restores the checkpoint and replays only
+the suffix.
 
 Checkpoints reuse the :func:`repro.verify.digest.canonical_encode`
-canonical form and carry their own CRC-32, so a corrupted checkpoint
-(the ``checkpoint_corrupt`` chaos choke point) is *detected* at restore
-time and the store falls back to the previous generation --- a longer
-replay, never silent corruption.
+canonical form and carry their own CRC-32.  Each one is read back as it
+is written: an intact one replaces the manager's previous checkpoint and
+the journal drops every record it covers, while a damaged one (the
+``checkpoint_corrupt`` chaos choke point) is counted and discarded, so
+the previous checkpoint and the longer log behind it stay in force ---
+a longer replay, never silent corruption.
 """
 
 from __future__ import annotations
@@ -46,83 +49,67 @@ class Checkpoint:
 
 
 class CheckpointStore:
-    """Per-manager checkpoint generations driven by journal cadence.
+    """Each tracked manager's newest good checkpoint, on its log's cadence.
 
     ``corrupt_hook`` is the chaos choke point: called with the manager
     name right after a checkpoint is taken; returning True flips a
-    payload byte so the restore-time CRC check must catch it.
+    payload byte so the read-back CRC check must catch it.
     """
 
-    def __init__(self, journal, every: int = 64, keep: int = 2,
-                 corrupt_hook=None) -> None:
+    def __init__(self, every: int = 64, corrupt_hook=None) -> None:
         if every <= 0:
             raise ValueError(f"checkpoint cadence must be positive: {every}")
-        if keep <= 0:
-            raise ValueError(f"must keep at least one generation: {keep}")
-        self.journal = journal
         self.every = every
-        self.keep = keep
         self.corrupt_hook = corrupt_hook
-        self._managers: dict[str, object] = {}
-        self._counts: dict[str, int] = {}
-        self._chains: dict[str, list[Checkpoint]] = {}
+        self._latest: dict[str, Checkpoint] = {}
         self.checkpoints_taken = 0
         self.corrupt_checkpoints = 0
-        journal.on_append(self._on_append)
 
     def track(self, manager) -> None:
-        """Start checkpointing ``manager`` on its journal cadence."""
-        name = manager.name
-        if name in self._managers:
-            return
-        self._managers[name] = manager
-        self._counts.setdefault(name, 0)
-        self._chains.setdefault(name, [])
+        """Checkpoint ``manager`` every ``every`` records of its journal."""
 
-    def _on_append(self, position: int, record: dict) -> None:
-        name = record.get("manager")
-        manager = self._managers.get(name)
-        if manager is None:
-            return
-        self._counts[name] += 1
-        if self._counts[name] % self.every == 0:
-            self.take(manager)
+        def on_append(position: int, record: dict) -> None:
+            if (position + 1) % self.every == 0:
+                self.take(manager)
+
+        manager.journal.on_append(on_append)
 
     def take(self, manager) -> Checkpoint:
-        """Snapshot ``manager`` now, consistent with the current position."""
+        """Snapshot ``manager`` now, consistent with its journal position."""
         state = manager.serialize_policy_state()
         payload = canonical_encode(state).encode()
         checkpoint = Checkpoint(
             manager=manager.name,
-            position=self.journal.position,
+            position=manager.journal.position,
             payload=payload,
             crc=zlib.crc32(payload),
         )
+        self.checkpoints_taken += 1
         if self.corrupt_hook is not None and self.corrupt_hook(manager.name):
             # chaos: a torn checkpoint write --- damage the payload so the
-            # restore-time CRC check must reject this generation
+            # read-back CRC check must reject it
             damaged = bytearray(payload)
             damaged[0] ^= 0xFF
             checkpoint.payload = bytes(damaged)
-        chain = self._chains.setdefault(manager.name, [])
-        chain.append(checkpoint)
-        del chain[: -self.keep]
-        self.checkpoints_taken += 1
+        try:
+            checkpoint.restore()
+        except JournalCorruptionError:
+            self.corrupt_checkpoints += 1
+            return checkpoint
+        self._latest[manager.name] = checkpoint
+        manager.journal.trim()
         return checkpoint
 
     def latest(self, name: str) -> tuple[int, dict | None]:
-        """The newest restorable ``(position, state)`` for ``name``.
+        """The newest good ``(position, state)`` for ``name``.
 
-        Falls back generation by generation past corrupt checkpoints;
-        with none restorable, returns ``(0, None)`` --- replay from the
-        fresh-boot empty state over the whole journal.
+        With none, returns ``(0, None)`` --- replay from the fresh-boot
+        empty state over the whole journal.
         """
-        for checkpoint in reversed(self._chains.get(name, [])):
-            try:
-                return checkpoint.position, checkpoint.restore()
-            except JournalCorruptionError:
-                self.corrupt_checkpoints += 1
-        return 0, None
+        checkpoint = self._latest.get(name)
+        if checkpoint is None:
+            return 0, None
+        return checkpoint.position, checkpoint.restore()
 
     def stats_dict(self) -> dict[str, float]:
         """Flat values for a telemetry provider."""

@@ -1,18 +1,22 @@
-"""Write-ahead journal of manager-visible state transitions.
+"""Write-ahead journal of one segment manager's policy-state transitions.
 
-The journal is the durability half of crash-consistent manager recovery:
-every policy-state transition a segment manager makes (frames granted or
-surrendered, pages placed, evictions, adoption, seizure) is appended as
-one CRC-framed record *after* the mutation it describes, alongside the
-kernel/SPCM/arbiter ground-truth records (bindings, grants, loans, quota
-changes) the recovery auditor cross-checks against.
+The journal is the durability half of crash-consistent manager recovery.
+Every tracked manager owns one, and every policy-state transition the
+manager makes (frames granted or surrendered, pages placed, evictions,
+adoption, seizure) is appended to it as one CRC-framed ``mgr.*`` record
+*after* the mutation it describes.  It holds only what a warm restart
+replays (:meth:`repro.managers.base.GenericSegmentManager.replay_record`),
+and only back to the manager's newest good checkpoint: the checkpoint
+store trims everything older.
 
 Framing is ``[length:4][crc32:4][payload]`` per record, payload being the
 :func:`repro.verify.digest.canonical_encode` of a plain-data dict.  A
 torn tail (a crash mid-append, or the chaos injector's ``journal_tear``)
 is *detected* by the framing --- a short or CRC-mismatching frame stops
 decoding --- and truncated rather than replayed, exactly like a database
-WAL discards its torn last page.
+WAL discards its torn last page.  A tear that removes only whole frames
+leaves fewer records than the positions the log holds
+(``position - first``), and a warm restart counts that as torn too.
 
 Records are plain data on purpose: integers, strings, and lists only, so
 ``canonical_encode`` round-trips through ``json.loads`` untouched.
@@ -46,11 +50,8 @@ class NullJournal:
         """Discard the record (recovery is off); always position 0."""
         return 0
 
-    def on_append(self, hook) -> None:
-        """Ignore the hook --- nothing is ever appended."""
 
-
-#: the shared no-op instance (kernel/SPCM/manager default)
+#: the shared no-op instance (every manager's default)
 NULL_JOURNAL = NullJournal()
 
 
@@ -63,7 +64,8 @@ class RecoveryJournal:
         self._buf = bytearray()
         #: records appended so far (the next record's position)
         self.position = 0
-        self.appends = 0
+        #: position of the oldest record held (older ones were trimmed)
+        self.first = 0
         #: bytes dropped as a torn tail across all decodes
         self.truncated_bytes = 0
         self._hooks: list = []
@@ -82,18 +84,28 @@ class RecoveryJournal:
         self._hooks.append(hook)
 
     def append(self, kind: str, manager: str | None = None, **fields) -> int:
-        """Frame and append one record; returns its position."""
-        record: dict = {"kind": kind, "manager": manager}
+        """Frame and append one record; returns its position.
+
+        ``manager``, when given, tags the record with its writer; a
+        manager's own log needs no tag, so its append sites pass none.
+        """
+        record: dict = {"kind": kind}
+        if manager is not None:
+            record["manager"] = manager
         record.update(fields)
         payload = canonical_encode(record).encode()
         self._buf += FRAME_HEADER.pack(len(payload), zlib.crc32(payload))
         self._buf += payload
         position = self.position
         self.position += 1
-        self.appends += 1
         for hook in self._hooks:
             hook(position, record)
         return position
+
+    def trim(self) -> None:
+        """Drop every held record: a checkpoint taken now covers them."""
+        self._buf.clear()
+        self.first = self.position
 
     def tear_tail(self, n_bytes: int) -> int:
         """Chaos choke point: chop bytes off the tail (a torn write).
@@ -107,13 +119,13 @@ class RecoveryJournal:
             del self._buf[len(self._buf) - n :]
         return n
 
-    def repair(self) -> int:
-        """Truncate the buffer to its last intact frame (WAL fsck).
+    def _scan(self) -> tuple[list[dict], int]:
+        """The intact records, oldest first, and where the last one ends.
 
-        A torn tail would otherwise poison every *future* append --- new
-        frames concatenated after the partial one are unreachable to the
-        decoder.  Returns the bytes dropped.
+        A frame with a short header, short payload, or CRC mismatch ends
+        the scan: corruption is never replayed.
         """
+        records: list[dict] = []
         buf = self._buf
         offset = 0
         while offset + FRAME_HEADER.size <= len(buf):
@@ -122,40 +134,29 @@ class RecoveryJournal:
             payload = bytes(buf[start : start + length])
             if len(payload) < length or zlib.crc32(payload) != crc:
                 break
+            records.append(json.loads(payload.decode()))
             offset = start + length
-        dropped = len(buf) - offset
-        if dropped:
-            del buf[offset:]
+        return records, offset
+
+    def repair(self) -> int:
+        """Truncate the buffer to its last intact frame (WAL fsck).
+
+        A torn tail would otherwise poison every *future* append --- new
+        frames concatenated after the partial one are unreachable to the
+        decoder.  Returns the bytes dropped.
+        """
+        _, end = self._scan()
+        dropped = len(self._buf) - end
+        del self._buf[end:]
         return dropped
 
     def decode(self) -> tuple[list[dict], int]:
         """All intact records, oldest first, plus torn-tail bytes dropped.
 
-        A frame with a short header, short payload, or CRC mismatch ends
-        the decode: everything from it onward is counted as the torn
-        tail.  Corruption is never replayed.
+        Everything from the first damaged frame onward is counted as the
+        torn tail.
         """
-        records: list[dict] = []
-        buf = self._buf
-        offset = 0
-        while offset < len(buf):
-            if offset + FRAME_HEADER.size > len(buf):
-                break
-            length, crc = FRAME_HEADER.unpack_from(buf, offset)
-            start = offset + FRAME_HEADER.size
-            payload = bytes(buf[start : start + length])
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                break
-            records.append(json.loads(payload.decode()))
-            offset = start + length
-        torn = len(buf) - offset
+        records, end = self._scan()
+        torn = len(self._buf) - end
         self.truncated_bytes += torn
         return records, torn
-
-    def stats_dict(self) -> dict[str, float]:
-        """Flat values for a telemetry provider."""
-        return {
-            "appends": float(self.appends),
-            "size_bytes": float(self.size_bytes),
-            "truncated_bytes": float(self.truncated_bytes),
-        }

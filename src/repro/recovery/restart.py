@@ -1,13 +1,14 @@
 """Warm restart: rebuild a crashed manager instead of failing over cold.
 
-On :class:`~repro.errors.ManagerCrashError` the kernel's
+When a manager crashes (:class:`~repro.errors.ManagerCrashError`), hangs
+past the per-fault timeout or proves unreachable, the kernel's
 :class:`~repro.core.supervisor.ManagerSupervisor` asks the
 :class:`RecoveryCoordinator` to *warm restart* the manager before taking
 the cold path (fail segments over to the fallback, seize frames).
 A warm restart models exec()ing a fresh manager process that re-attaches
 to its existing segments: the in-memory object is reincarnated in place
---- policy state wiped, the latest restorable checkpoint loaded, and the
-journal suffix replayed --- so every kernel-side pointer to the manager
+--- policy state wiped, its newest good checkpoint loaded, and its own
+journal replayed from there --- so every kernel-side pointer to the manager
 (segment bindings, SPCM registration, tenant sessions) stays valid and
 tenants ride through without shedding.
 
@@ -17,7 +18,7 @@ The cold fallback remains the proven last resort, taken when:
   loop --- the "double crash" scenario);
 * replay would exceed the deadline
   (:class:`~repro.errors.ReplayDeadlineError`);
-* no checkpoint generation survives and replay state is unusable
+* the manager's journal lost records to a torn tail
   (:class:`~repro.errors.JournalCorruptionError`);
 * the auditor's repair budget is exceeded, or the repaired state still
   fails the global invariant sweep.
@@ -59,7 +60,7 @@ class RestartReport:
 
 
 class RecoveryCoordinator:
-    """Owns the journal, checkpoints, and the warm-restart decision."""
+    """Journals tracked managers, checkpoints them, decides warm or cold."""
 
     def __init__(
         self,
@@ -74,9 +75,7 @@ class RecoveryCoordinator:
         self.spcm = system.spcm
         self.max_restarts = max_restarts
         self.replay_deadline_us = replay_deadline_us
-        self.journal = RecoveryJournal()
         self.store = CheckpointStore(
-            self.journal,
             every=checkpoint_every,
             corrupt_hook=lambda name: (
                 self.kernel.supervisor.injector.checkpoint_corrupt(name)
@@ -111,7 +110,7 @@ class RecoveryCoordinator:
         name = manager.name
         if name in self._tracked:
             return
-        manager.journal = self.journal
+        manager.journal = RecoveryJournal()
         self._tracked[name] = manager
         self._streak.setdefault(name, 0)
         self.store.track(manager)
@@ -126,14 +125,15 @@ class RecoveryCoordinator:
     # -- the warm path -------------------------------------------------
 
     def try_restart(self, manager) -> RestartReport | None:
-        """Attempt a warm restart of a crashed manager.
+        """Attempt a warm restart of a crashed, hung or unreachable manager.
 
         Returns the attempt's :class:`RestartReport` (``warm=False`` means
         take the cold fallback), or ``None`` for a manager this
-        coordinator does not track.
+        coordinator does not track (a later namesake of a tracked manager
+        has no journal of its own).
         """
         name = manager.name
-        if name not in self._tracked or not hasattr(
+        if self._tracked.get(name) is not manager or not hasattr(
             manager, "restore_policy_state"
         ):
             return None
@@ -147,36 +147,28 @@ class RecoveryCoordinator:
                 f"restarts without progress (budget {self.max_restarts})",
                 start,
             )
+        journal = manager.journal
         # chaos choke point: the tail of the journal may be torn exactly
         # when we need it
-        kernel.supervisor.injector.journal_tear(self.journal)
+        kernel.supervisor.injector.journal_tear(journal)
         with kernel.tracer.span(
             "recovery", "warm_restart", manager=name
         ) as span:
             try:
-                records, torn = self.journal.decode()
-                if torn:
+                records, torn = journal.decode()
+                lost = journal.position - journal.first - len(records)
+                if lost:
                     # fsck the log so future appends stay decodable,
                     # then take the conservative path: records may be
                     # missing between the readable prefix and reality
-                    self.journal.repair()
+                    journal.repair()
                     raise JournalCorruptionError(
-                        f"journal tail torn: {torn} trailing byte(s) "
-                        "unreadable; state past the last intact frame "
-                        "is unrecoverable"
+                        f"journal tail torn: {lost} record(s) in {torn} "
+                        "trailing byte(s) unreadable; state past the last "
+                        "intact frame is unrecoverable"
                     )
                 position, state = self.store.latest(name)
-                if position >= len(records):
-                    # the checkpoint postdates the readable journal (torn
-                    # suffix); it alone is the freshest restorable state
-                    suffix: list[dict] = []
-                else:
-                    suffix = [
-                        r
-                        for r in records[position:]
-                        if r.get("manager") == name
-                        and str(r.get("kind", "")).startswith("mgr.")
-                    ]
+                suffix = records[position - journal.first :]
                 cost = REPLAY_US_PER_RECORD * (len(suffix) + 1)
                 if cost > self.replay_deadline_us:
                     raise ReplayDeadlineError(
@@ -239,8 +231,13 @@ class RecoveryCoordinator:
             "cold_fallbacks": float(self.cold_fallbacks),
             "records_replayed": float(self.records_replayed),
         }
+        journals = [manager.journal for manager in self._tracked.values()]
+        out["journal_appends"] = float(sum(j.position for j in journals))
+        out["journal_size_bytes"] = float(sum(j.size_bytes for j in journals))
+        out["journal_truncated_bytes"] = float(
+            sum(j.truncated_bytes for j in journals)
+        )
         for prefix, provider in (
-            ("journal", self.journal),
             ("checkpoints", self.store),
             ("auditor", self.auditor),
         ):
@@ -258,11 +255,11 @@ def install_recovery(
 ) -> RecoveryCoordinator:
     """Arm crash-consistent recovery on a booted system.
 
-    Installs the shared journal on the kernel, SPCM, and arbiter choke
-    points, tracks every already-registered manager, and hooks manager
-    registration so later managers (chaos victims, admitted tenants) are
-    journaled from birth.  Returns the coordinator (also stored on
-    ``system.recovery``).
+    Gives every already-registered manager its own journal and a baseline
+    checkpoint, and plugs the coordinator into the kernel's supervisor,
+    where manager registration finds it: later managers (chaos victims,
+    admitted tenants) are journaled from birth.  Returns the coordinator
+    (also stored on ``system.recovery``).
     """
     coordinator = RecoveryCoordinator(
         system,
@@ -271,15 +268,9 @@ def install_recovery(
         replay_deadline_us=replay_deadline_us,
         max_repairs=max_repairs,
     )
-    kernel = system.kernel
-    kernel.journal = coordinator.journal
-    kernel.supervisor.recovery = coordinator
+    system.kernel.supervisor.recovery = coordinator
     spcm = system.spcm
     if spcm is not None:
-        spcm.journal = coordinator.journal
-        arbiter = getattr(spcm, "arbiter", None)
-        if arbiter is not None:
-            arbiter.journal = coordinator.journal
         for manager in list(spcm.managers.values()):
             coordinator.track(manager, baseline=True)
     system.recovery = coordinator

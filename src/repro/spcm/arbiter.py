@@ -21,7 +21,6 @@ thin and global has to keep the shards honest with each other:
 
 from __future__ import annotations
 
-from repro.recovery.journal import NULL_JOURNAL
 from repro.spcm.market import MemoryMarket
 
 
@@ -30,8 +29,6 @@ class GlobalArbiter:
 
     def __init__(self, markets: list[MemoryMarket]) -> None:
         self.markets = markets
-        #: recovery journal (NULL_JOURNAL until a coordinator installs one)
-        self.journal = NULL_JOURNAL
         #: (borrower_node, lender_node) -> frames granted across that edge
         self.loans: dict[tuple[int, int], int] = {}
         self.loans_brokered = 0
@@ -56,13 +53,6 @@ class GlobalArbiter:
             if frames < 0:
                 raise ValueError(f"frame quota must be >= 0: {frames}")
             self.quotas[account] = frames
-        if self.journal.enabled:
-            # ground truth for the recovery auditor (not replayed)
-            self.journal.append(
-                "arbiter.quota",
-                account,
-                frames=-1 if frames is None else frames,
-            )
 
     def quota_of(self, account: str) -> int | None:
         """The account's machine-wide frame cap, or None if unlimited."""
@@ -80,14 +70,6 @@ class GlobalArbiter:
         edge = (borrower_node, lender_node)
         self.loans[edge] = self.loans.get(edge, 0) + n_frames
         self.loans_brokered += n_frames
-        if self.journal.enabled:
-            self.journal.append(
-                "arbiter.loan",
-                None,
-                borrower=borrower_node,
-                lender=lender_node,
-                n=n_frames,
-            )
 
     def loaned_to(self, borrower_node: int) -> int:
         """Frames other nodes have lent to ``borrower_node``'s demand."""

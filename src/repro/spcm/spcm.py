@@ -46,7 +46,6 @@ from repro.core.segment import Segment
 from repro.errors import AllocationRefusedError, SPCMError
 from repro.hw.numa import NumaTopology
 from repro.hw.phys_mem import PageFrame
-from repro.recovery.journal import NULL_JOURNAL
 from repro.spcm.arbiter import GlobalArbiter
 from repro.spcm.freelist import NodeBucketedFreeList
 from repro.spcm.market import MemoryMarket
@@ -198,8 +197,6 @@ class SystemPageCacheManager:
         self.refused_requests = 0
         #: requests clamped or deferred by a per-tenant frame quota
         self.quota_deferrals = 0
-        #: recovery journal (NULL_JOURNAL until a coordinator installs one)
-        self.journal = NULL_JOURNAL
         self.granted_frames = 0
         self.seized_frames = 0
         self.retired_frames = 0
@@ -524,14 +521,6 @@ class SystemPageCacheManager:
         )
         self.granted_frames += len(granted_pages)
         self._update_market_holding(account, size)
-        if self.journal.enabled:
-            # ground truth for the recovery auditor (not replayed)
-            self.journal.append(
-                "spcm.grant",
-                manager.name,
-                account=account,
-                n=len(granted_pages),
-            )
         return granted_pages
 
     @staticmethod
@@ -677,10 +666,6 @@ class SystemPageCacheManager:
         for node, n_returned in returned_by_node.items():
             self.shards[node].note_returned(account, n_returned)
         self._update_market_holding(account, size)
-        if self.journal.enabled:
-            self.journal.append(
-                "spcm.return", manager.name, account=account, n=len(pages)
-            )
         if self.available_frames(size) > 0:
             for market in self.markets:
                 market.demand_outstanding = False
@@ -730,13 +715,6 @@ class SystemPageCacheManager:
                 self.return_frames(manager, free_segment, pages)
             manager.on_frames_seized(FrameGrant(tuple(pages)))
             self.seized_frames += len(pages)
-            if self.journal.enabled:
-                self.journal.append(
-                    "spcm.seize",
-                    manager.name,
-                    account=self.account_of(manager),
-                    n=len(pages),
-                )
             span.set_attr("n_seized", len(pages))
             return len(pages)
 
@@ -746,9 +724,8 @@ class SystemPageCacheManager:
         A manager crash loses only *policy* state; the SPCM's ledger for
         the account survives by construction, so a warm restart keeps the
         grant accounting exactly as it stands instead of seizing the free
-        segment (the cold path's :meth:`seize_frames`).  The re-attach is
-        journaled so the recovery auditor can cross-check the held-frame
-        count it reconciled against.
+        segment (the cold path's :meth:`seize_frames`).  The recovery
+        auditor then cross-checks the manager's frames against these books.
         """
         account = self.account_of(manager)
         self.frames_held.setdefault(account, 0)
@@ -758,13 +735,6 @@ class SystemPageCacheManager:
                 "spcm",
                 f"re-attach {account}: {self.frames_held[account]} "
                 "frame(s) kept on the books",
-            )
-        if self.journal.enabled:
-            self.journal.append(
-                "spcm.reattach",
-                manager.name,
-                account=account,
-                held=self.frames_held[account],
             )
 
     def note_frame_swept(self, frame: PageFrame) -> None:

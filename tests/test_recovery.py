@@ -118,6 +118,7 @@ class TestJournal:
 class _StubManager:
     def __init__(self, name):
         self.name = name
+        self.journal = RecoveryJournal()
         self.state = {"free_slots": [1, 2], "counter": 0}
 
     def serialize_policy_state(self):
@@ -126,63 +127,72 @@ class _StubManager:
 
 class TestCheckpoints:
     def test_cadence_takes_generations(self):
-        journal = RecoveryJournal()
-        store = CheckpointStore(journal, every=4, keep=2)
+        store = CheckpointStore(every=4)
         manager = _StubManager("m")
+        journal = manager.journal
         store.track(manager)
         for i in range(9):
             manager.state["counter"] = i
-            journal.append("mgr.alloc", "m", slot=i)
+            journal.append("mgr.alloc", slot=i)
         assert store.checkpoints_taken == 2
         position, state = store.latest("m")
         assert position == 8
         assert state["counter"] == 7  # taken inside the 8th append's hook
+        # the log keeps only what the newest checkpoint does not cover
+        assert journal.first == 8
+        records, _ = journal.decode()
+        assert [r["slot"] for r in records] == [8]
 
     def test_other_managers_records_do_not_count(self):
-        journal = RecoveryJournal()
-        store = CheckpointStore(journal, every=2, keep=2)
+        store = CheckpointStore(every=2)
         store.track(_StubManager("m"))
+        other = _StubManager("other")
         for i in range(6):
-            journal.append("mgr.alloc", "other", slot=i)
+            other.journal.append("mgr.alloc", slot=i)
         assert store.checkpoints_taken == 0
         assert store.latest("m") == (0, None)
 
     def test_corrupt_generation_falls_back_to_older(self):
-        journal = RecoveryJournal()
         corrupt_next = []
         store = CheckpointStore(
-            journal, every=3, keep=2,
+            every=3,
             corrupt_hook=lambda name: bool(corrupt_next and corrupt_next.pop()),
         )
         manager = _StubManager("m")
+        journal = manager.journal
         store.track(manager)
         for i in range(3):
             manager.state["counter"] = i
-            journal.append("mgr.alloc", "m", slot=i)
+            journal.append("mgr.alloc", slot=i)
         corrupt_next.append(True)  # damage the second generation
         for i in range(3, 6):
             manager.state["counter"] = i
-            journal.append("mgr.alloc", "m", slot=i)
+            journal.append("mgr.alloc", slot=i)
         position, state = store.latest("m")
         assert position == 3  # the older, intact generation
         assert state["counter"] == 2
         assert store.corrupt_checkpoints == 1
+        # the damaged checkpoint trimmed nothing: the log still reaches
+        # back to the intact one
+        assert journal.first == 3
+        records, _ = journal.decode()
+        assert [r["slot"] for r in records] == [3, 4, 5]
 
     def test_all_generations_corrupt_replays_from_origin(self):
-        journal = RecoveryJournal()
-        store = CheckpointStore(
-            journal, every=2, keep=2, corrupt_hook=lambda name: True
-        )
+        store = CheckpointStore(every=2, corrupt_hook=lambda name: True)
         manager = _StubManager("m")
+        journal = manager.journal
         store.track(manager)
         for i in range(8):
-            journal.append("mgr.alloc", "m", slot=i)
+            journal.append("mgr.alloc", slot=i)
         assert store.checkpoints_taken == 4
         assert store.latest("m") == (0, None)
+        assert journal.first == 0  # replay from the origin still works
+        records, _ = journal.decode()
+        assert len(records) == 8
 
     def test_checkpoint_crc_raises_typed_error(self):
-        journal = RecoveryJournal()
-        store = CheckpointStore(journal, every=1)
+        store = CheckpointStore(every=1)
         checkpoint = store.take(_StubManager("m"))
         checkpoint.payload = b"garbage" + checkpoint.payload[7:]
         with pytest.raises(JournalCorruptionError):
@@ -209,12 +219,12 @@ class TestReplayExactness:
         victim = make_victim(system, initial_frames=4)
         fault_pages(system, victim, n_pages=10)  # forces reclaim too
         before = self._structures(victim.serialize_policy_state())
-        records, torn = coordinator.journal.decode()
+        records, torn = victim.journal.decode()
         assert torn == 0
-        victim.restore_policy_state(None)
+        _, state = coordinator.store.latest(VICTIM)
+        victim.restore_policy_state(state)
         for record in records:
-            if record.get("manager") == VICTIM:
-                victim.replay_record(record)
+            victim.replay_record(record)
         after = self._structures(victim.serialize_policy_state())
         assert after == before
 
@@ -378,6 +388,21 @@ class TestWarmRestart:
         assert system.kernel.stats.manager_failovers == 1
         assert coordinator.warm_restarts == 0
 
+    def test_untracked_namesake_goes_cold(self, system):
+        """Tracking is by name, so a second manager under a tracked name
+        has no journal: its crash takes the cold path."""
+        coordinator = install_recovery(system)
+        make_victim(system)
+        namesake = _CrashOnce(
+            system.kernel, system.spcm, system.file_server,
+            initial_frames=8, name=VICTIM, crash_on=1,
+        )
+        assert not namesake.journal.enabled
+        fault_pages(system, namesake, n_pages=2)
+        assert system.kernel.stats.manager_failovers == 1
+        assert coordinator.warm_restarts == 0
+        InvariantChecker(system.kernel).check_all()
+
     def test_torn_journal_goes_cold_with_invariants_clean(self, system):
         coordinator = install_recovery(system)
         victim = _CrashOnce(
@@ -386,12 +411,31 @@ class TestWarmRestart:
         )
         seg = system.kernel.create_segment(4, name="torn", manager=victim)
         system.kernel.reference(seg, 0, write=True)
-        coordinator.journal.tear_tail(3)  # the crash tears the tail
+        victim.journal.tear_tail(3)  # the crash tears the tail
         for page in range(1, 4):
             system.kernel.reference(seg, page * seg.page_size, write=True)
         assert coordinator.cold_fallbacks == 1
         assert coordinator.warm_restarts == 0
         assert system.kernel.stats.manager_failovers == 1
+        assert "torn" in coordinator.reports[0].reason
+        InvariantChecker(system.kernel).check_all()
+
+    def test_whole_frame_tear_goes_cold(self, system):
+        """A tear that removes whole frames leaves no damaged bytes, but
+        the log holds fewer records than its positions say."""
+        coordinator = install_recovery(system)
+        victim = _CrashOnce(
+            system.kernel, system.spcm, system.file_server,
+            initial_frames=8, name=VICTIM, crash_on=2,
+        )
+        seg = system.kernel.create_segment(4, name="torn", manager=victim)
+        system.kernel.reference(seg, 0, write=True)
+        victim.journal.tear_tail(victim.journal.size_bytes)
+        assert victim.journal.decode() == ([], 0)
+        for page in range(1, 4):
+            system.kernel.reference(seg, page * seg.page_size, write=True)
+        assert coordinator.cold_fallbacks == 1
+        assert coordinator.warm_restarts == 0
         assert "torn" in coordinator.reports[0].reason
         InvariantChecker(system.kernel).check_all()
 
@@ -429,6 +473,91 @@ class TestWarmRestart:
             system.kernel.reference(seg, page * seg.page_size, write=True)
         assert coordinator.warm_restarts == 2
         assert coordinator.cold_fallbacks == 0
+
+
+# ---------------------------------------------------------------------------
+# what the logs hold
+# ---------------------------------------------------------------------------
+
+
+class TestLogContents:
+    def test_logs_hold_only_replayed_records_and_stay_bounded(
+        self, monkeypatch
+    ):
+        """A crash-free serving run: every record is one replay applies,
+        no grant of zero slots is written, and no log ever holds a full
+        cadence of records past its newest good checkpoint."""
+        from repro.chaos.harness import build_workload_system
+        from repro.serve.loadgen import SERVING_SCHEDULES
+
+        appended = []
+        held_after_append = []
+        append = RecoveryJournal.append
+
+        def recording_append(journal, kind, manager=None, **fields):
+            position = append(journal, kind, manager, **fields)
+            appended.append({"kind": kind, **fields})
+            held_after_append.append(journal.position - journal.first)
+            return position
+
+        monkeypatch.setattr(RecoveryJournal, "append", recording_append)
+        system = build_workload_system()
+        coordinator = install_recovery(system)
+        checker = InvariantChecker(system.kernel)
+        SERVING_SCHEDULES["serve-smoke"](system, checker)
+        every = coordinator.store.every
+        assert appended
+        assert all(r["kind"].startswith("mgr.") for r in appended)
+        assert not [
+            r for r in appended
+            if r["kind"] == "mgr.slots_granted" and not r["slots"]
+        ]
+        assert max(held_after_append) < every
+        for name, manager in system.spcm.managers.items():
+            journal = manager.journal
+            records, torn = journal.decode()
+            assert torn == 0
+            assert all(r["kind"].startswith("mgr.") for r in records)
+            assert "manager" not in {k for r in records for k in r}
+            position, _ = coordinator.store.latest(name)
+            assert journal.first == position
+            assert len(records) == journal.position - position
+            assert len(records) < every
+
+    def test_kernel_and_spcm_import_nothing_from_recovery(self):
+        """The kernel, hardware and SPCM layers hold no journal: only the
+        tracked managers write records."""
+        import ast
+        import importlib.util
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for layer in ("core", "hw", "spcm"):
+            for path in sorted((root / layer).glob("*.py")):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        module = importlib.util.resolve_name(
+                            "." * node.level + (node.module or ""),
+                            f"repro.{layer}",
+                        )
+                        names = [module] + [
+                            f"{module}.{alias.name}" for alias in node.names
+                        ]
+                    else:
+                        continue
+                    offenders += [
+                        f"{layer}/{path.name} imports {name}"
+                        for name in names
+                        if name == "repro.recovery"
+                        or name.startswith("repro.recovery.")
+                    ]
+        assert offenders == []
 
 
 # ---------------------------------------------------------------------------

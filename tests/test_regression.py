@@ -214,6 +214,20 @@ class TestFaultPathMicro:
         by2 = {d.name: d for d in deltas2}
         assert by2["allocations (blocks/fault)"].status(0.15) == "ok"
 
+    def test_allocation_count_ignores_earlier_garbage(self):
+        """The gated allocation figures do not depend on when the cyclic
+        collector runs or on caches an earlier drive filled."""
+        from repro.analysis.micro_fault_path import measure_allocations
+
+        first = measure_allocations()
+        garbage = []
+        for i in range(20_000):
+            node = {"i": i}
+            node["self"] = node  # reference cycles only the collector frees
+            garbage.append(node)
+        del garbage
+        assert measure_allocations() == first
+
 
 class TestCliExitCodes:
     def _dirs(self, tmp_path, current_table1, current_numa=None):

@@ -70,6 +70,12 @@ PATHS = {
         ["failover"],
         {"manager_timeouts": 1, **_FAILED_OVER},
     ),
+    "hang-warm-restart": (
+        {"manager_hang_rate": 1.0, "max_injections": 1},
+        True,
+        ["warm_restart"],
+        {"manager_timeouts": 1, "warm_restarts": 1},
+    ),
     "byzantine": (
         {"manager_byzantine_rate": 1.0},
         False,
@@ -84,6 +90,19 @@ PATHS = {
             "ipc_drops": IPC_MAX_REDELIVERIES + 1,
             "manager_timeouts": 1,
             **_FAILED_OVER,
+        },
+    ),
+    "ipc-unreachable-warm-restart": (
+        {
+            "ipc_drop_rate": 1.0,
+            "max_injections": IPC_MAX_REDELIVERIES + 1,
+        },
+        True,
+        ["warm_restart"],
+        {
+            "ipc_drops": IPC_MAX_REDELIVERIES + 1,
+            "manager_timeouts": 1,
+            "warm_restarts": 1,
         },
     ),
     "ipc-duplicate": (

@@ -49,6 +49,17 @@ class TestKernelFaults:
         flags = PageFlags(frame.flags)
         assert PageFlags.DIRTY in flags and PageFlags.REFERENCED in flags
 
+    def test_boot_makes_no_frame_objects(self):
+        """The free list holds pfns: a frame is made on first use only."""
+        memory = PhysicalMemory(64 * 1024 * 1024)
+        vm = UltrixVM(memory)
+        assert memory.made == {}
+        space = vm.create_space(2)
+        frame = vm.reference(space, 0, write=True)
+        assert list(memory.made) == [frame.pfn]
+        # the highest pfn goes first, as when the list held frame objects
+        assert frame.pfn == memory.n_frames - 1
+
     def test_destroy_space_frees_frames(self, vm):
         space = vm.create_space(8)
         for page in range(4):
