@@ -80,6 +80,9 @@ class GenericSegmentManager(SegmentManager):
         self.home_node = home_node
         self.refill_batch = refill_batch
         self.reclaim_batch = reclaim_batch
+        # one frozen unconstrained request per (n_frames, home_node) asked
+        # for: a refill the SPCM defers then builds nothing
+        self._plain_requests: dict[tuple[int, int | None], FrameRequest] = {}
         self.free_segment = kernel.create_segment(
             0,
             page_size=self.page_size,
@@ -122,14 +125,22 @@ class GenericSegmentManager(SegmentManager):
         The manager's ``home_node`` rides along as the placement hint
         unless the caller supplies its own.
         """
-        constraints.setdefault("home_node", self.home_node)
-        pages = self.spcm.request_frames(
-            self,
-            FrameRequest(
+        if constraints:
+            constraints.setdefault("home_node", self.home_node)
+            request = FrameRequest(
                 self.account, n_frames, page_size=self.page_size, **constraints
-            ),
-            self.free_segment,
-        )
+            )
+        else:
+            key = (n_frames, self.home_node)
+            request = self._plain_requests.get(key)
+            if request is None:
+                request = self._plain_requests[key] = FrameRequest(
+                    self.account,
+                    n_frames,
+                    page_size=self.page_size,
+                    home_node=self.home_node,
+                )
+        pages = self.spcm.request_frames(self, request, self.free_segment)
         self._free_slots.extend(pages)
         if pages and self.journal.enabled:
             self.journal.append("mgr.slots_granted", slots=list(pages))

@@ -46,7 +46,7 @@ class NullJournal:
     enabled = False
     position = 0
 
-    def append(self, kind: str, manager: str | None = None, **fields) -> int:
+    def append(self, kind: str, **fields) -> int:
         """Discard the record (recovery is off); always position 0."""
         return 0
 
@@ -83,16 +83,9 @@ class RecoveryJournal:
         """
         self._hooks.append(hook)
 
-    def append(self, kind: str, manager: str | None = None, **fields) -> int:
-        """Frame and append one record; returns its position.
-
-        ``manager``, when given, tags the record with its writer; a
-        manager's own log needs no tag, so its append sites pass none.
-        """
-        record: dict = {"kind": kind}
-        if manager is not None:
-            record["manager"] = manager
-        record.update(fields)
+    def append(self, kind: str, **fields) -> int:
+        """Frame and append one record; returns its position."""
+        record: dict = {"kind": kind, **fields}
         payload = canonical_encode(record).encode()
         self._buf += FRAME_HEADER.pack(len(payload), zlib.crc32(payload))
         self._buf += payload

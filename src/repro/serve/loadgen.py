@@ -12,6 +12,8 @@ unchanged via :data:`SERVING_SCHEDULES`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.core.api import AdmitTenantRequest, TenantQuota
 from repro.serve.tenants import ServingSystem, TenantSession
 
@@ -33,41 +35,34 @@ def run_load(
     engine = serving.engine
     end = engine.now + duration_us
 
-    def arrive(session: TenantSession) -> None:
-        if engine.now >= end:
-            return
-        rng = rngs[session.tenant]
-        vaddr = (
-            rng.randint(0, session.segment.n_pages - 1)
-            * session.segment.page_size
-        )
-        write = rng.bernoulli(write_fraction)
-        shed = serving.submit(session, vaddr, write)
-        if shed is not None:
-            # obey the typed Retry-After: same tenant, new arrival at
-            # exactly the shed horizon (clamped to stay schedulable)
-            engine.schedule(
-                max(shed.retry_after_us, 1.0),
-                lambda s=session: arrive(s),
-            )
-            return
-        engine.schedule(
-            rng.exponential(think_us_mean), lambda s=session: arrive(s)
-        )
+    def arrival_for(session: TenantSession) -> Callable[[], None]:
+        """The tenant's arrival callback, made once and rescheduled."""
+        rng = serving.rng.substream(f"tenant:{session.tenant}")
+        segment = session.segment
+
+        def arrive() -> None:
+            if engine.now >= end:
+                return
+            vaddr = rng.randint(0, segment.n_pages - 1) * segment.page_size
+            write = rng.bernoulli(write_fraction)
+            shed = serving.submit(session, vaddr, write)
+            if shed is not None:
+                # obey the typed Retry-After: same tenant, new arrival at
+                # exactly the shed horizon (clamped to stay schedulable)
+                engine.schedule(max(shed.retry_after_us, 1.0), arrive)
+                return
+            engine.schedule(rng.exponential(think_us_mean), arrive)
+
+        return arrive
 
     def pump() -> None:
         serving.flush()
         if engine.now < end:
             engine.schedule(flush_interval_us, pump)
 
-    rngs = {
-        tenant: serving.rng.substream(f"tenant:{tenant}")
-        for tenant in sorted(serving.sessions)
-    }
     for i, tenant in enumerate(sorted(serving.sessions)):
-        session = serving.sessions[tenant]
         # stagger first arrivals so 64 tenants do not trample one event slot
-        engine.schedule(float(i), lambda s=session: arrive(s))
+        engine.schedule(float(i), arrival_for(serving.sessions[tenant]))
     engine.schedule(flush_interval_us, pump)
     engine.run(until=end)
     serving.flush()

@@ -1,15 +1,17 @@
 """Batched fault-service scheduling per (manager, node).
 
-Admitted references queue here instead of trapping one by one; on each
-flush the scheduler walks the queues in sorted key order and, per batch,
-pre-refills the owning manager's frame stock with **one** SPCM request
-sized to the batch --- which the sharded SPCM turns into one batched
-``MigratePages`` kernel entry
+Admitted references queue here instead of trapping one by one.  Only a
+key with work has a queue; each flush takes all of them and walks their
+keys in sorted order.  Per batch it pre-refills the owning manager's
+frame stock with **one** SPCM request sized to the batch --- which the
+sharded SPCM turns into one batched ``MigratePages`` kernel entry
 (:class:`~repro.core.api.BatchMigratePagesRequest`, full entry cost once,
 marginal cost per further run) --- then drives the queued references
 through the kernel (the serving system's fault listener bills each service
-to its tenant).  A request's reported latency is its queue wait (engine
-time) plus the metered cost of its own service.
+to its tenant).  A refill the SPCM refuses loses no request: each
+reference then faults on its own and is counted as an error.  A request's
+reported latency is its queue wait (engine time) plus the metered cost of
+its own service.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ class BatchScheduler:
 
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
-        # (manager name, home node) -> FIFO of queued requests; walked in
-        # sorted key order at flush so the service order is deterministic
+        # (manager name, home node) -> FIFO of queued requests, for keys
+        # with work only; walked in sorted key order at flush so the
+        # service order is deterministic
         self._queues: dict[tuple[str, int], list[QueuedRequest]] = {}
         self.backlog = 0
         self.batches_flushed = 0
@@ -77,14 +80,12 @@ class BatchScheduler:
         """
         if self.backlog == 0:
             return 0
+        queues, self._queues = self._queues, {}
         kernel = self.kernel
         meter = kernel.meter
         serviced = 0
-        for key in sorted(self._queues):
-            items = self._queues[key]
-            if not items:
-                continue
-            self._queues[key] = []
+        for key in sorted(queues):
+            items = queues[key]
             self.backlog -= len(items)
             self.batches_flushed += 1
             manager = items[0].session.manager
@@ -93,7 +94,14 @@ class BatchScheduler:
             # of per-fault refill churn inside each reference below
             missing = len(items) - manager.free_frames
             if missing > 0:
-                manager.request_frames(missing)
+                try:
+                    manager.request_frames(missing)
+                except ReproError:
+                    # the queues are already taken: a refused refill must
+                    # not drop this batch or the keys after it, so each
+                    # reference below asks for its own frame and is
+                    # counted if that fails too
+                    pass
             for item in items:
                 session = item.session
                 before = meter.total_us

@@ -41,8 +41,16 @@ class RandomSource:
         return self._rng.uniform(lo, hi)
 
     def randint(self, lo: int, hi: int) -> int:
-        """A uniform integer in [lo, hi] inclusive."""
-        return self._rng.randint(lo, hi)
+        """A uniform integer in [lo, hi] inclusive.
+
+        The draw ``random.Random.randint(lo, hi)`` makes once its argument
+        checks pass (CPython 3.10 to 3.12), so seeded streams are
+        unchanged.  ``_randbelow`` never returns for a width below one,
+        hence the range check.
+        """
+        if hi < lo:
+            raise ValueError(f"empty range for randint({lo}, {hi})")
+        return lo + self._rng._randbelow(hi - lo + 1)
 
     def random(self) -> float:
         """A uniform variate in [0, 1)."""

@@ -10,8 +10,8 @@ and :data:`REFUSE` meaning "never".
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.spcm.market import MemoryMarket
 
@@ -24,8 +24,7 @@ class AllocationDecision(Enum):
     REFUSE = auto()      # the request violates policy outright
 
 
-@dataclass(frozen=True)
-class PolicyVerdict:
+class PolicyVerdict(NamedTuple):
     decision: AllocationDecision
     n_frames: int = 0
 

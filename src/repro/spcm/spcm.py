@@ -414,8 +414,11 @@ class SystemPageCacheManager:
         request: FrameRequest,
         dst_segment: Segment,
     ) -> list[int]:
-        size = request.page_size or self.kernel.memory.page_size
-        boot = self.kernel.boot_segments.get(size)
+        kernel = self.kernel
+        memory = kernel.memory
+        tracer = kernel.tracer
+        size = request.page_size or memory.page_size
+        boot = kernel.boot_segments.get(size)
         if boot is None:
             raise SPCMError(f"no frames of page size {size}")
         if dst_segment.page_size != size:
@@ -441,7 +444,7 @@ class SystemPageCacheManager:
         else:
             if request.colors is not None and not request.n_colors:
                 raise SPCMError("color constraint requires n_colors")
-            base = self.kernel.memory.pool_addrs[size]
+            base = memory.pool_addrs[size]
             candidates = free.matching(
                 lambda page: request.accepts(base + page * size, size),
                 prefer_node,
@@ -453,8 +456,8 @@ class SystemPageCacheManager:
         verdict = self.policy.decide(account, request.n_frames, n_free, size)
         if verdict.decision is AllocationDecision.REFUSE:
             self.refused_requests += 1
-            if self.kernel.tracer.enabled:
-                self.kernel.tracer.event(
+            if tracer.enabled:
+                tracer.event(
                     "spcm",
                     f"refuse {request.n_frames} frame(s) for {account}",
                 )
@@ -477,16 +480,16 @@ class SystemPageCacheManager:
             if n_grant > headroom:
                 n_grant = max(0, headroom)
                 self.quota_deferrals += 1
-                if self.kernel.tracer.enabled:
-                    self.kernel.tracer.event(
+                if tracer.enabled:
+                    tracer.event(
                         "spcm",
                         f"quota clamp for {account}: headroom {headroom} "
                         f"of {quota} frame cap",
                     )
         if pool_short or n_grant == 0:
             self.deferred_requests += 1
-            if self.kernel.tracer.enabled:
-                self.kernel.tracer.event(
+            if tracer.enabled:
+                tracer.event(
                     "spcm",
                     f"defer {request.n_frames} frame(s) for {account} "
                     f"({n_matching} matching free)",
@@ -500,7 +503,6 @@ class SystemPageCacheManager:
         else:
             chosen = candidates[:n_grant]
         # decided by pfn: a frame's object is made only as it migrates out
-        memory = self.kernel.memory
         first_pfn = memory.pools[size].start
         last_account = self._last_account
         for boot_page in chosen:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import build_system
 from repro.core.api import FrameDemand, ModifyPageFlagsRequest
 from repro.core.faults import FaultKind, PageFault
 from repro.core.flags import PageFlags
@@ -66,6 +67,38 @@ class TestFrameStock:
         run = manager.allocate_run(4)
         assert len(run) == 4
         assert run == list(range(run[0], run[0] + 4))
+
+    def test_reused_request_follows_home_node(self):
+        """An unconstrained request is one object per (size, home node):
+        moving the manager's home node moves its next grant."""
+        system = build_system(memory_mb=4, n_nodes=2, manager_frames=64)
+        kernel, spcm = system.kernel, system.spcm
+        manager = GenericSegmentManager(
+            kernel, spcm, "hinted", initial_frames=0, home_node=0
+        )
+        seen = []
+        grant = spcm.request_frames
+
+        def spy(mgr, request, dst_segment):
+            seen.append(request)
+            return grant(mgr, request, dst_segment)
+
+        spcm.request_frames = spy
+        assert manager.request_frames(2) == 2
+        assert manager.request_frames(2) == 2
+        manager.home_node = 1
+        assert manager.request_frames(2) == 2
+        assert manager.request_frames(2, phys_lo=0) == 2
+        assert seen[0] is seen[1]
+        assert seen[2] is not seen[0] and seen[3] is not seen[2]
+        assert [r.home_node for r in seen] == [0, 0, 1, 1]
+        assert [r.n_frames for r in seen] == [2, 2, 2, 2]
+        assert seen[3].phys_lo == 0
+        nodes = [
+            kernel.topology.node_of(manager.free_segment.pages[slot].phys_addr)
+            for slot in manager._free_slots
+        ]
+        assert nodes == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
 class TestReclamation:

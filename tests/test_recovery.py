@@ -61,21 +61,23 @@ def fault_pages(system, manager, n_pages=6, name="rec-anon"):
 class TestJournal:
     def test_append_decode_round_trip(self):
         journal = RecoveryJournal()
-        journal.append("mgr.place", "m", seg=1, page=2, slot=3)
-        journal.append("spcm.grant", "m", account="m", n=4)
+        journal.append("mgr.place", seg=1, page=2, slot=3)
+        journal.append("mgr.slots_granted", slots=[4, 5])
         records, torn = journal.decode()
         assert torn == 0
-        assert [r["kind"] for r in records] == ["mgr.place", "spcm.grant"]
-        assert records[0] == {
-            "kind": "mgr.place", "manager": "m", "seg": 1, "page": 2,
-            "slot": 3,
-        }
+        assert [r["kind"] for r in records] == [
+            "mgr.place", "mgr.slots_granted",
+        ]
+        assert records[0] == {"kind": "mgr.place", "seg": 1, "page": 2, "slot": 3}
+        assert records[1] == {"kind": "mgr.slots_granted", "slots": [4, 5]}
+        # a manager's own log names no writer
+        assert all("manager" not in r for r in records)
         assert journal.position == 2
 
     def test_torn_tail_is_detected_not_replayed(self):
         journal = RecoveryJournal()
         for i in range(5):
-            journal.append("mgr.alloc", "m", slot=i)
+            journal.append("mgr.alloc", slot=i)
         journal.tear_tail(3)
         records, torn = journal.decode()
         assert torn > 0
@@ -83,8 +85,8 @@ class TestJournal:
 
     def test_crc_mismatch_stops_decode(self):
         journal = RecoveryJournal()
-        journal.append("mgr.alloc", "m", slot=1)
-        journal.append("mgr.alloc", "m", slot=2)
+        journal.append("mgr.alloc", slot=1)
+        journal.append("mgr.alloc", slot=2)
         # flip a byte inside the second record's payload
         journal._buf[-1] ^= 0xFF
         records, torn = journal.decode()
@@ -94,19 +96,19 @@ class TestJournal:
     def test_repair_restores_appendability(self):
         journal = RecoveryJournal()
         for i in range(3):
-            journal.append("mgr.alloc", "m", slot=i)
+            journal.append("mgr.alloc", slot=i)
         journal.tear_tail(5)
         dropped = journal.repair()
         assert dropped > 0
         # appends after the fsck land on a clean frame boundary again
-        journal.append("mgr.alloc", "m", slot=99)
+        journal.append("mgr.alloc", slot=99)
         records, torn = journal.decode()
         assert torn == 0
         assert records[-1]["slot"] == 99
 
     def test_null_journal_is_inert(self):
         assert not NULL_JOURNAL.enabled
-        assert NULL_JOURNAL.append("mgr.alloc", "m", slot=1) == 0
+        assert NULL_JOURNAL.append("mgr.alloc", slot=1) == 0
         assert NULL_JOURNAL.position == 0
 
 
@@ -494,8 +496,8 @@ class TestLogContents:
         held_after_append = []
         append = RecoveryJournal.append
 
-        def recording_append(journal, kind, manager=None, **fields):
-            position = append(journal, kind, manager, **fields)
+        def recording_append(journal, kind, **fields):
+            position = append(journal, kind, **fields)
             appended.append({"kind": kind, **fields})
             held_after_append.append(journal.position - journal.first)
             return position

@@ -29,12 +29,30 @@ from repro.serve.loadgen import (
     run_load,
 )
 from repro.serve.tenants import ServingSystem
+from repro.spcm.policy import (
+    AllocationDecision,
+    AllocationPolicy,
+    PolicyVerdict,
+)
 
 
 def build_serving(seed=0, **kwargs):
     """A small 2-node machine with a serving layer over it."""
     system = build_workload_system(n_nodes=2)
     return system, ServingSystem(system, seed=seed, **kwargs)
+
+
+class RefuseAccount(AllocationPolicy):
+    """Refuses one account outright and asks ``inner`` for the rest."""
+
+    def __init__(self, inner, account):
+        self.inner = inner
+        self.account = account
+
+    def decide(self, account, n_requested, n_free, page_size):
+        if account == self.account:
+            return PolicyVerdict(AllocationDecision.REFUSE)
+        return self.inner.decide(account, n_requested, n_free, page_size)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +249,56 @@ class TestBatchScheduler:
         assert serving.scheduler.errors == 0
         assert seen == ["tenant-0"] * 4
         assert system.kernel.stats.listener_errors == 4
+
+    def test_flush_leaves_no_queue_behind(self):
+        _system, serving = build_serving()
+        admit_fleet(serving, 4, working_set_pages=8, quota_frames=16)
+        scheduler = serving.scheduler
+        assert scheduler._queues == {}
+        session = serving.sessions["tenant-2"]
+        serving.submit(session, 0, False)
+        serving.submit(session, session.segment.page_size, False)
+        # only the key with work holds a queue
+        assert list(scheduler._queues) == [("tenant-2", session.home_node)]
+        assert serving.flush() == 2
+        assert scheduler._queues == {}
+        assert scheduler.backlog == 0
+        assert serving.flush() == 0
+
+    def test_flush_services_keys_in_sorted_order(self):
+        _system, serving = build_serving()
+        admit_fleet(serving, 4, working_set_pages=8, quota_frames=16)
+        sessions = [serving.sessions[t] for t in sorted(serving.sessions)]
+        order = []
+        serving.on_tenant_fault(lambda tenant, us: order.append(tenant))
+        for session in reversed(sessions):
+            for i in range(2):
+                serving.submit(session, i * session.segment.page_size, False)
+        assert serving.flush() == 8
+        by_key = sorted(sessions, key=lambda s: (s.manager.name, s.home_node))
+        assert order == [s.tenant for s in by_key for _ in range(2)]
+
+    def test_refused_refill_loses_no_request(self):
+        """A refill the SPCM refuses is absorbed: that tenant's references
+        each fail on their own and are counted, and every other batch is
+        still serviced."""
+        system, serving = build_serving(seed=42)
+        admit_fleet(serving, 4, working_set_pages=8, quota_frames=16)
+        refused = serving.sessions["tenant-1"]
+        system.spcm.policy = RefuseAccount(system.spcm.policy, refused.account)
+        serviced = run_load(serving, duration_us=20_000.0)
+        scheduler = serving.scheduler
+        assert scheduler.backlog == 0
+        assert scheduler._queues == {}
+        assert serviced == serving.admission.admitted > 0
+        assert refused.serviced == refused.admitted > 0
+        assert refused.service_errors == refused.serviced
+        assert scheduler.errors == refused.service_errors
+        for session in serving.sessions.values():
+            assert session.serviced == session.admitted
+            if session is not refused:
+                assert session.service_errors == 0
+        InvariantChecker(system.kernel).check_all()
 
     def test_latency_includes_queue_wait(self):
         _system, serving = build_serving()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.sim.rng import RandomSource
@@ -106,6 +108,30 @@ class TestRandomSource:
         rng = RandomSource(3)
         values = {rng.randint(2, 4) for _ in range(200)}
         assert values == {2, 3, 4}
+
+    def test_randint_draws_what_the_stdlib_draws(self):
+        """Draw for draw the stream of ``random.Random(seed).randint``,
+        over one-value ranges, widths on both sides of powers of two and
+        random widths, at negative and positive offsets."""
+        ours = RandomSource(11)
+        reference = random.Random(11)
+        picker = random.Random(5)
+        widths = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257]
+        widths += [2**31 - 1, 2**31, 2**31 + 1, 2**64 - 1, 2**64, 2**64 + 1]
+        for i in range(12_000):
+            if i % 2:
+                width = widths[(i // 2) % len(widths)]
+            else:
+                width = picker.randint(1, 5_000)
+            lo = picker.randint(-1_000, 1_000)
+            hi = lo + width - 1
+            assert ours.randint(lo, hi) == reference.randint(lo, hi)
+        with pytest.raises(ValueError):
+            ours.randint(3, 2)
+        with pytest.raises(ValueError):
+            reference.randint(3, 2)
+        # a rejected call draws nothing
+        assert ours.randint(0, 99) == reference.randint(0, 99)
 
     def test_choice_and_shuffle(self):
         rng = RandomSource(3)
