@@ -34,6 +34,22 @@ class PageFlags(IntFlag):
         return cls.READ
 
 
+# Plain-int values of the bits, and prebuilt members for the
+# combinations requests pass.  ``frame.flags`` is a plain int, and
+# PageFlags operators (``|``, ``&``, ``in``, ``PageFlags(i)``) run
+# through enum.py at Python speed, so the fault paths test and combine
+# these instead.
+READ_I = int(PageFlags.READ)
+WRITE_I = int(PageFlags.WRITE)
+RW_I = READ_I | WRITE_I
+REFERENCED_I = int(PageFlags.REFERENCED)
+DIRTY_I = int(PageFlags.DIRTY)
+PINNED_I = int(PageFlags.PINNED)
+ZERO_FILL_I = int(PageFlags.ZERO_FILL)
+RW = PageFlags.READ | PageFlags.WRITE
+RW_REFERENCED = RW | PageFlags.REFERENCED
+REFERENCED_DIRTY = PageFlags.REFERENCED | PageFlags.DIRTY
+
 #: Flags a manager may set/clear via kernel operations.  REFERENCED and
 #: DIRTY are included deliberately: exposing them is one of the paper's
 #: extensions over mprotect.

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.api import (
     BatchMigratePagesRequest,
@@ -43,7 +44,16 @@ from repro.core.api import (
     SetSegmentManagerResult,
 )
 from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import MANAGER_SETTABLE, PageFlags
+from repro.core.flags import (
+    DIRTY_I,
+    MANAGER_SETTABLE,
+    READ_I,
+    REFERENCED_I,
+    RW_I,
+    WRITE_I,
+    ZERO_FILL_I,
+    PageFlags,
+)
 from repro.core.manager_api import SegmentManager
 from repro.core.segment import HomePages, ResolvedPage, Segment
 from repro.core.supervisor import FAILOVER_AFTER_ATTEMPTS, ManagerSupervisor
@@ -68,17 +78,13 @@ __all__ = ["Kernel", "KernelStats", "PageAttribute"]
 #: kernel declares the fault unresolvable.
 MAX_FAULT_RETRIES = 8
 
-# Integer mirrors of the PageFlags bits for the fault path.  Enum member
-# operators (`|`, `&`, `in`) dispatch through Flag.__and__/__or__ at
-# Python speed; the hot paths run on plain ints and convert back to
-# PageFlags only at the API boundary.
-_READ_I = int(PageFlags.READ)
-_WRITE_I = int(PageFlags.WRITE)
-_RW_I = _READ_I | _WRITE_I
-_REFERENCED_I = int(PageFlags.REFERENCED)
-_DIRTY_I = int(PageFlags.DIRTY)
-_ZERO_FILL_I = int(PageFlags.ZERO_FILL)
+# The hot paths run on the plain-int flag values (repro.core.flags) and
+# convert back to PageFlags only at the API boundary.
 _MANAGER_SETTABLE_I = int(MANAGER_SETTABLE)
+# clearing any of these bits shoots down cached translations: access or
+# REFERENCED so the next touch re-enters the kernel, DIRTY so the next
+# store does (a translation is writable only while its frame is dirty)
+_SHOOTDOWN_I = RW_I | REFERENCED_I | DIRTY_I
 
 
 @dataclass
@@ -229,6 +235,10 @@ class Kernel:
         self._next_seg_id = 0
         # pfn -> {(space_id, vpn)} reverse map for translation shootdown
         self._frame_translations: dict[int, set[tuple[int, int]]] = {}
+        # BatchStats(n_calls, n_pages, zero_fills, cow_copies, local,
+        # remote), one per shape: the stats are frozen, so migrations of
+        # one shape share them instead of each building a copy
+        self._batch_stats = lru_cache(maxsize=1024)(BatchStats)
         # who is invoking kernel operations (Table 3 counts MigratePages
         # calls per invoking module); innermost attribution wins
         self._attribution: list[str] = []
@@ -242,7 +252,7 @@ class Kernel:
                 len(pfns), page_size=size, name=f"physmem-{size}"
             )
             boot.pages = HomePages(memory, size)
-            memory.file_pool(size, boot.seg_id, _RW_I)
+            memory.file_pool(size, boot.seg_id, RW_I)
             self.boot_segments[size] = boot
         self.initial_segment = self.boot_segments.get(
             memory.page_size,
@@ -410,6 +420,8 @@ class Kernel:
         within one binding (or none).
         """
         moved, batch = self._migrate_request(request)
+        if len(moved) == 1:
+            return MigratePagesResult((moved[0].pfn,), batch)
         return MigratePagesResult(tuple([frame.pfn for frame in moved]), batch)
 
     def migrate_pages_batch(
@@ -504,13 +516,13 @@ class Kernel:
                     self.meter.charge("numa_remote_placement", penalty)
         self.stats.numa_local_pages += local
         self.stats.numa_remote_pages += remote
-        batch = BatchStats(
-            n_calls=1,
-            n_pages=len(moved),
-            zero_fills=self.stats.zero_fills - zero_before,
-            cow_copies=self.stats.cow_copies - cow_before,
-            local_pages=local,
-            remote_pages=remote,
+        batch = self._batch_stats(
+            1,
+            len(moved),
+            self.stats.zero_fills - zero_before,
+            self.stats.cow_copies - cow_before,
+            local,
+            remote,
         )
         return moved, batch
 
@@ -556,7 +568,7 @@ class Kernel:
             raise MigrationError(
                 f"page size mismatch: {src.page_size} vs {dst.page_size}"
             )
-        if not (int(dst.prot) & _WRITE_I):
+        if not (int(dst.prot) & WRITE_I):
             raise ProtectionError(
                 f"migration into read-only segment {dst.name}"
             )
@@ -606,9 +618,9 @@ class Kernel:
                     tlb.invalidate(key[0], key[1])
                     page_table.remove(key[0], key[1])
             flags = frame.flags
-            if flags & _ZERO_FILL_I:
+            if flags & ZERO_FILL_I:
                 frame.zero()
-                flags &= ~_ZERO_FILL_I
+                flags &= ~ZERO_FILL_I
                 self.meter.charge("zero_fill", self.costs.zero_page)
                 self.stats.zero_fills += 1
                 if self.tracer.enabled:
@@ -629,7 +641,7 @@ class Kernel:
                 )
                 if source_res is not None and source_res.frame is not None:
                     frame.copy_from(source_res.frame)
-                    flags |= _DIRTY_I
+                    flags |= DIRTY_I
                     self.meter.charge("cow_copy", self.costs.copy_page)
                     self.stats.cow_copies += 1
             frame.flags = flags
@@ -654,9 +666,10 @@ class Kernel:
 
         Takes a :class:`~repro.core.api.ModifyPageFlagsRequest`; returns a
         :class:`~repro.core.api.ModifyPageFlagsResult` with the number of
-        present pages modified.  Reducing protection shoots down any
-        cached translations so the next access re-enters the kernel ---
-        this is how a manager arranges to see references (the clock
+        present pages modified.  Reducing protection, or clearing
+        REFERENCED or DIRTY, shoots down any cached translations so the
+        next access (or, for DIRTY, the next store) re-enters the kernel
+        --- this is how a manager arranges to see references (the clock
         algorithm) or writes.
         """
         segment = self.segment(request.segment)
@@ -682,7 +695,7 @@ class Kernel:
             )
         segment.check_page_range(page, n_pages)
         modified = 0
-        lowers_access = bool(clear_i & (_RW_I | _REFERENCED_I))
+        shoots_down = bool(clear_i & _SHOOTDOWN_I)
         not_clear_i = ~clear_i
         segment_pages = segment.pages
         for i in range(n_pages):
@@ -690,7 +703,7 @@ class Kernel:
             if frame is None:
                 continue
             frame.flags = (frame.flags | set_i) & not_clear_i
-            if lowers_access:
+            if shoots_down:
                 self._invalidate_frame_translations(frame)
             modified += 1
         return ModifyPageFlagsResult(modified)
@@ -786,7 +799,7 @@ class Kernel:
                 return self.memory.frame(pfn)
         entry = self.page_table.lookup(space.seg_id, vpn)
         if entry is not None:
-            writable = bool(entry.prot & _WRITE_I)
+            writable = bool(entry.prot & WRITE_I)
             if not write or writable:
                 self.meter.charge("tlb_refill", self.costs.tlb_refill)
                 self.tlb.insert(space.seg_id, vpn, (entry.pfn, writable))
@@ -904,7 +917,7 @@ class Kernel:
                 space_id=space.seg_id,
                 vaddr=vpn * space.page_size,
             )
-        needed_i = _WRITE_I if write else _READ_I
+        needed_i = WRITE_I if write else READ_I
         if not (int(res.prot) & needed_i):
             return PageFault(
                 res.owner.seg_id,
@@ -936,18 +949,18 @@ class Kernel:
         frame = res.frame
         assert frame is not None
         if write:
-            frame.flags |= _REFERENCED_I | _DIRTY_I
+            frame.flags |= REFERENCED_I | DIRTY_I
         else:
-            frame.flags |= _REFERENCED_I
+            frame.flags |= REFERENCED_I
         if not post_fault:
             self.meter.charge("map_update", self.costs.map_update)
         prot_i = int(res.prot)
-        writable = bool(prot_i & _WRITE_I) and bool(frame.flags & _DIRTY_I)
+        writable = bool(prot_i & WRITE_I) and bool(frame.flags & DIRTY_I)
         entry = Translation(
             space.seg_id,
             vpn,
             frame.pfn,
-            prot=(prot_i & _READ_I) | (_WRITE_I if writable else 0),
+            prot=(prot_i & READ_I) | (WRITE_I if writable else 0),
         )
         self.page_table.insert(entry)
         self.tlb.insert(space.seg_id, vpn, (frame.pfn, writable))
@@ -993,7 +1006,9 @@ class Kernel:
         self.meter.charge("fault_dispatch", self.costs.vpp_fault_dispatch)
         stats = self.stats
         stats.faults += 1
-        kind = fault.kind.name
+        # the member's own name attribute: ``.name`` is a descriptor that
+        # runs through enum.py on every read
+        kind = fault.kind._name_
         stats.faults_by_kind[kind] = stats.faults_by_kind.get(kind, 0) + 1
         manager_calls = stats.manager_calls
         manager_calls[manager.name] = manager_calls.get(manager.name, 0) + 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from typing import TYPE_CHECKING
 
-from repro.core.flags import PageFlags
+from repro.core.flags import RW_I, WRITE_I, PageFlags
 from repro.errors import BindingError, SegmentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -27,10 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.phys_mem import PageFrame, PhysicalMemory
 
 
-# integer mirrors of the hot PageFlags values (enum operators dispatch
-# at Python speed; resolution runs on ints and converts once at the end)
-_RW_I = int(PageFlags.READ | PageFlags.WRITE)
-_WRITE_I = int(PageFlags.WRITE)
+# resolution runs on the plain-int flag values and converts once at the
+# end, by index into ``PageFlags(i)`` for every 6-bit value ``i`` (the
+# enum's own cached members), so it makes no call into enum.py
+_PROT = tuple(PageFlags(i) for i in range(64))
 
 
 class HomePages(MutableMapping):
@@ -260,7 +260,7 @@ class Segment:
         copy-on-write privatization.
         """
         segment: Segment = self
-        prot_i = _RW_I
+        prot_i = RW_I
         depth = 0
         seen: set[tuple[int, int]] | None = None
         while True:
@@ -277,14 +277,14 @@ class Segment:
                         owner=segment,
                         page=page,
                         frame=frame,
-                        prot=PageFlags(prot_i & frame.flags),
+                        prot=_PROT[prot_i & frame.flags],
                         depth=depth,
                     )
                 return ResolvedPage(
                     owner=segment,
                     page=page,
                     frame=None,
-                    prot=PageFlags(prot_i),
+                    prot=_PROT[prot_i],
                     depth=depth,
                 )
             if seen is None:
@@ -310,7 +310,7 @@ class Segment:
                     owner=segment,
                     page=page,
                     frame=frame,
-                    prot=PageFlags(prot_i & frame.flags),
+                    prot=_PROT[prot_i & frame.flags],
                     depth=depth,
                 )
             if segment.cow_source is not None:
@@ -324,14 +324,14 @@ class Segment:
                             owner=segment,
                             page=page,
                             frame=None,
-                            prot=PageFlags(prot_i),
+                            prot=_PROT[prot_i],
                             needs_cow=True,
                             cow_source_frame=source_res.frame,
                             depth=depth,
                         )
                     # Reads fall through to the source (read sharing),
                     # but the shared view is never writable.
-                    prot_i &= ~_WRITE_I
+                    prot_i &= ~WRITE_I
                     segment = source
                     depth += 1
                     continue
@@ -339,7 +339,7 @@ class Segment:
                 owner=segment,
                 page=page,
                 frame=None,
-                prot=PageFlags(prot_i),
+                prot=_PROT[prot_i],
                 depth=depth,
             )
 

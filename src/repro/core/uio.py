@@ -17,7 +17,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import PageFlags
+from repro.core.flags import DIRTY_I, REFERENCED_I
 from repro.core.kernel import Kernel
 from repro.core.segment import Segment
 from repro.errors import TransientDiskError, UIOError
@@ -286,7 +286,7 @@ class UIO:
                 self.kernel.costs.fs_lookup_vpp
                 + self.kernel.costs.copy_page * (take / page_size),
             )
-            frame.flags |= int(PageFlags.REFERENCED)
+            frame.flags |= REFERENCED_I
             chunks.append(frame.read(in_page_off, take))
             pos += take
             remaining -= take
@@ -331,7 +331,7 @@ class UIO:
                 + self.kernel.costs.copy_page * (take / page_size),
             )
             frame.write(data[written : written + take], in_page_off)
-            frame.flags |= int(PageFlags.REFERENCED | PageFlags.DIRTY)
+            frame.flags |= REFERENCED_I | DIRTY_I
             pos += take
             written += take
         file.size_bytes = max(file.size_bytes, end)

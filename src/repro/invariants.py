@@ -16,7 +16,8 @@ named checks, each ``check(kernel) -> list[str]``:
 * ``shards`` --- on a sharded (NUMA) SPCM, each node's frames are its
   free frames plus its grants plus its retirements.
 * ``translations`` --- every TLB and page-table entry resolves to the
-  frame the segment walk finds; a writable entry needs WRITE permission.
+  frame the segment walk finds; a writable entry needs WRITE permission
+  and a DIRTY frame (a store through it would otherwise go unseen).
 * ``bindings`` --- no segment's bound regions overlap, and no binding
   targets a deleted segment.
 * ``market`` --- each shard market's drams sum to its net transfers in,
@@ -141,6 +142,12 @@ def check_translations(kernel: "Kernel") -> list[str]:
             found.append(
                 f"{where} entry space {space_id} vpn {vpn} is writable "
                 "but the page is not write-permitted"
+            )
+        if writable and not res.frame.flags & PageFlags.DIRTY:
+            found.append(
+                f"{where} entry space {space_id} vpn {vpn} is writable "
+                f"but frame pfn={pfn} is not DIRTY, so a store through "
+                "it would not be seen"
             )
 
     for (space_id, vpn), (pfn, writable) in kernel.tlb.entries():

@@ -23,7 +23,6 @@ Subclass hooks: :meth:`fill_page` (page-in policy), :meth:`writeback`
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.core.api import (
@@ -33,7 +32,13 @@ from repro.core.api import (
     ModifyPageFlagsRequest,
 )
 from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import PageFlags
+from repro.core.flags import (
+    DIRTY_I,
+    PINNED_I,
+    REFERENCED_DIRTY,
+    RW,
+    PageFlags,
+)
 from repro.core.manager_api import InvocationMode, SegmentManager
 from repro.core.segment import Segment
 from repro.errors import ManagerError, OutOfFramesError
@@ -44,11 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kernel import Kernel
     from repro.hw.phys_mem import PageFrame
     from repro.spcm.spcm import SystemPageCacheManager
-
-# request-flag values hoisted out of the fault path: PageFlags `|` runs
-# through Flag.__or__ at Python speed on every construction otherwise
-_RW_PROT = PageFlags.READ | PageFlags.WRITE
-_CLEAR_REFERENCED = PageFlags.REFERENCED
 
 
 class GenericSegmentManager(SegmentManager):
@@ -94,8 +94,9 @@ class GenericSegmentManager(SegmentManager):
         # reclaim cache: free slot -> origin, and the reverse
         self._stale_origin: dict[int, tuple[int, int]] = {}
         self._stale_slot: dict[tuple[int, int], int] = {}
-        # resident pages this manager placed, oldest first (FIFO default)
-        self._resident: OrderedDict[tuple[int, int], None] = OrderedDict()
+        # resident pages this manager placed, oldest first (FIFO default);
+        # a plain dict keeps insertion order and copies fastest
+        self._resident: dict[tuple[int, int], None] = {}
         self.pinned_segments: set[int] = set()
         # counters
         self.faults_handled = 0
@@ -318,7 +319,7 @@ class GenericSegmentManager(SegmentManager):
         self._empty_slots = []
         self._stale_origin = {}
         self._stale_slot = {}
-        self._resident = OrderedDict()
+        self._resident = {}
         self.pinned_segments = set()
         self.faults_handled = 0
         self.fast_reclaims = 0
@@ -449,6 +450,12 @@ class GenericSegmentManager(SegmentManager):
             return
         if self._duplicate_delivery(segment, fault):
             return
+        self._supply_page(segment, fault)
+
+    def _supply_page(self, segment: Segment, fault: PageFault) -> None:
+        """Back the page of a counted, first-delivery missing-page or
+        copy-on-write fault: migrate its reclaimed frame back if that is
+        still in the free segment, else migrate in a newly filled one."""
         key = (fault.segment_id, fault.page)
         stale_slot = self._stale_slot.get(key)
         if stale_slot is not None and fault.kind is FaultKind.MISSING_PAGE:
@@ -469,7 +476,7 @@ class GenericSegmentManager(SegmentManager):
                     fault.segment_id,
                     stale_slot,
                     fault.page,
-                    set_flags=_RW_PROT,
+                    set_flags=RW,
                     home_node=self.home_node,
                 )
             )
@@ -503,8 +510,8 @@ class GenericSegmentManager(SegmentManager):
                 fault.segment_id,
                 slot,
                 fault.page,
-                set_flags=_RW_PROT,
-                clear_flags=_CLEAR_REFERENCED,
+                set_flags=RW,
+                clear_flags=PageFlags.REFERENCED,
                 home_node=self.home_node,
             )
         )
@@ -546,9 +553,9 @@ class GenericSegmentManager(SegmentManager):
         """Default protection-fault policy: restore full access."""
         self.kernel.modify_page_flags(
             ModifyPageFlagsRequest(
-                segment,
+                segment.seg_id,
                 fault.page,
-                set_flags=_RW_PROT,
+                set_flags=RW,
             )
         )
 
@@ -586,7 +593,7 @@ class GenericSegmentManager(SegmentManager):
             frame = segment.pages.get(page)
             if frame is None:
                 continue
-            if PageFlags.PINNED & PageFlags(frame.flags):
+            if frame.flags & PINNED_I:
                 continue
             victims.append((segment, page))
         return victims
@@ -621,7 +628,7 @@ class GenericSegmentManager(SegmentManager):
             raise ManagerError(
                 f"page {page} of {segment.name} is not resident"
             )
-        if PageFlags.DIRTY & PageFlags(frame.flags):
+        if frame.flags & DIRTY_I:
             if self.kernel.tracer.enabled:
                 with self.kernel.tracer.span(
                     "manager", "writeback", segment=segment.name, page=page
@@ -636,11 +643,11 @@ class GenericSegmentManager(SegmentManager):
             self.free_segment.grow(1)
         self.kernel.migrate_pages(
             MigratePagesRequest(
-                segment,
-                self.free_segment,
+                segment.seg_id,
+                self.free_segment.seg_id,
                 page,
                 slot,
-                clear_flags=PageFlags.REFERENCED | PageFlags.DIRTY,
+                clear_flags=REFERENCED_DIRTY,
             )
         )
         self._free_slots.append(slot)
@@ -677,11 +684,11 @@ class GenericSegmentManager(SegmentManager):
                 self.free_segment.grow(1)
             self.kernel.migrate_pages(
                 MigratePagesRequest(
-                    segment,
-                    self.free_segment,
+                    segment.seg_id,
+                    self.free_segment.seg_id,
                     page,
                     slot,
-                    clear_flags=PageFlags.REFERENCED | PageFlags.DIRTY,
+                    clear_flags=REFERENCED_DIRTY,
                 )
             )
             self._free_slots.append(slot)

@@ -20,7 +20,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.api import ModifyPageFlagsRequest
-from repro.core.flags import PageFlags
+from repro.core.flags import (
+    PINNED_I,
+    REFERENCED_I,
+    RW,
+    RW_REFERENCED,
+    PageFlags,
+)
 from repro.core.segment import Segment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,17 +42,19 @@ class ClockReplacer:
         self._hand = 0
 
     def _sync_ring(self) -> None:
-        """Refresh the ring to the manager's current resident set."""
-        current = list(self.manager._resident.keys())
+        """Refresh the ring to the manager's current resident set.
+
+        The hand stays on the page it pointed at if that page is still
+        resident, and goes back to the start otherwise.
+        """
+        resident = self.manager._resident
+        current = list(resident)
         if current != self._ring:
-            anchor = (
-                self._ring[self._hand % len(self._ring)]
-                if self._ring
-                else None
-            )
+            ring = self._ring
+            anchor = ring[self._hand % len(ring)] if ring else None
             self._ring = current
-            if anchor in self._ring:
-                self._hand = self._ring.index(anchor)
+            if anchor in resident:
+                self._hand = current.index(anchor)
             else:
                 self._hand = 0
 
@@ -56,29 +64,33 @@ class ClockReplacer:
         sweep position --- the second-chance guarantee."""
         self._sync_ring()
         victims: list[tuple[Segment, int]] = []
-        if not self._ring:
+        ring = self._ring
+        n_ring = len(ring)
+        if not n_ring:
             return victims
+        kernel = self.manager.kernel
+        pinned = self.manager.pinned_segments
         sweeps = 0
-        max_sweeps = 2 * len(self._ring)
+        max_sweeps = 2 * n_ring
         while len(victims) < n_pages and sweeps < max_sweeps:
             sweeps += 1
-            seg_id, page = self._ring[self._hand % len(self._ring)]
+            seg_id, page = ring[self._hand % n_ring]
             self._hand += 1
-            if seg_id in self.manager.pinned_segments:
+            if seg_id in pinned:
                 continue
-            segment = self.manager.kernel.segment(seg_id)
+            segment = kernel.segment(seg_id)
             frame = segment.pages.get(page)
             if frame is None:
                 continue
-            flags = PageFlags(frame.flags)
-            if PageFlags.PINNED in flags:
+            flags = frame.flags
+            if flags & PINNED_I:
                 continue
-            if PageFlags.REFERENCED in flags:
+            if flags & REFERENCED_I:
                 # Second chance: clear the bit (shooting down cached
                 # translations so a future touch re-sets it) and move on.
-                self.manager.kernel.modify_page_flags(
+                kernel.modify_page_flags(
                     ModifyPageFlagsRequest(
-                        segment, page, clear_flags=PageFlags.REFERENCED
+                        seg_id, page, clear_flags=PageFlags.REFERENCED
                     )
                 )
                 continue
@@ -127,14 +139,10 @@ class ProtectionClockSampler:
                     continue
                 self.manager.kernel.modify_page_flags(
                     ModifyPageFlagsRequest(
-                        segment,
+                        segment.seg_id,
                         run_start,
                         prev - run_start + 1,
-                        clear_flags=(
-                            PageFlags.READ
-                            | PageFlags.WRITE
-                            | PageFlags.REFERENCED
-                        ),
+                        clear_flags=RW_REFERENCED,
                     )
                 )
                 if page is not None:
@@ -149,10 +157,7 @@ class ProtectionClockSampler:
         n = min(self.batch_pages, segment.n_pages - start)
         restored = self.manager.kernel.modify_page_flags(
             ModifyPageFlagsRequest(
-                segment,
-                start,
-                n,
-                set_flags=PageFlags.READ | PageFlags.WRITE,
+                segment.seg_id, start, n, set_flags=RW
             )
         ).modified
         self.referenced[segment.seg_id] = (

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.api import MigratePagesRequest, ModifyPageFlagsRequest
 from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import PageFlags
+from repro.core.flags import DIRTY_I, REFERENCED_I, RW, PageFlags
 from repro.core.manager_api import InvocationMode
 from repro.core.segment import Segment
 from repro.core.uio import FileServer
@@ -70,11 +70,12 @@ class DefaultSegmentManager(GenericSegmentManager):
     # ------------------------------------------------------------------
 
     def handle_fault(self, fault: PageFault) -> None:
+        if fault.kind is FaultKind.PROTECTION:
+            super().handle_fault(fault)
+            return
         segment = self.kernel.segment(fault.segment_id)
-        if fault.kind is not FaultKind.PROTECTION and self._duplicate_delivery(
-            segment, fault
-        ):
-            self.faults_handled += 1
+        self.faults_handled += 1
+        if self._duplicate_delivery(segment, fault):
             return
         if (
             fault.kind is FaultKind.MISSING_PAGE
@@ -85,7 +86,7 @@ class DefaultSegmentManager(GenericSegmentManager):
         ):
             self._handle_append(segment, fault)
             return
-        super().handle_fault(fault)
+        self._supply_page(segment, fault)
 
     def _handle_append(self, segment: Segment, fault: PageFault) -> None:
         """Write-append: allocate a 16 KB unit in one MigratePages."""
@@ -101,7 +102,6 @@ class DefaultSegmentManager(GenericSegmentManager):
             return self._do_append(segment, fault)
 
     def _do_append(self, segment: Segment, fault: PageFault) -> None:
-        self.faults_handled += 1
         self.append_allocations += 1
         unit = self.append_unit_pages
         start = (fault.page // unit) * unit
@@ -130,12 +130,12 @@ class DefaultSegmentManager(GenericSegmentManager):
         if contiguous:
             self.kernel.migrate_pages(
                 MigratePagesRequest(
-                    self.free_segment,
-                    segment,
+                    self.free_segment.seg_id,
+                    segment.seg_id,
                     slots[0],
                     run[0],
                     len(run),
-                    set_flags=PageFlags.READ | PageFlags.WRITE,
+                    set_flags=RW,
                     clear_flags=PageFlags.REFERENCED,
                     home_node=self.home_node,
                 )
@@ -144,11 +144,11 @@ class DefaultSegmentManager(GenericSegmentManager):
             for slot, page in zip(slots, run):
                 self.kernel.migrate_pages(
                     MigratePagesRequest(
-                        self.free_segment,
-                        segment,
+                        self.free_segment.seg_id,
+                        segment.seg_id,
                         slot,
                         page,
-                        set_flags=PageFlags.READ | PageFlags.WRITE,
+                        set_flags=RW,
                         clear_flags=PageFlags.REFERENCED,
                         home_node=self.home_node,
                     )
@@ -242,11 +242,11 @@ class DefaultSegmentManager(GenericSegmentManager):
             return
         for page in sorted(segment.pages):
             frame = segment.pages[page]
-            if PageFlags.DIRTY & PageFlags(frame.flags):
+            if frame.flags & DIRTY_I:
                 self.file_server.store_page(segment, page, frame.read())
                 self.kernel.modify_page_flags(
                     ModifyPageFlagsRequest(
-                        segment, page, clear_flags=PageFlags.DIRTY
+                        segment.seg_id, page, clear_flags=PageFlags.DIRTY
                     )
                 )
                 self.writebacks += 1
@@ -374,7 +374,7 @@ class DefaultSegmentManager(GenericSegmentManager):
                 if freed >= frames_to_free:
                     break
                 frame = segment.pages.get(page)
-                if frame is None or PageFlags.REFERENCED & PageFlags(frame.flags):
+                if frame is None or frame.flags & REFERENCED_I:
                     continue
                 self.reclaim_one(segment, page)
                 freed += 1

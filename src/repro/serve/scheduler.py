@@ -17,8 +17,7 @@ its own service.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ReproError
 
@@ -27,9 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.tenants import TenantSession
 
 
-@dataclass(frozen=True, slots=True)
-class QueuedRequest:
-    """One admitted reference waiting for the next flush."""
+class QueuedRequest(NamedTuple):
+    """One admitted reference waiting for the next flush (a tuple: one
+    is built per admitted reference)."""
 
     session: "TenantSession"
     vaddr: int

@@ -39,7 +39,7 @@ from repro.core.api import (
     MigratePagesRequest,
     TenantQuota,
 )
-from repro.core.flags import PageFlags
+from repro.core.flags import REFERENCED_DIRTY, RW, ZERO_FILL_I
 from repro.core.kernel import Kernel
 from repro.core.manager_api import SegmentManager
 from repro.core.segment import Segment
@@ -54,12 +54,6 @@ from repro.spcm.policy import (
     AllocationPolicy,
     ReservePolicy,
 )
-
-# hot-path int mirrors / prebuilt flag combinations (Flag operators are
-# Python-level calls; the grant and return paths run per fault)
-_ZERO_FILL_I = int(PageFlags.ZERO_FILL)
-_GRANT_SET = PageFlags.READ | PageFlags.WRITE
-_GRANT_CLEAR = PageFlags.REFERENCED | PageFlags.DIRTY
 
 
 @dataclass(frozen=True)
@@ -509,7 +503,7 @@ class SystemPageCacheManager:
             pfn = first_pfn + boot_page
             previous = last_account.get(pfn)
             if previous is not None and previous != account:
-                memory.frame(pfn).flags |= _ZERO_FILL_I
+                memory.frame(pfn).flags |= ZERO_FILL_I
             last_account[pfn] = account
         if self.n_shards > 1:
             granted_pages = self._grant_sharded(
@@ -558,8 +552,8 @@ class SystemPageCacheManager:
                         start,
                         dst_page,
                         n_run,
-                        set_flags=_GRANT_SET,
-                        clear_flags=_GRANT_CLEAR,
+                        set_flags=RW,
+                        clear_flags=REFERENCED_DIRTY,
                     )
                 )
                 granted_pages.extend(range(dst_page, dst_page + n_run))
@@ -602,8 +596,8 @@ class SystemPageCacheManager:
                             start,
                             dst_page,
                             n_run,
-                            set_flags=_GRANT_SET,
-                            clear_flags=_GRANT_CLEAR,
+                            set_flags=RW,
+                            clear_flags=REFERENCED_DIRTY,
                             home_node=home,
                         )
                     )
@@ -659,7 +653,7 @@ class SystemPageCacheManager:
                         page,
                         home_page,
                         1,
-                        clear_flags=_GRANT_CLEAR,
+                        clear_flags=REFERENCED_DIRTY,
                     )
                 )
                 self._free[size].append(home_page)

@@ -61,6 +61,21 @@ class TestFilePaging:
         # DIRTY cleared after writeback
         assert not PageFlags.DIRTY & PageFlags(seg.pages[0].flags)
 
+    def test_store_after_close_is_written_back_at_next_close(self, system):
+        """Writeback clears DIRTY; a later store through a translation
+        must dirty the page again, or the next close would skip it."""
+        kernel, manager = system.kernel, system.default_manager
+        seg = self.make_file(system, b"a" * 4096)
+        kernel.reference(seg, 0, write=True)
+        manager.file_closed(seg)
+        assert manager.writebacks == 1
+        frame = kernel.reference(seg, 0, write=True)
+        frame.write(b"c" * 4096)
+        assert PageFlags.DIRTY & PageFlags(frame.flags)
+        manager.file_closed(seg)
+        assert manager.writebacks == 2
+        assert system.file_server.fetch_page(seg, 0) == b"c" * 4096
+
     def test_open_close_count_as_manager_calls(self, system):
         kernel = system.kernel
         seg = self.make_file(system, b"")

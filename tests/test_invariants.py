@@ -86,6 +86,11 @@ def revoke_write_without_shootdown(system, manager, seg):
     frame.flags &= ~int(PageFlags.WRITE)
 
 
+def clean_without_shootdown(system, manager, seg):
+    frame = seg.pages[14]  # written, so its cached entries are writable
+    frame.flags &= ~int(PageFlags.DIRTY)
+
+
 def overlap_bindings(system, manager, seg):
     space = system.kernel.create_segment(8, name="space")
     space.bind(0, 4, seg, 4)
@@ -160,6 +165,9 @@ CORRUPTIONS = [
     ),
     pytest.param(
         revoke_write_without_shootdown, "translations", id="writable-read-only"
+    ),
+    pytest.param(
+        clean_without_shootdown, "translations", id="writable-clean-frame"
     ),
     pytest.param(overlap_bindings, "bindings", id="overlapping-bindings"),
     pytest.param(list_slot_twice, "managers", id="slot-listed-twice"),

@@ -137,6 +137,28 @@ class TestDirtyTracking:
         frame = kernel.reference(seg, 0, write=False)
         assert PageFlags.REFERENCED & PageFlags(frame.flags)
 
+    def test_store_after_clearing_dirty_sets_it_again(self, world):
+        """A manager that clears DIRTY (writeback) must see the next
+        store: clearing it shoots down the writable translation."""
+        kernel, _, manager = world
+        seg = kernel.create_segment(8, manager=manager)
+        frame = kernel.reference(seg, 0, write=True)
+        kernel.modify_page_flags(
+            ModifyPageFlagsRequest(seg, 0, clear_flags=PageFlags.DIRTY)
+        )
+        assert kernel.tlb.lookup(seg.seg_id, 0) is None
+        assert kernel.page_table.lookup(seg.seg_id, 0) is None
+        faults = kernel.stats.faults
+        kernel.reference(seg, 0, write=True)
+        assert frame.flags == int(
+            PageFlags.READ
+            | PageFlags.WRITE
+            | PageFlags.REFERENCED
+            | PageFlags.DIRTY
+        )
+        # the store re-entered the kernel without a manager fault
+        assert kernel.stats.faults == faults
+
 
 class TestProtectionFaults:
     def test_revoked_access_faults_to_manager(self, world):
