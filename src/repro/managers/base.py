@@ -17,13 +17,24 @@ The free-page segment is the manager's private frame stock:
   manager simply migrates it back to the original segment", S2.2).
 
 Subclass hooks: :meth:`fill_page` (page-in policy), :meth:`writeback`
-(page-out policy), :meth:`select_victims` (replacement policy), and
-:meth:`on_protection_fault`.
+(page-out policy), :meth:`select_victims` (replacement policy),
+:meth:`on_protection_fault`, and the frame-choice point of the one supply
+path, :meth:`_supply_page`:
+
+* ``choose_slot(segment, fault)`` picks the free slot whose frame backs
+  the page (placement policy: page coloring, NUMA home nodes), usually
+  through :meth:`take_slot`, which takes the newest free slot whose frame
+  passes a test;
+* ``home_node_for(segment)`` gives the ``MigratePages`` placement hint.
+
+Both are ``None`` unless a subclass defines them, so the default fault
+path makes no call for them.  A reclaimed page's frame still comes
+straight back through the migrate-back fast path before either is asked.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.api import (
     FrameDemand,
@@ -55,6 +66,11 @@ class GenericSegmentManager(SegmentManager):
     """Free-page segment bookkeeping plus basic fault handling."""
 
     invocation = InvocationMode.IN_PROCESS
+
+    #: frame-choice hooks (see the module docstring); ``None`` keeps the
+    #: default: the newest free slot, hinted with :attr:`home_node`
+    choose_slot: Callable[[Segment, PageFault], int] | None = None
+    home_node_for: Callable[[Segment], int | None] | None = None
 
     def __init__(
         self,
@@ -234,6 +250,26 @@ class GenericSegmentManager(SegmentManager):
         if self.journal.enabled:
             self.journal.append("mgr.allocrun", slots=list(run))
         return run
+
+    def take_slot(self, accepts: Callable[["PageFrame"], bool]) -> int | None:
+        """The newest free slot whose frame passes ``accepts``, taken the
+        way :meth:`allocate_slot` takes one; ``None`` (nothing charged)
+        when no free frame passes."""
+        pages = self.free_segment.pages
+        free = self._free_slots
+        for i in range(len(free) - 1, -1, -1):
+            if accepts(pages[free[i]]):
+                break
+        else:
+            return None
+        self.kernel.meter.charge(
+            "manager_alloc", self.kernel.costs.vpp_manager_alloc
+        )
+        slot = free.pop(i)
+        self._drop_stale(slot)
+        if self.journal.enabled:
+            self.journal.append("mgr.alloc", slot=slot)
+        return slot
 
     def _pop_slot(self) -> int:
         self._maybe_crash_in_alloc()
@@ -455,8 +491,14 @@ class GenericSegmentManager(SegmentManager):
     def _supply_page(self, segment: Segment, fault: PageFault) -> None:
         """Back the page of a counted, first-delivery missing-page or
         copy-on-write fault: migrate its reclaimed frame back if that is
-        still in the free segment, else migrate in a newly filled one."""
+        still in the free segment, else migrate in a newly filled one
+        (the slot ``choose_slot`` picks, when a subclass defines it)."""
         key = (fault.segment_id, fault.page)
+        home = (
+            self.home_node
+            if self.home_node_for is None
+            else self.home_node_for(segment)
+        )
         stale_slot = self._stale_slot.get(key)
         if stale_slot is not None and fault.kind is FaultKind.MISSING_PAGE:
             # The paper's fast path: the frame reclaimed from this page is
@@ -477,7 +519,7 @@ class GenericSegmentManager(SegmentManager):
                     stale_slot,
                     fault.page,
                     set_flags=RW,
-                    home_node=self.home_node,
+                    home_node=home,
                 )
             )
             self._empty_slots.append(stale_slot)
@@ -491,7 +533,11 @@ class GenericSegmentManager(SegmentManager):
                     slot=stale_slot,
                 )
             return
-        slot = self.allocate_slot()
+        slot = (
+            self.allocate_slot()
+            if self.choose_slot is None
+            else self.choose_slot(segment, fault)
+        )
         frame = self.free_segment.pages[slot]
         if fault.kind is FaultKind.MISSING_PAGE:
             if self.kernel.tracer.enabled:
@@ -512,7 +558,7 @@ class GenericSegmentManager(SegmentManager):
                 fault.page,
                 set_flags=RW,
                 clear_flags=PageFlags.REFERENCED,
-                home_node=self.home_node,
+                home_node=home,
             )
         )
         self._empty_slots.append(slot)

@@ -3,21 +3,21 @@
 "An application can allocate physical pages to virtual pages to minimize
 mapping collisions in physically addressed caches and TLBs, implementing
 page coloring on an application-specific basis" (paper, S1).  The manager
-keeps per-color free lists, stocked by color-constrained SPCM requests, and
-on each fault picks a frame whose color matches the faulting virtual page
---- so virtually-contiguous data is spread evenly across the cache.
+stocks its free segment with color-constrained SPCM requests and, through
+the generic supply path's frame-choice hook, backs each fault with a free
+frame whose color matches the faulting virtual page --- so
+virtually-contiguous data is spread evenly across the cache.  A free
+frame's color is read from its physical address, so the stock needs no
+per-color lists.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import FrameGrant, MigratePagesRequest
-from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import PageFlags
+from repro.core.faults import PageFault
 from repro.core.segment import Segment
 from repro.managers.base import GenericSegmentManager
-from repro.spcm.spcm import FrameRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kernel import Kernel
@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class ColoringSegmentManager(GenericSegmentManager):
-    """Keeps per-color frame stocks and colors faults by virtual page."""
+    """Stocks frames per color and colors faults by virtual page."""
 
     def __init__(
         self,
@@ -38,7 +38,6 @@ class ColoringSegmentManager(GenericSegmentManager):
         if n_colors <= 0:
             raise ValueError("need at least one color")
         self.n_colors = n_colors
-        self._by_color: dict[int, list[int]] = {c: [] for c in range(n_colors)}
         super().__init__(
             kernel, spcm, name, initial_frames=0  # stocked per color below
         )
@@ -53,103 +52,41 @@ class ColoringSegmentManager(GenericSegmentManager):
 
     def stock_color(self, color: int, n_frames: int) -> int:
         """Request frames of one color from the SPCM; returns count."""
-        pages = self.spcm.request_frames(
-            self,
-            FrameRequest(
-                self.account,
-                n_frames,
-                page_size=self.page_size,
-                colors=frozenset({color}),
-                n_colors=self.n_colors,
-            ),
-            self.free_segment,
+        return self.request_frames(
+            n_frames, colors=frozenset({color}), n_colors=self.n_colors
         )
-        self._by_color[color].extend(pages)
-        self._free_slots.extend(pages)
-        return len(pages)
 
     def free_of_color(self, color: int) -> int:
         """Free frames currently stocked for ``color``."""
-        return len(self._by_color.get(color, []))
-
-    def _take_colored_slot(self, color: int) -> int | None:
-        slots = self._by_color.get(color)
-        if slots:
-            slot = slots.pop()
-            self._free_slots.remove(slot)
-            self._drop_stale(slot)
-            self.kernel.meter.charge(
-                "manager_alloc", self.kernel.costs.vpp_manager_alloc
-            )
-            return slot
-        return None
+        pages = self.free_segment.pages
+        return sum(
+            1
+            for slot in self._free_slots
+            if pages[slot].color(self.n_colors) == color
+        )
 
     # ------------------------------------------------------------------
     # colored fault handling
     # ------------------------------------------------------------------
 
-    def handle_fault(self, fault: PageFault) -> None:
-        if fault.kind is not FaultKind.MISSING_PAGE:
-            super().handle_fault(fault)
-            return
-        self.faults_handled += 1
-        segment = self.kernel.segment(fault.segment_id)
-        # the color the virtual page wants (use the mapped virtual page
-        # number when the fault came through an address space)
+    def choose_slot(self, segment: Segment, fault: PageFault) -> int:
+        """A free frame of the color the faulting virtual page wants
+        (counted as a hit), else any free frame (a miss)."""
+        # use the mapped virtual page number when the fault came through
+        # an address space
         vpn = (
             fault.vaddr // segment.page_size
             if fault.vaddr is not None
             else fault.page
         )
-        wanted = vpn % self.n_colors
-        slot = self._take_colored_slot(wanted)
+        n_colors = self.n_colors
+        wanted = vpn % n_colors
+        slot = self.take_slot(lambda frame: frame.color(n_colors) == wanted)
         if slot is not None:
             self.color_hits += 1
-        else:
-            self.color_misses += 1
-            slot = self.allocate_slot()
-            self._uncolor_slot(slot)
-        self.kernel.migrate_pages(
-            MigratePagesRequest(
-                self.free_segment,
-                segment,
-                slot,
-                fault.page,
-                set_flags=PageFlags.READ | PageFlags.WRITE,
-                clear_flags=PageFlags.REFERENCED,
-                home_node=self.home_node,
-            )
-        )
-        self._empty_slots.append(slot)
-        self._note_resident(segment, fault.page)
-
-    def _uncolor_slot(self, slot: int) -> None:
-        for slots in self._by_color.values():
-            if slot in slots:
-                slots.remove(slot)
-                return
-
-    def _surrender_slots(self, n_frames: int, node: int | None = None):
-        grant = super()._surrender_slots(n_frames, node)
-        for slot in grant.pages:
-            self._uncolor_slot(slot)
-        return grant
-
-    def on_frames_seized(self, grant: FrameGrant) -> None:
-        super().on_frames_seized(grant)
-        for slot in grant.pages:
-            self._uncolor_slot(slot)
-
-    def reclaim_one(self, segment: Segment, page: int) -> None:
-        frame = segment.pages.get(page)
-        color = frame.color(self.n_colors) if frame is not None else None
-        before = set(self._free_slots)
-        super().reclaim_one(segment, page)
-        if color is None:
-            return
-        new_slots = [s for s in self._free_slots if s not in before]
-        for slot in new_slots:
-            self._by_color[color].append(slot)
+            return slot
+        self.color_misses += 1
+        return self.allocate_slot()
 
     def placement_report(self, segment: Segment) -> dict[int, int]:
         """Resident pages per frame color (diagnostics for the bench)."""

@@ -16,11 +16,9 @@ from repro.core.flags import PageFlags
 from repro.core.segment import Segment
 from repro.errors import ManagerError
 from repro.managers.base import GenericSegmentManager
-from repro.spcm.spcm import FrameRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kernel import Kernel
-    from repro.hw.phys_mem import PageFrame
     from repro.spcm.spcm import SystemPageCacheManager
 
 
@@ -41,8 +39,6 @@ class DBMSSegmentManager(GenericSegmentManager):
         super().__init__(kernel, spcm, name, initial_frames)
         #: backing store for file-backed relations (optional)
         self.file_server = file_server
-        #: frames held per data type, for per-type accounting
-        self.pool_frames: dict[str, int] = {p: 0 for p in self.POOL_NAMES}
         self.segment_pool: dict[int, str] = {}
         self.discarded_pages = 0
         self.discarded_segments = 0
@@ -55,7 +51,7 @@ class DBMSSegmentManager(GenericSegmentManager):
         self, n_pages: int, pool: str, name: str = ""
     ) -> Segment:
         """Create a segment accounted against one of the data-type pools."""
-        if pool not in self.pool_frames:
+        if pool not in self.POOL_NAMES:
             raise ManagerError(f"unknown pool {pool!r}")
         segment = self.kernel.create_segment(
             n_pages, name=name or f"{self.name}.{pool}", manager=self
@@ -67,17 +63,15 @@ class DBMSSegmentManager(GenericSegmentManager):
         """The data-type pool a segment is accounted against."""
         return self.segment_pool.get(segment.seg_id)
 
-    def _note_resident(self, segment: Segment, page: int) -> None:
-        super()._note_resident(segment, page)
-        pool = self.segment_pool.get(segment.seg_id)
-        if pool is not None:
-            self.pool_frames[pool] += 1
-
-    def reclaim_one(self, segment: Segment, page: int) -> None:
-        super().reclaim_one(segment, page)
-        pool = self.segment_pool.get(segment.seg_id)
-        if pool is not None:
-            self.pool_frames[pool] -= 1
+    @property
+    def pool_frames(self) -> dict[str, int]:
+        """Frames held per data type, for per-type accounting: the
+        resident pages of each pool's live typed segments."""
+        counts = dict.fromkeys(self.POOL_NAMES, 0)
+        for seg_id, pool in self.segment_pool.items():
+            if seg_id in self.managed:
+                counts[pool] += len(self.kernel.segment(seg_id).pages)
+        return counts
 
     # ------------------------------------------------------------------
     # file-backed relations
@@ -131,7 +125,6 @@ class DBMSSegmentManager(GenericSegmentManager):
         their entirety."  Returns the number of pages discarded.
         """
         pages = sorted(segment.pages)
-        pool = self.segment_pool.get(segment.seg_id)
         for page in pages:
             slot = self._empty_slots.pop() if self._empty_slots else None
             if slot is None:
@@ -148,8 +141,6 @@ class DBMSSegmentManager(GenericSegmentManager):
             )
             self._free_slots.append(slot)
             self._resident.pop((segment.seg_id, page), None)
-            if pool is not None:
-                self.pool_frames[pool] -= 1
         self.discarded_pages += len(pages)
         self.discarded_segments += 1
         return len(pages)
@@ -162,19 +153,7 @@ class DBMSSegmentManager(GenericSegmentManager):
         self, n_frames: int, phys_lo: int, phys_hi: int
     ) -> int:
         """Ask the SPCM for frames within a physical address range."""
-        pages = self.spcm.request_frames(
-            self,
-            FrameRequest(
-                self.account,
-                n_frames,
-                page_size=self.page_size,
-                phys_lo=phys_lo,
-                phys_hi=phys_hi,
-            ),
-            self.free_segment,
-        )
-        self._free_slots.extend(pages)
-        return len(pages)
+        return self.request_frames(n_frames, phys_lo=phys_lo, phys_hi=phys_hi)
 
     # ------------------------------------------------------------------
     # explicit residency control

@@ -5,25 +5,24 @@ physical memory on machines such as DASH ... These techniques rely on
 being able to request page frames from the system page cache manager with
 specific physical addresses, or in particular physical address ranges."
 
-The manager keeps one free pool per NUMA node, stocked with SPCM
-physical-range requests, and declares a *home node* per segment; each
-fault is satisfied from the segment's home-node pool, falling back to any
-frame when the node's memory is exhausted (counted, so experiments can see
-the placement quality).
+The manager stocks its free segment with SPCM physical-range requests,
+one per NUMA node, and declares a *home node* per segment.  Through the
+generic supply path's frame-choice hook, each fault on a homed segment is
+backed by a free frame on the home node, falling back to any frame when
+the node's memory is exhausted (counted, so experiments can see the
+placement quality).  A free frame's node is read from its physical
+address, so the stock needs no per-node lists.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import FrameGrant, MigratePagesRequest
-from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import PageFlags
+from repro.core.faults import PageFault
 from repro.core.segment import Segment
 from repro.errors import ManagerError
 from repro.hw.numa import NumaTopology
 from repro.managers.base import GenericSegmentManager
-from repro.spcm.spcm import FrameRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kernel import Kernel
@@ -31,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class PlacementSegmentManager(GenericSegmentManager):
-    """Per-node free pools plus home-node placement."""
+    """Per-node frame stocks plus home-node placement."""
 
     def __init__(
         self,
@@ -42,9 +41,6 @@ class PlacementSegmentManager(GenericSegmentManager):
         frames_per_node: int = 16,
     ) -> None:
         self.topology = topology
-        self._by_node: dict[int, list[int]] = {
-            n: [] for n in range(topology.n_nodes)
-        }
         super().__init__(kernel, spcm, name, initial_frames=0)
         self.segment_home: dict[int, int] = {}
         self.local_placements = 0
@@ -59,56 +55,19 @@ class PlacementSegmentManager(GenericSegmentManager):
     def stock_node(self, node: int, n_frames: int) -> int:
         """Request frames physically located on ``node``."""
         lo, hi = self.topology.node_range(node)
-        pages = self.spcm.request_frames(
-            self,
-            FrameRequest(
-                self.account,
-                n_frames,
-                page_size=self.page_size,
-                phys_lo=lo,
-                phys_hi=hi,
-                home_node=node,
-            ),
-            self.free_segment,
+        return self.request_frames(
+            n_frames, phys_lo=lo, phys_hi=hi, home_node=node
         )
-        self._by_node[node].extend(pages)
-        self._free_slots.extend(pages)
-        return len(pages)
 
     def free_on_node(self, node: int) -> int:
         """Free frames currently stocked for ``node``."""
-        return len(self._by_node.get(node, []))
-
-    def _take_node_slot(self, node: int) -> int | None:
-        slots = self._by_node.get(node)
-        if not slots:
-            return None
-        slot = slots.pop()
-        self._free_slots.remove(slot)
-        self._drop_stale(slot)
-        self.kernel.meter.charge(
-            "manager_alloc", self.kernel.costs.vpp_manager_alloc
+        pages = self.free_segment.pages
+        node_of = self.topology.node_of
+        return sum(
+            1
+            for slot in self._free_slots
+            if node_of(pages[slot].phys_addr) == node
         )
-        return slot
-
-    def _unnode_slot(self, slot: int) -> None:
-        for slots in self._by_node.values():
-            if slot in slots:
-                slots.remove(slot)
-                return
-
-    def _surrender_slots(
-        self, n_frames: int, node: int | None = None
-    ) -> FrameGrant:
-        grant = super()._surrender_slots(n_frames, node)
-        for slot in grant.pages:
-            self._unnode_slot(slot)
-        return grant
-
-    def on_frames_seized(self, grant: FrameGrant) -> None:
-        super().on_frames_seized(grant)
-        for slot in grant.pages:
-            self._unnode_slot(slot)
 
     # ------------------------------------------------------------------
     # home-node segments
@@ -126,54 +85,31 @@ class PlacementSegmentManager(GenericSegmentManager):
         self.segment_home[segment.seg_id] = node
         return segment
 
-    def handle_fault(self, fault: PageFault) -> None:
-        if fault.kind is not FaultKind.MISSING_PAGE:
-            super().handle_fault(fault)
-            return
-        home = self.segment_home.get(fault.segment_id)
+    def home_node_for(self, segment: Segment) -> int | None:
+        """The segment's home node (``None``: it has none)."""
+        return self.segment_home.get(segment.seg_id)
+
+    def choose_slot(self, segment: Segment, fault: PageFault) -> int:
+        """A free frame on the segment's home node, restocking the node
+        once when it has none (counted local), else any free frame
+        (counted spilled).  A segment with no home takes any frame."""
+        home = self.segment_home.get(segment.seg_id)
         if home is None:
-            super().handle_fault(fault)
-            return
-        self.faults_handled += 1
-        segment = self.kernel.segment(fault.segment_id)
-        slot = self._take_node_slot(home)
+            return self.allocate_slot()
+        node_of = self.topology.node_of
+
+        def on_home(frame) -> bool:
+            return node_of(frame.phys_addr) == home
+
+        slot = self.take_slot(on_home)
         if slot is None and self.stock_node(home, self.refill_batch):
-            slot = self._take_node_slot(home)
+            slot = self.take_slot(on_home)
         if slot is not None:
             self.local_placements += 1
-        else:
-            # the node's memory is exhausted: place anywhere (counted)
-            self.spilled_placements += 1
-            slot = self.allocate_slot()
-            self._unnode_slot(slot)
-        self.kernel.migrate_pages(
-            MigratePagesRequest(
-                self.free_segment,
-                segment,
-                slot,
-                fault.page,
-                set_flags=PageFlags.READ | PageFlags.WRITE,
-                clear_flags=PageFlags.REFERENCED,
-                home_node=home,
-            )
-        )
-        self._empty_slots.append(slot)
-        self._note_resident(segment, fault.page)
-
-    def reclaim_one(self, segment: Segment, page: int) -> None:
-        frame = segment.pages.get(page)
-        node = (
-            self.topology.node_of(frame.phys_addr)
-            if frame is not None
-            else None
-        )
-        before = set(self._free_slots)
-        super().reclaim_one(segment, page)
-        if node is None:
-            return
-        for slot in self._free_slots:
-            if slot not in before:
-                self._by_node[node].append(slot)
+            return slot
+        # the node's memory is exhausted: place anywhere (counted)
+        self.spilled_placements += 1
+        return self.allocate_slot()
 
     # ------------------------------------------------------------------
     # placement quality

@@ -246,30 +246,37 @@ def run_vpp(schedule: WorkloadSchedule) -> ExecutionResult:
 
 
 # ---------------------------------------------------------------------------
-# ULTRIX executor
+# conventional executors: ULTRIX and the Unix retrofit
 # ---------------------------------------------------------------------------
 
 
-def run_ultrix(schedule: WorkloadSchedule) -> ExecutionResult:
-    """Drive the schedule through the conventional in-kernel VM."""
+def _boot_conventional(vm_class, schedule: WorkloadSchedule):
+    """Boot a conventional VM with the schedule's file regions cached."""
     _check_regime(schedule)
-    vm = UltrixVM(
+    vm = vm_class(
         PhysicalMemory(
             ORACLE_MEMORY_MB * 1024 * 1024,
             page_size=DECSTATION_5000_200.page_size,
         )
     )
-    page_size = vm.memory.page_size
-    spaces: dict[int, object] = {}
     for index, region in enumerate(schedule.regions):
-        name = _region_file_name(index, region)
         if region.kind == FILE:
+            name = _region_file_name(index, region)
             vm.create_file(
-                name, data=_initial_file_data(index, region, page_size)
+                name,
+                data=_initial_file_data(index, region, vm.memory.page_size),
             )
             vm.cache_file(name)
-        else:
-            spaces[index] = vm.create_space(region.pages)
+    return vm
+
+
+def _drive_conventional(
+    vm, schedule: WorkloadSchedule, spaces: dict, label: str
+) -> ExecutionResult:
+    """Execute the schedule's ops on a booted conventional VM whose
+    anonymous regions are ``spaces``; collect written bytes, file bytes
+    and reclaims (the executor adds its page-in and fault counts)."""
+    page_size = vm.memory.page_size
     for op in schedule.ops:
         kind, region, page = op[0], int(op[1]), int(op[2])
         if kind == "touch":
@@ -291,7 +298,7 @@ def run_ultrix(schedule: WorkloadSchedule) -> ExecutionResult:
                 page * page_size,
                 fill_bytes(region, page, int(op[3])),
             )
-    result = ExecutionResult(label="ultrix")
+    result = ExecutionResult(label=label)
     for (region, page), _k in schedule.written_ranges().items():
         result.written_bytes[(region, page)] = vm.page_bytes(
             spaces[region], page, 0, FILL_LEN
@@ -301,81 +308,44 @@ def run_ultrix(schedule: WorkloadSchedule) -> ExecutionResult:
             result.file_bytes[index] = vm.file_bytes(
                 _region_file_name(index, region)
             )
-    result.anon_pages_in = sum(len(s.pages) for s in spaces.values())
-    result.faults = vm.stats.faults
     result.reclaimed = vm.stats.reclaimed_pages
     return result
 
 
-# ---------------------------------------------------------------------------
-# Unix retrofit executor
-# ---------------------------------------------------------------------------
+def run_ultrix(schedule: WorkloadSchedule) -> ExecutionResult:
+    """Drive the schedule through the conventional in-kernel VM."""
+    vm = _boot_conventional(UltrixVM, schedule)
+    spaces = {
+        index: vm.create_space(region.pages)
+        for index, region in enumerate(schedule.regions)
+        if region.kind != FILE
+    }
+    result = _drive_conventional(vm, schedule, spaces, "ultrix")
+    result.anon_pages_in = sum(len(s.pages) for s in spaces.values())
+    result.faults = vm.stats.faults
+    return result
 
 
 def run_retrofit(schedule: WorkloadSchedule) -> ExecutionResult:
     """Drive the schedule through the retrofit: anonymous regions are
     mapped page-cache files whose heap manager ioctl-allocates frames."""
-    _check_regime(schedule)
-    vm = UnixRetrofitVM(
-        PhysicalMemory(
-            ORACLE_MEMORY_MB * 1024 * 1024,
-            page_size=DECSTATION_5000_200.page_size,
-        )
-    )
-    page_size = vm.memory.page_size
-    spaces: dict[int, object] = {}
+    vm = _boot_conventional(UnixRetrofitVM, schedule)
     heap_manager = vm.make_heap_manager()
-    for index, region in enumerate(schedule.regions):
-        name = _region_file_name(index, region)
-        if region.kind == FILE:
-            vm.create_file(
-                name, data=_initial_file_data(index, region, page_size)
-            )
-            vm.cache_file(name)
-        else:
-            heap = f"heap-{index}"
-            vm.create_file(heap)
-            vm.designate_pagecache_file(heap)
-            vm.set_file_manager(heap, heap_manager)
-            space = vm.create_space(region.pages)
-            vm.map_pagecache_file(space, heap, 0, region.pages)
-            spaces[index] = space
-    for op in schedule.ops:
-        kind, region, page = op[0], int(op[1]), int(op[2])
-        if kind == "touch":
-            write, k = bool(op[3]), int(op[4])
-            frame = vm.reference(
-                spaces[region], page * page_size, write=write
-            )
-            if write:
-                frame.write(fill_bytes(region, page, k), 0)
-        elif kind == "file_read":
-            vm.read(
-                _region_file_name(region, schedule.regions[region]),
-                page * page_size,
-                page_size,
-            )
-        elif kind == "file_write":
-            vm.write(
-                _region_file_name(region, schedule.regions[region]),
-                page * page_size,
-                fill_bytes(region, page, int(op[3])),
-            )
-    result = ExecutionResult(label="retrofit")
-    for (region, page), _k in schedule.written_ranges().items():
-        result.written_bytes[(region, page)] = vm.page_bytes(
-            spaces[region], page, 0, FILL_LEN
-        )
+    spaces: dict[int, object] = {}
     for index, region in enumerate(schedule.regions):
         if region.kind == FILE:
-            result.file_bytes[index] = vm.file_bytes(
-                _region_file_name(index, region)
-            )
+            continue
+        heap = f"heap-{index}"
+        vm.create_file(heap)
+        vm.designate_pagecache_file(heap)
+        vm.set_file_manager(heap, heap_manager)
+        spaces[index] = vm.create_space(region.pages)
+        vm.map_pagecache_file(spaces[index], heap, 0, region.pages)
+    result = _drive_conventional(vm, schedule, spaces, "retrofit")
     result.anon_pages_in = vm.ioctl_allocations
     # retrofit faults are serviced by the user-level manager, kernel
     # faults by the ULTRIX machinery underneath; both are fault services
     result.faults = vm.stats.faults + vm.retrofit_faults
-    result.reclaimed = vm.stats.reclaimed_pages
     return result
 
 

@@ -9,6 +9,7 @@ from repro.core.flags import PageFlags
 from repro.core.kernel import Kernel
 from repro.core.uio import FileServer
 from repro.errors import ManagerError
+from repro.invariants import InvariantChecker
 from repro.hw.costs import DECSTATION_5000_200
 from repro.hw.disk import Disk
 from repro.managers.coloring_manager import ColoringSegmentManager
@@ -58,6 +59,16 @@ class TestDBMSManager:
         assert manager.pool_frames["indices"] == 0
         assert manager.discarded_segments == 1
         kernel.check_frame_conservation()
+
+    def test_pool_count_drops_with_a_deleted_segment(self, world):
+        kernel, spcm = world
+        manager = DBMSSegmentManager(kernel, spcm, initial_frames=64)
+        idx = manager.create_typed_segment(8, "indices")
+        for page in range(4):
+            kernel.reference(idx, page * 4096)
+        assert manager.pool_frames["indices"] == 4
+        kernel.delete_segment(idx)
+        assert manager.pool_frames["indices"] == 0
 
     def test_residency_queries(self, world):
         kernel, spcm = world
@@ -138,6 +149,29 @@ class TestColoringManager:
         kernel.reference(seg, 4 * 4096)  # color 0 again: exhausted
         assert manager.color_misses >= 1
         assert seg.resident_pages == 2
+
+    def test_cow_fault_takes_a_colored_frame(self, world):
+        kernel, spcm = world
+        manager = ColoringSegmentManager(
+            kernel, spcm, n_colors=4, frames_per_color=4
+        )
+        source = kernel.create_segment(4, name="source", manager=manager)
+        for page in range(4):
+            kernel.reference(source, page * 4096, write=True)
+        shadow = kernel.create_segment(
+            4, name="shadow", manager=manager, cow_source=source
+        )
+        private = kernel.reference(shadow, 4096, write=True)
+        assert kernel.stats.faults_by_kind.get("COPY_ON_WRITE") == 1
+        # colored faults after the COW one find a consistent stock
+        seg = kernel.create_segment(4, name="after", manager=manager)
+        for page in range(4):
+            kernel.reference(seg, page * 4096)
+        assert private.color(4) == 1
+        for page, frame in seg.pages.items():
+            assert frame.color(4) == page
+        assert manager.color_misses == 0
+        InvariantChecker(kernel).check_all()
 
     def test_placement_report(self, world):
         kernel, spcm = world

@@ -2,8 +2,8 @@
 
 Whatever its policy, a segment manager must: resolve missing-page faults,
 keep the frame-conservation invariant, reclaim a dying segment's frames,
-surrender frames under SPCM pressure, and leave its own bookkeeping
-auditable.  Each concrete manager in the library runs the same scenario.
+surrender frames under SPCM pressure, bring a reclaimed page back with its
+own data, and leave its own bookkeeping auditable.  Each concrete manager in the library runs the same scenario.
 """
 
 from __future__ import annotations
@@ -133,6 +133,25 @@ class TestManagerContract:
         assert freed > 0
         assert spcm.available_frames() == available + freed
         kernel.check_frame_conservation()
+
+    def test_reclaimed_pages_come_back_with_their_own_bytes(self, kind):
+        kernel, _, manager = build(kind)
+        if kind == "placement":
+            seg = manager.create_home_segment(16, node=0, name="app")
+        else:
+            seg = kernel.create_segment(16, name="app", manager=manager)
+        # pages 0 and 8 want the same color of 8 and the same home node
+        pages = (0, 8)
+        for page in pages:
+            frame = kernel.reference(seg, page * 4096, write=True)
+            frame.write(bytes([page + 1]) * 16, 0)
+        for page in pages:
+            manager.reclaim_one(seg, page)
+        for page in pages:
+            frame = kernel.reference(seg, page * 4096)
+            assert frame.read(0, 16) == bytes([page + 1]) * 16
+        assert manager.fast_reclaims == len(pages)
+        assert InvariantChecker(kernel).violations() == []
 
     def test_bookkeeping_is_auditable(self, kind):
         kernel, _, manager = build(kind)

@@ -8,6 +8,7 @@ from repro.core.kernel import Kernel
 from repro.errors import HardwareError, ManagerError
 from repro.hw.numa import NumaTopology
 from repro.hw.phys_mem import PhysicalMemory
+from repro.invariants import InvariantChecker
 from repro.managers.placement_manager import PlacementSegmentManager
 from repro.spcm.policy import ReservePolicy
 from repro.spcm.spcm import SystemPageCacheManager
@@ -87,10 +88,12 @@ class TestPlacementManager:
         _, topology, manager = world
         for node in range(N_NODES):
             assert manager.free_on_node(node) == 32
-        for node, slots in manager._by_node.items():
-            for slot in slots:
-                frame = manager.free_segment.pages[slot]
-                assert topology.node_of(frame.phys_addr) == node
+        # node n's stock was granted n-th, into free-segment slots
+        # 32n .. 32n + 31, each holding a frame on node n
+        assert sorted(manager._free_slots) == list(range(32 * N_NODES))
+        for slot in manager._free_slots:
+            frame = manager.free_segment.pages[slot]
+            assert topology.node_of(frame.phys_addr) == slot // 32
 
     def test_home_segment_pages_land_on_home_node(self, world):
         kernel, topology, manager = world
@@ -141,6 +144,18 @@ class TestPlacementManager:
         assert seg.resident_pages == 1
         with pytest.raises(ManagerError):
             manager.locality_report(seg)
+
+    def test_unhomed_fault_then_homed_faults(self, world):
+        kernel, _, manager = world
+        plain = kernel.create_segment(4, name="plain", manager=manager)
+        kernel.reference(plain, 0)
+        seg = manager.create_home_segment(40, node=3)
+        for page in range(40):
+            kernel.reference(seg, page * 4096)
+        assert seg.resident_pages == 40
+        assert manager.locality_report(seg)["local_fraction"] == 1.0
+        assert manager.spilled_placements == 0
+        InvariantChecker(kernel).check_all()
 
     def test_placement_beats_random_on_access_cost(self, world):
         """The DASH argument, quantified: home placement yields the local

@@ -21,8 +21,11 @@ from repro.errors import (
     TransientDiskError,
     UIOError,
 )
+from repro.hw.numa import NumaTopology
 from repro.invariants import InvariantChecker
+from repro.managers.coloring_manager import ColoringSegmentManager
 from repro.managers.default_manager import DefaultSegmentManager
+from repro.managers.placement_manager import PlacementSegmentManager
 from repro.recovery import (
     CheckpointStore,
     NULL_JOURNAL,
@@ -229,6 +232,46 @@ class TestReplayExactness:
             victim.replay_record(record)
         after = self._structures(victim.serialize_policy_state())
         assert after == before
+
+    @pytest.mark.parametrize("kind", ["coloring", "placement"])
+    def test_replay_reconstructs_classed_stocks(self, system, kind):
+        coordinator = install_recovery(system)
+        kernel = system.kernel
+        if kind == "coloring":
+            manager = ColoringSegmentManager(
+                kernel, system.spcm, n_colors=4, frames_per_color=4
+            )
+            seg = kernel.create_segment(12, name="classed", manager=manager)
+
+            def classes():
+                return [manager.free_of_color(c) for c in range(4)]
+        else:
+            manager = PlacementSegmentManager(
+                kernel,
+                system.spcm,
+                NumaTopology.for_memory(system.memory, 2),
+                frames_per_node=8,
+            )
+            seg = manager.create_home_segment(12, node=1, name="classed")
+
+            def classes():
+                return [manager.free_on_node(n) for n in range(2)]
+
+        for page in range(12):
+            kernel.reference(seg, page * seg.page_size, write=True)
+        manager.reclaim_pages(5)
+        for page in range(6):
+            kernel.reference(seg, page * seg.page_size)
+        before = self._structures(manager.serialize_policy_state())
+        classes_before = classes()
+        records, torn = manager.journal.decode()
+        assert torn == 0
+        _, state = coordinator.store.latest(manager.name)
+        manager.restore_policy_state(state)
+        for record in records:
+            manager.replay_record(record)
+        assert self._structures(manager.serialize_policy_state()) == before
+        assert classes() == classes_before
 
     def test_restore_round_trips_serialized_state(self, system):
         install_recovery(system)
