@@ -15,11 +15,16 @@ bit, the mask of the modes it conflicts with and the mask of the modes it
 covers, all derived once from Gray's matrix; each lock state counts its
 holders per mode and keeps the mask of the modes granted.  A state exists
 only while its resource is held or waited for.
+
+:meth:`LockManager.acquire` is used as ``yield from locks.acquire(...)``
+but is a plain method: a request it can grant at once is granted inside
+the call, which returns ``()``, and only a request that must wait returns
+a generator, the one that waits for the grant.  So the call itself takes
+the lock or joins the queue; iterating the result only waits.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -135,7 +140,8 @@ class _LockState:
         self.counts = [0] * _N_MODES
         #: bits of the modes granted to anyone
         self.mask = 0
-        self.queue: deque[_Waiter] = deque()
+        #: waiters in grant order; upgrades are inserted at the head
+        self.queue: list[_Waiter] = []
 
     def others(self, held: LockMode | None) -> int:
         """Bits of the modes granted to everyone but a holder of ``held``."""
@@ -173,36 +179,34 @@ class LockManager:
             raise LockProtocolError("a resource cannot be its own parent")
         self._parent.update(dict.fromkeys(children, parent))
 
-    def _check_protocol(
-        self, txn: Transaction, resource: Resource, mode: LockMode
-    ) -> None:
-        parent = self._parent.get(resource)
-        if parent is None:
-            return
-        needed = mode._intention
-        held = txn.held.get(parent)
-        if held is None or not held._covers & needed._bit:
-            raise LockProtocolError(
-                f"txn {txn.txn_id} requests {mode.value} on {resource!r} "
-                f"without {needed.value} (or stronger) on parent {parent!r}"
-            )
-
     # -- acquire / release -----------------------------------------------------
 
     def acquire(self, txn: Transaction, resource: Resource, mode: LockMode):
-        """Generator: acquire the lock, blocking in FIFO order.
+        """Acquire the lock, blocking in FIFO order.
 
         Use as ``yield from lock_manager.acquire(txn, res, mode)`` inside a
-        simulation process.
+        simulation process.  The call checks the hierarchy protocol and
+        either grants the lock at once, returning ``()``, or queues the
+        request and returns the generator that waits for its grant.
+        ``LockProtocolError`` and ``DeadlockError`` raise from the call.
         """
-        self._check_protocol(txn, resource, mode)
+        parent = self._parent.get(resource)
+        if parent is not None:
+            needed = mode._intention
+            held = txn.held.get(parent)
+            if held is None or not held._covers & needed._bit:
+                raise LockProtocolError(
+                    f"txn {txn.txn_id} requests {mode.value} on {resource!r} "
+                    f"without {needed.value} (or stronger) on parent "
+                    f"{parent!r}"
+                )
         current = txn.held.get(resource)
         if current is None:
             wanted = mode
         else:
             wanted = _LEAST_COVERING[current._covers | mode._covers]
             if wanted is current:
-                return  # already strong enough
+                return ()  # already strong enough
         state = self._locks.get(resource)
         if state is None:
             state = self._locks[resource] = _LockState()
@@ -213,7 +217,7 @@ class LockManager:
             blocked = state.others(current) & wanted._conflicts
         if not blocked:
             self._grant(state, txn, resource, current, wanted)
-            return
+            return ()
         if self._would_deadlock(txn, state, wanted, current is not None):
             self.deadlocks_detected += 1
             raise DeadlockError(
@@ -226,12 +230,17 @@ class LockManager:
         else:
             # upgrades go to the queue head: the holder cannot wait behind
             # requests that are themselves blocked on it
-            state.queue.appendleft(waiter)
+            state.queue.insert(0, waiter)
         self.waits += 1
         txn.lock_waits += 1
         self._waiting_on[txn.txn_id] = (state, waiter)
+        return self._wait(txn, waiter.event)
+
+    def _wait(self, txn: Transaction, event: SimEvent):
+        """Generator: wait for a queued request's grant, accounting the
+        wait on ``txn``."""
         started = self.engine.now
-        yield Wait(waiter.event)
+        yield Wait(event)
         txn.lock_wait_us += self.engine.now - started
         # _wake_queue granted the lock before firing the event
 
@@ -322,21 +331,21 @@ class LockManager:
 
     def release_all(self, txn: Transaction) -> None:
         """Two-phase release: drop every lock the transaction holds."""
+        locks = self._locks
+        txn_id = txn.txn_id
         for resource in txn.held:
-            self._release(txn, resource)
+            state = locks.get(resource)
+            granted = None if state is None else state.granted.pop(txn_id, None)
+            if granted is None:
+                raise LockProtocolError(
+                    f"txn {txn_id} releases {resource!r} it does not hold"
+                )
+            state.drop(granted[1])
+            if state.queue:
+                self._wake_queue(state, resource)
+            elif not state.granted:
+                del locks[resource]
         txn.held.clear()
-
-    def _release(self, txn: Transaction, resource: Resource) -> None:
-        state = self._locks.get(resource)
-        if state is None or txn.txn_id not in state.granted:
-            raise LockProtocolError(
-                f"txn {txn.txn_id} releases {resource!r} it does not hold"
-            )
-        state.drop(state.granted.pop(txn.txn_id)[1])
-        if state.queue:
-            self._wake_queue(state, resource)
-        elif not state.granted:
-            del self._locks[resource]
 
     def _wake_queue(self, state: _LockState, resource: Resource) -> None:
         """Grant waiters in FIFO order while the head fits the other
@@ -346,7 +355,7 @@ class LockManager:
             waiter = queue[0]
             if state.others(waiter.held) & waiter.mode._conflicts:
                 return
-            queue.popleft()
+            del queue[0]
             del self._waiting_on[waiter.txn.txn_id]
             self._grant(state, waiter.txn, resource, waiter.held, waiter.mode)
             waiter.event.fire(waiter.mode)

@@ -430,14 +430,16 @@ class GenericSegmentManager(SegmentManager):
             self._stale_origin[slot] = key
             self._stale_slot[key] = slot
             self._resident.pop(key, None)
-        elif kind == "mgr.segdel":
+        elif kind == "mgr.segdel" or kind == "mgr.discard":
             seg = record["seg"]
             for page, slot, grew in record["moves"]:
                 if not grew and slot in self._empty_slots:
                     self._empty_slots.remove(slot)
                 self._free_slots.append(slot)
                 self._resident.pop((seg, page), None)
-            self.pinned_segments.discard(seg)
+            # a deleted segment is unpinned; a discarded one lives on
+            if kind == "mgr.segdel":
+                self.pinned_segments.discard(seg)
         elif kind == "mgr.adopt":
             for page in record["pages"]:
                 self._resident[(record["seg"], page)] = None
@@ -721,6 +723,13 @@ class GenericSegmentManager(SegmentManager):
     def segment_deleted(self, segment: Segment) -> None:
         """Reclaim every frame of a dying segment; its data is dead, so
         no writeback and no migrate-back cache entries."""
+        self.pinned_segments.discard(segment.seg_id)
+        self._drop_pages(segment, "mgr.segdel")
+
+    def _drop_pages(self, segment: Segment, kind: str) -> int:
+        """Move every resident page of ``segment`` into the free segment
+        without writeback or migrate-back entry, journaling the moves as
+        one ``kind`` record; returns the number of pages moved."""
         moves: list[list[int]] = []
         for page in sorted(segment.pages):
             slot = self._empty_slots.pop() if self._empty_slots else None
@@ -740,9 +749,9 @@ class GenericSegmentManager(SegmentManager):
             self._free_slots.append(slot)
             self._resident.pop((segment.seg_id, page), None)
             moves.append([page, slot, int(grew)])
-        self.pinned_segments.discard(segment.seg_id)
         if self.journal.enabled:
-            self.journal.append("mgr.segdel", seg=segment.seg_id, moves=moves)
+            self.journal.append(kind, seg=segment.seg_id, moves=moves)
+        return len(moves)
 
     def release_frames(self, demand: FrameDemand) -> FrameGrant:
         """SPCM pressure: surrender frames, reclaiming if needed.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import MigratePagesRequest, ModifyPageFlagsRequest
+from repro.core.api import ModifyPageFlagsRequest
 from repro.core.flags import PageFlags
 from repro.core.segment import Segment
 from repro.errors import ManagerError
@@ -122,28 +122,13 @@ class DBMSSegmentManager(GenericSegmentManager):
 
         "Deleting whole segments of temporary data that it knows are no
         longer needed or that are better to discard and regenerate in
-        their entirety."  Returns the number of pages discarded.
+        their entirety."  The segment stays pinned if it was.  Returns the
+        number of pages discarded.
         """
-        pages = sorted(segment.pages)
-        for page in pages:
-            slot = self._empty_slots.pop() if self._empty_slots else None
-            if slot is None:
-                slot = self.free_segment.n_pages
-                self.free_segment.grow(1)
-            self.kernel.migrate_pages(
-                MigratePagesRequest(
-                    segment,
-                    self.free_segment,
-                    page,
-                    slot,
-                    clear_flags=PageFlags.REFERENCED | PageFlags.DIRTY,
-                )
-            )
-            self._free_slots.append(slot)
-            self._resident.pop((segment.seg_id, page), None)
-        self.discarded_pages += len(pages)
+        dropped = self._drop_pages(segment, "mgr.discard")
+        self.discarded_pages += dropped
         self.discarded_segments += 1
-        return len(pages)
+        return dropped
 
     # ------------------------------------------------------------------
     # placement-constrained allocation (DASH-style, S2.2)

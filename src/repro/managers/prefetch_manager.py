@@ -215,6 +215,10 @@ class PrefetchingSegmentManager(GenericSegmentManager):
         )
         self._empty_slots.append(slot)
         self._note_resident(segment, page)
+        if self.journal.enabled:
+            self.journal.append(
+                "mgr.place", seg=segment.seg_id, page=page, slot=slot
+            )
 
     def fill_page(
         self, segment: Segment, page: int, frame: "PageFrame"

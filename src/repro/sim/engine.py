@@ -4,18 +4,19 @@ Events are ``(time, sequence, callback)`` triples on a heap; the sequence
 number makes same-time events FIFO and the ordering deterministic.  Time is
 a float in *microseconds* throughout the library, matching the machine cost
 models.
+
+The engine holds only the processes that have not finished, plus those a
+fault suspended, in spawn order; a finished process is referenced by
+nothing the engine keeps, so it is freed when its last event has run.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.process import Process
+from repro.sim.process import Process
 
 
 class Engine:
@@ -27,7 +28,9 @@ class Engine:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
-        self._processes: list["Process"] = []
+        #: unfinished and suspended processes, in spawn order (a dict used
+        #: as an ordered set: a process deletes itself when it finishes)
+        self._processes: dict[Process, None] = {}
         # observers invoked whenever the clock advances (telemetry
         # sampling); empty list keeps the hot loop branch-predictable
         self._tick_hooks: list[Callable[[], None]] = []
@@ -58,12 +61,10 @@ class Engine:
             )
         self.schedule(delay, callback)
 
-    def spawn(self, generator, name: str = "") -> "Process":
+    def spawn(self, generator, name: str = "") -> Process:
         """Create and start a :class:`Process` from a generator."""
-        from repro.sim.process import Process
-
-        proc = Process(self, generator, name=name)
-        self._processes.append(proc)
+        proc = Process(self, generator, name)
+        self._processes[proc] = None
         proc.start()
         return proc
 
@@ -98,10 +99,12 @@ class Engine:
     def pending_events(self) -> int:
         return len(self._heap)
 
-    def blocked_processes(self) -> list["Process"]:
-        """Processes that are neither finished nor scheduled to run."""
+    def blocked_processes(self) -> list[Process]:
+        """Processes that are neither finished nor scheduled to run, in
+        spawn order."""
         return [p for p in self._processes if p.blocked]
 
-    def suspended_processes(self) -> list["Process"]:
-        """Processes suspended by an unresolved fault (chaos runs)."""
-        return [p for p in self._processes if getattr(p, "suspended", False)]
+    def suspended_processes(self) -> list[Process]:
+        """Processes suspended by an unresolved fault (chaos runs), in
+        spawn order."""
+        return [p for p in self._processes if p.suspended]

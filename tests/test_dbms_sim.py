@@ -186,3 +186,53 @@ class TestTable4Shape:
             < results[IndexPolicy.REGENERATE].worst_response_ms
             < results[IndexPolicy.PAGING].worst_response_ms
         )
+
+
+class TestTable4Pinned:
+    """The ``--quick`` report's Table-4 runs (seed 1992, 30 simulated
+    seconds), pinned to the values the simulator has always produced:
+    any change to event order, lock grants or wake-ups shows here."""
+
+    #: policy -> (n_completed, lock_waits, index_faults, regenerations,
+    #: average, worst and p99 response in ms)
+    PINNED = {
+        IndexPolicy.NONE: (
+            1241, 1151, 0, 0,
+            600.8149520771148, 2003.1946923730113, 1896.643728350699,
+        ),
+        IndexPolicy.IN_MEMORY: (
+            1241, 358, 0, 0,
+            42.01555519595539, 284.6833315949794, 208.35676504010522,
+        ),
+        IndexPolicy.PAGING: (
+            1241, 778, 512, 0,
+            685.1260890656176, 2944.887706188701, 2874.2065719865673,
+        ),
+        IndexPolicy.REGENERATE: (
+            1241, 405, 0, 2,
+            56.47494910418294, 508.8877061887011, 438.2065719865672,
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", list(PINNED), ids=lambda p: p.name)
+    def test_quick_report_values(self, policy):
+        (config,) = [
+            c
+            for c in table4_configurations(duration_s=30.0, seed=1992)
+            if c.policy is policy
+        ]
+        result = run_tp_experiment(config)
+        completed, waits, faults, regenerations, *responses = self.PINNED[
+            policy
+        ]
+        assert (
+            result.n_completed,
+            result.lock_waits,
+            result.index_faults,
+            result.regenerations,
+        ) == (completed, waits, faults, regenerations)
+        assert [
+            result.avg_response_ms,
+            result.worst_response_ms,
+            result.extra["p99_ms"],
+        ] == pytest.approx(responses, rel=1e-12)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.dbms.locking import (
@@ -11,7 +13,7 @@ from repro.dbms.locking import (
     combine,
     compatible,
 )
-from repro.errors import LockProtocolError
+from repro.errors import DeadlockError, LockProtocolError
 from repro.sim.engine import Engine
 from repro.sim.process import Delay
 
@@ -234,6 +236,122 @@ class TestAcquireRelease:
         engine.run()
         assert blocked.lock_waits == 1
         assert blocked.lock_wait_us == 35.0
+
+
+class TestAcquireContract:
+    """``acquire`` grants inside the call and returns ``()``, or queues
+    the request and returns the generator that waits."""
+
+    def test_grantable_request_is_granted_by_the_call(self, world):
+        _, locks = world
+        txn = Transaction(1)
+        assert locks.acquire(txn, "r", LockMode.S) == ()
+        assert locks.holders("r") == {1: LockMode.S}
+        assert locks.acquire(txn, "r", LockMode.IS) == ()  # covered
+        assert locks.grants == 1 and locks.waits == 0
+
+    def test_blocked_request_queues_and_returns_the_wait(self, world):
+        engine, locks = world
+        holder, blocked = Transaction(1), Transaction(2)
+        locks.acquire(holder, "r", LockMode.X)
+        wait = locks.acquire(blocked, "r", LockMode.S)
+        assert inspect.isgenerator(wait)
+        assert locks.queue_length("r") == 1
+        assert locks.waits == 1 and blocked.lock_waits == 1
+
+        def waiter():
+            yield from wait
+
+        def release():
+            yield Delay(9)
+            locks.release_all(holder)
+
+        engine.spawn(waiter())
+        engine.spawn(release())
+        engine.run()
+        assert locks.holders("r") == {2: LockMode.S}
+        assert blocked.lock_wait_us == 9.0
+
+    def test_errors_raise_at_the_yield_from(self, world):
+        engine, locks = world
+        locks.declare_child("db", ("rel", "t"))
+        caught = []
+
+        def holder():
+            txn = Transaction(1)
+            yield from locks.acquire(txn, "a", LockMode.X)
+            yield Delay(2)
+            yield from locks.acquire(txn, "b", LockMode.X)
+            locks.release_all(txn)
+
+        def victim():
+            txn = Transaction(2)
+            try:
+                yield from locks.acquire(txn, ("rel", "t"), LockMode.X)
+            except LockProtocolError as exc:
+                caught.append(type(exc))
+            yield from locks.acquire(txn, "b", LockMode.X)
+            yield Delay(3)
+            try:
+                yield from locks.acquire(txn, "a", LockMode.X)
+            except DeadlockError as exc:
+                caught.append(type(exc))
+            assert set(txn.held) == {"b"}
+            locks.release_all(txn)
+
+        engine.spawn(holder())
+        engine.spawn(victim())
+        engine.run()
+        assert caught == [LockProtocolError, DeadlockError]
+        assert locks.holders(("rel", "t")) == {}
+        assert locks._locks == {} and locks._waiting_on == {}
+        assert engine.blocked_processes() == []
+
+    def test_contended_schedule_grants_and_waits(self, world):
+        """FIFO order, an upgrade passing the queue, and the per-txn wait
+        accounting on one contended schedule (values of the generator-
+        based lock manager this one replaced)."""
+        engine, locks = world
+        S, X, IS, IX = LockMode.S, LockMode.X, LockMode.IS, LockMode.IX
+        grants = []
+        txns = {}
+
+        def proc(i, steps, hold):
+            txn = txns[i] = Transaction(i)
+            for delay, resource, mode in steps:
+                yield Delay(delay)
+                yield from locks.acquire(txn, resource, mode)
+                grants.append((i, resource, mode, engine.now))
+            yield Delay(hold)
+            locks.release_all(txn)
+
+        run_txn(engine, proc(1, [(0, "r", S), (5, "r", X)], 10))
+        run_txn(engine, proc(2, [(1, "r", S)], 11))
+        run_txn(engine, proc(3, [(2, "r", X)], 4))
+        run_txn(engine, proc(4, [(3, "r", S), (0, "s", X)], 6))
+        run_txn(engine, proc(5, [(4, "s", IX), (0, "r", IS)], 3))
+        run_txn(engine, proc(6, [(5, "s", IS)], 2))
+        engine.run()
+        assert grants == [
+            (1, "r", S, 0.0),
+            (2, "r", S, 1.0),
+            (5, "s", IX, 4.0),
+            (6, "s", IS, 5.0),
+            (1, "r", X, 12.0),  # the upgrade passes T3's queued X
+            (3, "r", X, 22.0),
+            (4, "r", S, 26.0),  # no overtaking of the queued X
+            (5, "r", IS, 26.0),
+            (4, "s", X, 29.0),
+        ]
+        assert {i: (t.lock_waits, t.lock_wait_us) for i, t in txns.items()} == {
+            1: (1, 7.0),
+            2: (0, 0.0),
+            3: (1, 20.0),
+            4: (2, 26.0),
+            5: (1, 22.0),
+            6: (0, 0.0),
+        }
+        assert (locks.waits, locks.grants, engine.now) == (5, 9, 35.0)
 
 
 class TestHierarchyProtocol:

@@ -24,8 +24,10 @@ from repro.errors import (
 from repro.hw.numa import NumaTopology
 from repro.invariants import InvariantChecker
 from repro.managers.coloring_manager import ColoringSegmentManager
+from repro.managers.dbms_manager import DBMSSegmentManager
 from repro.managers.default_manager import DefaultSegmentManager
 from repro.managers.placement_manager import PlacementSegmentManager
+from repro.managers.prefetch_manager import PrefetchingSegmentManager
 from repro.recovery import (
     CheckpointStore,
     NULL_JOURNAL,
@@ -219,19 +221,23 @@ class TestReplayExactness:
             "pinned": state["pinned"],
         }
 
+    def _replayed(self, coordinator, manager):
+        """The structures rebuilt by restoring ``manager``'s newest
+        checkpoint and replaying its log past it."""
+        records, torn = manager.journal.decode()
+        assert torn == 0
+        _, state = coordinator.store.latest(manager.name)
+        manager.restore_policy_state(state)
+        for record in records:
+            manager.replay_record(record)
+        return self._structures(manager.serialize_policy_state())
+
     def test_full_replay_reconstructs_policy_state(self, system):
         coordinator = install_recovery(system)
         victim = make_victim(system, initial_frames=4)
         fault_pages(system, victim, n_pages=10)  # forces reclaim too
         before = self._structures(victim.serialize_policy_state())
-        records, torn = victim.journal.decode()
-        assert torn == 0
-        _, state = coordinator.store.latest(VICTIM)
-        victim.restore_policy_state(state)
-        for record in records:
-            victim.replay_record(record)
-        after = self._structures(victim.serialize_policy_state())
-        assert after == before
+        assert self._replayed(coordinator, victim) == before
 
     @pytest.mark.parametrize("kind", ["coloring", "placement"])
     def test_replay_reconstructs_classed_stocks(self, system, kind):
@@ -264,14 +270,39 @@ class TestReplayExactness:
             kernel.reference(seg, page * seg.page_size)
         before = self._structures(manager.serialize_policy_state())
         classes_before = classes()
-        records, torn = manager.journal.decode()
-        assert torn == 0
-        _, state = coordinator.store.latest(manager.name)
-        manager.restore_policy_state(state)
-        for record in records:
-            manager.replay_record(record)
-        assert self._structures(manager.serialize_policy_state()) == before
+        assert self._replayed(coordinator, manager) == before
         assert classes() == classes_before
+
+    def test_replay_reconstructs_a_dbms_discard(self, system):
+        """A wholesale discard journals its moves: replay frees every
+        discarded page's slot and keeps the segment's pin."""
+        coordinator = install_recovery(system)
+        manager = DBMSSegmentManager(
+            system.kernel, system.spcm, initial_frames=8
+        )
+        seg = manager.create_typed_segment(8, "indices", name="regenerable")
+        for page in range(6):
+            system.kernel.reference(seg, page * seg.page_size, write=True)
+        manager.pin_segment(seg)
+        assert manager.discard_segment(seg) == 6
+        before = self._structures(manager.serialize_policy_state())
+        assert sorted(before["free_slots"]) == list(range(8))
+        assert before["empty_slots"] == []
+        assert before["resident"] == []
+        assert before["pinned"] == [seg.seg_id]
+        assert self._replayed(coordinator, manager) == before
+
+    def test_replay_reconstructs_prefetched_placements(self, system):
+        coordinator = install_recovery(system)
+        manager = PrefetchingSegmentManager(
+            system.kernel, system.spcm, system.file_server, initial_frames=8
+        )
+        seg = system.kernel.create_segment(8, name="streamed", manager=manager)
+        manager.prefetch_range(seg, 0, 6, 0.0)
+        before = self._structures(manager.serialize_policy_state())
+        assert len(before["resident"]) == 6
+        assert len(before["empty_slots"]) == 6
+        assert self._replayed(coordinator, manager) == before
 
     def test_restore_round_trips_serialized_state(self, system):
         install_recovery(system)

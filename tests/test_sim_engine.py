@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, UnresolvedFaultError
 from repro.sim.engine import Engine
 from repro.sim.process import Acquire, Delay, Get, Wait
 from repro.sim.resources import FIFOQueue, Resource, SimEvent
@@ -157,6 +161,142 @@ class TestProcess:
         event.fire()
         engine.run()
         assert not p.blocked
+
+
+class TestProcessLifetime:
+    """The engine keeps only unfinished and suspended processes."""
+
+    def test_finished_processes_are_freed_without_the_collector(self):
+        engine = Engine()
+        cpu = Resource(engine, 1)
+        queue = FIFOQueue(engine)
+        event = SimEvent(engine)
+
+        def worker(i):
+            yield Delay(i)
+            yield Acquire(cpu)
+            yield Delay(2)
+            cpu.release()
+            yield Get(queue)
+            yield Wait(event)
+            return i
+
+        def producer():
+            yield Delay(10)
+            for i in range(3):
+                queue.put(i)
+            event.fire()
+
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            refs = [weakref.ref(engine.spawn(worker(i))) for i in range(3)]
+            refs.append(weakref.ref(engine.spawn(producer())))
+            engine.run()
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            if collecting:
+                gc.enable()
+
+    def test_blocked_and_suspended_listed_in_spawn_order(self):
+        engine = Engine()
+        event = SimEvent(engine)
+
+        def waiter():
+            yield Wait(event)
+
+        def finisher():
+            yield Delay(1)
+
+        def faulty(delay):
+            yield Delay(delay)
+            raise UnresolvedFaultError("no manager could resolve the fault")
+
+        late_fault = engine.spawn(faulty(3))
+        first_waiter = engine.spawn(waiter())
+        engine.spawn(finisher())
+        early_fault = engine.spawn(faulty(2))
+        second_waiter = engine.spawn(waiter())
+        engine.run()
+        assert engine.blocked_processes() == [first_waiter, second_waiter]
+        assert engine.suspended_processes() == [late_fault, early_fault]
+
+    def test_joining_a_finished_process_resumes_with_its_result(self):
+        engine = Engine()
+        got = []
+
+        def worker():
+            yield Delay(3)
+            return 42
+
+        def joiner(process):
+            got.append((yield Wait(process.done)))
+
+        finished = engine.spawn(worker())
+        engine.run()
+        assert finished._done is None  # nobody asked for it yet
+        engine.spawn(joiner(finished))
+        engine.run()
+        assert got == [42]
+        assert engine.now == 3
+        assert finished.done is finished.done
+
+    def test_joining_a_suspended_process_resumes_with_its_fault(self):
+        engine = Engine()
+        got = []
+
+        def faulty():
+            yield Delay(1)
+            raise UnresolvedFaultError("no manager could resolve the fault")
+
+        def joiner(process):
+            got.append((yield Wait(process.done)))
+
+        bad = engine.spawn(faulty())
+        early = engine.spawn(joiner(bad))
+        engine.run()
+        engine.spawn(joiner(bad))
+        engine.run()
+        assert early.finished
+        assert got == [bad.failure, bad.failure]
+        assert isinstance(bad.failure, UnresolvedFaultError)
+
+    def test_a_process_never_has_two_wakeups_pending(self):
+        engine = Engine()
+        cpu = Resource(engine, 2)
+        queue = FIFOQueue(engine)
+        event = SimEvent(engine)
+        worst = []
+
+        def worker(i):
+            yield Delay(i % 3)
+            yield Acquire(cpu)
+            yield Delay(5)
+            cpu.release()
+            yield Get(queue)
+            yield Wait(event)
+
+        def producer():
+            for i in range(8):
+                yield Delay(2)
+                queue.put(i)
+            event.fire()
+
+        def pending_per_process():
+            owners = Counter(
+                getattr(callback, "__self__", None)
+                for _, _, callback in engine._heap
+            )
+            owners.pop(None, None)
+            worst.append(max(owners.values(), default=0))
+
+        engine.add_tick_hook(pending_per_process)
+        for i in range(8):
+            engine.spawn(worker(i))
+        engine.spawn(producer())
+        engine.run()
+        assert engine.blocked_processes() == []
+        assert max(worst) == 1
 
 
 class TestResource:
