@@ -30,11 +30,33 @@ path, :meth:`_supply_page`:
 Both are ``None`` unless a subclass defines them, so the default fault
 path makes no call for them.  A reclaimed page's frame still comes
 straight back through the migrate-back fast path before either is asked.
+
+Every change to the policy structures (the free and empty slot lists,
+the resident set and the two migrate-back maps) is one of three
+transitions.  Each is made by one helper, which the live path calls
+next to the kernel call that moves the frames and
+:meth:`~GenericSegmentManager.replay_record` calls for the matching
+journal record, so replay keeps no bookkeeping of its own:
+
+* :meth:`~GenericSegmentManager._slots_taken` --- slots leave the free
+  list, with any migrate-back entry (the allocator, the fast path's
+  migrate-back, surrender and seizure; records ``mgr.alloc``,
+  ``mgr.fastreclaim``, ``mgr.slots_surrendered``);
+* :meth:`~GenericSegmentManager._pages_backed` --- taken slots' frames
+  now back pages, so the slots join the empty list and the pages the
+  resident set (a supplied fault or append run, the fast path, adoption,
+  and frames handed back to the SPCM; ``mgr.place``,
+  ``mgr.fastreclaim``, ``mgr.adopt``, ``mgr.slots_surrendered``);
+* :meth:`~GenericSegmentManager._page_parked` --- a page's frame is
+  parked in a free slot, with or without its migrate-back entry
+  (reclaim, segment deletion and wholesale discard, all through
+  :meth:`~GenericSegmentManager._park_page`; ``mgr.evict``,
+  ``mgr.segdel``, ``mgr.discard``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.api import (
     FrameDemand,
@@ -52,7 +74,7 @@ from repro.core.flags import (
 )
 from repro.core.manager_api import InvocationMode, SegmentManager
 from repro.core.segment import Segment
-from repro.errors import ManagerError, OutOfFramesError
+from repro.errors import ManagerError, OutOfFramesError, RecoveryError
 from repro.recovery.journal import NULL_JOURNAL
 from repro.spcm.spcm import FrameRequest
 
@@ -190,11 +212,9 @@ class GenericSegmentManager(SegmentManager):
                 )
             )
         slots = candidates[:n]
-        for slot in slots:
-            self._free_slots.remove(slot)
-            self._drop_stale(slot)
+        self._slots_taken(slots)
         self.spcm.return_frames(self, self.free_segment, slots)
-        self._empty_slots.extend(slots)
+        self._pages_backed(slots)
         if self.journal.enabled:
             self.journal.append("mgr.slots_surrendered", slots=list(slots))
         return FrameGrant(tuple(slots), node=node)
@@ -214,41 +234,25 @@ class GenericSegmentManager(SegmentManager):
                 f"{self.name} allocates a frame from its free segment",
                 self.kernel.costs.vpp_manager_alloc,
             )
-        self._maybe_crash_in_alloc()
-        if not self._free_slots:
-            self.request_frames(self.refill_batch)
-        if not self._free_slots:
-            self.reclaim_pages(self.reclaim_batch)
-        if not self._free_slots:
-            raise OutOfFramesError(
-                f"manager {self.name} has no frames and could not reclaim"
-            )
-        slot = self._free_slots.pop()
-        self._drop_stale(slot)
-        if self.journal.enabled:
-            self.journal.append("mgr.alloc", slot=slot)
-        return slot
+        return self._pop_slot()
 
     def allocate_run(self, n_slots: int) -> list[int]:
         """``n_slots`` *contiguous* free-segment slots (for one
-        multi-page MigratePages, e.g. 16 KB append allocation)."""
+        multi-page MigratePages, e.g. 16 KB append allocation), or that
+        many single slots when no run can be had."""
         self.kernel.meter.charge(
             "manager_alloc", self.kernel.costs.vpp_manager_alloc
         )
         run = self._find_run(n_slots)
-        if run is None:
-            # Fresh SPCM grants are appended, hence contiguous.
-            got = self.request_frames(n_slots)
-            if got == n_slots:
-                run = self._find_run(n_slots)
+        # Fresh SPCM grants are appended, hence contiguous.
+        if run is None and self.request_frames(n_slots) == n_slots:
+            run = self._find_run(n_slots)
         if run is None:
             # fall back to singles; caller will issue one migrate per slot
             return [self._pop_slot() for _ in range(n_slots)]
-        for slot in run:
-            self._free_slots.remove(slot)
-            self._drop_stale(slot)
+        self._slots_taken(run)
         if self.journal.enabled:
-            self.journal.append("mgr.allocrun", slots=list(run))
+            self.journal.append("mgr.alloc", slots=list(run))
         return run
 
     def take_slot(self, accepts: Callable[["PageFrame"], bool]) -> int | None:
@@ -265,24 +269,28 @@ class GenericSegmentManager(SegmentManager):
         self.kernel.meter.charge(
             "manager_alloc", self.kernel.costs.vpp_manager_alloc
         )
-        slot = free.pop(i)
-        self._drop_stale(slot)
+        slot = free[i]
+        self._slots_taken((slot,))
         if self.journal.enabled:
-            self.journal.append("mgr.alloc", slot=slot)
+            self.journal.append("mgr.alloc", slots=[slot])
         return slot
 
     def _pop_slot(self) -> int:
+        """Take the newest free slot, refilling the stock from the SPCM
+        and then by reclaiming victims when it is dry."""
         self._maybe_crash_in_alloc()
         if not self._free_slots:
             self.request_frames(self.refill_batch)
         if not self._free_slots:
             self.reclaim_pages(self.reclaim_batch)
         if not self._free_slots:
-            raise OutOfFramesError(f"manager {self.name} is out of frames")
-        slot = self._free_slots.pop()
-        self._drop_stale(slot)
+            raise OutOfFramesError(
+                f"manager {self.name} has no frames and could not reclaim"
+            )
+        slot = self._free_slots[-1]
+        self._slots_taken((slot,))
         if self.journal.enabled:
-            self.journal.append("mgr.alloc", slot=slot)
+            self.journal.append("mgr.alloc", slots=[slot])
         return slot
 
     def _maybe_crash_in_alloc(self) -> None:
@@ -382,75 +390,42 @@ class GenericSegmentManager(SegmentManager):
     def replay_record(self, record: dict) -> None:
         """Apply one journal record to the policy structures.
 
-        Mutates the structures directly (never through the emitting
-        methods, which would journal again or touch the kernel).
-        Removals are tolerant --- after a torn journal the referenced
-        entry may already be gone; the auditor reconciles what replay
-        cannot.
+        Each record is applied by the transition helper the live path
+        called when it was written (never by the emitting methods, which
+        would journal again or touch the kernel).  The helpers tolerate
+        a missing entry: a log replayed over a checkpoint older than an
+        audit repair may name a slot the checkpoint lacks, and the
+        auditor reconciles what replay cannot.  A kind with no branch
+        raises :class:`~repro.errors.RecoveryError`, so the restart goes
+        cold rather than lose state silently.
         """
         kind = record["kind"]
-        if kind == "mgr.slots_granted":
+        if kind == "mgr.alloc":
+            self._slots_taken(record["slots"])
+        elif kind == "mgr.place":
+            self._pages_backed(record["slots"], record["seg"], record["pages"])
+        elif kind == "mgr.evict":
+            self._page_parked(
+                record["seg"], record["page"], record["slot"], record["keep"]
+            )
+        elif kind == "mgr.fastreclaim":
+            slots = (record["slot"],)
+            self._slots_taken(slots)
+            self._pages_backed(slots, record["seg"], (record["page"],))
+        elif kind == "mgr.slots_granted":
             self._free_slots.extend(record["slots"])
         elif kind == "mgr.slots_surrendered":
-            for slot in record["slots"]:
-                if slot in self._free_slots:
-                    self._free_slots.remove(slot)
-                self._drop_stale(slot)
-            self._empty_slots.extend(record["slots"])
-        elif kind == "mgr.alloc":
-            slot = record["slot"]
-            if slot in self._free_slots:
-                self._free_slots.remove(slot)
-            self._drop_stale(slot)
-        elif kind == "mgr.allocrun":
-            for slot in record["slots"]:
-                if slot in self._free_slots:
-                    self._free_slots.remove(slot)
-                self._drop_stale(slot)
-        elif kind == "mgr.place":
-            self._empty_slots.append(record["slot"])
-            self._resident[(record["seg"], record["page"])] = None
-        elif kind == "mgr.fastreclaim":
-            key = (record["seg"], record["page"])
-            slot = record["slot"]
-            self._stale_slot.pop(key, None)
-            self._stale_origin.pop(slot, None)
-            if slot in self._free_slots:
-                self._free_slots.remove(slot)
-            self._empty_slots.append(slot)
-            self._resident[key] = None
-        elif kind == "mgr.evict":
-            slot = record["slot"]
-            # a grown slot never sat in the recycling list; the kernel-side
-            # segment growth itself survives the crash
-            if not record["grew"] and slot in self._empty_slots:
-                self._empty_slots.remove(slot)
-            self._free_slots.append(slot)
-            key = (record["seg"], record["page"])
-            self._stale_origin[slot] = key
-            self._stale_slot[key] = slot
-            self._resident.pop(key, None)
+            self._slots_taken(record["slots"])
+            self._pages_backed(record["slots"])
         elif kind == "mgr.segdel" or kind == "mgr.discard":
             seg = record["seg"]
-            for page, slot, grew in record["moves"]:
-                if not grew and slot in self._empty_slots:
-                    self._empty_slots.remove(slot)
-                self._free_slots.append(slot)
-                self._resident.pop((seg, page), None)
+            for page, slot in record["moves"]:
+                self._page_parked(seg, page, slot, False)
             # a deleted segment is unpinned; a discarded one lives on
             if kind == "mgr.segdel":
                 self.pinned_segments.discard(seg)
         elif kind == "mgr.adopt":
-            for page in record["pages"]:
-                self._resident[(record["seg"], page)] = None
-        elif kind == "mgr.seized":
-            seized = set(record["slots"])
-            self._free_slots = [
-                s for s in self._free_slots if s not in seized
-            ]
-            for slot in record["slots"]:
-                self._drop_stale(slot)
-            self._empty_slots.extend(record["slots"])
+            self._pages_backed((), record["seg"], record["pages"])
         elif kind == "mgr.pin":
             self.pinned_segments.add(record["seg"])
         elif kind == "mgr.unpin":
@@ -458,6 +433,10 @@ class GenericSegmentManager(SegmentManager):
         elif kind == "mgr.invalidate":
             self._stale_origin.clear()
             self._stale_slot.clear()
+        else:
+            raise RecoveryError(
+                f"{self.name} has no replay for journal record kind {kind!r}"
+            )
 
     def invalidate_reclaim_cache(self) -> None:
         """Forget the migrate-back cache (reclaimed data no longer valid).
@@ -471,10 +450,54 @@ class GenericSegmentManager(SegmentManager):
         if self.journal.enabled:
             self.journal.append("mgr.invalidate")
 
-    def _drop_stale(self, slot: int) -> None:
-        origin = self._stale_origin.pop(slot, None)
-        if origin is not None:
-            self._stale_slot.pop(origin, None)
+    # ------------------------------------------------------------------
+    # the three policy-state transitions (live paths and replay)
+    # ------------------------------------------------------------------
+
+    def _slots_taken(self, slots: Iterable[int]) -> None:
+        """``slots`` leave the free list, and any migrate-back entry
+        with them: their frames leave the free segment."""
+        free = self._free_slots
+        for slot in slots:
+            if free and free[-1] == slot:  # the allocator takes the newest
+                free.pop()
+            elif slot in free:
+                free.remove(slot)
+            origin = self._stale_origin.pop(slot, None)
+            if origin is not None:
+                self._stale_slot.pop(origin, None)
+
+    def _pages_backed(
+        self,
+        slots: Iterable[int],
+        seg_id: int = -1,
+        pages: Iterable[int] = (),
+    ) -> None:
+        """Taken ``slots``' frames now back pages --- ``pages`` of segment
+        ``seg_id``, or the SPCM's own when no pages are named --- so the
+        slots join the empty list and the pages the resident set."""
+        self._empty_slots.extend(slots)
+        resident = self._resident
+        for page in pages:
+            resident[(seg_id, page)] = None
+
+    def _page_parked(
+        self, seg_id: int, page: int, slot: int, keep: bool
+    ) -> None:
+        """The frame of ``page`` of segment ``seg_id`` is parked in free
+        slot ``slot`` (an empty slot, or one the free segment grew by),
+        keeping its migrate-back entry when ``keep``."""
+        empty = self._empty_slots
+        if empty and empty[-1] == slot:  # reclaim fills the newest
+            empty.pop()
+        elif slot in empty:
+            empty.remove(slot)
+        self._free_slots.append(slot)
+        key = (seg_id, page)
+        self._resident.pop(key, None)
+        if keep:
+            self._stale_origin[slot] = key
+            self._stale_slot[key] = slot
 
     # ------------------------------------------------------------------
     # fault handling
@@ -511,9 +534,8 @@ class GenericSegmentManager(SegmentManager):
                     f"fast reclaim: frame for page {fault.page} of "
                     f"{segment.name} still cached in the free segment",
                 )
-            self._stale_slot.pop(key)
-            self._stale_origin.pop(stale_slot)
-            self._free_slots.remove(stale_slot)
+            slots = (stale_slot,)
+            self._slots_taken(slots)
             self.kernel.migrate_pages(
                 MigratePagesRequest(
                     self.free_segment.seg_id,
@@ -524,8 +546,7 @@ class GenericSegmentManager(SegmentManager):
                     home_node=home,
                 )
             )
-            self._empty_slots.append(stale_slot)
-            self._note_resident(segment, fault.page)
+            self._pages_backed(slots, fault.segment_id, (fault.page,))
             self.fast_reclaims += 1
             if self.journal.enabled:
                 self.journal.append(
@@ -563,14 +584,13 @@ class GenericSegmentManager(SegmentManager):
                 home_node=home,
             )
         )
-        self._empty_slots.append(slot)
-        self._note_resident(segment, fault.page)
+        self._pages_backed((slot,), fault.segment_id, (fault.page,))
         if self.journal.enabled:
             self.journal.append(
                 "mgr.place",
                 seg=fault.segment_id,
-                page=fault.page,
-                slot=slot,
+                pages=[fault.page],
+                slots=[slot],
             )
         if self.kernel.tracer.enabled:
             self.kernel.tracer.step(
@@ -657,52 +677,39 @@ class GenericSegmentManager(SegmentManager):
             self.reclaim_one(segment, page)
         return len(victims)
 
-    def reclaim_one(self, segment: Segment, page: int) -> None:
-        """Reclaim a specific resident page (writeback if dirty)."""
-        if not self.kernel.tracer.enabled:
-            return self._reclaim_one(segment, page)
-        with self.kernel.tracer.span(
-            "manager",
-            "reclaim_page",
-            manager=self.name,
-            segment=segment.name,
-            page=page,
-        ):
-            return self._reclaim_one(segment, page)
+    def reclaim_one(
+        self, segment: Segment, page: int, keep: bool = True
+    ) -> None:
+        """Reclaim a specific resident page (writeback if dirty).
 
-    def _reclaim_one(self, segment: Segment, page: int) -> None:
+        With ``keep`` false the page's data is not to come back (garbage,
+        or a discarded dirty intermediate), so the frame is parked without
+        a migrate-back entry and a refault fills a fresh frame.
+        """
         frame = segment.pages.get(page)
         if frame is None:
             raise ManagerError(
                 f"page {page} of {segment.name} is not resident"
             )
-        if frame.flags & DIRTY_I:
-            if self.kernel.tracer.enabled:
-                with self.kernel.tracer.span(
-                    "manager", "writeback", segment=segment.name, page=page
-                ):
-                    self.writeback(segment, page, frame)
-            else:
+        tracer = self.kernel.tracer
+        if not tracer.enabled:
+            if frame.flags & DIRTY_I:
                 self.writeback(segment, page, frame)
-        slot = self._empty_slots.pop() if self._empty_slots else None
-        grew = slot is None
-        if grew:
-            slot = self.free_segment.n_pages
-            self.free_segment.grow(1)
-        self.kernel.migrate_pages(
-            MigratePagesRequest(
-                segment.seg_id,
-                self.free_segment.seg_id,
-                page,
-                slot,
-                clear_flags=REFERENCED_DIRTY,
-            )
-        )
-        self._free_slots.append(slot)
-        key = (segment.seg_id, page)
-        self._stale_origin[slot] = key
-        self._stale_slot[key] = slot
-        self._resident.pop(key, None)
+            slot = self._park_page(segment, page, keep)
+        else:
+            with tracer.span(
+                "manager",
+                "reclaim_page",
+                manager=self.name,
+                segment=segment.name,
+                page=page,
+            ):
+                if frame.flags & DIRTY_I:
+                    with tracer.span(
+                        "manager", "writeback", segment=segment.name, page=page
+                    ):
+                        self.writeback(segment, page, frame)
+                slot = self._park_page(segment, page, keep)
         self.pages_reclaimed += 1
         if self.journal.enabled:
             self.journal.append(
@@ -710,11 +717,30 @@ class GenericSegmentManager(SegmentManager):
                 seg=segment.seg_id,
                 page=page,
                 slot=slot,
-                grew=int(grew),
+                keep=int(keep),
             )
 
-    def _note_resident(self, segment: Segment, page: int) -> None:
-        self._resident[(segment.seg_id, page)] = None
+    def _park_page(self, segment: Segment, page: int, keep: bool) -> int:
+        """Migrate a resident page's frame into the newest empty slot of
+        the free segment (growing it by one when none is empty) and note
+        it parked; returns the slot."""
+        free_segment = self.free_segment
+        if self._empty_slots:
+            slot = self._empty_slots[-1]
+        else:
+            slot = free_segment.n_pages
+            free_segment.grow(1)
+        self.kernel.migrate_pages(
+            MigratePagesRequest(
+                segment.seg_id,
+                free_segment.seg_id,
+                page,
+                slot,
+                clear_flags=REFERENCED_DIRTY,
+            )
+        )
+        self._page_parked(segment.seg_id, page, slot, keep)
+        return slot
 
     # ------------------------------------------------------------------
     # kernel events / SPCM pressure
@@ -727,28 +753,13 @@ class GenericSegmentManager(SegmentManager):
         self._drop_pages(segment, "mgr.segdel")
 
     def _drop_pages(self, segment: Segment, kind: str) -> int:
-        """Move every resident page of ``segment`` into the free segment
-        without writeback or migrate-back entry, journaling the moves as
-        one ``kind`` record; returns the number of pages moved."""
-        moves: list[list[int]] = []
-        for page in sorted(segment.pages):
-            slot = self._empty_slots.pop() if self._empty_slots else None
-            grew = slot is None
-            if grew:
-                slot = self.free_segment.n_pages
-                self.free_segment.grow(1)
-            self.kernel.migrate_pages(
-                MigratePagesRequest(
-                    segment.seg_id,
-                    self.free_segment.seg_id,
-                    page,
-                    slot,
-                    clear_flags=REFERENCED_DIRTY,
-                )
-            )
-            self._free_slots.append(slot)
-            self._resident.pop((segment.seg_id, page), None)
-            moves.append([page, slot, int(grew)])
+        """Park every resident page of ``segment`` without writeback or
+        migrate-back entry, journaling the ``[page, slot]`` moves as one
+        ``kind`` record; returns the number of pages moved."""
+        moves = [
+            [page, self._park_page(segment, page, False)]
+            for page in sorted(segment.pages)
+        ]
         if self.journal.enabled:
             self.journal.append(kind, seg=segment.seg_id, moves=moves)
         return len(moves)
@@ -769,8 +780,7 @@ class GenericSegmentManager(SegmentManager):
     def adopt_segment(self, segment: Segment) -> FrameGrant:
         """Index a failed manager's resident pages for our reclaim policy."""
         pages = sorted(segment.pages)
-        for page in pages:
-            self._note_resident(segment, page)
+        self._pages_backed((), segment.seg_id, pages)
         if self.journal.enabled:
             self.journal.append(
                 "mgr.adopt", seg=segment.seg_id, pages=list(pages)
@@ -779,13 +789,12 @@ class GenericSegmentManager(SegmentManager):
 
     def on_frames_seized(self, grant: FrameGrant) -> None:
         """The SPCM forcibly took these free-segment pages back."""
-        seized = set(grant.pages)
-        self._free_slots = [s for s in self._free_slots if s not in seized]
-        for slot in grant.pages:
-            self._drop_stale(slot)
-        self._empty_slots.extend(grant.pages)
+        self._slots_taken(grant.pages)
+        self._pages_backed(grant.pages)
         if self.journal.enabled:
-            self.journal.append("mgr.seized", slots=list(grant.pages))
+            self.journal.append(
+                "mgr.slots_surrendered", slots=list(grant.pages)
+            )
 
     # ------------------------------------------------------------------
     # pinning helpers (S2.2: the manager keeps its own pages in memory)

@@ -54,9 +54,8 @@ class DefaultSegmentManager(GenericSegmentManager):
         name: str = "default-manager",
         home_node: int | None = None,
     ) -> None:
-        super().__init__(
-            kernel, spcm, name, initial_frames, home_node=home_node
-        )
+        # the base constructor's first grant may already be checkpointed,
+        # so everything serialize_policy_state reads exists before it
         self.file_server = file_server
         self.append_unit_pages = append_unit_pages
         self.sampler = ProtectionClockSampler(self, clock_batch_pages)
@@ -64,6 +63,9 @@ class DefaultSegmentManager(GenericSegmentManager):
         self.append_allocations = 0
         self.files_opened = 0
         self.files_closed = 0
+        super().__init__(
+            kernel, spcm, name, initial_frames, home_node=home_node
+        )
 
     # ------------------------------------------------------------------
     # fault handling
@@ -124,42 +126,29 @@ class DefaultSegmentManager(GenericSegmentManager):
                 runs.append([page])
         run = next(r for r in runs if fault.page in r)
         slots = self.allocate_run(len(run))
-        contiguous = all(
-            slots[i] == slots[0] + i for i in range(len(slots))
-        )
-        if contiguous:
+        # one MigratePages for a contiguous run of slots, else one a page
+        if slots == list(range(slots[0], slots[0] + len(slots))):
+            moves = [(slots[0], run[0], len(run))]
+        else:
+            moves = [(slot, page, 1) for slot, page in zip(slots, run)]
+        for slot, page, n_pages in moves:
             self.kernel.migrate_pages(
                 MigratePagesRequest(
                     self.free_segment.seg_id,
                     segment.seg_id,
-                    slots[0],
-                    run[0],
-                    len(run),
+                    slot,
+                    page,
+                    n_pages,
                     set_flags=RW,
                     clear_flags=PageFlags.REFERENCED,
                     home_node=self.home_node,
                 )
             )
-        else:
-            for slot, page in zip(slots, run):
-                self.kernel.migrate_pages(
-                    MigratePagesRequest(
-                        self.free_segment.seg_id,
-                        segment.seg_id,
-                        slot,
-                        page,
-                        set_flags=RW,
-                        clear_flags=PageFlags.REFERENCED,
-                        home_node=self.home_node,
-                    )
-                )
-        self._empty_slots.extend(slots)
-        for page in run:
-            self._note_resident(segment, page)
+        self._pages_backed(slots, segment.seg_id, run)
         if self.journal.enabled:
             self.journal.append(
-                "mgr.place_run",
-                seg=fault.segment_id,
+                "mgr.place",
+                seg=segment.seg_id,
                 pages=list(run),
                 slots=list(slots),
             )
@@ -280,36 +269,20 @@ class DefaultSegmentManager(GenericSegmentManager):
 
     def serialize_policy_state(self) -> dict:
         state = super().serialize_policy_state()
-        # guard: the base __init__ can checkpoint (via its first frame
-        # grant) before the sampler and clock exist
-        sampler = getattr(self, "sampler", None)
-        clock = getattr(self, "clock", None)
         state["sampler"] = {
-            "referenced": (
-                sorted(
-                    [seg, n] for seg, n in sampler.referenced.items()
-                )
-                if sampler is not None
-                else []
+            "referenced": sorted(
+                [seg, n] for seg, n in self.sampler.referenced.items()
             ),
-            "protection_faults": (
-                sampler.protection_faults if sampler is not None else 0
-            ),
+            "protection_faults": self.sampler.protection_faults,
         }
         state["clock"] = {
-            "ring": (
-                [[seg, page] for seg, page in clock._ring]
-                if clock is not None
-                else []
-            ),
-            "hand": clock._hand if clock is not None else 0,
+            "ring": [[seg, page] for seg, page in self.clock._ring],
+            "hand": self.clock._hand,
         }
         counters = state["counters"]
-        counters["append_allocations"] = getattr(
-            self, "append_allocations", 0
-        )
-        counters["files_opened"] = getattr(self, "files_opened", 0)
-        counters["files_closed"] = getattr(self, "files_closed", 0)
+        counters["append_allocations"] = self.append_allocations
+        counters["files_opened"] = self.files_opened
+        counters["files_closed"] = self.files_closed
         return state
 
     def restore_policy_state(self, state: dict | None) -> None:
@@ -340,12 +313,7 @@ class DefaultSegmentManager(GenericSegmentManager):
 
     def replay_record(self, record: dict) -> None:
         kind = record["kind"]
-        if kind == "mgr.place_run":
-            seg = record["seg"]
-            self._empty_slots.extend(record["slots"])
-            for page in record["pages"]:
-                self._resident[(seg, page)] = None
-        elif kind == "mgr.sample":
+        if kind == "mgr.sample":
             seg = record["seg"]
             self.sampler.referenced[seg] = (
                 self.sampler.referenced.get(seg, 0) + record["restored"]

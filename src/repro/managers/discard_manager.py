@@ -96,15 +96,12 @@ class DiscardableSegmentManager(GenericSegmentManager):
         )
         return victims[:n_pages]
 
-    def reclaim_one(self, segment: Segment, page: int) -> None:
-        discardable = (segment.seg_id, page) in self._discardable
-        super().reclaim_one(segment, page)
-        if discardable:
-            # garbage data must not be resurrected by the migrate-back path
-            key = (segment.seg_id, page)
-            slot = self._stale_slot.pop(key, None)
-            if slot is not None:
-                self._stale_origin.pop(slot, None)
+    def reclaim_one(
+        self, segment: Segment, page: int, keep: bool = True
+    ) -> None:
+        # garbage data must not be resurrected by the migrate-back path
+        keep = keep and (segment.seg_id, page) not in self._discardable
+        super().reclaim_one(segment, page, keep)
 
     # ------------------------------------------------------------------
     # the availability knowledge Subramanian's pager lacked

@@ -11,13 +11,19 @@ flight stalls the application only for the remainder.  Demand faults queue
 behind outstanding prefetches, so bandwidth contention is modeled too.
 Dirty pages of discardable intermediates can be dropped instead of written
 back, "thereby conserving I/O bandwidth".
+
+Prefetches and demand fetches supply frames through the generic fault
+path, so a reclaimed page comes back by migrate-back (its own frame and
+bytes; the timeline still serves the request), while a discarded dirty
+page is parked without its migrate-back entry and is read from the file
+again.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import MigratePagesRequest
+from repro.core.faults import FaultKind, PageFault
 from repro.core.flags import PageFlags
 from repro.core.segment import Segment
 from repro.core.uio import FileServer
@@ -108,7 +114,10 @@ class PrefetchingSegmentManager(GenericSegmentManager):
                 f"prefetch page {page} of {segment.name} issued at "
                 f"t={now_us:.0f}us, completes t={completion:.0f}us",
             )
-        self._bring_in(segment, page)
+        self._supply_page(
+            segment,
+            PageFault(segment.seg_id, page, FaultKind.MISSING_PAGE, False),
+        )
         self._inflight[key] = completion
         self.prefetches += 1
         return completion
@@ -148,7 +157,10 @@ class PrefetchingSegmentManager(GenericSegmentManager):
                 f"demand fetch of page {page} of {segment.name}: stall "
                 f"{completion - now_us:.0f}us behind outstanding I/O",
             )
-        self._bring_in(segment, page)
+        self._supply_page(
+            segment,
+            PageFault(segment.seg_id, page, FaultKind.MISSING_PAGE, write),
+        )
         self._touch(segment.pages[page], write)
         self.demand_fetches += 1
         return completion - now_us
@@ -170,7 +182,8 @@ class PrefetchingSegmentManager(GenericSegmentManager):
         if frame is None:
             return now_us
         dirty = bool(PageFlags.DIRTY & PageFlags(frame.flags))
-        if dirty and segment.seg_id not in self.discardable_segments:
+        discard = dirty and segment.seg_id in self.discardable_segments
+        if dirty and not discard:
             if self.file_server.is_file(segment):
                 self.file_server.store_page(segment, page, frame.read())
             completion = self.io.issue(now_us)
@@ -182,7 +195,7 @@ class PrefetchingSegmentManager(GenericSegmentManager):
                     f"completes t={completion:.0f}us",
                 )
         else:
-            if dirty:
+            if discard:
                 self.discards += 1
                 if self.kernel.tracer.enabled:
                     self.kernel.tracer.event(
@@ -191,34 +204,14 @@ class PrefetchingSegmentManager(GenericSegmentManager):
                         "(regenerable intermediate, I/O saved)",
                     )
             completion = now_us
-        self.reclaim_one(segment, page)
+        # a discarded page's data must not come back by migrate-back: its
+        # re-fetch reads the file
+        self.reclaim_one(segment, page, keep=not discard)
         return completion
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _bring_in(self, segment: Segment, page: int) -> None:
-        slot = self.allocate_slot()
-        frame = self.free_segment.pages[slot]
-        self.fill_page(segment, page, frame)
-        self.kernel.migrate_pages(
-            MigratePagesRequest(
-                self.free_segment,
-                segment,
-                slot,
-                page,
-                set_flags=PageFlags.READ | PageFlags.WRITE,
-                clear_flags=PageFlags.REFERENCED | PageFlags.DIRTY,
-                home_node=self.home_node,
-            )
-        )
-        self._empty_slots.append(slot)
-        self._note_resident(segment, page)
-        if self.journal.enabled:
-            self.journal.append(
-                "mgr.place", seg=segment.seg_id, page=page, slot=slot
-            )
 
     def fill_page(
         self, segment: Segment, page: int, frame: "PageFrame"

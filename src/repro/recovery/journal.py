@@ -3,7 +3,7 @@
 The journal is the durability half of crash-consistent manager recovery.
 Every tracked manager owns one, and every policy-state transition the
 manager makes (frames granted or surrendered, pages placed, evictions,
-adoption, seizure) is appended to it as one CRC-framed ``mgr.*`` record
+adoption) is appended to it as one CRC-framed ``mgr.*`` record
 *after* the mutation it describes.  It holds only what a warm restart
 replays (:meth:`repro.managers.base.GenericSegmentManager.replay_record`),
 and only back to the manager's newest good checkpoint: the checkpoint

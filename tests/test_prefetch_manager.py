@@ -98,6 +98,31 @@ class TestPrefetch:
         manager.access(seg, 0, now_us=9999.0)
         assert seg.pages[0].read(0, 2) == b"AB"
 
+    def test_reprefetched_reclaimed_page_migrates_back(self, world):
+        """A reclaimed clean page comes back by migrate-back, as for every
+        generic manager: its own frame and bytes, with no allocation and
+        no file read charged, while the disk timeline still serves the
+        request."""
+        kernel, server, manager = world
+        seg = kernel.create_segment(4, name="data", manager=manager)
+        server.create_file(seg, data=bytes(range(256)) * 16)
+        manager.prefetch(seg, 0, now_us=0.0)
+        frame = seg.pages[0]
+        manager.access(seg, 0, now_us=5000.0)
+        manager.writeback_or_discard(seg, 0, now_us=6000.0)
+        charged = dict(kernel.meter.by_category)
+        requests = manager.io.requests
+        assert manager.prefetch(seg, 0, now_us=7000.0) == 8000.0
+        assert manager.io.requests == requests + 1
+        assert seg.pages[0] is frame
+        assert frame.read(0, 4) == bytes(range(4))
+        assert manager.fast_reclaims == 1
+        assert {
+            category: us - charged.get(category, 0.0)
+            for category, us in kernel.meter.by_category.items()
+            if us != charged.get(category, 0.0)
+        } == {"migrate_pages": kernel.costs.vpp_migrate_call}
+
     def test_overlap_beats_demand_paging(self, world):
         """The MP3D motivation: prefetch overlaps I/O with compute."""
         kernel, server, manager = world
@@ -153,3 +178,17 @@ class TestWritebackOrDiscard:
         assert done == 5000.0
         assert manager.discards == 1
         assert manager.writebacks_issued == 0
+
+    def test_discarded_dirty_page_refetches_the_file(self, world):
+        """A discarded intermediate's dirty data is dropped, not parked
+        for migrate-back: its re-fetch reads the file again."""
+        kernel, server, manager = world
+        seg = kernel.create_segment(4, name="tmp", manager=manager)
+        server.create_file(seg, data=b"d" * 4096)
+        manager.mark_discardable(seg)
+        manager.access(seg, 0, now_us=0.0, write=True)
+        seg.pages[0].write(b"scratch")
+        manager.writeback_or_discard(seg, 0, now_us=5000.0)
+        manager.prefetch(seg, 0, now_us=6000.0)
+        assert seg.pages[0].read(0, 7) == b"ddddddd"
+        assert manager.fast_reclaims == 0

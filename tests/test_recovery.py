@@ -18,6 +18,7 @@ from repro.chaos.harness import run_schedule
 from repro.errors import (
     JournalCorruptionError,
     ManagerCrashError,
+    RecoveryError,
     TransientDiskError,
     UIOError,
 )
@@ -26,6 +27,7 @@ from repro.invariants import InvariantChecker
 from repro.managers.coloring_manager import ColoringSegmentManager
 from repro.managers.dbms_manager import DBMSSegmentManager
 from repro.managers.default_manager import DefaultSegmentManager
+from repro.managers.discard_manager import DiscardableSegmentManager
 from repro.managers.placement_manager import PlacementSegmentManager
 from repro.managers.prefetch_manager import PrefetchingSegmentManager
 from repro.recovery import (
@@ -304,6 +306,32 @@ class TestReplayExactness:
         assert len(before["empty_slots"]) == 6
         assert self._replayed(coordinator, manager) == before
 
+    def test_replay_drops_a_discarded_pages_migrate_back_entry(self):
+        """A garbage page is reclaimed without its migrate-back entry, and
+        the eviction record says so: replay does not bring the entry back,
+        so the next fault fills a fresh frame instead of resurrecting it."""
+        from repro.chaos.harness import build_workload_system
+
+        system = build_workload_system()
+        coordinator = install_recovery(system)
+        manager = DiscardableSegmentManager(
+            system.kernel, system.spcm, system.file_server, initial_frames=8
+        )
+        seg = fault_pages(system, manager, n_pages=4, name="garbage")
+        manager.mark_discardable(seg, 0)
+        manager.reclaim_one(seg, 0)
+        live = self._structures(manager.serialize_policy_state())
+        assert (seg.seg_id, 0) not in manager._stale_slot
+        assert self._replayed(coordinator, manager) == live
+        system.kernel.reference(seg, 0)
+        assert manager.fast_reclaims == 0
+
+    def test_unknown_record_kind_is_refused(self, system):
+        install_recovery(system)
+        victim = make_victim(system)
+        with pytest.raises(RecoveryError, match="mgr.unheard_of"):
+            victim.replay_record({"kind": "mgr.unheard_of", "slot": 1})
+
     def test_restore_round_trips_serialized_state(self, system):
         install_recovery(system)
         victim = make_victim(system, initial_frames=4)
@@ -452,6 +480,46 @@ class TestWarmRestart:
         assert kernel.stats.manager_failovers == 1
         assert kernel.stats.listener_errors >= 1
         assert len(seen) == 1
+
+    def test_unreplayable_record_goes_cold(self, system):
+        """A record replay has no branch for would lose state silently,
+        so the restart refuses it and takes the cold path."""
+        coordinator = install_recovery(system)
+        victim = _CrashOnce(
+            system.kernel, system.spcm, system.file_server,
+            initial_frames=8, name=VICTIM, crash_on=2,
+        )
+        seg = system.kernel.create_segment(4, name="odd", manager=victim)
+        system.kernel.reference(seg, 0, write=True)
+        victim.journal.append("mgr.unheard_of", slot=1)
+        records, _ = victim.journal.decode()
+        assert records[-1]["kind"] == "mgr.unheard_of"
+        for page in range(1, 4):
+            system.kernel.reference(seg, page * seg.page_size, write=True)
+        assert coordinator.warm_restarts == 0
+        assert coordinator.cold_fallbacks == 1
+        assert "mgr.unheard_of" in coordinator.reports[0].reason
+        assert system.kernel.stats.manager_failovers == 1
+        InvariantChecker(system.kernel).check_all()
+
+    def test_newborn_default_manager_restarts_clean(self, system):
+        """With a checkpoint after every record, the first one is taken
+        inside the base constructor's first grant: the clock, sampler and
+        counters it serializes already exist, and a warm restart finds
+        nothing to repair."""
+        coordinator = install_recovery(system, checkpoint_every=1)
+        victim = _CrashOnce(
+            system.kernel, system.spcm, system.file_server,
+            initial_frames=8, name=VICTIM, crash_on=4,
+        )
+        fault_pages(system, victim, n_pages=6)
+        assert coordinator.warm_restarts == 1
+        assert coordinator.reports[0].discrepancies == 0
+        assert coordinator.reports[0].records_replayed == 0
+        assert victim.serialize_policy_state()["counters"][
+            "append_allocations"
+        ] == 0
+        InvariantChecker(system.kernel).check_all()
 
     def test_untracked_manager_goes_cold(self, system):
         coordinator = install_recovery(system)
