@@ -2,11 +2,13 @@
 
 The paper's four external page-cache management operations (S2.1) are
 methods on :class:`~repro.core.kernel.Kernel`, and this module is their
-only call surface: each primitive takes a frozen *request* dataclass and
-returns a frozen *result* dataclass, so the call forms are versionable,
+only call surface: each primitive takes an immutable *request* record and
+returns an immutable *result* record, so the call forms are versionable,
 serializable (for IPC-style manager processes) and carry the NUMA
 placement hints and batch statistics the sharded System Page Cache
-Manager needs.
+Manager needs.  A record is a tuple of named fields (:class:`WireForm`):
+one fault-path crossing builds several, so building one costs little
+more than building a tuple of its fields.
 
 * :class:`MigratePagesRequest` / :class:`MigratePagesResult`
 * :class:`ModifyPageFlagsRequest` / :class:`ModifyPageFlagsResult`
@@ -24,25 +26,25 @@ the bare-int/bare-list manager callbacks with them.
 Requests reference segments by id (``Segment`` instances are accepted and
 coerced), so every request/result round-trips through its plain-dict
 wire form, :meth:`WireForm.to_payload` / :meth:`WireForm.from_payload`.
-One codec derives that form from the dataclass fields and their type
+One codec derives that form from the record's fields and their type
 hints; no class writes its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from functools import cache
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from repro.core.flags import PageFlags
 
 #: Facade version: (major, minor).  Major bumps may drop call forms.  v2
-#: introduced the request/result dataclasses; v2.1 added the multi-tenant
+#: introduced the typed request/result records; v2.1 added the multi-tenant
 #: serving vocabulary: :class:`BatchMigratePagesRequest` /
 #: :class:`BatchMigratePagesResult` (the batched kernel entry as a typed,
 #: serializable form), :class:`AdmitTenantRequest` /
 #: :class:`AdmitTenantResult`, :class:`TenantQuota`, and
-#: :class:`RetryAfter` (the typed shed).  v3 makes the dataclasses the only
+#: :class:`RetryAfter` (the typed shed).  v3 makes the records the only
 #: call forms.
 API_VERSION = (3, 0)
 
@@ -55,8 +57,11 @@ def _seg_id(value: Any) -> int:
     return seg_id
 
 
+_new_tuple = tuple.__new__
+
+
 # ---------------------------------------------------------------------------
-# the wire codec (one rule per field type hint)
+# the record form and its wire codec (one rule per field type hint)
 # ---------------------------------------------------------------------------
 
 #: decoder marker for the ``Any``-typed manager field: resolved by name
@@ -97,16 +102,30 @@ def _field_codec(hint: Any) -> tuple[Callable, Any] | None:
 
 @cache
 def _plan(cls: type) -> tuple[tuple[str, Callable | None, Any], ...]:
-    """``(name, encode, decode)`` per dataclass field, in field order."""
+    """``(name, encode, decode)`` per record field, in field order."""
     hints = get_type_hints(cls)
     return tuple(
-        (f.name, *(_field_codec(hints[f.name]) or (None, None)))
-        for f in fields(cls)
+        (name, *(_field_codec(hints[name]) or (None, None)))
+        for name in cls._fields
     )
 
 
-class WireForm:
-    """Plain-dict wire form for the request/result dataclasses.
+class WireForm(tuple):
+    """An immutable record: a tuple of named fields with a plain-dict
+    wire form.
+
+    A record class declares its fields as annotations, in order, with
+    defaults as class values (the dataclass spelling), and sets
+    ``__slots__ = ()`` so an instance holds its fields and nothing else.
+    :meth:`__init_subclass__` gives it the namedtuple machinery: read-only
+    field accessors, ``_fields``, the constructor, the
+    ``Name(field=value, ...)`` repr and ``__getnewargs__`` (so copy and
+    pickle rebuild a record field by field).  A record that coerces its
+    arguments writes its own ``__new__``, which holds its defaults and
+    builds the tuple with ``tuple.__new__``; one that only validates them
+    checks its fields in ``__init__``, which runs once the tuple is
+    built.  Records hash and compare as tuples, so ``==`` does not look
+    at the type.
 
     Every field maps to one payload key, in field order; its type hint
     picks the rule: ``PageFlags`` travels as an int, a tuple as a list, a
@@ -117,12 +136,26 @@ class WireForm:
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__
+        names = tuple(own.get("__annotations__", {}))
+        shape = namedtuple(
+            cls.__name__, names, defaults=[own[n] for n in names if n in own]
+        )
+        for name in names:
+            setattr(cls, name, shape.__dict__[name])
+        cls._fields = names
+        for attr in ("__new__", "__repr__", "__getnewargs__"):
+            if attr not in own:
+                setattr(cls, attr, shape.__dict__[attr])
 
     def to_payload(self) -> dict[str, Any]:
         """Plain-dict wire form (inverse of :meth:`from_payload`)."""
         payload = {}
-        for name, enc, _ in _plan(type(self)):
-            value = getattr(self, name)
+        for (name, enc, _), value in zip(_plan(type(self)), self):
             payload[name] = value if enc is None else enc(value)
         return payload
 
@@ -149,9 +182,10 @@ class WireForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class PageAttribute(WireForm):
     """One entry of a ``GetPageAttributes`` result."""
+
+    __slots__ = ()
 
     page: int
     present: bool
@@ -165,7 +199,6 @@ class PageAttribute(WireForm):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class BatchStats(WireForm):
     """What one (possibly batched) ``MigratePages`` actually did.
 
@@ -173,6 +206,8 @@ class BatchStats(WireForm):
     a NUMA topology and the request carried a ``home_node`` hint;
     otherwise every page counts as local.
     """
+
+    __slots__ = ()
 
     n_calls: int = 1
     n_pages: int = 0
@@ -198,7 +233,6 @@ class BatchStats(WireForm):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class MigratePagesRequest(WireForm):
     """``MigratePages(src, dst, src_page, dst_page, n_pages, ...)``.
 
@@ -208,43 +242,60 @@ class MigratePagesRequest(WireForm):
     remote-access penalty for frames landing off-node.
     """
 
+    __slots__ = ()
+
     src: int
     dst: int
     src_page: int
     dst_page: int
-    n_pages: int = 1
-    set_flags: PageFlags = PageFlags.NONE
-    clear_flags: PageFlags = PageFlags.NONE
-    home_node: int | None = None
+    n_pages: int
+    set_flags: PageFlags
+    clear_flags: PageFlags
+    home_node: int | None
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        src: Any,
+        dst: Any,
+        src_page: int,
+        dst_page: int,
+        n_pages: int = 1,
+        set_flags: PageFlags | int = PageFlags.NONE,
+        clear_flags: PageFlags | int = PageFlags.NONE,
+        home_node: int | None = None,
+    ) -> "MigratePagesRequest":
         # coercions are skipped when the caller already passed the exact
         # types --- this constructor runs on every fault-path grant
-        if type(self.src) is not int:
-            object.__setattr__(self, "src", _seg_id(self.src))
-        if type(self.dst) is not int:
-            object.__setattr__(self, "dst", _seg_id(self.dst))
-        if type(self.set_flags) is not PageFlags:
-            object.__setattr__(self, "set_flags", PageFlags(self.set_flags))
-        if type(self.clear_flags) is not PageFlags:
-            object.__setattr__(
-                self, "clear_flags", PageFlags(self.clear_flags)
-            )
+        if type(src) is not int:
+            src = _seg_id(src)
+        if type(dst) is not int:
+            dst = _seg_id(dst)
+        if type(set_flags) is not PageFlags:
+            set_flags = PageFlags(set_flags)
+        if type(clear_flags) is not PageFlags:
+            clear_flags = PageFlags(clear_flags)
+        return _new_tuple(
+            cls,
+            (
+                src, dst, src_page, dst_page, n_pages,
+                set_flags, clear_flags, home_node,
+            ),
+        )
 
 
-@dataclass(frozen=True, slots=True)
 class MigratePagesResult(WireForm):
     """Frames moved by one ``MigratePages`` (or one batch of them)."""
 
+    __slots__ = ()
+
     moved_pfns: tuple[int, ...]
-    batch: BatchStats = field(default_factory=BatchStats)
+    batch: BatchStats = BatchStats()
 
     @property
     def n_pages(self) -> int:
         return len(self.moved_pfns)
 
 
-@dataclass(frozen=True, slots=True)
 class BatchMigratePagesRequest(WireForm):
     """Several ``MigratePages`` runs crossing into the kernel once (v2.1).
 
@@ -255,11 +306,14 @@ class BatchMigratePagesRequest(WireForm):
     coalesces per-(manager, node) fault work the same way.
     """
 
+    __slots__ = ()
+
     requests: tuple[MigratePagesRequest, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.requests) is not tuple:
-            object.__setattr__(self, "requests", tuple(self.requests))
+    def __new__(cls, requests: Any) -> "BatchMigratePagesRequest":
+        if type(requests) is not tuple:
+            requests = tuple(requests)
+        return _new_tuple(cls, (requests,))
 
     @property
     def n_requests(self) -> int:
@@ -270,12 +324,13 @@ class BatchMigratePagesRequest(WireForm):
         return sum(r.n_pages for r in self.requests)
 
 
-@dataclass(frozen=True, slots=True)
 class BatchMigratePagesResult(WireForm):
     """What one batched kernel entry moved, run statistics merged."""
 
+    __slots__ = ()
+
     moved_pfns: tuple[int, ...]
-    batch: BatchStats = field(default_factory=BatchStats)
+    batch: BatchStats = BatchStats()
     n_requests: int = 0
 
     @property
@@ -283,54 +338,67 @@ class BatchMigratePagesResult(WireForm):
         return len(self.moved_pfns)
 
 
-@dataclass(frozen=True, slots=True)
 class ModifyPageFlagsRequest(WireForm):
     """``ModifyPageFlags(seg, page, n_pages, set, clear)``."""
 
+    __slots__ = ()
+
     segment: int
     page: int
-    n_pages: int = 1
-    set_flags: PageFlags = PageFlags.NONE
-    clear_flags: PageFlags = PageFlags.NONE
+    n_pages: int
+    set_flags: PageFlags
+    clear_flags: PageFlags
 
-    def __post_init__(self) -> None:
-        if type(self.segment) is not int:
-            object.__setattr__(self, "segment", _seg_id(self.segment))
-        if type(self.set_flags) is not PageFlags:
-            object.__setattr__(self, "set_flags", PageFlags(self.set_flags))
-        if type(self.clear_flags) is not PageFlags:
-            object.__setattr__(
-                self, "clear_flags", PageFlags(self.clear_flags)
-            )
+    def __new__(
+        cls,
+        segment: Any,
+        page: int,
+        n_pages: int = 1,
+        set_flags: PageFlags | int = PageFlags.NONE,
+        clear_flags: PageFlags | int = PageFlags.NONE,
+    ) -> "ModifyPageFlagsRequest":
+        if type(segment) is not int:
+            segment = _seg_id(segment)
+        if type(set_flags) is not PageFlags:
+            set_flags = PageFlags(set_flags)
+        if type(clear_flags) is not PageFlags:
+            clear_flags = PageFlags(clear_flags)
+        return _new_tuple(
+            cls, (segment, page, n_pages, set_flags, clear_flags)
+        )
 
 
-@dataclass(frozen=True, slots=True)
 class ModifyPageFlagsResult(WireForm):
     """How many present pages one ``ModifyPageFlags`` touched."""
+
+    __slots__ = ()
 
     modified: int
 
 
-@dataclass(frozen=True)
 class GetPageAttributesRequest(WireForm):
     """``GetPageAttributes(seg, page, n_pages)``."""
 
+    __slots__ = ()
+
     segment: int
     page: int
-    n_pages: int = 1
+    n_pages: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segment", _seg_id(self.segment))
+    def __new__(
+        cls, segment: Any, page: int, n_pages: int = 1
+    ) -> "GetPageAttributesRequest":
+        return _new_tuple(cls, (_seg_id(segment), page, n_pages))
 
 
-@dataclass(frozen=True)
 class GetPageAttributesResult(WireForm):
     """Per-page attributes, physical addresses included (S1)."""
+
+    __slots__ = ()
 
     attributes: tuple[PageAttribute, ...]
 
 
-@dataclass(frozen=True)
 class SetSegmentManagerRequest(WireForm):
     """``SetSegmentManager(seg, manager)``.
 
@@ -339,16 +407,19 @@ class SetSegmentManagerRequest(WireForm):
     processes are addressed by name on the wire.
     """
 
+    __slots__ = ()
+
     segment: int
     manager: Any
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segment", _seg_id(self.segment))
+    def __new__(cls, segment: Any, manager: Any) -> "SetSegmentManagerRequest":
+        return _new_tuple(cls, (_seg_id(segment), manager))
 
 
-@dataclass(frozen=True)
 class SetSegmentManagerResult(WireForm):
     """The manager the segment had before (by name; None if unmanaged)."""
+
+    __slots__ = ()
 
     previous_manager: str | None
 
@@ -358,7 +429,6 @@ class SetSegmentManagerResult(WireForm):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class RetryAfter(WireForm):
     """A typed shed: the request was not admitted, try again later.
 
@@ -367,18 +437,19 @@ class RetryAfter(WireForm):
     a first-class, serializable signal rather than a bare refusal.
     """
 
+    __slots__ = ()
+
     tenant: str
     retry_after_us: float
     reason: str = "admission"  # "admission" | "backpressure" | "capacity"
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_args: Any, **_kwargs: Any) -> None:
         if self.retry_after_us < 0:
             raise ValueError(
                 f"retry_after_us must be non-negative: {self.retry_after_us}"
             )
 
 
-@dataclass(frozen=True, slots=True)
 class TenantQuota(WireForm):
     """Per-tenant dram-pool cap, enforced through the SPCM market rules.
 
@@ -390,18 +461,19 @@ class TenantQuota(WireForm):
     ``None`` means unlimited on that axis.
     """
 
+    __slots__ = ()
+
     account: str
     frames: int | None = None
     dram_mb: float | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_args: Any, **_kwargs: Any) -> None:
         if self.frames is not None and self.frames < 0:
             raise ValueError(f"frames quota must be >= 0: {self.frames}")
         if self.dram_mb is not None and self.dram_mb < 0:
             raise ValueError(f"dram_mb quota must be >= 0: {self.dram_mb}")
 
 
-@dataclass(frozen=True, slots=True)
 class AdmitTenantRequest(WireForm):
     """``AdmitTenant``: register one workload + manager + home node.
 
@@ -410,12 +482,14 @@ class AdmitTenantRequest(WireForm):
     fills in the manager's account at admission).
     """
 
+    __slots__ = ()
+
     tenant: str
     home_node: int | None = None
     working_set_pages: int = 16
     quota: TenantQuota | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_args: Any, **_kwargs: Any) -> None:
         if not self.tenant:
             raise ValueError("tenant name must be non-empty")
         if self.working_set_pages <= 0:
@@ -424,9 +498,10 @@ class AdmitTenantRequest(WireForm):
             )
 
 
-@dataclass(frozen=True, slots=True)
 class AdmitTenantResult(WireForm):
     """Whether the tenant was admitted; a shed carries the retry signal."""
+
+    __slots__ = ()
 
     admitted: bool
     tenant: str
@@ -440,7 +515,6 @@ class AdmitTenantResult(WireForm):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class FrameDemand(WireForm):
     """The SPCM (or arbiter) asking a manager for frames back.
 
@@ -448,16 +522,17 @@ class FrameDemand(WireForm):
     arbiter reclaiming a loan); ``None`` means any frames will do.
     """
 
+    __slots__ = ()
+
     n_frames: int
     node: int | None = None
     reason: str = "pressure"
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_args: Any, **_kwargs: Any) -> None:
         if self.n_frames < 0:
             raise ValueError("cannot demand a negative number of frames")
 
 
-@dataclass(frozen=True, slots=True)
 class FrameGrant(WireForm):
     """Frames changing hands, named by free-segment page index.
 
@@ -467,11 +542,13 @@ class FrameGrant(WireForm):
     indexes during failover (``adopt_segment``).
     """
 
-    pages: tuple[int, ...] = ()
-    node: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pages", tuple(self.pages))
+    pages: tuple[int, ...]
+    node: int | None
+
+    def __new__(cls, pages: Any = (), node: int | None = None) -> "FrameGrant":
+        return _new_tuple(cls, (tuple(pages), node))
 
     @classmethod
     def empty(cls) -> "FrameGrant":

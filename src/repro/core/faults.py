@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.obs.records import TraceStep
 
@@ -32,9 +32,9 @@ class FaultKind(Enum):
     COPY_ON_WRITE = auto()    # write to a page still bound to a COW source
 
 
-@dataclass(frozen=True, slots=True)
-class PageFault:
-    """One fault event delivered to a segment manager."""
+class PageFault(NamedTuple):
+    """One fault event delivered to a segment manager (a tuple: the
+    kernel builds one per fault it forwards)."""
 
     segment_id: int            # segment whose page is missing/protected
     page: int                  # page index within that segment

@@ -14,7 +14,7 @@ cannot satisfy from its translation structures are forwarded to the
 segment's process-level manager, following the Figure-2 sequence.  The
 delivery itself, and failover when a manager misbehaves, belong to the
 :class:`~repro.core.supervisor.ManagerSupervisor` (``kernel.supervisor``).
-Every operation takes its request dataclass from :mod:`repro.core.api`
+Every operation takes its request record from :mod:`repro.core.api`
 and returns the matching result.  On boot every page frame is placed, in
 physical-address order, in a well-known segment from which the System
 Page Cache Manager hands frames out.
@@ -464,23 +464,26 @@ class Kernel:
         call_cost_us: float | None = None,
     ) -> tuple[list[PageFrame], BatchStats]:
         """Execute one migrate request; returns frames + batch stats."""
-        src = self.segment(request.src)
-        dst = self.segment(request.dst)
+        (
+            src_id, dst_id, src_page, dst_page, n_pages,
+            set_flags, clear_flags, home_node,
+        ) = request
+        segments = self._segments
+        try:
+            src = segments[src_id]
+            dst = segments[dst_id]
+        except KeyError as missing:
+            raise SegmentError(f"no such segment: {missing.args[0]}") from None
         cost = (
             self.costs.vpp_migrate_call if call_cost_us is None else call_cost_us
         )
-        zero_before = self.stats.zero_fills
-        cow_before = self.stats.cow_copies
+        stats = self.stats
+        zero_before = stats.zero_fills
+        cow_before = stats.cow_copies
         if not self.tracer.enabled:
             moved = self._migrate_pages(
-                src,
-                dst,
-                request.src_page,
-                request.dst_page,
-                request.n_pages,
-                request.set_flags,
-                request.clear_flags,
-                cost,
+                src, dst, src_page, dst_page, n_pages,
+                set_flags, clear_flags, cost,
             )
         else:
             with self.tracer.span(
@@ -488,39 +491,33 @@ class Kernel:
                 "MigratePages",
                 src=src.name,
                 dst=dst.name,
-                dst_page=request.dst_page,
-                n_pages=request.n_pages,
+                dst_page=dst_page,
+                n_pages=n_pages,
             ):
                 moved = self._migrate_pages(
-                    src,
-                    dst,
-                    request.src_page,
-                    request.dst_page,
-                    request.n_pages,
-                    request.set_flags,
-                    request.clear_flags,
-                    cost,
+                    src, dst, src_page, dst_page, n_pages,
+                    set_flags, clear_flags, cost,
                 )
         local = len(moved)
         remote = 0
-        if self.topology is not None and request.home_node is not None:
+        if self.topology is not None and home_node is not None:
             local = sum(
                 1
                 for frame in moved
-                if self.topology.is_local(request.home_node, frame.phys_addr)
+                if self.topology.is_local(home_node, frame.phys_addr)
             )
             remote = len(moved) - local
             if remote:
                 penalty = self.costs.numa_remote_penalty_us * remote
                 if penalty > 0:
                     self.meter.charge("numa_remote_placement", penalty)
-        self.stats.numa_local_pages += local
-        self.stats.numa_remote_pages += remote
+        stats.numa_local_pages += local
+        stats.numa_remote_pages += remote
         batch = self._batch_stats(
             1,
             len(moved),
-            self.stats.zero_fills - zero_before,
-            self.stats.cow_copies - cow_before,
+            stats.zero_fills - zero_before,
+            stats.cow_copies - cow_before,
             local,
             remote,
         )
@@ -535,28 +532,26 @@ class Kernel:
         n_pages: int,
         set_flags: PageFlags,
         clear_flags: PageFlags,
-        call_cost_us: float | None = None,
+        call_cost_us: float,
     ) -> list[PageFrame]:
         # unbound segments (the common fault path) skip the binding walk
-        # and take its range/grow checks inline
+        # and take its range/grow checks inline; a range that fits raises
+        # nothing, so the segment's own check runs only to raise
         if src.bindings:
             src, src_page = self._through_bindings(src, src_page, n_pages)
-        else:
+        elif n_pages <= 0 or src_page < 0 or src_page + n_pages > src.n_pages:
             src.check_page_range(src_page, n_pages)
         if dst.bindings:
             dst, dst_page = self._through_bindings(
                 dst, dst_page, n_pages, allow_grow=True
             )
         else:
-            if dst.auto_grow:
-                dst.ensure_size(dst_page + n_pages)
-            dst.check_page_range(dst_page, n_pages)
-        self.meter.charge(
-            "migrate_pages",
-            self.costs.vpp_migrate_call
-            if call_cost_us is None
-            else call_cost_us,
-        )
+            end = dst_page + n_pages
+            if dst.auto_grow and end > dst.n_pages:
+                dst.ensure_size(end)
+            if n_pages <= 0 or dst_page < 0 or end > dst.n_pages:
+                dst.check_page_range(dst_page, n_pages)
+        self.meter.charge("migrate_pages", call_cost_us)
         stats = self.stats
         stats.migrate_calls += 1
         attribution = self._attribution
@@ -622,7 +617,7 @@ class Kernel:
                 frame.zero()
                 flags &= ~ZERO_FILL_I
                 self.meter.charge("zero_fill", self.costs.zero_page)
-                self.stats.zero_fills += 1
+                stats.zero_fills += 1
                 if self.tracer.enabled:
                     self.tracer.event(
                         "zeroing",
@@ -643,13 +638,13 @@ class Kernel:
                     frame.copy_from(source_res.frame)
                     flags |= DIRTY_I
                     self.meter.charge("cow_copy", self.costs.copy_page)
-                    self.stats.cow_copies += 1
+                    stats.cow_copies += 1
             frame.flags = flags
             dst_pages[dst_page + i] = frame
             frame.owner_segment_id = dst_seg_id
             frame.page_index = dst_page + i
             moved.append(frame)
-        self.stats.pages_migrated += n_pages
+        stats.pages_migrated += n_pages
         if self.tracer.enabled:
             self.tracer.step(
                 "kernel",
@@ -672,11 +667,11 @@ class Kernel:
         --- this is how a manager arranges to see references (the clock
         algorithm) or writes.
         """
-        segment = self.segment(request.segment)
-        page = request.page
-        n_pages = request.n_pages
-        set_flags = request.set_flags
-        clear_flags = request.clear_flags
+        seg_id, page, n_pages, set_flags, clear_flags = request
+        try:
+            segment = self._segments[seg_id]
+        except KeyError:
+            raise SegmentError(f"no such segment: {seg_id}") from None
         if self.tracer.enabled:
             self.tracer.event(
                 "kernel",
@@ -693,7 +688,8 @@ class Kernel:
             raise SegmentError(
                 f"flags not manager-settable: {unsupported:#x}"
             )
-        segment.check_page_range(page, n_pages)
+        if n_pages <= 0 or page < 0 or page + n_pages > segment.n_pages:
+            segment.check_page_range(page, n_pages)
         modified = 0
         shoots_down = bool(clear_i & _SHOOTDOWN_I)
         not_clear_i = ~clear_i

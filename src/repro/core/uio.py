@@ -14,7 +14,7 @@ answers managers' fetch/store requests, charging device and network time.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.faults import FaultKind, PageFault
 from repro.core.flags import DIRTY_I, REFERENCED_I
@@ -26,6 +26,9 @@ from repro.hw.disk import Disk
 #: Transient disk errors are retried this many times (with exponential
 #: backoff) before the file server gives up on the request.
 MAX_IO_RETRIES = 4
+
+#: Disk blocks a new file reserves past its initial pages, for growth.
+GROWTH_SLACK_BLOCKS = 64
 
 #: The backoff stops doubling after this many retries: later attempts
 #: wait the capped interval (times jitter) instead of growing without
@@ -52,11 +55,20 @@ def pages_for_bytes(n_bytes: int, page_size: int) -> int:
 
 @dataclass
 class CachedFile:
-    """One file: a segment plus its disk extent and logical size."""
+    """One file: a segment plus its disk extent and logical size.
+
+    The server sets the extent's size, ``extent_pages``, when it creates
+    the file.  A page past the extent gets blocks no other file owns the
+    first time the server reads or writes it (``overflow``: page -> first
+    block), so a file that outgrows its extent never reaches into the
+    next file's.
+    """
 
     segment: Segment
     start_block: int
     size_bytes: int
+    extent_pages: int = field(default=0, init=False)
+    overflow: dict[int, int] = field(default_factory=dict, init=False)
 
     @property
     def initialized_pages(self) -> int:
@@ -159,8 +171,9 @@ class FileServer:
             raise UIOError("page size must be a multiple of the disk block size")
         blocks_per_page = segment.page_size // self.disk.block_size
         start_block = self._next_block
-        self._next_block += n_pages * blocks_per_page + 64  # slack for growth
+        self._next_block += n_pages * blocks_per_page + GROWTH_SLACK_BLOCKS
         file = CachedFile(segment, start_block, size_bytes)
+        file.extent_pages = n_pages + GROWTH_SLACK_BLOCKS // blocks_per_page
         self._files[segment.seg_id] = file
         if data:
             padded_len = pages_for_bytes(len(data), self.disk.block_size)
@@ -175,6 +188,20 @@ class FileServer:
             return self._files[segment.seg_id]
         except KeyError:
             raise UIOError(f"segment {segment.name} is not a file") from None
+
+    def _page_block(
+        self, file: CachedFile, page: int, blocks_per_page: int
+    ) -> int:
+        """The first disk block of ``page`` of ``file`` (see
+        :class:`CachedFile`: a page past the extent is given its blocks
+        on first use)."""
+        if page < file.extent_pages:
+            return file.start_block + page * blocks_per_page
+        block = file.overflow.get(page)
+        if block is None:
+            block = file.overflow[page] = self._next_block
+            self._next_block += blocks_per_page
+        return block
 
     def is_file(self, segment: Segment) -> bool:
         """True when ``segment`` is a registered cached file."""
@@ -207,7 +234,7 @@ class FileServer:
             )
         blocks_per_page = segment.page_size // self.disk.block_size
         data, service_us = self._disk_read(
-            file.start_block + page * blocks_per_page, blocks_per_page
+            self._page_block(file, page, blocks_per_page), blocks_per_page
         )
         self.kernel.meter.charge("file_server", service_us + self.network_rtt_us)
         if self.kernel.tracer.enabled:
@@ -234,9 +261,7 @@ class FileServer:
         self, file: CachedFile, segment: Segment, page: int, data: bytes
     ) -> None:
         blocks_per_page = segment.page_size // self.disk.block_size
-        self._disk_write(
-            file.start_block + page * blocks_per_page, data
-        )
+        self._disk_write(self._page_block(file, page, blocks_per_page), data)
         self.kernel.meter.charge(
             "file_server",
             self.disk.costs.disk_transfer_us(segment.page_size)

@@ -43,6 +43,8 @@ class Disk:
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
         self._blocks: dict[int, bytes] = {}
+        # what a never-written block reads as, shared by every such read
+        self._zero_block = bytes(block_size)
         self.stats = DiskStats()
         #: set by ``build_system``; transfers are reported as trace events
         self.tracer = NULL_TRACER
@@ -54,15 +56,14 @@ class Disk:
             raise DiskError(f"block {block_no} out of range")
 
     def _injected_factor(self, op: str, block_no: int) -> float:
-        """Consult the injector before a transfer touches any state.
+        """Consult the enabled injector before a transfer touches any state.
 
-        Returns the service-time multiplier (1.0 with injection off);
-        raises :class:`TransientDiskError` when an error is injected,
-        before any block is read or written, so a retried request sees
-        clean state.
+        Returns the service-time multiplier; raises
+        :class:`TransientDiskError` when an error is injected, before any
+        block is read or written, so a retried request sees clean state.
+        The transfers call this only with injection on (the factor is
+        1.0 otherwise), and :meth:`_note_io` only with tracing on.
         """
-        if not self.injector.enabled:
-            return 1.0
         try:
             return self.injector.disk_io(op, block_no)
         except TransientDiskError:
@@ -70,61 +71,54 @@ class Disk:
             raise
 
     def _note_io(self, op: str, block_no: int, n_bytes: int, us: float) -> None:
-        if self.tracer.enabled:
-            self.tracer.event(
-                "disk", f"{op}: {n_bytes} bytes at block {block_no}", us
-            )
+        self.tracer.event(
+            "disk", f"{op}: {n_bytes} bytes at block {block_no}", us
+        )
 
     def read_block(self, block_no: int) -> tuple[bytes, float]:
         """Read one block; returns ``(data, service_time_us)``."""
-        self._check_block(block_no)
-        factor = self._injected_factor("read", block_no)
-        data = self._blocks.get(block_no, bytes(self.block_size))
-        service_us = factor * self.costs.disk_transfer_us(self.block_size)
-        self.stats.reads += 1
-        self.stats.bytes_read += self.block_size
-        self.stats.busy_us += service_us
-        self._note_io("read", block_no, self.block_size, service_us)
-        return data, service_us
+        return self.read_range(block_no, 1)
 
     def write_block(self, block_no: int, data: bytes) -> float:
         """Write one block; returns the service time in microseconds."""
-        self._check_block(block_no)
         if len(data) != self.block_size:
             raise DiskError(
                 f"write of {len(data)} bytes to {self.block_size}-byte block"
             )
-        factor = self._injected_factor("write", block_no)
-        self._blocks[block_no] = bytes(data)
-        service_us = factor * self.costs.disk_transfer_us(self.block_size)
-        self.stats.writes += 1
-        self.stats.bytes_written += self.block_size
-        self.stats.busy_us += service_us
-        self._note_io("write", block_no, self.block_size, service_us)
-        return service_us
+        return self.write_range(block_no, data)
 
     def read_range(self, block_no: int, n_blocks: int) -> tuple[bytes, float]:
         """Read ``n_blocks`` contiguous blocks as one request.
 
         One seek is charged for the whole request; transfer time scales
-        with the byte count.
+        with the byte count.  Every file-server page fetch lands here, so
+        a range inside the disk skips the per-end checks and a block never
+        written reads as one shared zero block.
         """
         if n_blocks <= 0:
             raise DiskError("must read at least one block")
-        self._check_block(block_no)
-        self._check_block(block_no + n_blocks - 1)
-        factor = self._injected_factor("read", block_no)
-        chunks = [
-            self._blocks.get(b, bytes(self.block_size))
-            for b in range(block_no, block_no + n_blocks)
-        ]
+        end = block_no + n_blocks
+        if block_no < 0 or end > self.capacity_blocks:
+            self._check_block(block_no)
+            self._check_block(end - 1)
+        factor = 1.0
+        if self.injector.enabled:
+            factor = self._injected_factor("read", block_no)
+        blocks = self._blocks
+        if n_blocks == 1:
+            data = blocks.get(block_no, self._zero_block)
+        else:
+            zero = self._zero_block
+            data = b"".join([blocks.get(b, zero) for b in range(block_no, end)])
         n_bytes = n_blocks * self.block_size
         service_us = factor * self.costs.disk_transfer_us(n_bytes)
-        self.stats.reads += 1
-        self.stats.bytes_read += n_bytes
-        self.stats.busy_us += service_us
-        self._note_io("read", block_no, n_bytes, service_us)
-        return b"".join(chunks), service_us
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += n_bytes
+        stats.busy_us += service_us
+        if self.tracer.enabled:
+            self._note_io("read", block_no, n_bytes, service_us)
+        return data, service_us
 
     def write_range(self, block_no: int, data: bytes) -> float:
         """Write contiguous blocks as one request; returns service time."""
@@ -134,16 +128,21 @@ class Disk:
                 f"the block size {self.block_size}"
             )
         n_blocks = len(data) // self.block_size
-        self._check_block(block_no)
-        self._check_block(block_no + n_blocks - 1)
-        factor = self._injected_factor("write", block_no)
+        if block_no < 0 or block_no + n_blocks > self.capacity_blocks:
+            self._check_block(block_no)
+            self._check_block(block_no + n_blocks - 1)
+        factor = 1.0
+        if self.injector.enabled:
+            factor = self._injected_factor("write", block_no)
         for i in range(n_blocks):
             self._blocks[block_no + i] = bytes(
                 data[i * self.block_size : (i + 1) * self.block_size]
             )
         service_us = factor * self.costs.disk_transfer_us(len(data))
-        self.stats.writes += 1
-        self.stats.bytes_written += len(data)
-        self.stats.busy_us += service_us
-        self._note_io("write", block_no, len(data), service_us)
+        stats = self.stats
+        stats.writes += 1
+        stats.bytes_written += len(data)
+        stats.busy_us += service_us
+        if self.tracer.enabled:
+            self._note_io("write", block_no, len(data), service_us)
         return service_us

@@ -14,11 +14,12 @@ tables ULTRIX uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Translation:
-    """One installed translation: (space, vpn) -> pfn with protection bits."""
+class Translation(NamedTuple):
+    """One installed translation: (space, vpn) -> pfn with protection bits
+    (a tuple: the kernel builds one per translation it installs)."""
 
     space_id: int
     vpn: int

@@ -16,7 +16,7 @@ substreams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.api import AdmitTenantRequest, AdmitTenantResult, TenantQuota
@@ -145,7 +145,9 @@ class ServingSystem:
         quota = request.quota
         if quota is not None:
             if quota.account != manager.account:
-                quota = replace(quota, account=manager.account)
+                quota = TenantQuota(
+                    manager.account, quota.frames, quota.dram_mb
+                )
             self.spcm.set_tenant_quota(quota)
         session = TenantSession(
             tenant=request.tenant,

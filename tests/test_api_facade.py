@@ -1,19 +1,26 @@
-"""API v3 facade: payload round-trips, removed legacy forms, topology checks.
+"""API v3 facade: the record contract, payload round-trips, removed legacy
+forms, topology checks.
 
 This file is the *only* place the removed v2 keyword call forms are
 exercised on purpose (to pin that they are rejected); every other caller
-in the repo goes through the typed request/result dataclasses of
-:mod:`repro.core.api`.
+in the repo goes through the typed request/result records of
+:mod:`repro.core.api`.  Those records are immutable tuples; the contract
+tests below pin what they kept from the dataclasses they replaced: field
+names, order and defaults, coercions, validation and hashing.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
 import json
 import warnings
 from contextlib import contextmanager
 
 import pytest
 
+from repro.core import api
 from repro.core.api import (
     API_VERSION,
     AdmitTenantRequest,
@@ -34,6 +41,7 @@ from repro.core.api import (
     SetSegmentManagerRequest,
     SetSegmentManagerResult,
     TenantQuota,
+    WireForm,
 )
 from repro.core.flags import PageFlags
 from repro.core.kernel import Kernel
@@ -55,7 +63,178 @@ def _assert_round_trips(obj) -> None:
     """``obj`` survives its wire form, and the wire form survives JSON."""
     payload = obj.to_payload()
     assert json.loads(json.dumps(payload)) == payload
-    assert type(obj).from_payload(payload) == obj
+    back = type(obj).from_payload(payload)
+    # records compare as tuples, which ignores the type
+    assert type(back) is type(obj)
+    assert back == obj
+
+
+_REQUIRED = inspect.Parameter.empty
+
+#: every record's fields, in order, with their defaults
+_FIELDS = {
+    PageAttribute: [
+        ("page", _REQUIRED), ("present", _REQUIRED), ("flags", _REQUIRED),
+        ("pfn", _REQUIRED), ("phys_addr", _REQUIRED),
+    ],
+    BatchStats: [
+        ("n_calls", 1), ("n_pages", 0), ("zero_fills", 0),
+        ("cow_copies", 0), ("local_pages", 0), ("remote_pages", 0),
+    ],
+    MigratePagesRequest: [
+        ("src", _REQUIRED), ("dst", _REQUIRED), ("src_page", _REQUIRED),
+        ("dst_page", _REQUIRED), ("n_pages", 1),
+        ("set_flags", PageFlags.NONE), ("clear_flags", PageFlags.NONE),
+        ("home_node", None),
+    ],
+    MigratePagesResult: [("moved_pfns", _REQUIRED), ("batch", BatchStats())],
+    BatchMigratePagesRequest: [("requests", _REQUIRED)],
+    BatchMigratePagesResult: [
+        ("moved_pfns", _REQUIRED), ("batch", BatchStats()), ("n_requests", 0),
+    ],
+    ModifyPageFlagsRequest: [
+        ("segment", _REQUIRED), ("page", _REQUIRED), ("n_pages", 1),
+        ("set_flags", PageFlags.NONE), ("clear_flags", PageFlags.NONE),
+    ],
+    ModifyPageFlagsResult: [("modified", _REQUIRED)],
+    GetPageAttributesRequest: [
+        ("segment", _REQUIRED), ("page", _REQUIRED), ("n_pages", 1),
+    ],
+    GetPageAttributesResult: [("attributes", _REQUIRED)],
+    SetSegmentManagerRequest: [("segment", _REQUIRED), ("manager", _REQUIRED)],
+    SetSegmentManagerResult: [("previous_manager", _REQUIRED)],
+    RetryAfter: [
+        ("tenant", _REQUIRED), ("retry_after_us", _REQUIRED),
+        ("reason", "admission"),
+    ],
+    TenantQuota: [("account", _REQUIRED), ("frames", None), ("dram_mb", None)],
+    AdmitTenantRequest: [
+        ("tenant", _REQUIRED), ("home_node", None), ("working_set_pages", 16),
+        ("quota", None),
+    ],
+    AdmitTenantResult: [
+        ("admitted", _REQUIRED), ("tenant", _REQUIRED), ("account", None),
+        ("home_node", None), ("retry_after", None),
+    ],
+    FrameDemand: [
+        ("n_frames", _REQUIRED), ("node", None), ("reason", "pressure"),
+    ],
+    FrameGrant: [("pages", ()), ("node", None)],
+}
+
+#: one instance of every record
+_EXAMPLES = [
+    PageAttribute(0, True, PageFlags.READ, 1, 4096),
+    BatchStats(2, 8, 1, 0, 6, 2),
+    MigratePagesRequest(1, 2, 3, 4, home_node=0),
+    MigratePagesResult((5, 6)),
+    BatchMigratePagesRequest((MigratePagesRequest(1, 2, 0, 0),)),
+    BatchMigratePagesResult((5,), BatchStats(n_pages=1), 1),
+    ModifyPageFlagsRequest(7, 1, clear_flags=PageFlags.REFERENCED),
+    ModifyPageFlagsResult(3),
+    GetPageAttributesRequest(4, 0, 8),
+    GetPageAttributesResult(
+        (PageAttribute(0, False, PageFlags.NONE, None, None),)
+    ),
+    SetSegmentManagerRequest(9, _NamedManager("dbms")),
+    SetSegmentManagerResult("default"),
+    RetryAfter("t", 10.0),
+    TenantQuota("t", frames=4),
+    AdmitTenantRequest("t", quota=TenantQuota("t", frames=4)),
+    AdmitTenantResult(False, "t", retry_after=RetryAfter("t", 5.0)),
+    FrameDemand(2, node=1),
+    FrameGrant((1, 2), node=0),
+]
+
+
+class TestRecordContract:
+    """The records are immutable, hashable tuples that kept every field,
+    default, coercion and check of the dataclasses they replaced."""
+
+    def test_every_record_is_listed(self):
+        records = {
+            getattr(api, name) for name in api.__all__
+            if isinstance(getattr(api, name), type)
+            and issubclass(getattr(api, name), WireForm)
+        }
+        assert records == set(_FIELDS)
+        assert {type(r) for r in _EXAMPLES} == records
+
+    @pytest.mark.parametrize("cls", list(_FIELDS), ids=lambda c: c.__name__)
+    def test_fields_order_and_defaults(self, cls):
+        assert issubclass(cls, tuple)
+        assert not dataclasses.is_dataclass(cls)
+        expected = _FIELDS[cls]
+        assert cls._fields == tuple(name for name, _ in expected)
+        params = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.default) for p in params] == expected
+
+    @pytest.mark.parametrize(
+        "record", _EXAMPLES, ids=lambda r: type(r).__name__
+    )
+    def test_immutable(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1  # type: ignore[attr-defined]
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize(
+        "record", _EXAMPLES, ids=lambda r: type(r).__name__
+    )
+    def test_hashable(self, record):
+        twin = type(record)(*record)
+        assert twin == record and type(twin) is type(record)
+        assert hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+        copied = copy.copy(record)
+        assert copied == record and type(copied) is type(record)
+
+    def test_segments_coerce_to_ids(self, kernel):
+        # MigratePagesRequest: test_migrate_pages_request_coerces_segments
+        seg = kernel.create_segment(2, name="coerce")
+        for record in (
+            ModifyPageFlagsRequest(seg, 0),
+            GetPageAttributesRequest(seg, 0),
+            SetSegmentManagerRequest(seg, _NamedManager("m")),
+        ):
+            assert type(record.segment) is int
+            assert record.segment == seg.seg_id
+        with pytest.raises(TypeError):
+            ModifyPageFlagsRequest("not a segment", 0)
+
+    def test_ints_coerce_to_page_flags(self):
+        migrate = MigratePagesRequest(1, 2, 0, 0, set_flags=16, clear_flags=12)
+        modify = ModifyPageFlagsRequest(1, 0, set_flags=3, clear_flags=4)
+        for record in (migrate, modify):
+            assert type(record.set_flags) is PageFlags
+            assert type(record.clear_flags) is PageFlags
+        assert migrate.set_flags == PageFlags.PINNED
+        assert modify.clear_flags == PageFlags.REFERENCED
+
+    def test_grant_pages_coerce_to_a_tuple(self):
+        grant = FrameGrant([3, 4])
+        assert grant.pages == (3, 4) and type(grant.pages) is tuple
+
+    @pytest.mark.parametrize(
+        "record, payload",
+        [
+            (RetryAfter, {"tenant": "t", "retry_after_us": -1.0,
+                          "reason": "capacity"}),
+            (TenantQuota, {"account": "t", "frames": -1, "dram_mb": None}),
+            (AdmitTenantRequest, {"tenant": "", "home_node": None,
+                                  "working_set_pages": 16, "quota": None}),
+            (FrameDemand, {"n_frames": -2, "node": None,
+                           "reason": "pressure"}),
+        ],
+        ids=["RetryAfter", "TenantQuota", "AdmitTenantRequest", "FrameDemand"],
+    )
+    def test_wire_form_runs_the_checks(self, record, payload):
+        """A payload is checked like a constructor call (each check's
+        constructor case has its own ``rejects`` test below)."""
+        with pytest.raises(ValueError):
+            record.from_payload(payload)
 
 
 class TestPayloadRoundTrips:
@@ -151,6 +330,7 @@ class TestPayloadRoundTrips:
         back = SetSegmentManagerRequest.from_payload(
             payload, managers.__getitem__
         )
+        assert type(back) is SetSegmentManagerRequest
         assert back.segment == 9
         assert back.manager is managers["dbms"]
 
@@ -332,7 +512,7 @@ def _rejected():
 
     API v3 keeps no rejection code: the typed signature alone turns a
     legacy call into a ``TypeError`` (wrong arity) or ``AttributeError``
-    (a bare value where a request dataclass belongs), and no
+    (a bare value where a request record belongs), and no
     ``DeprecationWarning`` is emitted on the way.
     """
     with warnings.catch_warnings(record=True) as record:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.faults import FaultKind, FaultTrace, PageFault, TraceStep
 
 
@@ -21,6 +23,33 @@ class TestPageFault:
         except AttributeError:
             raised = True
         assert raised
+
+    def test_fields_and_defaults(self):
+        """The tuple record keeps the dataclass's fields, order and
+        defaults."""
+        assert PageFault._fields == (
+            "segment_id", "page", "kind", "write", "space_id", "vaddr"
+        )
+        fault = PageFault(3, 7, FaultKind.MISSING_PAGE, False)
+        assert (fault.space_id, fault.vaddr) == (None, None)
+        assert fault == PageFault(
+            segment_id=3, page=7, kind=FaultKind.MISSING_PAGE, write=False,
+            space_id=None, vaddr=None,
+        )
+
+    def test_immutable_without_attributes(self):
+        fault = PageFault(1, 2, FaultKind.PROTECTION, write=False)
+        for name in PageFault._fields:
+            with pytest.raises(AttributeError):
+                setattr(fault, name, None)
+        with pytest.raises(AttributeError):
+            fault.extra = 1  # type: ignore[attr-defined]
+
+    def test_hashable(self):
+        fault = PageFault(1, 2, FaultKind.MISSING_PAGE, True, 5, 8192)
+        twin = PageFault(*fault)
+        assert hash(twin) == hash(fault)
+        assert len({fault, twin}) == 1
 
 
 class TestFaultTrace:

@@ -7,6 +7,25 @@ import pytest
 from repro.hw.page_table import GlobalHashPageTable, LinearPageTable, Translation
 
 
+class TestTranslation:
+    """A translation is an immutable, hashable tuple record."""
+
+    def test_fields_and_defaults(self):
+        assert Translation._fields == ("space_id", "vpn", "pfn", "prot")
+        assert Translation(1, 5, 42).prot == 0
+
+    def test_immutable_and_hashable(self):
+        entry = Translation(1, 5, 42, prot=3)
+        for name in Translation._fields:
+            with pytest.raises(AttributeError):
+                setattr(entry, name, 0)
+        with pytest.raises(AttributeError):
+            entry.extra = 1  # type: ignore[attr-defined]
+        twin = Translation(*entry)
+        assert hash(twin) == hash(entry)
+        assert len({entry, twin}) == 1
+
+
 class TestGlobalHashPageTable:
     def test_insert_then_lookup(self):
         pt = GlobalHashPageTable()

@@ -74,6 +74,31 @@ class TestFileServer:
         assert system.kernel.meter.by_category["file_server"] > before
 
 
+class TestFileGrowth:
+    def test_growth_past_the_extent_keeps_the_next_files_blocks(self):
+        """A file written past its disk reservation (its initial pages
+        plus 64 blocks) gets blocks of its own, not the next file's."""
+        system = build_system(memory_mb=8)
+        kernel, fs, uio = system.kernel, system.file_server, system.uio
+        manager = system.default_manager
+        log = kernel.create_segment(
+            0, name="a.log", manager=manager, auto_grow=True
+        )
+        fs.create_file(log)
+        dat = kernel.create_segment(
+            0, name="b.dat", manager=manager, auto_grow=True
+        )
+        b_data = bytes(range(256)) * 64  # 16 KB
+        assert fs.create_file(dat, data=b_data).start_block == 65
+        for page in range(80):
+            uio.write(log, page * 4096, bytes([page + 1]) * 4096)
+        manager.file_closed(log, writeback=True)
+        assert uio.read(dat, 0, len(b_data)) == b_data
+        # the log's pages past its extent come back from their own blocks
+        for page in (64, 65, 79):
+            assert fs.fetch_page(log, page) == bytes([page + 1]) * 4096
+
+
 class TestUIORead:
     def test_read_faults_in_uncached_pages(self, world):
         system, seg = world

@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import tracemalloc
 
+import pytest
+
 import repro.chaos.injector as injector_mod
 import repro.obs.records as records_mod
 import repro.obs.trace as trace_mod
+from repro import build_system
 from repro.chaos.injector import NULL_INJECTOR
+from repro.hw.disk import Disk
 from repro.obs.trace import NULL_TRACER
 from repro.verify.oracle import build_vpp_system, drive_vpp
 from repro.verify.schedule import figure2_schedule
@@ -81,3 +85,36 @@ class TestFaultPathAllocations:
             assert _blocks_allocated_in(snapshot, path) == 0, (
                 f"null-dispatch fault path allocated blocks in {path}"
             )
+
+
+class TestDiskOffPath:
+    def test_file_io_never_consults_injector_or_tracer(self, monkeypatch):
+        """With the nulls installed, filling pages from a file and writing
+        them back reads and writes the disk without one call into its
+        injection or trace hooks."""
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("disk hook called with its switch off")
+
+        monkeypatch.setattr(Disk, "_injected_factor", forbidden)
+        monkeypatch.setattr(Disk, "_note_io", forbidden)
+        system = build_system(
+            memory_mb=8, manager_frames=128, tracer=NULL_TRACER
+        )
+        disk = system.disk
+        assert disk.tracer is NULL_TRACER
+        assert disk.injector is NULL_INJECTOR
+        seg = system.kernel.create_segment(
+            0, name="f", manager=system.default_manager, auto_grow=True
+        )
+        data = bytes(range(256)) * 64  # four pages
+        system.file_server.create_file(seg, data=data)
+        reads = disk.stats.reads
+        assert system.uio.read(seg, 0, len(data)) == data
+        assert disk.stats.reads - reads == 4  # every page came from disk
+        system.uio.write(seg, 0, b"x" * 4096)
+        writes = disk.stats.writes
+        system.default_manager.file_closed(seg, writeback=True)
+        assert disk.stats.writes == writes + 1
+        with pytest.raises(AssertionError):
+            disk._injected_factor("read", 0)  # the patch is live
