@@ -1,52 +1,47 @@
-"""The versioned, typed kernel API facade (v3).
+"""The versioned, typed kernel API facade (v4).
 
 The paper's four external page-cache management operations (S2.1) are
 methods on :class:`~repro.core.kernel.Kernel`, and this module is their
-only call surface: each primitive takes an immutable *request* record and
-returns an immutable *result* record, so the call forms are versionable,
-serializable (for IPC-style manager processes) and carry the NUMA
-placement hints and batch statistics the sharded System Page Cache
-Manager needs.  A record is a tuple of named fields (:class:`WireForm`):
-one fault-path crossing builds several, so building one costs little
-more than building a tuple of its fields.
+only call surface: each primitive takes an immutable *request* record
+(a migrate request carries the NUMA placement hint the sharded System
+Page Cache Manager needs).  A record is a tuple of named fields
+(:class:`Record`): one fault-path crossing builds several, so building
+one costs little more than building a tuple of its fields.
 
-* :class:`MigratePagesRequest` / :class:`MigratePagesResult`
+* :class:`MigratePagesRequest` (and :class:`BatchMigratePagesRequest`)
 * :class:`ModifyPageFlagsRequest` / :class:`ModifyPageFlagsResult`
 * :class:`GetPageAttributesRequest` / :class:`GetPageAttributesResult`
-* :class:`SetSegmentManagerRequest` / :class:`SetSegmentManagerResult`
+* :class:`SetSegmentManagerRequest`
+
+``MigratePages`` and ``SetSegmentManager`` return nothing: what they did
+is in the kernel's counters (:class:`~repro.core.kernel.KernelStats`) and
+in the segments themselves.
 
 The same vocabulary covers the manager callback surface: the SPCM asks a
 manager for frames with a :class:`FrameDemand` and frames change hands as
 a :class:`FrameGrant`, whichever direction they travel (release, seizure,
 adoption).
 
-API v3 removed the keyword-argument call forms that v2 deprecated, and
-the bare-int/bare-list manager callbacks with them.
-
 Requests reference segments by id (``Segment`` instances are accepted and
-coerced), so every request/result round-trips through its plain-dict
-wire form, :meth:`WireForm.to_payload` / :meth:`WireForm.from_payload`.
-One codec derives that form from the record's fields and their type
-hints; no class writes its own.
+coerced).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
-from typing import Any, Callable, get_args, get_origin, get_type_hints
+from typing import Any
 
 from repro.core.flags import PageFlags
 
 #: Facade version: (major, minor).  Major bumps may drop call forms.  v2
 #: introduced the typed request/result records; v2.1 added the multi-tenant
-#: serving vocabulary: :class:`BatchMigratePagesRequest` /
-#: :class:`BatchMigratePagesResult` (the batched kernel entry as a typed,
-#: serializable form), :class:`AdmitTenantRequest` /
+#: serving vocabulary: :class:`BatchMigratePagesRequest` (the batched
+#: kernel entry as a typed form), :class:`AdmitTenantRequest` /
 #: :class:`AdmitTenantResult`, :class:`TenantQuota`, and
 #: :class:`RetryAfter` (the typed shed).  v3 makes the records the only
-#: call forms.
-API_VERSION = (3, 0)
+#: call forms.  v4 drops the plain-dict wire codec and the results of
+#: ``MigratePages`` and ``SetSegmentManager``, which now return ``None``.
+API_VERSION = (4, 0)
 
 
 def _seg_id(value: Any) -> int:
@@ -61,58 +56,12 @@ _new_tuple = tuple.__new__
 
 
 # ---------------------------------------------------------------------------
-# the record form and its wire codec (one rule per field type hint)
+# the record form
 # ---------------------------------------------------------------------------
 
-#: decoder marker for the ``Any``-typed manager field: resolved by name
-_RESOLVE = object()
 
-
-def _field_codec(hint: Any) -> tuple[Callable, Any] | None:
-    """``(encode, decode)`` for one field's type hint; ``None`` when the
-    value is already plain (ints, floats, strings, bools)."""
-    if hint is PageFlags:
-        return int, PageFlags
-    if hint is Any:  # a live manager travels by name
-        return (lambda manager: manager.name), _RESOLVE
-    if isinstance(hint, type) and issubclass(hint, WireForm):
-        return (lambda value: value.to_payload()), hint.from_payload
-    args = get_args(hint)
-    if get_origin(hint) is tuple:
-        item = _field_codec(args[0])
-        if item is None:
-            return list, tuple
-        enc, dec = item
-        return (
-            lambda values: [enc(v) for v in values],
-            lambda values: tuple(dec(v) for v in values),
-        )
-    if type(None) in args:  # ``X | None``
-        (inner,) = [a for a in args if a is not type(None)]
-        item = _field_codec(inner)
-        if item is None:
-            return None
-        enc, dec = item
-        return (
-            lambda value: None if value is None else enc(value),
-            lambda value: None if value is None else dec(value),
-        )
-    return None
-
-
-@cache
-def _plan(cls: type) -> tuple[tuple[str, Callable | None, Any], ...]:
-    """``(name, encode, decode)`` per record field, in field order."""
-    hints = get_type_hints(cls)
-    return tuple(
-        (name, *(_field_codec(hints[name]) or (None, None)))
-        for name in cls._fields
-    )
-
-
-class WireForm(tuple):
-    """An immutable record: a tuple of named fields with a plain-dict
-    wire form.
+class Record(tuple):
+    """An immutable record: a tuple of named fields.
 
     A record class declares its fields as annotations, in order, with
     defaults as class values (the dataclass spelling), and sets
@@ -126,13 +75,6 @@ class WireForm(tuple):
     checks its fields in ``__init__``, which runs once the tuple is
     built.  Records hash and compare as tuples, so ``==`` does not look
     at the type.
-
-    Every field maps to one payload key, in field order; its type hint
-    picks the rule: ``PageFlags`` travels as an int, a tuple as a list, a
-    nested request/result as its own payload, ``X | None`` as ``None`` or
-    X, and the ``Any``-typed live manager as its name (converted back
-    through ``resolve_manager``, since manager processes are addressed by
-    name on the wire).  Plain values pass through unchanged.
     """
 
     __slots__ = ()
@@ -152,37 +94,13 @@ class WireForm(tuple):
             if attr not in own:
                 setattr(cls, attr, shape.__dict__[attr])
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of :meth:`from_payload`)."""
-        payload = {}
-        for (name, enc, _), value in zip(_plan(type(self)), self):
-            payload[name] = value if enc is None else enc(value)
-        return payload
-
-    @classmethod
-    def from_payload(
-        cls,
-        payload: dict[str, Any],
-        resolve_manager: Callable[[str], Any] | None = None,
-    ):
-        """Rebuild an instance from :meth:`to_payload` output."""
-        kwargs = {}
-        for name, _, dec in _plan(cls):
-            value = payload[name]
-            if dec is _RESOLVE:
-                value = resolve_manager(value)
-            elif dec is not None:
-                value = dec(value)
-            kwargs[name] = value
-        return cls(**kwargs)
-
 
 # ---------------------------------------------------------------------------
-# page attributes (the GetPageAttributes payload element)
+# page attributes (one entry of a GetPageAttributes result)
 # ---------------------------------------------------------------------------
 
 
-class PageAttribute(WireForm):
+class PageAttribute(Record):
     """One entry of a ``GetPageAttributes`` result."""
 
     __slots__ = ()
@@ -195,45 +113,11 @@ class PageAttribute(WireForm):
 
 
 # ---------------------------------------------------------------------------
-# batch statistics (returned with every MigratePages result)
-# ---------------------------------------------------------------------------
-
-
-class BatchStats(WireForm):
-    """What one (possibly batched) ``MigratePages`` actually did.
-
-    ``local_pages`` / ``remote_pages`` are only split when the kernel has
-    a NUMA topology and the request carried a ``home_node`` hint;
-    otherwise every page counts as local.
-    """
-
-    __slots__ = ()
-
-    n_calls: int = 1
-    n_pages: int = 0
-    zero_fills: int = 0
-    cow_copies: int = 0
-    local_pages: int = 0
-    remote_pages: int = 0
-
-    def merged(self, other: "BatchStats") -> "BatchStats":
-        """Combine statistics of two batches into one."""
-        return BatchStats(
-            n_calls=self.n_calls + other.n_calls,
-            n_pages=self.n_pages + other.n_pages,
-            zero_fills=self.zero_fills + other.zero_fills,
-            cow_copies=self.cow_copies + other.cow_copies,
-            local_pages=self.local_pages + other.local_pages,
-            remote_pages=self.remote_pages + other.remote_pages,
-        )
-
-
-# ---------------------------------------------------------------------------
 # the four primitives
 # ---------------------------------------------------------------------------
 
 
-class MigratePagesRequest(WireForm):
+class MigratePagesRequest(Record):
     """``MigratePages(src, dst, src_page, dst_page, n_pages, ...)``.
 
     ``home_node`` is a placement hint: the node the destination's pages
@@ -283,20 +167,7 @@ class MigratePagesRequest(WireForm):
         )
 
 
-class MigratePagesResult(WireForm):
-    """Frames moved by one ``MigratePages`` (or one batch of them)."""
-
-    __slots__ = ()
-
-    moved_pfns: tuple[int, ...]
-    batch: BatchStats = BatchStats()
-
-    @property
-    def n_pages(self) -> int:
-        return len(self.moved_pfns)
-
-
-class BatchMigratePagesRequest(WireForm):
+class BatchMigratePagesRequest(Record):
     """Several ``MigratePages`` runs crossing into the kernel once (v2.1).
 
     The canonical form of the batched fast path: the first run is charged
@@ -324,21 +195,7 @@ class BatchMigratePagesRequest(WireForm):
         return sum(r.n_pages for r in self.requests)
 
 
-class BatchMigratePagesResult(WireForm):
-    """What one batched kernel entry moved, run statistics merged."""
-
-    __slots__ = ()
-
-    moved_pfns: tuple[int, ...]
-    batch: BatchStats = BatchStats()
-    n_requests: int = 0
-
-    @property
-    def n_pages(self) -> int:
-        return len(self.moved_pfns)
-
-
-class ModifyPageFlagsRequest(WireForm):
+class ModifyPageFlagsRequest(Record):
     """``ModifyPageFlags(seg, page, n_pages, set, clear)``."""
 
     __slots__ = ()
@@ -368,7 +225,7 @@ class ModifyPageFlagsRequest(WireForm):
         )
 
 
-class ModifyPageFlagsResult(WireForm):
+class ModifyPageFlagsResult(Record):
     """How many present pages one ``ModifyPageFlags`` touched."""
 
     __slots__ = ()
@@ -376,7 +233,7 @@ class ModifyPageFlagsResult(WireForm):
     modified: int
 
 
-class GetPageAttributesRequest(WireForm):
+class GetPageAttributesRequest(Record):
     """``GetPageAttributes(seg, page, n_pages)``."""
 
     __slots__ = ()
@@ -391,7 +248,7 @@ class GetPageAttributesRequest(WireForm):
         return _new_tuple(cls, (_seg_id(segment), page, n_pages))
 
 
-class GetPageAttributesResult(WireForm):
+class GetPageAttributesResult(Record):
     """Per-page attributes, physical addresses included (S1)."""
 
     __slots__ = ()
@@ -399,13 +256,9 @@ class GetPageAttributesResult(WireForm):
     attributes: tuple[PageAttribute, ...]
 
 
-class SetSegmentManagerRequest(WireForm):
-    """``SetSegmentManager(seg, manager)``.
-
-    ``manager`` is the live manager object; the payload form carries its
-    name, and :meth:`from_payload` takes a resolver because manager
-    processes are addressed by name on the wire.
-    """
+class SetSegmentManagerRequest(Record):
+    """``SetSegmentManager(seg, manager)``; ``manager`` is the live
+    manager object."""
 
     __slots__ = ()
 
@@ -416,25 +269,17 @@ class SetSegmentManagerRequest(WireForm):
         return _new_tuple(cls, (_seg_id(segment), manager))
 
 
-class SetSegmentManagerResult(WireForm):
-    """The manager the segment had before (by name; None if unmanaged)."""
-
-    __slots__ = ()
-
-    previous_manager: str | None
-
-
 # ---------------------------------------------------------------------------
 # the multi-tenant serving vocabulary (v2.1)
 # ---------------------------------------------------------------------------
 
 
-class RetryAfter(WireForm):
+class RetryAfter(Record):
     """A typed shed: the request was not admitted, try again later.
 
     ``retry_after_us`` is simulated microseconds from the shed; every
     shed the admission controller issues carries one, so backpressure is
-    a first-class, serializable signal rather than a bare refusal.
+    a first-class, typed signal rather than a bare refusal.
     """
 
     __slots__ = ()
@@ -450,7 +295,7 @@ class RetryAfter(WireForm):
             )
 
 
-class TenantQuota(WireForm):
+class TenantQuota(Record):
     """Per-tenant dram-pool cap, enforced through the SPCM market rules.
 
     ``frames`` caps the tenant's machine-wide SPCM frame grants (the
@@ -474,7 +319,7 @@ class TenantQuota(WireForm):
             raise ValueError(f"dram_mb quota must be >= 0: {self.dram_mb}")
 
 
-class AdmitTenantRequest(WireForm):
+class AdmitTenantRequest(Record):
     """``AdmitTenant``: register one workload + manager + home node.
 
     ``working_set_pages`` sizes the tenant's address space; ``quota``
@@ -498,7 +343,7 @@ class AdmitTenantRequest(WireForm):
             )
 
 
-class AdmitTenantResult(WireForm):
+class AdmitTenantResult(Record):
     """Whether the tenant was admitted; a shed carries the retry signal."""
 
     __slots__ = ()
@@ -515,7 +360,7 @@ class AdmitTenantResult(WireForm):
 # ---------------------------------------------------------------------------
 
 
-class FrameDemand(WireForm):
+class FrameDemand(Record):
     """The SPCM (or arbiter) asking a manager for frames back.
 
     ``node`` narrows the demand to frames homed on one NUMA node (the
@@ -533,7 +378,7 @@ class FrameDemand(WireForm):
             raise ValueError("cannot demand a negative number of frames")
 
 
-class FrameGrant(WireForm):
+class FrameGrant(Record):
     """Frames changing hands, named by free-segment page index.
 
     The single currency of the callback surface: what a manager
@@ -567,19 +412,15 @@ __all__ = [
     "AdmitTenantRequest",
     "AdmitTenantResult",
     "BatchMigratePagesRequest",
-    "BatchMigratePagesResult",
-    "BatchStats",
     "FrameDemand",
     "FrameGrant",
     "GetPageAttributesRequest",
     "GetPageAttributesResult",
     "MigratePagesRequest",
-    "MigratePagesResult",
     "ModifyPageFlagsRequest",
     "ModifyPageFlagsResult",
     "PageAttribute",
     "RetryAfter",
     "SetSegmentManagerRequest",
-    "SetSegmentManagerResult",
     "TenantQuota",
 ]

@@ -14,10 +14,11 @@ cannot satisfy from its translation structures are forwarded to the
 segment's process-level manager, following the Figure-2 sequence.  The
 delivery itself, and failover when a manager misbehaves, belong to the
 :class:`~repro.core.supervisor.ManagerSupervisor` (``kernel.supervisor``).
-Every operation takes its request record from :mod:`repro.core.api`
-and returns the matching result.  On boot every page frame is placed, in
-physical-address order, in a well-known segment from which the System
-Page Cache Manager hands frames out.
+Every operation takes its request record from :mod:`repro.core.api`;
+the two that report something (``ModifyPageFlags`` and
+``GetPageAttributes``) return their result record.  On boot every page
+frame is placed, in physical-address order, in a well-known segment from
+which the System Page Cache Manager hands frames out.
 
 All code paths charge the kernel's :class:`~repro.hw.costs.CostMeter`, so
 an experiment can read both elapsed cost and its decomposition.
@@ -27,21 +28,16 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.core.api import (
     BatchMigratePagesRequest,
-    BatchMigratePagesResult,
-    BatchStats,
     GetPageAttributesRequest,
     GetPageAttributesResult,
     MigratePagesRequest,
-    MigratePagesResult,
     ModifyPageFlagsRequest,
     ModifyPageFlagsResult,
     PageAttribute,
     SetSegmentManagerRequest,
-    SetSegmentManagerResult,
 )
 from repro.core.faults import FaultKind, PageFault
 from repro.core.flags import (
@@ -170,13 +166,6 @@ class KernelStats:
             self.manager_calls.get(manager_name, 0) + 1
         )
 
-    def note_migrate(self, manager_name: str | None) -> None:
-        """Count one MigratePages invocation by ``manager_name``."""
-        if manager_name is not None:
-            self.migrate_calls_by_manager[manager_name] = (
-                self.migrate_calls_by_manager.get(manager_name, 0) + 1
-            )
-
     def note_tenant_fault(self, tenant: str, latency_us: float) -> None:
         """Book one outermost fault service against ``tenant``."""
         self.tenant_faults[tenant] = self.tenant_faults.get(tenant, 0) + 1
@@ -235,10 +224,6 @@ class Kernel:
         self._next_seg_id = 0
         # pfn -> {(space_id, vpn)} reverse map for translation shootdown
         self._frame_translations: dict[int, set[tuple[int, int]]] = {}
-        # BatchStats(n_calls, n_pages, zero_fills, cow_copies, local,
-        # remote), one per shape: the stats are frozen, so migrations of
-        # one shape share them instead of each building a copy
-        self._batch_stats = lru_cache(maxsize=1024)(BatchStats)
         # who is invoking kernel operations (Table 3 counts MigratePages
         # calls per invoking module); innermost attribution wins
         self._attribution: list[str] = []
@@ -360,24 +345,19 @@ class Kernel:
     # the four external page-cache management operations
     # ------------------------------------------------------------------
 
-    def set_segment_manager(
-        self, request: SetSegmentManagerRequest
-    ) -> SetSegmentManagerResult:
+    def set_segment_manager(self, request: SetSegmentManagerRequest) -> None:
         """``SetSegmentManager(seg, manager)``.
 
-        Takes a :class:`~repro.core.api.SetSegmentManagerRequest`; returns
-        a :class:`~repro.core.api.SetSegmentManagerResult` naming the
-        previous manager.
+        Takes a :class:`~repro.core.api.SetSegmentManagerRequest`.
         """
-        previous = self._set_segment_manager(
+        self._set_segment_manager(
             self.segment(request.segment), request.manager
         )
-        return SetSegmentManagerResult(previous)
 
     def _set_segment_manager(
         self, segment: Segment, manager: SegmentManager
-    ) -> str | None:
-        """Reassign a segment's manager; returns the previous one's name."""
+    ) -> None:
+        """Reassign a segment's manager."""
         if self.tracer.enabled:
             self.tracer.event(
                 "kernel",
@@ -386,23 +366,17 @@ class Kernel:
             )
         self.meter.charge("set_manager", self.costs.vpp_set_manager_call)
         self.stats.set_manager_calls += 1
-        previous = segment.manager.name if segment.manager is not None else None
         if segment.manager is not None:
             segment.manager.managed.discard(segment.seg_id)
         segment.manager = manager
         manager.managed.add(segment.seg_id)
-        return previous
 
-    def migrate_pages(
-        self, request: MigratePagesRequest
-    ) -> MigratePagesResult:
+    def migrate_pages(self, request: MigratePagesRequest) -> None:
         """``MigratePages``: move frames from one segment to another.
 
-        Takes a :class:`~repro.core.api.MigratePagesRequest`; returns a
-        :class:`~repro.core.api.MigratePagesResult` with the moved pfns
-        and batch statistics (a ``home_node`` hint splits the pages into
-        local/remote and charges the DASH remote penalty for off-node
-        frames).
+        Takes a :class:`~repro.core.api.MigratePagesRequest`.  A
+        ``home_node`` hint splits the moved pages into the local/remote
+        counts and charges the DASH remote penalty for off-node frames.
 
         Migration is the *only* way frames change segments, which is what
         makes the frame-conservation invariant checkable.  Migrating into a
@@ -419,14 +393,9 @@ class Kernel:
         migrates it to the bound segment.  The whole page range must lie
         within one binding (or none).
         """
-        moved, batch = self._migrate_request(request)
-        if len(moved) == 1:
-            return MigratePagesResult((moved[0].pfn,), batch)
-        return MigratePagesResult(tuple([frame.pfn for frame in moved]), batch)
+        self._migrate_request(request)
 
-    def migrate_pages_batch(
-        self, request: BatchMigratePagesRequest
-    ) -> BatchMigratePagesResult:
+    def migrate_pages_batch(self, request: BatchMigratePagesRequest) -> None:
         """Several ``MigratePages`` runs in one kernel entry.
 
         The first run is charged the full ``vpp_migrate_call``;
@@ -437,33 +406,26 @@ class Kernel:
         the serving layer's batch scheduler coalesces per-(manager,
         node) refills the same way.
 
-        Takes a :class:`~repro.core.api.BatchMigratePagesRequest`; returns
-        a :class:`~repro.core.api.BatchMigratePagesResult`.
+        Takes a :class:`~repro.core.api.BatchMigratePagesRequest`.
         """
         runs = request.requests
         if not runs:
-            return BatchMigratePagesResult((), BatchStats(n_calls=0), 0)
+            return
         self.stats.migrate_batches += 1
-        moved_pfns: list[int] = []
-        batch: BatchStats | None = None
         for i, run in enumerate(runs):
             cost = (
                 self.costs.vpp_migrate_call
                 if i == 0
                 else self.costs.vpp_migrate_batch_extra
             )
-            moved, stats = self._migrate_request(run, call_cost_us=cost)
-            moved_pfns.extend(frame.pfn for frame in moved)
-            batch = stats if batch is None else batch.merged(stats)
-        assert batch is not None
-        return BatchMigratePagesResult(tuple(moved_pfns), batch, len(runs))
+            self._migrate_request(run, call_cost_us=cost)
 
     def _migrate_request(
         self,
         request: MigratePagesRequest,
         call_cost_us: float | None = None,
-    ) -> tuple[list[PageFrame], BatchStats]:
-        """Execute one migrate request; returns frames + batch stats."""
+    ) -> None:
+        """Execute one migrate request and count its NUMA placement."""
         (
             src_id, dst_id, src_page, dst_page, n_pages,
             set_flags, clear_flags, home_node,
@@ -477,9 +439,6 @@ class Kernel:
         cost = (
             self.costs.vpp_migrate_call if call_cost_us is None else call_cost_us
         )
-        stats = self.stats
-        zero_before = stats.zero_fills
-        cow_before = stats.cow_copies
         if not self.tracer.enabled:
             moved = self._migrate_pages(
                 src, dst, src_page, dst_page, n_pages,
@@ -511,17 +470,9 @@ class Kernel:
                 penalty = self.costs.numa_remote_penalty_us * remote
                 if penalty > 0:
                     self.meter.charge("numa_remote_placement", penalty)
+        stats = self.stats
         stats.numa_local_pages += local
         stats.numa_remote_pages += remote
-        batch = self._batch_stats(
-            1,
-            len(moved),
-            stats.zero_fills - zero_before,
-            stats.cow_copies - cow_before,
-            local,
-            remote,
-        )
-        return moved, batch
 
     def _migrate_pages(
         self,

@@ -342,9 +342,3 @@ class Segment:
                 prot=_PROT[prot_i],
                 depth=depth,
             )
-
-    # -- data convenience (used by UIO and tests) -------------------------------
-
-    def frame_at(self, page: int) -> "PageFrame | None":
-        """The frame backing ``page`` of this segment, if present."""
-        return self.pages.get(page)

@@ -57,10 +57,6 @@ class PhysicalMemoryError(HardwareError):
     """An invalid physical frame was referenced."""
 
 
-class FrameECCError(PhysicalMemoryError):
-    """A page frame reported an uncorrectable ECC (machine-check) error."""
-
-
 class DiskError(HardwareError):
     """An invalid disk transfer was requested."""
 

@@ -13,8 +13,9 @@ named checks, each ``check(kernel) -> list[str]``:
   count.  (That every frame in a boot segment sits at its home page, which
   lets that residency serve as the one free pool, holds by construction:
   :class:`~repro.core.segment.HomePages` holds no other frame.)
-* ``shards`` --- on a sharded (NUMA) SPCM, each node's frames are its
-  free frames plus its grants plus its retirements.
+* ``shards`` --- each SPCM shard's frames (one shard on a flat
+  machine, one per node on a NUMA one) are its free frames plus its
+  grants plus its retirements.
 * ``translations`` --- every TLB and page-table entry resolves to the
   frame the segment walk finds; a writable entry needs WRITE permission
   and a DIRTY frame (a store through it would otherwise go unseen).
@@ -217,9 +218,10 @@ def check_spcm_pool(kernel: "Kernel") -> list[str]:
 
 
 def check_shards(kernel: "Kernel") -> list[str]:
-    """Each node's frames are free here, granted from here, or retired."""
+    """Each shard's frames are free there, granted from there, or
+    retired (a flat machine's one shard holds every frame)."""
     spcm = kernel.spcm
-    if spcm is None or spcm.n_shards <= 1:
+    if spcm is None:
         return []
     found: list[str] = []
     totals = {shard.node: 0 for shard in spcm.shards}

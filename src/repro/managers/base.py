@@ -234,6 +234,7 @@ class GenericSegmentManager(SegmentManager):
                 f"{self.name} allocates a frame from its free segment",
                 self.kernel.costs.vpp_manager_alloc,
             )
+        self._maybe_crash_in_alloc()
         return self._pop_slot()
 
     def allocate_run(self, n_slots: int) -> list[int]:
@@ -243,6 +244,7 @@ class GenericSegmentManager(SegmentManager):
         self.kernel.meter.charge(
             "manager_alloc", self.kernel.costs.vpp_manager_alloc
         )
+        self._maybe_crash_in_alloc()
         run = self._find_run(n_slots)
         # Fresh SPCM grants are appended, hence contiguous.
         if run is None and self.request_frames(n_slots) == n_slots:
@@ -269,6 +271,7 @@ class GenericSegmentManager(SegmentManager):
         self.kernel.meter.charge(
             "manager_alloc", self.kernel.costs.vpp_manager_alloc
         )
+        self._maybe_crash_in_alloc()
         slot = free[i]
         self._slots_taken((slot,))
         if self.journal.enabled:
@@ -278,7 +281,6 @@ class GenericSegmentManager(SegmentManager):
     def _pop_slot(self) -> int:
         """Take the newest free slot, refilling the stock from the SPCM
         and then by reclaiming victims when it is dry."""
-        self._maybe_crash_in_alloc()
         if not self._free_slots:
             self.request_frames(self.refill_batch)
         if not self._free_slots:
@@ -296,7 +298,9 @@ class GenericSegmentManager(SegmentManager):
     def _maybe_crash_in_alloc(self) -> None:
         """Chaos choke point: the manager can die inside its allocator.
 
-        Models a manager crashing mid-handler; the kernel's
+        Every allocator passes it once, after its charge and before any
+        slot leaves the free list.  Models a manager crashing
+        mid-handler; the kernel's
         :class:`~repro.core.supervisor.ManagerSupervisor` catches the
         resulting :class:`~repro.errors.ManagerCrashError` and fails the
         segment over.  The fallback manager is exempt.

@@ -11,7 +11,7 @@ Behaviors the paper calls out, all implemented here:
 * separate-process invocation (each fault costs the IPC round trip ---
   the 379 microseconds of Table 1);
 * page-in from the file server for cached-file segments;
-* 16 KB allocation units for file appends (``append_unit_pages = 4``),
+* 16 KB allocation units for file appends (:data:`APPEND_UNIT_PAGES`),
   against 4 KB units otherwise (S3.2);
 * working-set estimation with a protection-sampling clock that re-enables
   protection on batches of contiguous pages (S2.3);
@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.phys_mem import PageFrame
     from repro.spcm.spcm import SystemPageCacheManager
 
+#: pages of one file-append allocation: the 16 KB unit of S3.2
+APPEND_UNIT_PAGES = 4
+
 
 class DefaultSegmentManager(GenericSegmentManager):
     """The UCDS acting as manager for conventional programs."""
@@ -49,16 +52,13 @@ class DefaultSegmentManager(GenericSegmentManager):
         spcm: "SystemPageCacheManager",
         file_server: FileServer,
         initial_frames: int = 256,
-        append_unit_pages: int = 4,
-        clock_batch_pages: int = 8,
         name: str = "default-manager",
         home_node: int | None = None,
     ) -> None:
         # the base constructor's first grant may already be checkpointed,
         # so everything serialize_policy_state reads exists before it
         self.file_server = file_server
-        self.append_unit_pages = append_unit_pages
-        self.sampler = ProtectionClockSampler(self, clock_batch_pages)
+        self.sampler = ProtectionClockSampler(self)
         self.clock = ClockReplacer(self)
         self.append_allocations = 0
         self.files_opened = 0
@@ -99,13 +99,13 @@ class DefaultSegmentManager(GenericSegmentManager):
             "append_alloc",
             segment=segment.name,
             page=fault.page,
-            unit_pages=self.append_unit_pages,
+            unit_pages=APPEND_UNIT_PAGES,
         ):
             return self._do_append(segment, fault)
 
     def _do_append(self, segment: Segment, fault: PageFault) -> None:
         self.append_allocations += 1
-        unit = self.append_unit_pages
+        unit = APPEND_UNIT_PAGES
         start = (fault.page // unit) * unit
         if segment.auto_grow:
             # Allocate the whole 16 KB unit even past the current end of

@@ -239,10 +239,10 @@ class SystemPageCacheManager:
     ) -> str:
         """Associate a manager with a (market) account name.
 
-        On a sharded SPCM the account is opened in every shard market,
-        with the configured income split evenly across the shards so the
-        machine-wide income matches the flat-SPCM economy; the arbiter
-        then moves drams to wherever the account actually holds memory.
+        The account is opened in every shard market, with the configured
+        income split evenly across the shards so the machine-wide income
+        matches the flat-SPCM economy; the arbiter then moves drams to
+        wherever the account actually holds memory.
         """
         name = account or manager.name
         self._accounts[manager.name] = name
@@ -252,15 +252,12 @@ class SystemPageCacheManager:
             shard.frames_held.setdefault(name, 0)
             if shard.market is None or name in shard.market.accounts:
                 continue
-            if self.n_shards > 1:
-                shard.market.open_account(
-                    name,
-                    income_per_second=(
-                        shard.market.config.income_per_second / self.n_shards
-                    ),
-                )
-            else:
-                shard.market.open_account(name)
+            shard.market.open_account(
+                name,
+                income_per_second=(
+                    shard.market.config.income_per_second / self.n_shards
+                ),
+            )
         recovery = self.kernel.supervisor.recovery
         if recovery is not None:
             # a coordinator is installed: journal and checkpoint this
@@ -809,17 +806,12 @@ class SystemPageCacheManager:
         """Record the account's holding with each shard's market.
 
         Per-shard holdings come from the shard's own books, so each node
-        charges only for its own frames; the flat single-shard case
-        reduces to the machine-wide holding as before.
+        charges only for its own frames.
         """
         for shard in self.shards:
             if shard.market is None or account not in shard.market.accounts:
                 continue
-            held = (
-                self.frames_held.get(account, 0)
-                if self.n_shards == 1
-                else shard.frames_held.get(account, 0)
-            )
+            held = shard.frames_held.get(account, 0)
             shard.market.set_holding(
                 account, held * page_size / (1024.0 * 1024.0)
             )

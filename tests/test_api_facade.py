@@ -1,4 +1,4 @@
-"""API v3 facade: the record contract, payload round-trips, removed legacy
+"""API v4 facade: the record contract, pickle round-trips, removed legacy
 forms, topology checks.
 
 This file is the *only* place the removed v2 keyword call forms are
@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import inspect
-import json
+import pickle
 import warnings
 from contextlib import contextmanager
 
@@ -26,22 +26,18 @@ from repro.core.api import (
     AdmitTenantRequest,
     AdmitTenantResult,
     BatchMigratePagesRequest,
-    BatchMigratePagesResult,
-    BatchStats,
     FrameDemand,
     FrameGrant,
     GetPageAttributesRequest,
     GetPageAttributesResult,
     MigratePagesRequest,
-    MigratePagesResult,
     ModifyPageFlagsRequest,
     ModifyPageFlagsResult,
     PageAttribute,
+    Record,
     RetryAfter,
     SetSegmentManagerRequest,
-    SetSegmentManagerResult,
     TenantQuota,
-    WireForm,
 )
 from repro.core.flags import PageFlags
 from repro.core.kernel import Kernel
@@ -53,17 +49,15 @@ from repro.spcm.spcm import SystemPageCacheManager
 
 
 class _NamedManager:
-    """Just enough of a manager for the wire-form tests."""
+    """Just enough of a manager for the record tests."""
 
     def __init__(self, name: str) -> None:
         self.name = name
 
 
 def _assert_round_trips(obj) -> None:
-    """``obj`` survives its wire form, and the wire form survives JSON."""
-    payload = obj.to_payload()
-    assert json.loads(json.dumps(payload)) == payload
-    back = type(obj).from_payload(payload)
+    """``obj`` survives pickling, rebuilt field by field as its own type."""
+    back = pickle.loads(pickle.dumps(obj))
     # records compare as tuples, which ignores the type
     assert type(back) is type(obj)
     assert back == obj
@@ -77,21 +71,13 @@ _FIELDS = {
         ("page", _REQUIRED), ("present", _REQUIRED), ("flags", _REQUIRED),
         ("pfn", _REQUIRED), ("phys_addr", _REQUIRED),
     ],
-    BatchStats: [
-        ("n_calls", 1), ("n_pages", 0), ("zero_fills", 0),
-        ("cow_copies", 0), ("local_pages", 0), ("remote_pages", 0),
-    ],
     MigratePagesRequest: [
         ("src", _REQUIRED), ("dst", _REQUIRED), ("src_page", _REQUIRED),
         ("dst_page", _REQUIRED), ("n_pages", 1),
         ("set_flags", PageFlags.NONE), ("clear_flags", PageFlags.NONE),
         ("home_node", None),
     ],
-    MigratePagesResult: [("moved_pfns", _REQUIRED), ("batch", BatchStats())],
     BatchMigratePagesRequest: [("requests", _REQUIRED)],
-    BatchMigratePagesResult: [
-        ("moved_pfns", _REQUIRED), ("batch", BatchStats()), ("n_requests", 0),
-    ],
     ModifyPageFlagsRequest: [
         ("segment", _REQUIRED), ("page", _REQUIRED), ("n_pages", 1),
         ("set_flags", PageFlags.NONE), ("clear_flags", PageFlags.NONE),
@@ -102,7 +88,6 @@ _FIELDS = {
     ],
     GetPageAttributesResult: [("attributes", _REQUIRED)],
     SetSegmentManagerRequest: [("segment", _REQUIRED), ("manager", _REQUIRED)],
-    SetSegmentManagerResult: [("previous_manager", _REQUIRED)],
     RetryAfter: [
         ("tenant", _REQUIRED), ("retry_after_us", _REQUIRED),
         ("reason", "admission"),
@@ -125,11 +110,8 @@ _FIELDS = {
 #: one instance of every record
 _EXAMPLES = [
     PageAttribute(0, True, PageFlags.READ, 1, 4096),
-    BatchStats(2, 8, 1, 0, 6, 2),
     MigratePagesRequest(1, 2, 3, 4, home_node=0),
-    MigratePagesResult((5, 6)),
     BatchMigratePagesRequest((MigratePagesRequest(1, 2, 0, 0),)),
-    BatchMigratePagesResult((5,), BatchStats(n_pages=1), 1),
     ModifyPageFlagsRequest(7, 1, clear_flags=PageFlags.REFERENCED),
     ModifyPageFlagsResult(3),
     GetPageAttributesRequest(4, 0, 8),
@@ -137,7 +119,6 @@ _EXAMPLES = [
         (PageAttribute(0, False, PageFlags.NONE, None, None),)
     ),
     SetSegmentManagerRequest(9, _NamedManager("dbms")),
-    SetSegmentManagerResult("default"),
     RetryAfter("t", 10.0),
     TenantQuota("t", frames=4),
     AdmitTenantRequest("t", quota=TenantQuota("t", frames=4)),
@@ -155,7 +136,7 @@ class TestRecordContract:
         records = {
             getattr(api, name) for name in api.__all__
             if isinstance(getattr(api, name), type)
-            and issubclass(getattr(api, name), WireForm)
+            and issubclass(getattr(api, name), Record)
         }
         assert records == set(_FIELDS)
         assert {type(r) for r in _EXAMPLES} == records
@@ -217,31 +198,13 @@ class TestRecordContract:
         grant = FrameGrant([3, 4])
         assert grant.pages == (3, 4) and type(grant.pages) is tuple
 
-    @pytest.mark.parametrize(
-        "record, payload",
-        [
-            (RetryAfter, {"tenant": "t", "retry_after_us": -1.0,
-                          "reason": "capacity"}),
-            (TenantQuota, {"account": "t", "frames": -1, "dram_mb": None}),
-            (AdmitTenantRequest, {"tenant": "", "home_node": None,
-                                  "working_set_pages": 16, "quota": None}),
-            (FrameDemand, {"n_frames": -2, "node": None,
-                           "reason": "pressure"}),
-        ],
-        ids=["RetryAfter", "TenantQuota", "AdmitTenantRequest", "FrameDemand"],
-    )
-    def test_wire_form_runs_the_checks(self, record, payload):
-        """A payload is checked like a constructor call (each check's
-        constructor case has its own ``rejects`` test below)."""
-        with pytest.raises(ValueError):
-            record.from_payload(payload)
-
 
 class TestPayloadRoundTrips:
-    """Every request/result survives to_payload -> from_payload."""
+    """Every record survives pickling: ``__getnewargs__`` hands its fields
+    back to its own constructor."""
 
     def test_api_version(self):
-        assert API_VERSION == (3, 0)
+        assert API_VERSION == (4, 0)
 
     def test_page_attribute(self):
         attr = PageAttribute(
@@ -260,22 +223,6 @@ class TestPayloadRoundTrips:
         )
         _assert_round_trips(attr)
 
-    def test_batch_stats(self):
-        stats = BatchStats(
-            n_calls=2, n_pages=64, zero_fills=3, cow_copies=1,
-            local_pages=48, remote_pages=16,
-        )
-        _assert_round_trips(stats)
-
-    def test_batch_stats_merged(self):
-        a = BatchStats(n_calls=1, n_pages=8, local_pages=8)
-        b = BatchStats(n_calls=2, n_pages=4, remote_pages=4, zero_fills=1)
-        merged = a.merged(b)
-        assert merged == BatchStats(
-            n_calls=3, n_pages=12, zero_fills=1, local_pages=8,
-            remote_pages=4,
-        )
-
     def test_migrate_pages_request(self):
         req = MigratePagesRequest(
             src=1, dst=2, src_page=3, dst_page=4, n_pages=5,
@@ -289,14 +236,6 @@ class TestPayloadRoundTrips:
         req = MigratePagesRequest(seg, seg, 0, 0)
         assert req.src == seg.seg_id
         assert req.dst == seg.seg_id
-
-    def test_migrate_pages_result(self):
-        result = MigratePagesResult(
-            moved_pfns=(9, 10, 11),
-            batch=BatchStats(n_pages=3, local_pages=3),
-        )
-        _assert_round_trips(result)
-        assert result.n_pages == 3
 
     def test_modify_page_flags_request(self):
         req = ModifyPageFlagsRequest(
@@ -323,20 +262,11 @@ class TestPayloadRoundTrips:
         _assert_round_trips(result)
 
     def test_set_segment_manager_request(self):
-        managers = {"dbms": _NamedManager("dbms")}
-        req = SetSegmentManagerRequest(segment=9, manager=managers["dbms"])
-        payload = req.to_payload()
-        assert json.loads(json.dumps(payload)) == payload
-        back = SetSegmentManagerRequest.from_payload(
-            payload, managers.__getitem__
-        )
-        assert type(back) is SetSegmentManagerRequest
-        assert back.segment == 9
-        assert back.manager is managers["dbms"]
-
-    def test_set_segment_manager_result(self):
-        result = SetSegmentManagerResult(previous_manager="default")
-        _assert_round_trips(result)
+        """The request carries the live manager itself, not its name."""
+        manager = _NamedManager("dbms")
+        req = SetSegmentManagerRequest(segment=9, manager=manager)
+        assert req.segment == 9
+        assert req.manager is manager
 
     def test_frame_demand(self):
         demand = FrameDemand(n_frames=4, node=1, reason="loan-recall")
@@ -376,15 +306,6 @@ class TestPayloadRoundTrips:
             requests=[MigratePagesRequest(1, 2, 0, 0, 1)]  # type: ignore[arg-type]
         )
         assert type(req.requests) is tuple
-
-    def test_batch_migrate_pages_result(self):
-        result = BatchMigratePagesResult(
-            moved_pfns=(3, 4, 5),
-            batch=BatchStats(n_calls=2, n_pages=3, local_pages=3),
-            n_requests=2,
-        )
-        _assert_round_trips(result)
-        assert result.n_pages == 3
 
     def test_retry_after(self):
         shed = RetryAfter(
@@ -436,51 +357,6 @@ class TestPayloadRoundTrips:
         )
         _assert_round_trips(result)
 
-    def test_wire_form_is_pinned(self):
-        """Keys, key order and int flags of the wire contract."""
-        migrate = MigratePagesRequest(
-            1, 2, 3, 4, 5,
-            set_flags=PageFlags.PINNED,
-            clear_flags=PageFlags.DIRTY | PageFlags.REFERENCED,
-        ).to_payload()
-        assert list(migrate.items()) == [
-            ("src", 1), ("dst", 2), ("src_page", 3), ("dst_page", 4),
-            ("n_pages", 5), ("set_flags", 16), ("clear_flags", 12),
-            ("home_node", None),
-        ]
-        assert type(migrate["set_flags"]) is int
-        assert type(migrate["clear_flags"]) is int
-        attrs = GetPageAttributesResult(
-            (
-                PageAttribute(0, True, PageFlags.READ | PageFlags.DIRTY, 1, 4096),
-                PageAttribute(1, False, PageFlags.NONE, None, None),
-            )
-        ).to_payload()
-        assert list(attrs) == ["attributes"]
-        assert [list(a.items()) for a in attrs["attributes"]] == [
-            [("page", 0), ("present", True), ("flags", 9), ("pfn", 1),
-             ("phys_addr", 4096)],
-            [("page", 1), ("present", False), ("flags", 0), ("pfn", None),
-             ("phys_addr", None)],
-        ]
-        assert type(attrs["attributes"][0]["flags"]) is int
-        shed = AdmitTenantResult(
-            admitted=False,
-            tenant="tenant-9",
-            retry_after=RetryAfter("tenant-9", 250.0, reason="capacity"),
-        ).to_payload()
-        assert list(shed.items()) == [
-            ("admitted", False), ("tenant", "tenant-9"), ("account", None),
-            ("home_node", None),
-            ("retry_after", {
-                "tenant": "tenant-9", "retry_after_us": 250.0,
-                "reason": "capacity",
-            }),
-        ]
-        assert list(shed["retry_after"]) == [
-            "tenant", "retry_after_us", "reason"
-        ]
-
     def test_admit_tenant_result_shed(self):
         result = AdmitTenantResult(
             admitted=False,
@@ -510,10 +386,10 @@ def _legacy_calls(record) -> list[warnings.WarningMessage]:
 def _rejected():
     """The v2 call form inside raises Python's own error, silently.
 
-    API v3 keeps no rejection code: the typed signature alone turns a
-    legacy call into a ``TypeError`` (wrong arity) or ``AttributeError``
-    (a bare value where a request record belongs), and no
-    ``DeprecationWarning`` is emitted on the way.
+    Since API v3 the facade keeps no rejection code: the typed
+    signature alone turns a legacy call into a ``TypeError`` (wrong
+    arity) or ``AttributeError`` (a bare value where a request record
+    belongs), and no ``DeprecationWarning`` is emitted on the way.
     """
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
@@ -570,17 +446,15 @@ class TestDeprecationShims:
                 )
             )
         assert _legacy_calls(record) == []
-        assert isinstance(result, BatchMigratePagesResult)
-        assert result.n_requests == 2
-        assert result.n_pages == 2
-        assert result.batch.n_calls == 2
+        assert result is None
+        assert sorted(seg.pages) == [0, 1]
 
     def test_migrate_pages_batch_typed_empty(self, legacy_world):
         kernel, _, _ = legacy_world
+        before = kernel.stats.as_dict()
         result = kernel.migrate_pages_batch(BatchMigratePagesRequest(()))
-        assert isinstance(result, BatchMigratePagesResult)
-        assert result.n_pages == 0
-        assert result.n_requests == 0
+        assert result is None
+        assert kernel.stats.as_dict() == before
 
     def test_get_page_attributes_warns_once(self, legacy_world):
         kernel, _, manager = legacy_world

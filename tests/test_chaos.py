@@ -42,6 +42,7 @@ from repro.errors import (
 )
 from repro.invariants import InvariantChecker
 from repro.managers.base import GenericSegmentManager
+from repro.managers.coloring_manager import ColoringSegmentManager
 from repro.managers.default_manager import DefaultSegmentManager
 from repro.sim.engine import Engine
 from repro.sim.process import Delay
@@ -320,6 +321,34 @@ class TestManagerFailover:
         assert kernel.stats.manager_crashes == 1
         assert kernel.stats.fallback_resolutions == 1
         kernel.check_frame_conservation()
+
+    def test_every_allocator_passes_the_crash_point(self, victim_file):
+        """A 16 KB append allocation and a coloring manager's color hit
+        die in the allocator the way a single-slot allocation does."""
+        system, victim, file_seg, _ = victim_file
+        kernel = system.kernel
+        colors = ColoringSegmentManager(
+            kernel, system.spcm, n_colors=4, name="victim-colors",
+            frames_per_color=2,
+        )
+        colored = kernel.create_segment(4, name="colored", manager=colors)
+        Injector(
+            ChaosPlan(
+                manager_alloc_crash_rate=1.0,
+                target_managers=(VICTIM, colors.name),
+            )
+        ).install(system)
+        end_of_file = file_seg.n_pages * file_seg.page_size
+        system.uio.write(file_seg, end_of_file, b"x" * 4096)
+        assert victim.append_allocations == 1
+        assert kernel.stats.manager_crashes == 1
+        assert file_seg.manager is system.default_manager
+        assert system.uio.read(file_seg, end_of_file, 4) == b"xxxx"
+        kernel.reference(colored, 0, write=True)
+        assert colors.color_hits == 0
+        assert kernel.stats.manager_crashes == 2
+        assert colored.manager is system.default_manager
+        InvariantChecker(kernel).check_all()
 
     def test_failover_reassigns_every_segment(self, victim_file):
         system, victim, file_seg, space = victim_file

@@ -60,6 +60,8 @@ PINNED_HEADS = {
     ("figure2", 4): "9f3f9c69cc27ebb8",
     ("apps", 4): "c8b9942c4c0784f2",
     ("table1", 4): "325596e4e1faa56f",
+    ("disk", None): "b4f8839282b33bb7",
+    ("disk", 2): "39a8f427887bd514",
 }
 
 

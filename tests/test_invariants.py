@@ -148,6 +148,12 @@ def hide_free_page(system, manager, seg):
     system.spcm._free[PAGE]._marks[0] = min(pages) + 1
 
 
+def skew_shard_books(system, manager, seg):
+    """A flat machine's one shard books a frame nobody was granted."""
+    shard = system.spcm.shards[0]
+    shard.frames_held[manager.account] += 1
+
+
 def mint_drams(system, manager, seg):
     market = MemoryMarket()
     market.open_account("a")
@@ -180,6 +186,7 @@ CORRUPTIONS = [
     # None: the kernel refuses the corruption, so the sweep stays clean
     pytest.param(drift_spcm_pool, None, id="spcm-pool-drift"),
     pytest.param(hide_free_page, "spcm_pool", id="hidden-free-page"),
+    pytest.param(skew_shard_books, "shards", id="flat-shard-books-skewed"),
     pytest.param(mint_drams, "market", id="minted-drams"),
 ]
 

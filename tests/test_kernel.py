@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.api import (
+    BatchMigratePagesRequest,
     GetPageAttributesRequest,
     MigratePagesRequest,
     ModifyPageFlagsRequest,
     SetSegmentManagerRequest,
 )
-from repro.core.flags import PageFlags
+from repro.core.flags import ZERO_FILL_I, PageFlags
 from repro.core.kernel import Kernel
 from repro.core.manager_api import SegmentManager
 from repro.errors import (
@@ -18,6 +19,7 @@ from repro.errors import (
     ProtectionError,
     SegmentError,
 )
+from repro.hw.numa import NumaTopology
 from repro.hw.phys_mem import PhysicalMemory
 
 
@@ -144,17 +146,78 @@ class TestMigratePages:
     def test_moves_frames_and_updates_ownership(self, bare_kernel):
         boot = bare_kernel.initial_segment
         seg = bare_kernel.create_segment(8)
-        result = bare_kernel.migrate_pages(
-            MigratePagesRequest(boot, seg, 10, 2, 3)
-        )
-        assert result.n_pages == 3
-        for i, pfn in enumerate(result.moved_pfns):
+        pfns = [boot.pages[10 + i].pfn for i in range(3)]
+        bare_kernel.migrate_pages(MigratePagesRequest(boot, seg, 10, 2, 3))
+        assert len(seg.pages) == 3
+        for i, pfn in enumerate(pfns):
             frame = seg.pages[2 + i]
             assert frame.pfn == pfn
             assert frame.owner_segment_id == seg.seg_id
             assert frame.page_index == 2 + i
             assert 10 + i not in boot.pages
         bare_kernel.check_frame_conservation()
+
+    def test_batch_enters_the_kernel_once(self, bare_kernel):
+        """A two-run batch pays one full call and one marginal run, and
+        counts one batch of two migrate calls."""
+        boot = bare_kernel.initial_segment
+        seg = bare_kernel.create_segment(4)
+        meter = bare_kernel.meter
+        before = meter.snapshot()
+        bare_kernel.migrate_pages_batch(
+            BatchMigratePagesRequest(
+                (
+                    MigratePagesRequest(boot, seg, 0, 0, 2),
+                    MigratePagesRequest(boot, seg, 5, 2, 1),
+                )
+            )
+        )
+        costs = bare_kernel.costs
+        assert meter.delta_since(before) == {
+            "migrate_pages": costs.vpp_migrate_call
+            + costs.vpp_migrate_batch_extra
+        }
+        stats = bare_kernel.stats
+        assert (stats.migrate_batches, stats.migrate_calls) == (1, 2)
+        assert stats.pages_migrated == 3
+        assert sorted(seg.pages) == [0, 1, 2]
+
+    def test_each_migrate_counts_fills_copies_and_placement(self, memory):
+        """Zero-fills, COW copies and the local/remote split move by what
+        each migrate did: a ZERO_FILL frame, a frame arriving at a
+        still-shared COW page, and a frame landing off its home node."""
+        kernel = Kernel(memory, topology=NumaTopology.for_memory(memory, 2))
+        boot = kernel.initial_segment
+        stats = kernel.stats
+        source = kernel.create_segment(1, name="source")
+        kernel.migrate_pages(MigratePagesRequest(boot, source, 0, 0, 1))
+        shadow = kernel.create_segment(1, name="shadow", cow_source=source)
+        plain = kernel.create_segment(2, name="plain")
+        on_node_1 = memory.n_frames // 2
+
+        counters = (
+            "zero_fills", "cow_copies", "numa_local_pages", "numa_remote_pages"
+        )
+
+        def counts_moved_by(request):
+            before = [getattr(stats, name) for name in counters]
+            kernel.migrate_pages(request)
+            return tuple(
+                getattr(stats, name) - was
+                for name, was in zip(counters, before)
+            )
+
+        boot.pages[1].flags |= ZERO_FILL_I
+        assert counts_moved_by(
+            MigratePagesRequest(boot, plain, 1, 0, 1, home_node=0)
+        ) == (1, 0, 1, 0)
+        assert counts_moved_by(
+            MigratePagesRequest(boot, shadow, 2, 0, 1, home_node=0)
+        ) == (0, 1, 1, 0)
+        assert counts_moved_by(
+            MigratePagesRequest(boot, plain, on_node_1, 1, 1, home_node=0)
+        ) == (0, 0, 0, 1)
+        assert kernel.meter.count("numa_remote_placement") == 1
 
     def test_flags_set_and_cleared(self, bare_kernel):
         boot = bare_kernel.initial_segment
