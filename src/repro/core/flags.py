@@ -37,8 +37,9 @@ class PageFlags(IntFlag):
 # Plain-int values of the bits, and prebuilt members for the
 # combinations requests pass.  ``frame.flags`` is a plain int, and
 # PageFlags operators (``|``, ``&``, ``in``, ``PageFlags(i)``) run
-# through enum.py at Python speed, so the fault paths test and combine
-# these instead.
+# through enum.py at Python speed, and on CPython 3.11 even reading a
+# member off the class takes a slow hooked lookup, so the fault paths
+# test and pass these instead.
 READ_I = int(PageFlags.READ)
 WRITE_I = int(PageFlags.WRITE)
 RW_I = READ_I | WRITE_I
@@ -47,6 +48,7 @@ DIRTY_I = int(PageFlags.DIRTY)
 PINNED_I = int(PageFlags.PINNED)
 ZERO_FILL_I = int(PageFlags.ZERO_FILL)
 RW = PageFlags.READ | PageFlags.WRITE
+REFERENCED = PageFlags.REFERENCED
 RW_REFERENCED = RW | PageFlags.REFERENCED
 REFERENCED_DIRTY = PageFlags.REFERENCED | PageFlags.DIRTY
 

@@ -26,7 +26,6 @@ an experiment can read both elapsed cost and its decomposition.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.api import (
@@ -39,7 +38,12 @@ from repro.core.api import (
     PageAttribute,
     SetSegmentManagerRequest,
 )
-from repro.core.faults import FaultKind, PageFault
+from repro.core.faults import (
+    COPY_ON_WRITE,
+    MISSING_PAGE,
+    PROTECTION,
+    PageFault,
+)
 from repro.core.flags import (
     DIRTY_I,
     MANAGER_SETTABLE,
@@ -225,7 +229,10 @@ class Kernel:
         # pfn -> {(space_id, vpn)} reverse map for translation shootdown
         self._frame_translations: dict[int, set[tuple[int, int]]] = {}
         # who is invoking kernel operations (Table 3 counts MigratePages
-        # calls per invoking module); innermost attribution wins
+        # calls per invoking module); innermost attribution wins, so the
+        # SPCM granting frames *during* a manager's fault handling counts
+        # those calls to itself.  The supervisor and the SPCM push and pop
+        # their names inline around the calls they make.
         self._attribution: list[str] = []
         # Boot: one well-known segment per frame size, all frames in
         # physical-address order (paper, S2.1).  Page i holds the pool's
@@ -734,11 +741,11 @@ class Kernel:
         self, space: Segment, vaddr: int, write: bool
     ) -> PageFrame:
         self.stats.references += 1
-        if vaddr < 0 or vaddr >= space.size_bytes:
+        vpn = vaddr // space.page_size
+        if vaddr < 0 or vpn >= space.n_pages:
             raise SegmentError(
                 f"address {vaddr:#x} outside space {space.name}"
             )
-        vpn = vaddr // space.page_size
         payload = self.tlb.lookup(space.seg_id, vpn)
         if payload is not None:
             pfn, writable = payload  # type: ignore[misc]
@@ -751,52 +758,70 @@ class Kernel:
                 self.meter.charge("tlb_refill", self.costs.tlb_refill)
                 self.tlb.insert(space.seg_id, vpn, (entry.pfn, writable))
                 return self.memory.frame(entry.pfn)
-        return self._slow_reference(space, vpn, write)
+        if self.tracer.enabled or self._fault_listeners:
+            return self.observed_fault(
+                space, vpn, write, self._traced_slow_reference
+            )
+        return self._handle_slow_reference(space, vpn, write)
 
-    def _slow_reference(self, space: Segment, vpn: int, write: bool) -> PageFrame:
-        """Full segment walk with fault dispatch and retry."""
-        if not self.tracer.enabled and not self._fault_listeners:
+    def _traced_slow_reference(
+        self, space: Segment, vpn: int, write: bool
+    ) -> PageFrame:
+        """The slow path inside its ``page_fault`` span, when tracing."""
+        if not self.tracer.enabled:
             return self._handle_slow_reference(space, vpn, write)
+        with self.tracer.span(
+            "application",
+            "page_fault",
+            space=space.name,
+            vpn=vpn,
+            write=write,
+        ):
+            return self._handle_slow_reference(space, vpn, write)
+
+    def observed_fault(self, space: Segment, vpn: int, write: bool, service):
+        """Run ``service(space, vpn, write)`` as one fault service seen by
+        the :meth:`on_fault_serviced` listeners; returns its frame.
+
+        Only the outermost service is one end-to-end latency observation
+        (a manager's fill may itself fault), so a service nested in
+        another notifies nobody.  The reference slow path and the UIO
+        block interface's faults both come through here; with no
+        listeners this is just the call.
+        """
+        if not self._fault_listeners:
+            return service(space, vpn, write)
         before = self.meter.total_us
         self._fault_depth += 1
         frame: PageFrame | None = None
         try:
-            if not self.tracer.enabled:
-                frame = self._handle_slow_reference(space, vpn, write)
-                return frame
-            with self.tracer.span(
-                "application",
-                "page_fault",
-                space=space.name,
-                vpn=vpn,
-                write=write,
-            ):
-                frame = self._handle_slow_reference(space, vpn, write)
-                return frame
+            frame = service(space, vpn, write)
+            return frame
         finally:
             self._fault_depth -= 1
-            # only the outermost fault service is one end-to-end latency
-            # observation (a manager's fill may itself fault)
-            if self._fault_depth == 0:
+            if self._fault_depth == 0 and self._fault_listeners:
                 latency = self.meter.total_us - before
-                if self._fault_listeners:
-                    pfn = frame.pfn if frame is not None else None
-                    for listener in self._fault_listeners:
-                        try:
-                            listener(space, vpn, write, latency, pfn)
-                        except Exception:
-                            self.stats.listener_errors += 1
+                pfn = frame.pfn if frame is not None else None
+                for listener in self._fault_listeners:
+                    try:
+                        listener(space, vpn, write, latency, pfn)
+                    except Exception:
+                        self.stats.listener_errors += 1
 
     def on_fault_serviced(self, listener) -> None:
         """Call ``listener(space, vpn, write, latency_us, pfn)`` after each
-        outermost slow-path entry (fault service or slow reinstall).
+        outermost fault service (:meth:`observed_fault`).
 
-        ``latency_us`` is the metered simulated cost of the whole slow
-        path (dispatches, retries, and failovers included); ``pfn`` is the
-        resolved frame number, or ``None`` when the slow path raised.
-        Telemetry, the SLO watchdog, the verify harness's digest chain and
-        the serving layer's per-tenant billing subscribe here; with no
-        listeners (and no tracer) the fast path is untouched.
+        A service is a reference's slow path (fault service or slow
+        reinstall), where ``space`` is the address space and ``vpn`` the
+        virtual page, or a UIO read or write of a file page with no frame,
+        where they are the file segment and its page.  ``latency_us`` is
+        the metered simulated cost of the whole service (dispatches,
+        retries, and failovers included); ``pfn`` is the resolved frame
+        number, or ``None`` when the service raised.  Telemetry, the SLO
+        watchdog, the verify harness's digest chain and the serving
+        layer's per-tenant billing subscribe here; with no listeners (and
+        no tracer) the fast path is untouched.
 
         Listeners are observability, never control flow: an exception a
         listener raises is swallowed (counted in
@@ -818,25 +843,27 @@ class Kernel:
                 self.costs.trap_entry_exit,
             )
         supervisor = self.supervisor
+        needed_i = WRITE_I if write else READ_I
         for attempt in range(MAX_FAULT_RETRIES + 1):
             res = space.resolve(vpn, for_write=write)
-            fault = self._fault_from_resolution(space, vpn, write, res)
-            if fault is None:
-                assert res.frame is not None
+            # a resolution with a frame that grants the access (a COW
+            # resolution has no frame) needs no fault
+            if res.frame is not None and int(res.prot) & needed_i:
+                # tested inline: a healthy fault makes no call
                 if supervisor._failover_pending:
-                    self.stats.fallback_resolutions += 1
-                    supervisor._failover_pending = False
+                    supervisor.fault_ended(resolved=True)
                 return self._install_and_touch(
                     space, vpn, res, write, post_fault=attempt > 0
                 )
             if attempt == MAX_FAULT_RETRIES:
                 break
+            fault = self._fault_from_resolution(space, vpn, write, res)
             if attempt >= FAILOVER_AFTER_ATTEMPTS and supervisor.distrust(
                 fault, attempt
             ):
                 continue  # re-resolve; the next delivery goes to the fallback
             self.dispatch_fault(fault)
-        supervisor._failover_pending = False
+        supervisor.fault_ended(resolved=False)
         raise UnresolvedFaultError(
             f"fault on page {vpn} of {space.name} persisted after "
             f"{MAX_FAULT_RETRIES} manager invocations"
@@ -844,37 +871,24 @@ class Kernel:
 
     def _fault_from_resolution(
         self, space: Segment, vpn: int, write: bool, res: ResolvedPage
-    ) -> PageFault | None:
-        """Classify a resolution outcome; ``None`` means access is fine."""
+    ) -> PageFault:
+        """The fault a resolution that does not grant the access raises."""
         if res.needs_cow:
-            return PageFault(
-                res.owner.seg_id,
-                res.page,
-                FaultKind.COPY_ON_WRITE,
-                write=True,
-                space_id=space.seg_id,
-                vaddr=vpn * space.page_size,
-            )
-        if res.frame is None:
-            return PageFault(
-                res.owner.seg_id,
-                res.page,
-                FaultKind.MISSING_PAGE,
-                write=write,
-                space_id=space.seg_id,
-                vaddr=vpn * space.page_size,
-            )
-        needed_i = WRITE_I if write else READ_I
-        if not (int(res.prot) & needed_i):
-            return PageFault(
-                res.owner.seg_id,
-                res.page,
-                FaultKind.PROTECTION,
-                write=write,
-                space_id=space.seg_id,
-                vaddr=vpn * space.page_size,
-            )
-        return None
+            kind = COPY_ON_WRITE
+            write = True
+        elif res.frame is None:
+            kind = MISSING_PAGE
+        else:
+            kind = PROTECTION
+        # (segment_id, page, kind, write, space_id, vaddr)
+        return PageFault(
+            res.owner.seg_id,
+            res.page,
+            kind,
+            write,
+            space.seg_id,
+            vpn * space.page_size,
+        )
 
     def _install_and_touch(
         self,
@@ -902,12 +916,13 @@ class Kernel:
         if not post_fault:
             self.meter.charge("map_update", self.costs.map_update)
         prot_i = int(res.prot)
-        writable = bool(prot_i & WRITE_I) and bool(frame.flags & DIRTY_I)
+        writable = (prot_i & WRITE_I) != 0 and (frame.flags & DIRTY_I) != 0
+        # (space_id, vpn, pfn, prot)
         entry = Translation(
             space.seg_id,
             vpn,
             frame.pfn,
-            prot=(prot_i & READ_I) | (WRITE_I if writable else 0),
+            (prot_i & READ_I) | (WRITE_I if writable else 0),
         )
         self.page_table.insert(entry)
         self.tlb.insert(space.seg_id, vpn, (frame.pfn, writable))
@@ -928,7 +943,9 @@ class Kernel:
         instead of replying (its segments failed over, or recovery
         restarted it), the fault is dispatched again.
         """
-        segment = self.segment(fault.segment_id)
+        segment = self._segments.get(fault.segment_id)
+        if segment is None:
+            raise SegmentError(f"no such segment: {fault.segment_id}")
         manager = segment.manager
         if manager is None:
             raise NoManagerError(
@@ -1028,20 +1045,6 @@ class Kernel:
             seen += 1
             if seen > 64:
                 raise MigrationError("binding chain too deep")
-
-    @contextmanager
-    def attribute(self, name: str):
-        """Attribute kernel operations inside the block to ``name``.
-
-        Nesting is honored: the SPCM granting frames *during* a manager's
-        fault handling attributes those MigratePages calls to itself, not
-        the manager --- Table 3 counts invocations by the manager.
-        """
-        self._attribution.append(name)
-        try:
-            yield
-        finally:
-            self._attribution.pop()
 
     def notify_manager_call(self, manager: SegmentManager) -> None:
         """Record a non-fault manager request forwarded by the kernel

@@ -266,26 +266,19 @@ class Segment:
         while True:
             # Flat segment --- no bindings, no COW source: the walk ends
             # here, so no cycle bookkeeping is needed.  This is the shape
-            # of nearly every hop (and of every resident-page reference).
+            # of nearly every hop (and of every resident-page reference),
+            # so its result is built positionally (keywords cost a
+            # dataclass constructor twice as much):
+            # (owner, page, frame, prot, needs_cow, cow_source_frame, depth)
             if not segment.bindings and segment.cow_source is None:
                 if page < 0 or page >= segment.n_pages:
                     segment.check_page_range(page)
                 prot_i &= int(segment.prot)
                 frame = segment.pages.get(page)
                 if frame is not None:
-                    return ResolvedPage(
-                        owner=segment,
-                        page=page,
-                        frame=frame,
-                        prot=_PROT[prot_i & frame.flags],
-                        depth=depth,
-                    )
+                    prot_i &= frame.flags
                 return ResolvedPage(
-                    owner=segment,
-                    page=page,
-                    frame=None,
-                    prot=_PROT[prot_i],
-                    depth=depth,
+                    segment, page, frame, _PROT[prot_i], False, None, depth
                 )
             if seen is None:
                 seen = set()

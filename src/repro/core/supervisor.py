@@ -50,6 +50,14 @@ FAILOVER_AFTER_ATTEMPTS = 4
 #: supervisor declares the manager unreachable.
 IPC_MAX_REDELIVERIES = 3
 
+# members read on every delivery, as module globals: on CPython 3.11
+# every attribute read off an Enum class takes the slow lookup the
+# metaclass's ``__getattr__`` hook forces (about 80 ns)
+_SEPARATE_PROCESS = InvocationMode.SEPARATE_PROCESS
+_CRASH = ManagerFailureMode.CRASH
+_HANG = ManagerFailureMode.HANG
+_BYZANTINE = ManagerFailureMode.BYZANTINE
+
 
 class ManagerSupervisor:
     """Delivers forwarded faults and fails misbehaving managers over."""
@@ -94,14 +102,6 @@ class ManagerSupervisor:
         """
         self._listeners.append(listener)
 
-    def injectable(self, manager: SegmentManager) -> bool:
-        """May the injector strike ``manager``?
-
-        The fallback manager is exempt: the paper's survival story assumes
-        the default manager itself is sound.
-        """
-        return self.injector.enabled and manager is not self.fallback
-
     # ------------------------------------------------------------------
     # delivery
     # ------------------------------------------------------------------
@@ -115,15 +115,14 @@ class ManagerSupervisor:
         """
         outcome = None
         deliveries = 1
-        if self.injectable(manager):
+        # the injector may strike any manager but the fallback: the
+        # paper's survival story assumes the default manager is sound
+        if self.injector.enabled and manager is not self.fallback:
             outcome = self.injector.manager_invocation(manager.name)
-            if outcome is ManagerFailureMode.HANG:
+            if outcome is _HANG:
                 self._unresponsive(manager, fault, "timed out")
                 return True
-            if (
-                outcome is None
-                and manager.invocation is InvocationMode.SEPARATE_PROCESS
-            ):
+            if outcome is None and manager.invocation is _SEPARATE_PROCESS:
                 deliveries = self._ipc_deliveries(manager, fault)
                 if deliveries == 0:
                     return True  # unreachable: restarted or failed over
@@ -155,8 +154,8 @@ class ManagerSupervisor:
         meter = kernel.meter
         costs = kernel.costs
         tracer = kernel.tracer
-        separate = manager.invocation is InvocationMode.SEPARATE_PROCESS
-        crashes = outcome is ManagerFailureMode.CRASH
+        separate = manager.invocation is _SEPARATE_PROCESS
+        crashes = outcome is _CRASH
         if separate:
             ipc_cost = self._ipc_round_cost
             meter.charge("fault_ipc", ipc_cost)
@@ -173,7 +172,7 @@ class ManagerSupervisor:
             raise ManagerCrashError(
                 f"manager {manager.name} died on fault delivery"
             )
-        if outcome is ManagerFailureMode.BYZANTINE:
+        if outcome is _BYZANTINE:
             kernel.stats.byzantine_replies += 1
             if tracer.enabled:
                 tracer.step(
@@ -181,9 +180,9 @@ class ManagerSupervisor:
                     f"{manager.name} replies without resolving the fault",
                 )
         else:
-            # attribution is pushed inline (not via Kernel.attribute()):
-            # this runs once per fault delivery, and a context manager
-            # here costs a generator allocation on the hottest path
+            # attribution is pushed inline: this runs once per fault
+            # delivery, and a context manager here would cost a
+            # generator allocation on the hottest path
             attribution = kernel._attribution
             attribution.append(manager.name)
             try:
@@ -408,6 +407,20 @@ class ManagerSupervisor:
         self._failover_pending = True
         duration = kernel.meter.total_us - failover_start
         self._notify("failover", manager.name, duration)
+
+    def fault_ended(self, resolved: bool) -> None:
+        """One fault's service ended, ``resolved`` or given up.
+
+        A failed-over fault that resolved was resolved by the fallback:
+        count it once in ``KernelStats.fallback_resolutions``.  Either
+        way no failover is pending any more.  The reference slow path
+        and the UIO block interface both end their faults here, so the
+        count follows the fault that failed over, not the next one.
+        """
+        if self._failover_pending:
+            if resolved:
+                self.kernel.stats.fallback_resolutions += 1
+            self._failover_pending = False
 
     def _notify(
         self, event: str, manager_name: str, duration_us: float

@@ -16,7 +16,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from repro.core.faults import FaultKind, PageFault
+from repro.core.faults import MISSING_PAGE, PageFault
 from repro.core.flags import DIRTY_I, REFERENCED_I
 from repro.core.kernel import Kernel
 from repro.core.segment import Segment
@@ -189,6 +189,11 @@ class FileServer:
         except KeyError:
             raise UIOError(f"segment {segment.name} is not a file") from None
 
+    def lookup(self, segment: Segment) -> CachedFile | None:
+        """The file record of ``segment``, or ``None`` when it is not a
+        registered cached file."""
+        return self._files.get(segment.seg_id)
+
     def _page_block(
         self, file: CachedFile, page: int, blocks_per_page: int
     ) -> int:
@@ -202,10 +207,6 @@ class FileServer:
             block = file.overflow[page] = self._next_block
             self._next_block += blocks_per_page
         return block
-
-    def is_file(self, segment: Segment) -> bool:
-        """True when ``segment`` is a registered cached file."""
-        return segment.seg_id in self._files
 
     def fetch_page(self, segment: Segment, page: int) -> bytes:
         """Fetch one page of file data from backing store.
@@ -282,22 +283,28 @@ class UIO:
 
         Cached pages cost a single kernel operation (UIO call + lookup +
         copy, the paper's 222 microseconds for 4 KB); unbacked pages fault
-        to the segment's manager first.
+        to the segment's manager first, each one fault service the
+        kernel's :meth:`~repro.core.kernel.Kernel.on_fault_serviced`
+        listeners see.
         """
         file = self.file_server.file_for(segment)
         if offset < 0 or n_bytes < 0:
             raise UIOError("negative read range")
         n_bytes = min(n_bytes, max(0, file.size_bytes - offset))
-        if self.kernel.tracer.enabled:
-            self.kernel.tracer.event(
+        kernel = self.kernel
+        costs = kernel.costs
+        meter = kernel.meter
+        if kernel.tracer.enabled:
+            kernel.tracer.event(
                 "kernel",
                 f"UIO read: {n_bytes} bytes at {offset} of {segment.name}",
-                self.kernel.costs.uio_call,
+                costs.uio_call,
             )
-        self.kernel.meter.charge("uio_read", self.kernel.costs.uio_call)
+        meter.charge("uio_read", costs.uio_call)
         if n_bytes == 0:
             return b""
         page_size = segment.page_size
+        resident = segment.pages
         chunks: list[bytes] = []
         pos = offset
         remaining = n_bytes
@@ -305,11 +312,14 @@ class UIO:
             page = pos // page_size
             in_page_off = pos % page_size
             take = min(remaining, page_size - in_page_off)
-            frame = self._require_frame(segment, page, write=False)
-            self.kernel.meter.charge(
+            frame = resident.get(page)
+            if frame is None:
+                frame = kernel.observed_fault(
+                    segment, page, False, self._require_frame
+                )
+            meter.charge(
                 "uio_read",
-                self.kernel.costs.fs_lookup_vpp
-                + self.kernel.costs.copy_page * (take / page_size),
+                costs.fs_lookup_vpp + costs.copy_page * (take / page_size),
             )
             frame.flags |= REFERENCED_I
             chunks.append(frame.read(in_page_off, take))
@@ -330,30 +340,36 @@ class UIO:
         if not data:
             return 0
         page_size = segment.page_size
-        end = offset + len(data)
+        n_bytes = len(data)
+        end = offset + n_bytes
         segment.ensure_size(pages_for_bytes(end, page_size))
-        if self.kernel.tracer.enabled:
-            self.kernel.tracer.event(
+        kernel = self.kernel
+        costs = kernel.costs
+        meter = kernel.meter
+        if kernel.tracer.enabled:
+            kernel.tracer.event(
                 "kernel",
-                f"UIO write: {len(data)} bytes at {offset} of {segment.name}",
-                self.kernel.costs.uio_call
-                - self.kernel.costs.vpp_write_fastpath_saving,
+                f"UIO write: {n_bytes} bytes at {offset} of {segment.name}",
+                costs.uio_call - costs.vpp_write_fastpath_saving,
             )
-        self.kernel.meter.charge(
-            "uio_write",
-            self.kernel.costs.uio_call - self.kernel.costs.vpp_write_fastpath_saving,
+        meter.charge(
+            "uio_write", costs.uio_call - costs.vpp_write_fastpath_saving
         )
+        resident = segment.pages
         pos = offset
         written = 0
-        while written < len(data):
+        while written < n_bytes:
             page = pos // page_size
             in_page_off = pos % page_size
-            take = min(len(data) - written, page_size - in_page_off)
-            frame = self._require_frame(segment, page, write=True)
-            self.kernel.meter.charge(
+            take = min(n_bytes - written, page_size - in_page_off)
+            frame = resident.get(page)
+            if frame is None:
+                frame = kernel.observed_fault(
+                    segment, page, True, self._require_frame
+                )
+            meter.charge(
                 "uio_write",
-                self.kernel.costs.fs_lookup_vpp
-                + self.kernel.costs.copy_page * (take / page_size),
+                costs.fs_lookup_vpp + costs.copy_page * (take / page_size),
             )
             frame.write(data[written : written + take], in_page_off)
             frame.flags |= REFERENCED_I | DIRTY_I
@@ -363,15 +379,17 @@ class UIO:
         return written
 
     def _require_frame(self, segment: Segment, page: int, write: bool):
-        """Resolve a file page, faulting to the manager as needed."""
+        """Resolve a file page, faulting to the manager as needed (the
+        fault service of a read or write that found no frame)."""
+        supervisor = self.kernel.supervisor
         for _ in range(3):
             frame = segment.pages.get(page)
             if frame is not None:
+                supervisor.fault_ended(resolved=True)
                 return frame
-            fault = PageFault(
-                segment.seg_id, page, FaultKind.MISSING_PAGE, write=write
-            )
+            fault = PageFault(segment.seg_id, page, MISSING_PAGE, write)
             self.kernel.dispatch_fault(fault)
+        supervisor.fault_ended(resolved=False)
         raise UIOError(
             f"manager failed to provide page {page} of file "
             f"segment {segment.name}"

@@ -73,7 +73,8 @@ class GlobalHashPageTable:
             else:
                 self.stats.dropped += 1
         self._table[idx] = entry
-        self._overflow.pop((entry.space_id, entry.vpn), None)
+        if self._overflow:
+            self._overflow.pop((entry.space_id, entry.vpn), None)
 
     def lookup(self, space_id: int, vpn: int) -> Translation | None:
         """Look up a translation; ``None`` is a soft miss."""

@@ -62,11 +62,15 @@ class TLB:
     def insert(self, space_id: int, vpn: int, payload: object) -> None:
         """Install a translation, evicting the LRU entry when full."""
         key = (space_id, vpn)
-        if key not in self._entries and len(self._entries) >= self.n_entries:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if key in entries:
+            entries[key] = payload
+            entries.move_to_end(key)
+            return
+        if len(entries) >= self.n_entries:
+            entries.popitem(last=False)
             self.stats.evictions += 1
-        self._entries[key] = payload
-        self._entries.move_to_end(key)
+        entries[key] = payload  # a new key goes in at the MRU end
 
     def invalidate(self, space_id: int, vpn: int) -> bool:
         """Drop one translation; returns whether it was present."""

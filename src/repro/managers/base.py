@@ -64,13 +64,13 @@ from repro.core.api import (
     MigratePagesRequest,
     ModifyPageFlagsRequest,
 )
-from repro.core.faults import FaultKind, PageFault
+from repro.core.faults import MISSING_PAGE, PROTECTION, PageFault
 from repro.core.flags import (
     DIRTY_I,
     PINNED_I,
+    REFERENCED,
     REFERENCED_DIRTY,
     RW,
-    PageFlags,
 )
 from repro.core.manager_api import InvocationMode, SegmentManager
 from repro.core.segment import Segment
@@ -306,19 +306,25 @@ class GenericSegmentManager(SegmentManager):
         segment over.  The fallback manager is exempt.
         """
         supervisor = self.kernel.supervisor
-        if supervisor.injectable(self):
+        if supervisor.injector.enabled and self is not supervisor.fallback:
             supervisor.injector.manager_alloc(self.name)
 
     def _find_run(self, n: int) -> list[int] | None:
-        if len(self._free_slots) < n:
+        """The lowest ``n`` consecutive free slots (the head of the
+        lowest free run at least ``n`` long), or ``None``.
+
+        Slots are distinct, so a window of ``n`` sorted slots is
+        consecutive exactly when its ends lie ``n - 1`` apart, and the
+        first such window starts the lowest run that long.
+        """
+        free = self._free_slots
+        if len(free) < n:
             return None
-        ordered = sorted(self._free_slots)
-        start = 0
-        for i in range(1, len(ordered) + 1):
-            if i == len(ordered) or ordered[i] != ordered[i - 1] + 1:
-                if i - start >= n:
-                    return ordered[start : start + n]
-                start = i
+        ordered = sorted(free)
+        span = n - 1
+        for i, last in enumerate(ordered[span:]):
+            if last - ordered[i] == span:
+                return ordered[i : i + n]
         return None
 
     def charge_io(self, n_bytes: int) -> float:
@@ -510,10 +516,11 @@ class GenericSegmentManager(SegmentManager):
     def handle_fault(self, fault: PageFault) -> None:
         self.faults_handled += 1
         segment = self.kernel.segment(fault.segment_id)
-        if fault.kind is FaultKind.PROTECTION:
+        if fault.kind is PROTECTION:
             self.on_protection_fault(segment, fault)
             return
-        if self._duplicate_delivery(segment, fault):
+        if fault.page in segment.pages:
+            self._note_duplicate_delivery(segment, fault)
             return
         self._supply_page(segment, fault)
 
@@ -529,7 +536,7 @@ class GenericSegmentManager(SegmentManager):
             else self.home_node_for(segment)
         )
         stale_slot = self._stale_slot.get(key)
-        if stale_slot is not None and fault.kind is FaultKind.MISSING_PAGE:
+        if stale_slot is not None and fault.kind is MISSING_PAGE:
             # The paper's fast path: the frame reclaimed from this page is
             # still in the free segment with its data; migrate it back.
             if self.kernel.tracer.enabled:
@@ -566,7 +573,7 @@ class GenericSegmentManager(SegmentManager):
             else self.choose_slot(segment, fault)
         )
         frame = self.free_segment.pages[slot]
-        if fault.kind is FaultKind.MISSING_PAGE:
+        if fault.kind is MISSING_PAGE:
             if self.kernel.tracer.enabled:
                 with self.kernel.tracer.span(
                     "manager", "fill_page", segment=segment.name,
@@ -584,7 +591,7 @@ class GenericSegmentManager(SegmentManager):
                 slot,
                 fault.page,
                 set_flags=RW,
-                clear_flags=PageFlags.REFERENCED,
+                clear_flags=REFERENCED,
                 home_node=home,
             )
         )
@@ -603,15 +610,16 @@ class GenericSegmentManager(SegmentManager):
                 f"page {fault.page}",
             )
 
-    def _duplicate_delivery(self, segment: Segment, fault: PageFault) -> bool:
-        """At-least-once IPC: is this a redelivery of a resolved fault?
+    def _note_duplicate_delivery(
+        self, segment: Segment, fault: PageFault
+    ) -> None:
+        """At-least-once IPC: a redelivery of a resolved fault.
 
         A duplicated fault message arrives after the first delivery
-        already resolved the page, so it finds the page resident.  The
-        handler must be idempotent: note it and do nothing.
+        already resolved the page, so the handler, which tests that
+        first, finds the page resident.  The handler must be idempotent:
+        note it and do nothing.
         """
-        if fault.page not in segment.pages:
-            return False
         self.duplicate_deliveries += 1
         if self.kernel.tracer.enabled:
             self.kernel.tracer.event(
@@ -619,7 +627,6 @@ class GenericSegmentManager(SegmentManager):
                 f"{self.name}: duplicate fault delivery for page "
                 f"{fault.page} of {segment.name}; already resolved",
             )
-        return True
 
     def on_protection_fault(self, segment: Segment, fault: PageFault) -> None:
         """Default protection-fault policy: restore full access."""

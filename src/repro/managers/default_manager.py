@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.api import MigratePagesRequest, ModifyPageFlagsRequest
-from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import DIRTY_I, REFERENCED_I, RW, PageFlags
+from repro.core.faults import MISSING_PAGE, PROTECTION, PageFault
+from repro.core.flags import DIRTY_I, REFERENCED, REFERENCED_I, RW, PageFlags
 from repro.core.manager_api import InvocationMode
 from repro.core.segment import Segment
 from repro.core.uio import FileServer
@@ -72,22 +72,23 @@ class DefaultSegmentManager(GenericSegmentManager):
     # ------------------------------------------------------------------
 
     def handle_fault(self, fault: PageFault) -> None:
-        if fault.kind is FaultKind.PROTECTION:
+        if fault.kind is PROTECTION:
             super().handle_fault(fault)
             return
         segment = self.kernel.segment(fault.segment_id)
         self.faults_handled += 1
-        if self._duplicate_delivery(segment, fault):
+        if fault.page in segment.pages:
+            self._note_duplicate_delivery(segment, fault)
             return
-        if (
-            fault.kind is FaultKind.MISSING_PAGE
-            and fault.write
-            and self.file_server.is_file(segment)
-            and (fault.segment_id, fault.page) not in self._stale_slot
-            and fault.page >= self.file_server.file_for(segment).initialized_pages
-        ):
-            self._handle_append(segment, fault)
-            return
+        if fault.kind is MISSING_PAGE and fault.write:
+            file = self.file_server.lookup(segment)
+            if (
+                file is not None
+                and (fault.segment_id, fault.page) not in self._stale_slot
+                and fault.page >= file.initialized_pages
+            ):
+                self._handle_append(segment, fault)
+                return
         self._supply_page(segment, fault)
 
     def _handle_append(self, segment: Segment, fault: PageFault) -> None:
@@ -111,20 +112,17 @@ class DefaultSegmentManager(GenericSegmentManager):
             # Allocate the whole 16 KB unit even past the current end of
             # file; subsequent appends land on already-backed pages.
             segment.ensure_size(start + unit)
-        pages = []
-        for page in range(start, min(start + unit, segment.n_pages)):
-            if page not in segment.pages:
-                pages.append(page)
-        if fault.page not in pages:
-            pages = [fault.page]
-        # keep only the contiguous run containing the faulting page
-        runs: list[list[int]] = [[pages[0]]]
-        for page in pages[1:]:
-            if page == runs[-1][-1] + 1:
-                runs[-1].append(page)
-            else:
-                runs.append([page])
-        run = next(r for r in runs if fault.page in r)
+        # the run of unbacked pages of the unit around the faulting page
+        # (unbacked itself: a backed one was a duplicate delivery)
+        backed = segment.pages
+        first = fault.page
+        while first > start and first - 1 not in backed:
+            first -= 1
+        end = fault.page + 1
+        stop = min(start + unit, segment.n_pages)
+        while end < stop and end not in backed:
+            end += 1
+        run = range(first, end)
         slots = self.allocate_run(len(run))
         # one MigratePages for a contiguous run of slots, else one a page
         if slots == list(range(slots[0], slots[0] + len(slots))):
@@ -140,7 +138,7 @@ class DefaultSegmentManager(GenericSegmentManager):
                     page,
                     n_pages,
                     set_flags=RW,
-                    clear_flags=PageFlags.REFERENCED,
+                    clear_flags=REFERENCED,
                     home_node=self.home_node,
                 )
             )
@@ -171,10 +169,8 @@ class DefaultSegmentManager(GenericSegmentManager):
         self, segment: Segment, page: int, frame: "PageFrame"
     ) -> None:
         """Page-in from the file server for initialized file pages."""
-        if not self.file_server.is_file(segment):
-            return
-        file = self.file_server.file_for(segment)
-        if page >= file.initialized_pages:
+        file = self.file_server.lookup(segment)
+        if file is None or page >= file.initialized_pages:
             return
         data = self.file_server.fetch_page(segment, page)
         frame.write(data)
@@ -186,7 +182,7 @@ class DefaultSegmentManager(GenericSegmentManager):
     ) -> None:
         """Write dirty file pages back to the server; anonymous dirty
         pages stay recoverable in the free segment (migrate-back)."""
-        if not self.file_server.is_file(segment):
+        if self.file_server.lookup(segment) is None:
             return
         self.file_server.store_page(segment, page, frame.read())
         self.charge_io(segment.page_size)
@@ -227,7 +223,7 @@ class DefaultSegmentManager(GenericSegmentManager):
                 "manager", f"file close forwarded: {segment.name}"
             )
         self.files_closed += 1
-        if not writeback or not self.file_server.is_file(segment):
+        if not writeback or self.file_server.lookup(segment) is None:
             return
         for page in sorted(segment.pages):
             frame = segment.pages[page]

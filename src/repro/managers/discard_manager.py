@@ -76,7 +76,10 @@ class DiscardableSegmentManager(GenericSegmentManager):
         if (segment.seg_id, page) in self._discardable:
             self.writebacks_avoided += 1
             return
-        if self.file_server is not None and self.file_server.is_file(segment):
+        if (
+            self.file_server is not None
+            and self.file_server.lookup(segment) is not None
+        ):
             self.file_server.store_page(segment, page, frame.read())
         self.writebacks_done += 1
 

@@ -218,7 +218,8 @@ class SelfManagingManager(GenericSegmentManager):
                 self.kernel.costs.disk_transfer_us(segment.page_size),
             )
             return
-        if self.file_server is not None and self.file_server.is_file(segment):
-            file = self.file_server.file_for(segment)
-            if page < file.initialized_pages:
-                frame.write(self.file_server.fetch_page(segment, page))
+        if self.file_server is None:
+            return
+        file = self.file_server.lookup(segment)
+        if file is not None and page < file.initialized_pages:
+            frame.write(self.file_server.fetch_page(segment, page))

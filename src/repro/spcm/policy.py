@@ -24,6 +24,15 @@ class AllocationDecision(Enum):
     REFUSE = auto()      # the request violates policy outright
 
 
+# The decisions as module globals, for the grant path: on CPython 3.11
+# the Enum metaclass defines ``__getattr__``, so every attribute read off
+# an Enum class takes the slow hooked lookup (about 80 ns, against about
+# 9 ns for a global).
+GRANT = AllocationDecision.GRANT
+DEFER = AllocationDecision.DEFER
+REFUSE = AllocationDecision.REFUSE
+
+
 class PolicyVerdict(NamedTuple):
     decision: AllocationDecision
     n_frames: int = 0
@@ -60,10 +69,8 @@ class ReservePolicy(AllocationPolicy):
     ) -> PolicyVerdict:
         grantable = max(0, n_free - self.reserve_frames)
         if grantable == 0:
-            return PolicyVerdict(AllocationDecision.DEFER)
-        return PolicyVerdict(
-            AllocationDecision.GRANT, min(n_requested, grantable)
-        )
+            return PolicyVerdict(DEFER)
+        return PolicyVerdict(GRANT, min(n_requested, grantable))
 
 
 class MarketPolicy(AllocationPolicy):
@@ -89,12 +96,12 @@ class MarketPolicy(AllocationPolicy):
         self, account: str, n_requested: int, n_free: int, page_size: int
     ) -> PolicyVerdict:
         if account not in self.market.accounts:
-            return PolicyVerdict(AllocationDecision.REFUSE)
+            return PolicyVerdict(REFUSE)
         if self.market.is_broke(account):
-            return PolicyVerdict(AllocationDecision.REFUSE)
+            return PolicyVerdict(REFUSE)
         grantable = max(0, n_free - self.reserve_frames)
         if grantable == 0:
-            return PolicyVerdict(AllocationDecision.DEFER)
+            return PolicyVerdict(DEFER)
         acct = self.market.account(account)
         mb_per_frame = page_size / (1024.0 * 1024.0)
         # Largest holding the account can carry for min_hold_seconds.
@@ -103,6 +110,6 @@ class MarketPolicy(AllocationPolicy):
             new_holding = acct.holding_mb + n * mb_per_frame
             horizon = self.market.affordable_seconds(account, new_holding)
             if horizon >= self.min_hold_seconds:
-                return PolicyVerdict(AllocationDecision.GRANT, n)
+                return PolicyVerdict(GRANT, n)
             n //= 2
-        return PolicyVerdict(AllocationDecision.DEFER)
+        return PolicyVerdict(DEFER)

@@ -50,7 +50,8 @@ from repro.spcm.arbiter import GlobalArbiter
 from repro.spcm.freelist import NodeBucketedFreeList
 from repro.spcm.market import MemoryMarket
 from repro.spcm.policy import (
-    AllocationDecision,
+    DEFER,
+    REFUSE,
     AllocationPolicy,
     ReservePolicy,
 )
@@ -445,7 +446,7 @@ class SystemPageCacheManager:
         # clamp the grant to what actually matches ("as many page frames
         # as it can", S2.4)
         verdict = self.policy.decide(account, request.n_frames, n_free, size)
-        if verdict.decision is AllocationDecision.REFUSE:
+        if verdict.decision is REFUSE:
             self.refused_requests += 1
             if tracer.enabled:
                 tracer.event(
@@ -459,7 +460,7 @@ class SystemPageCacheManager:
         # memory is in demand when the pool, not a tenant's own cap, is
         # what holds a grant back (S2.4: free use absent competing demand)
         pool_short = (
-            verdict.decision is AllocationDecision.DEFER or n_matching == 0
+            verdict.decision is DEFER or n_matching == 0
         )
         # a per-tenant quota clamps the grant to the tenant's machine-wide
         # headroom; a breach defers (never refuses), so the tenant recycles
@@ -502,13 +503,22 @@ class SystemPageCacheManager:
             if previous is not None and previous != account:
                 memory.frame(pfn).flags |= ZERO_FILL_I
             last_account[pfn] = account
-        if self.n_shards > 1:
-            granted_pages = self._grant_sharded(
-                boot, dst_segment, chosen, account, home
-            )
-        else:
-            granted_pages = self._grant_flat(boot, dst_segment, chosen)
-            self.shards[0].note_granted(account, len(chosen), local=True)
+        # the grant's MigratePages calls are the SPCM's own (it is the
+        # invoking module, Table 3); attribution is pushed inline, as
+        # the supervisor does per delivery, not through a generator
+        attribution = kernel._attribution
+        attribution.append("SPCM")
+        try:
+            if self.n_shards > 1:
+                granted_pages = self._grant_sharded(
+                    boot, dst_segment, chosen, account, home
+                )
+            else:
+                granted_pages = self._grant_flat(
+                    boot, dst_segment, chosen, account
+                )
+        finally:
+            attribution.pop()
         self.frames_held[account] = (
             self.frames_held.get(account, 0) + len(granted_pages)
         )
@@ -533,27 +543,30 @@ class SystemPageCacheManager:
         return runs
 
     def _grant_flat(
-        self, boot: Segment, dst_segment: Segment, chosen: list[int]
+        self,
+        boot: Segment,
+        dst_segment: Segment,
+        chosen: list[int],
+        account: str,
     ) -> list[int]:
-        """Single-shard grant: one MigratePages per contiguous boot run,
-        attributed to the SPCM (it is the invoking module)."""
+        """Single-shard grant: one MigratePages per contiguous boot run."""
         granted_pages: list[int] = []
-        with self.kernel.attribute("SPCM"):
-            for start, n_run in self._contiguous_runs(chosen):
-                dst_page = dst_segment.n_pages
-                dst_segment.grow(n_run)
-                self.kernel.migrate_pages(
-                    MigratePagesRequest(
-                        boot.seg_id,
-                        dst_segment.seg_id,
-                        start,
-                        dst_page,
-                        n_run,
-                        set_flags=RW,
-                        clear_flags=REFERENCED_DIRTY,
-                    )
+        for start, n_run in self._contiguous_runs(chosen):
+            dst_page = dst_segment.n_pages
+            dst_segment.grow(n_run)
+            self.kernel.migrate_pages(
+                MigratePagesRequest(
+                    boot.seg_id,
+                    dst_segment.seg_id,
+                    start,
+                    dst_page,
+                    n_run,
+                    set_flags=RW,
+                    clear_flags=REFERENCED_DIRTY,
                 )
-                granted_pages.extend(range(dst_page, dst_page + n_run))
+            )
+            granted_pages.extend(range(dst_page, dst_page + n_run))
+        self.shards[0].note_granted(account, len(chosen), local=True)
         return granted_pages
 
     def _grant_sharded(
@@ -579,39 +592,38 @@ class SystemPageCacheManager:
         for page in chosen:
             node = self.shard_of(base + page * size).node
             by_node.setdefault(node, []).append(page)
-        with self.kernel.attribute("SPCM"):
-            for node, node_pages in sorted(by_node.items()):
-                node_pages.sort()
-                requests = []
-                for start, n_run in self._contiguous_runs(node_pages):
-                    dst_page = dst_segment.n_pages
-                    dst_segment.grow(n_run)
-                    requests.append(
-                        MigratePagesRequest(
-                            boot.seg_id,
-                            dst_segment.seg_id,
-                            start,
-                            dst_page,
-                            n_run,
-                            set_flags=RW,
-                            clear_flags=REFERENCED_DIRTY,
-                            home_node=home,
-                        )
+        for node, node_pages in sorted(by_node.items()):
+            node_pages.sort()
+            requests = []
+            for start, n_run in self._contiguous_runs(node_pages):
+                dst_page = dst_segment.n_pages
+                dst_segment.grow(n_run)
+                requests.append(
+                    MigratePagesRequest(
+                        boot.seg_id,
+                        dst_segment.seg_id,
+                        start,
+                        dst_page,
+                        n_run,
+                        set_flags=RW,
+                        clear_flags=REFERENCED_DIRTY,
+                        home_node=home,
                     )
-                    granted_pages.extend(range(dst_page, dst_page + n_run))
-                self.kernel.migrate_pages_batch(
-                    BatchMigratePagesRequest(tuple(requests))
                 )
-                local = home is None or node == home
-                self.shards[node].note_granted(
-                    account, len(node_pages), local=local
-                )
-                if home is not None:
-                    if node == home:
-                        self.local_grant_pages += len(node_pages)
-                    else:
-                        self.remote_grant_pages += len(node_pages)
-                        self.arbiter.note_loan(home, node, len(node_pages))
+                granted_pages.extend(range(dst_page, dst_page + n_run))
+            self.kernel.migrate_pages_batch(
+                BatchMigratePagesRequest(tuple(requests))
+            )
+            local = home is None or node == home
+            self.shards[node].note_granted(
+                account, len(node_pages), local=local
+            )
+            if home is not None:
+                if node == home:
+                    self.local_grant_pages += len(node_pages)
+                else:
+                    self.remote_grant_pages += len(node_pages)
+                    self.arbiter.note_loan(home, node, len(node_pages))
         return granted_pages
 
     # -- return and reclamation --------------------------------------------------
@@ -632,7 +644,9 @@ class SystemPageCacheManager:
                 "spcm", f"reclaim {len(pages)} frame(s) from {account}"
             )
         returned_by_node: dict[int, int] = {}
-        with self.kernel.attribute("SPCM"):
+        attribution = self.kernel._attribution
+        attribution.append("SPCM")
+        try:
             for page in pages:
                 frame = src_segment.pages.get(page)
                 if frame is None:
@@ -654,6 +668,8 @@ class SystemPageCacheManager:
                     )
                 )
                 self._free[size].append(home_page)
+        finally:
+            attribution.pop()
         held = self.frames_held.get(account, 0)
         self.frames_held[account] = max(0, held - len(pages))
         for node, n_returned in returned_by_node.items():

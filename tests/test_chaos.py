@@ -289,6 +289,29 @@ class TestManagerFailover:
         assert file_seg.manager is system.default_manager
         kernel.check_frame_conservation()
 
+    def test_uio_crash_counts_one_fallback_resolution(self, system):
+        """A failover on a UIO read's fault is the fallback resolving
+        that fault: counted once, by the read, not by the next reference
+        fault (which the flag left pending used to claim)."""
+        kernel = system.kernel
+        victim = make_victim(system)
+        file_seg = kernel.create_segment(
+            0, name="uio-victim", manager=victim, auto_grow=True
+        )
+        system.file_server.create_file(file_seg, data=b"u" * 8 * 4096)
+        install_plan(system, manager_crash_rate=1.0, max_injections=1)
+        assert system.uio.read(file_seg, 0, 8 * 4096) == b"u" * 8 * 4096
+        assert kernel.stats.manager_crashes == 1
+        assert kernel.stats.manager_failovers == 1
+        assert kernel.stats.fallback_resolutions == 1
+        assert not kernel.supervisor._failover_pending
+        healthy = kernel.create_segment(
+            2, name="healthy", manager=system.default_manager
+        )
+        kernel.reference(healthy, 0, write=True)
+        assert kernel.stats.fallback_resolutions == 1
+        kernel.check_frame_conservation()
+
     def test_hang_charges_the_timeout(self, victim_file):
         system, _, _, space = victim_file
         install_plan(system, manager_hang_rate=1.0, max_injections=1)

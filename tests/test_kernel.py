@@ -325,15 +325,32 @@ class TestMigratePages:
                 )
             )
 
-    def test_stats_and_attribution(self, bare_kernel):
-        seg = bare_kernel.create_segment(8)
-        with bare_kernel.attribute("someone"):
-            bare_kernel.migrate_pages(
-                MigratePagesRequest(bare_kernel.initial_segment, seg, 0, 0, 4)
+    def test_stats_and_attribution(self, system):
+        """Each MigratePages counts; Table 3's per-module count goes to
+        the invoking module: the manager for its fault handler's migrate,
+        the SPCM for a grant, nobody for an unattributed call."""
+        kernel, manager = system.kernel, system.default_manager
+        stats = kernel.stats
+        calls, pages = stats.migrate_calls, stats.pages_migrated
+        by_module = dict(stats.migrate_calls_by_manager)
+        seg = kernel.create_segment(8, manager=manager)
+        kernel.reference(seg, 0, write=True)
+        assert manager.request_frames(4) == 4
+        boot = kernel.initial_segment
+        home = boot.n_pages - 1
+        assert home in boot.pages
+        plain = kernel.create_segment(1)
+        kernel.migrate_pages(MigratePagesRequest(boot, plain, home, 0, 1))
+
+        def added(module):
+            return stats.migrate_calls_by_manager.get(module, 0) - (
+                by_module.get(module, 0)
             )
-        assert bare_kernel.stats.migrate_calls == 1
-        assert bare_kernel.stats.pages_migrated == 4
-        assert bare_kernel.stats.migrate_calls_by_manager["someone"] == 1
+
+        assert added(manager.name) == 1
+        assert added("SPCM") >= 1
+        assert stats.migrate_calls - calls == added("SPCM") + 2
+        assert stats.pages_migrated - pages == 1 + 4 + 1
 
 
 class TestModifyPageFlags:

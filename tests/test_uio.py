@@ -51,7 +51,7 @@ class TestFileServer:
         other = system.kernel.create_segment(2)
         with pytest.raises(UIOError):
             system.file_server.file_for(other)
-        assert not system.file_server.is_file(other)
+        assert system.file_server.lookup(other) is None
 
     def test_store_page_extends_size(self, world):
         system, seg = world
@@ -138,6 +138,57 @@ class TestUIORead:
             system.uio.read(seg, -1, 10)
         with pytest.raises(UIOError):
             system.uio.read(seg, 0, -10)
+
+
+class TestUIOFaultListeners:
+    """A read or write that finds no frame is one fault service, seen by
+    the kernel's ``on_fault_serviced`` listeners like a reference's."""
+
+    def test_each_faulted_page_notifies_once(self, world):
+        system, seg = world
+        kernel = system.kernel
+        system.file_server.create_file(seg, data=b"r" * 8 * 4096)
+        seen = []
+        kernel.on_fault_serviced(lambda *fault: seen.append(fault))
+        faults = kernel.stats.faults
+        system.uio.read(seg, 0, 8 * 4096)
+        assert kernel.stats.faults - faults == 8
+        assert [(s, vpn, w) for s, vpn, w, _, _ in seen] == [
+            (seg, page, False) for page in range(8)
+        ]
+        assert [pfn for *_, pfn in seen] == [
+            seg.pages[page].pfn for page in range(8)
+        ]
+        assert all(latency > 0 for _, _, _, latency, _ in seen)
+        system.uio.read(seg, 0, 8 * 4096)  # cached: no fault, no call
+        assert len(seen) == 8
+
+    def test_latency_is_the_fault_service_cost(self, world):
+        """The latency covers the fault service only: the read's own
+        UIO call, lookup and copy charges are outside it."""
+        system, seg = world
+        kernel = system.kernel
+        system.file_server.create_file(seg, data=b"c" * 4096)
+        seen = []
+        kernel.on_fault_serviced(lambda *fault: seen.append(fault[3]))
+        before = kernel.meter.total_us
+        system.uio.read(seg, 0, 4096)
+        read_cost = kernel.meter.total_us - before
+        assert seen == [read_cost - 222.0]
+
+    def test_append_fault_notifies_as_a_write(self, world):
+        system, seg = world
+        kernel = system.kernel
+        system.file_server.create_file(seg)
+        seen = []
+        kernel.on_fault_serviced(lambda *fault: seen.append(fault))
+        for off in range(0, 8 * 4096, 4096):
+            system.uio.write(seg, off, b"w" * 4096)
+        # two 16 KB append units: one fault each
+        assert [(s, vpn, w) for s, vpn, w, _, _ in seen] == [
+            (seg, 0, True),
+            (seg, 4, True),
+        ]
 
 
 class TestUIOWrite:
