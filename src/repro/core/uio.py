@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 from repro.core.faults import MISSING_PAGE, PageFault
 from repro.core.flags import DIRTY_I, REFERENCED_I
-from repro.core.kernel import Kernel
+from repro.core.kernel import MAX_FAULT_RETRIES, Kernel
 from repro.core.segment import Segment
+from repro.core.supervisor import FAILOVER_AFTER_ATTEMPTS
 from repro.errors import TransientDiskError, UIOError
 from repro.hw.disk import Disk
 
@@ -380,17 +381,30 @@ class UIO:
 
     def _require_frame(self, segment: Segment, page: int, write: bool):
         """Resolve a file page, faulting to the manager as needed (the
-        fault service of a read or write that found no frame)."""
-        supervisor = self.kernel.supervisor
-        for _ in range(3):
+        fault service of a read or write that found no frame).
+
+        The retry loop is the reference slow path's: up to
+        ``MAX_FAULT_RETRIES`` deliveries, the page looked at before each
+        and after the last, and a manager that has not provided it after
+        ``FAILOVER_AFTER_ATTEMPTS`` deliveries failed over.
+        """
+        kernel = self.kernel
+        supervisor = kernel.supervisor
+        for attempt in range(MAX_FAULT_RETRIES + 1):
             frame = segment.pages.get(page)
             if frame is not None:
                 supervisor.fault_ended(resolved=True)
                 return frame
+            if attempt == MAX_FAULT_RETRIES:
+                break
             fault = PageFault(segment.seg_id, page, MISSING_PAGE, write)
-            self.kernel.dispatch_fault(fault)
+            if attempt >= FAILOVER_AFTER_ATTEMPTS and supervisor.distrust(
+                fault, attempt
+            ):
+                continue  # look again; the next delivery goes to the fallback
+            kernel.dispatch_fault(fault)
         supervisor.fault_ended(resolved=False)
         raise UIOError(
-            f"manager failed to provide page {page} of file "
-            f"segment {segment.name}"
+            f"manager failed to provide page {page} of file segment "
+            f"{segment.name} after {MAX_FAULT_RETRIES} deliveries"
         )

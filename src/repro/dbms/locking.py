@@ -8,13 +8,16 @@ starvation), mode upgrades, and two-phase release at commit.
 Resources are arbitrary hashable names arranged by the caller into a
 hierarchy (database -> relation -> page); :meth:`LockManager.acquire`
 checks that a parent intention lock is held before granting a child lock,
-enforcing the protocol the invariants test.
+enforcing the protocol the invariants test.  A family of numbered
+children, such as a relation's pages, is declared as one range
+(:meth:`LockManager.declare_range`) rather than one entry per child.
 
 Every grant decision is a few integer operations.  Each mode carries a
 bit, the mask of the modes it conflicts with and the mask of the modes it
 covers, all derived once from Gray's matrix; each lock state counts its
 holders per mode and keeps the mask of the modes granted.  A state exists
-only while its resource is held or waited for.
+only while its resource is held or waited for, so a request on a resource
+with no state is granted on a new one.
 
 :meth:`LockManager.acquire` is used as ``yield from locks.acquire(...)``
 but is a plain method: a request it can grant at once is granted inside
@@ -106,7 +109,7 @@ def combine(a: LockMode, b: LockMode) -> LockMode:
     return _LEAST_COVERING[a._covers | b._covers]
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A lock-holding actor."""
 
@@ -164,6 +167,10 @@ class LockManager:
         self._locks: dict[Resource, _LockState] = {}
         #: resource -> parent resource (for protocol checking)
         self._parent: dict[Resource, Resource] = {}
+        #: prefix -> (indices, parent): the children ``(*prefix, i)`` for
+        #: ``i`` in ``indices`` have ``parent`` (consulted only when
+        #: ``_parent`` has no entry)
+        self._ranges: dict[tuple, tuple[range, Resource]] = {}
         #: txn_id -> (state, waiter) it is queued as (waits-for graph)
         self._waiting_on: dict[int, tuple[_LockState, _Waiter]] = {}
         self.grants = 0
@@ -179,6 +186,27 @@ class LockManager:
             raise LockProtocolError("a resource cannot be its own parent")
         self._parent.update(dict.fromkeys(children, parent))
 
+    def declare_range(
+        self, parent: Resource, prefix: tuple, indices: range
+    ) -> None:
+        """Register the children ``(*prefix, i)``, for each ``i`` in
+        ``indices``, under ``parent``: a relation's pages as one entry.
+
+        A resource is one of them when it is a tuple that extends
+        ``prefix`` by one item found ``in indices``, which is exactly
+        when it equals one of the tuples :meth:`declare_child` would
+        register for them.  A child named by :meth:`declare_child` keeps
+        that parent; declaring ``prefix`` again replaces its range.
+        """
+        if (
+            isinstance(parent, tuple)
+            and parent
+            and parent[:-1] == prefix
+            and parent[-1] in indices
+        ):
+            raise LockProtocolError("a resource cannot be its own parent")
+        self._ranges[prefix] = (indices, parent)
+
     # -- acquire / release -----------------------------------------------------
 
     def acquire(self, txn: Transaction, resource: Resource, mode: LockMode):
@@ -190,26 +218,40 @@ class LockManager:
         request and returns the generator that waits for its grant.
         ``LockProtocolError`` and ``DeadlockError`` raise from the call.
         """
+        held_modes = txn.held
         parent = self._parent.get(resource)
+        if parent is None and isinstance(resource, tuple) and resource:
+            # a member of a declared range: (*prefix, i) with i in range
+            family = self._ranges.get(resource[:-1])
+            if family is not None and resource[-1] in family[0]:
+                parent = family[1]
         if parent is not None:
             needed = mode._intention
-            held = txn.held.get(parent)
+            held = held_modes.get(parent)
             if held is None or not held._covers & needed._bit:
                 raise LockProtocolError(
                     f"txn {txn.txn_id} requests {mode.value} on {resource!r} "
                     f"without {needed.value} (or stronger) on parent "
                     f"{parent!r}"
                 )
-        current = txn.held.get(resource)
+        current = held_modes.get(resource)
         if current is None:
             wanted = mode
         else:
             wanted = _LEAST_COVERING[current._covers | mode._covers]
             if wanted is current:
                 return ()  # already strong enough
-        state = self._locks.get(resource)
+        locks = self._locks
+        state = locks.get(resource)
         if state is None:
-            state = self._locks[resource] = _LockState()
+            # nobody holds or waits for the resource: grant on a new state
+            state = locks[resource] = _LockState()
+            state.counts[wanted._index] = 1
+            state.mask = wanted._bit
+            state.granted[txn.txn_id] = (txn, wanted)
+            held_modes[resource] = wanted
+            self.grants += 1
+            return ()
         if current is None:
             # strict FIFO for fresh requests; upgrades pass the queue
             blocked = state.queue or state.mask & wanted._conflicts
@@ -340,11 +382,18 @@ class LockManager:
                 raise LockProtocolError(
                     f"txn {txn_id} releases {resource!r} it does not hold"
                 )
-            state.drop(granted[1])
-            if state.queue:
+            queue = state.queue
+            if not queue and not state.granted:
+                del locks[resource]  # idle: its counts are dropped with it
+                continue
+            mode = granted[1]
+            counts = state.counts
+            index = mode._index
+            counts[index] -= 1
+            if not counts[index]:
+                state.mask &= ~mode._bit
+            if queue:
                 self._wake_queue(state, resource)
-            elif not state.granted:
-                del locks[resource]
         txn.held.clear()
 
     def _wake_queue(self, state: _LockState, resource: Resource) -> None:

@@ -8,6 +8,7 @@ history append relation, and the summary relation the joins update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import DBMSError
 
@@ -29,11 +30,11 @@ class Relation:
         if self.record_size > self.page_size:
             raise DBMSError("records larger than a page are not supported")
 
-    @property
+    @cached_property
     def records_per_page(self) -> int:
         return self.page_size // self.record_size
 
-    @property
+    @cached_property
     def n_pages(self) -> int:
         return -(-self.n_records // self.records_per_page)
 

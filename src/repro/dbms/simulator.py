@@ -148,11 +148,9 @@ def run_tp_experiment(
 def _declare_hierarchy(locks: LockManager, db: Database) -> None:
     locks.declare_child("db", *(("rel", name) for name in db.relations))
     for name, relation in db.relations.items():
-        # one bulk declaration per relation keeps protocol checks on
-        # every page
-        locks.declare_child(
-            ("rel", name),
-            *(("page", name, page) for page in range(relation.n_pages)),
+        # one range per relation keeps protocol checks on every page
+        locks.declare_range(
+            ("rel", name), ("page", name), range(relation.n_pages)
         )
 
 

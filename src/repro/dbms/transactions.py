@@ -31,6 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dbms.buffer import SegmentBackedIndex
     from repro.dbms.simulator import TPConfig
 
+# the lock modes a transaction takes, as module globals: on CPython 3.11
+# every attribute read off an Enum class takes the slow lookup the
+# metaclass's ``__getattr__`` hook forces (about 80 ns)
+_IX = LockMode.IX
+_S = LockMode.S
+_X = LockMode.X
+
 
 class IndexPolicy(Enum):
     """The four Table-4 configurations."""
@@ -60,6 +67,11 @@ class TPContext:
     regenerations: int = 0
     injected_disk_errors: int = 0
     cpu_busy_us: float = 0.0
+    #: the command that takes one CPU, built once per run
+    cpu_acquire: Acquire = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.cpu_acquire = Acquire(self.cpu)
 
     def record(self, kind: str, arrived_at: float, measured: bool) -> None:
         """Account one completed transaction's response time."""
@@ -78,7 +90,7 @@ def use_cpu(ctx: TPContext, microseconds: float):
     """Hold one CPU for ``microseconds`` of compute."""
     if microseconds <= 0:
         return
-    yield Acquire(ctx.cpu)
+    yield ctx.cpu_acquire
     yield Delay(microseconds)
     ctx.cpu.release()
     ctx.cpu_busy_us += microseconds
@@ -89,30 +101,27 @@ def debit_credit(ctx: TPContext, txn_id: int, measured: bool):
     history."""
     arrived = ctx.engine.now
     txn = Transaction(txn_id, name=f"dc-{txn_id}")
-    locks, rng, db = ctx.locks, ctx.rng, ctx.db
-    accounts = db.relation("accounts")
-    branches = db.relation("branches")
-    tellers = db.relation("tellers")
-    history = db.relation("history")
+    locks, rng, relations = ctx.locks, ctx.rng, ctx.db.relations
+    accounts = relations["accounts"]
+    branches = relations["branches"]
+    tellers = relations["tellers"]
+    history = relations["history"]
     account = rng.randint(0, accounts.n_records - 1)
     branch = rng.randint(0, branches.n_records - 1)
     teller = rng.randint(0, tellers.n_records - 1)
     hist_page = rng.randint(0, history.n_pages - 1)
-    yield from locks.acquire(txn, "db", LockMode.IX)
-    yield from locks.acquire(txn, ("rel", "accounts"), LockMode.IX)
-    yield from locks.acquire(
-        txn, ("page", "accounts", accounts.page_of(account)), LockMode.X
+    acquire = locks.acquire
+    yield from acquire(txn, "db", _IX)
+    yield from acquire(txn, ("rel", "accounts"), _IX)
+    yield from acquire(
+        txn, ("page", "accounts", accounts.page_of(account)), _X
     )
-    yield from locks.acquire(txn, ("rel", "branches"), LockMode.IX)
-    yield from locks.acquire(
-        txn, ("page", "branches", branches.page_of(branch)), LockMode.X
-    )
-    yield from locks.acquire(txn, ("rel", "tellers"), LockMode.IX)
-    yield from locks.acquire(
-        txn, ("page", "tellers", tellers.page_of(teller)), LockMode.X
-    )
-    yield from locks.acquire(txn, ("rel", "history"), LockMode.IX)
-    yield from locks.acquire(txn, ("page", "history", hist_page), LockMode.X)
+    yield from acquire(txn, ("rel", "branches"), _IX)
+    yield from acquire(txn, ("page", "branches", branches.page_of(branch)), _X)
+    yield from acquire(txn, ("rel", "tellers"), _IX)
+    yield from acquire(txn, ("page", "tellers", tellers.page_of(teller)), _X)
+    yield from acquire(txn, ("rel", "history"), _IX)
+    yield from acquire(txn, ("page", "history", hist_page), _X)
     yield from use_cpu(ctx, ctx.config.dc_compute_us)
     locks.release_all(txn)
     ctx.record("dc", arrived, measured)
@@ -127,16 +136,16 @@ def join_transaction(ctx: TPContext, txn_id: int, measured: bool):
     """
     arrived = ctx.engine.now
     txn = Transaction(txn_id, name=f"join-{txn_id}")
-    locks, rng, db = ctx.locks, ctx.rng, ctx.db
+    locks, rng = ctx.locks, ctx.rng
     config = ctx.config
-    summary = db.relation("summary")
-    yield from locks.acquire(txn, "db", LockMode.IX)
-    yield from locks.acquire(txn, ("rel", "accounts"), LockMode.S)
-    yield from locks.acquire(txn, ("rel", "tellers"), LockMode.S)
-    yield from locks.acquire(txn, ("rel", "summary"), LockMode.IX)
+    summary = ctx.db.relations["summary"]
+    yield from locks.acquire(txn, "db", _IX)
+    yield from locks.acquire(txn, ("rel", "accounts"), _S)
+    yield from locks.acquire(txn, ("rel", "tellers"), _S)
+    yield from locks.acquire(txn, ("rel", "summary"), _IX)
     for _ in range(config.join_summary_pages):
         page = rng.randint(0, summary.n_pages - 1)
-        yield from locks.acquire(txn, ("page", "summary", page), LockMode.X)
+        yield from locks.acquire(txn, ("page", "summary", page), _X)
 
     if config.policy is IndexPolicy.NONE:
         # nested-loop scan of the inputs

@@ -39,16 +39,18 @@ def arrival_process(ctx: TPContext):
     every 500 transactions" (S3.3).
     """
     config = ctx.config
+    engine = ctx.engine
     mix = TransactionMix(config.arrival_tps, config.join_fraction)
+    mean_gap_us = mix.mean_interarrival_us
     rng = ctx.rng.substream("arrivals")
     classes = ctx.rng.substream("classes")
     end_us = config.duration_s * 1e6
     warmup_us = config.warmup_s * 1e6
     txn_id = 0
     while True:
-        gap = rng.exponential(mix.mean_interarrival_us)
+        gap = rng.exponential(mean_gap_us)
         yield Delay(gap)
-        if ctx.engine.now >= end_us:
+        if engine.now >= end_us:
             return
         txn_id += 1
         if (
@@ -60,13 +62,13 @@ def arrival_process(ctx: TPContext):
                 ctx.index.evict_all()
             elif config.policy is IndexPolicy.REGENERATE:
                 ctx.index.discard()
-        measured = ctx.engine.now >= warmup_us
+        measured = engine.now >= warmup_us
         is_join = classes.bernoulli(mix.join_fraction)
         if is_join:
-            ctx.engine.spawn(
+            engine.spawn(
                 join_transaction(ctx, txn_id, measured), name=f"join-{txn_id}"
             )
         else:
-            ctx.engine.spawn(
+            engine.spawn(
                 debit_credit(ctx, txn_id, measured), name=f"dc-{txn_id}"
             )

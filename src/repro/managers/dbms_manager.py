@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.api import ModifyPageFlagsRequest
+from repro.core.faults import MISSING_PAGE, PageFault
 from repro.core.flags import PageFlags
 from repro.core.segment import Segment
 from repro.errors import ManagerError
@@ -153,10 +154,8 @@ class DBMSSegmentManager(GenericSegmentManager):
         for page in pages:
             if page in segment.pages:
                 continue
-            from repro.core.faults import FaultKind, PageFault
-
             self.handle_fault(
-                PageFault(segment.seg_id, page, FaultKind.MISSING_PAGE, False)
+                PageFault(segment.seg_id, page, MISSING_PAGE, False)
             )
             brought_in += 1
         return brought_in

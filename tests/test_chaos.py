@@ -312,6 +312,41 @@ class TestManagerFailover:
         assert kernel.stats.fallback_resolutions == 1
         kernel.check_frame_conservation()
 
+    def test_uio_byzantine_manager_fails_over(self, system):
+        """A UIO fault whose manager keeps replying without providing the
+        page fails the manager over after ``FAILOVER_AFTER_ATTEMPTS``
+        deliveries, as a reference fault does, and the fallback
+        resolves it."""
+        kernel = system.kernel
+        victim = make_victim(system)
+        file_seg = kernel.create_segment(
+            0, name="uio-byz", manager=victim, auto_grow=True
+        )
+        system.file_server.create_file(file_seg, data=b"b" * 2 * 4096)
+        install_plan(system, manager_byzantine_rate=1.0)
+        assert system.uio.read(file_seg, 0, 2 * 4096) == b"b" * 2 * 4096
+        assert kernel.stats.byzantine_replies == FAILOVER_AFTER_ATTEMPTS
+        assert kernel.stats.manager_failovers == 1
+        assert kernel.stats.fallback_resolutions == 1
+        assert victim.failed
+        assert file_seg.manager is system.default_manager
+        kernel.check_frame_conservation()
+
+    def test_uio_uses_the_page_its_last_retry_provided(self, system):
+        """Two byzantine replies, then a delivery that backs the page: the
+        read returns it (the page is looked at after every delivery)."""
+        kernel = system.kernel
+        victim = make_victim(system)
+        file_seg = kernel.create_segment(
+            0, name="uio-late", manager=victim, auto_grow=True
+        )
+        system.file_server.create_file(file_seg, data=b"l" * 2 * 4096)
+        install_plan(system, manager_byzantine_rate=1.0, max_injections=2)
+        assert system.uio.read(file_seg, 0, 4096) == b"l" * 4096
+        assert kernel.stats.byzantine_replies == 2
+        assert kernel.stats.manager_failovers == 0
+        assert file_seg.manager is victim
+
     def test_hang_charges_the_timeout(self, victim_file):
         system, _, _, space = victim_file
         install_plan(system, manager_hang_rate=1.0, max_injections=1)

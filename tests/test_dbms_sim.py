@@ -5,14 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.dbms.buffer import SegmentBackedIndex
+from repro.dbms.locking import LockManager, LockMode, Transaction
 from repro.dbms.relations import Database, Relation, bank_database
 from repro.dbms.simulator import (
     IndexPolicy,
     TPConfig,
+    _declare_hierarchy,
     run_tp_experiment,
     table4_configurations,
 )
-from repro.errors import DBMSError
+from repro.errors import DBMSError, LockProtocolError
+from repro.sim.engine import Engine
 
 
 class TestRelations:
@@ -142,6 +145,27 @@ class TestSimulator:
     def test_lock_waits_happen(self):
         result = run_tp_experiment(quick_config(IndexPolicy.NONE))
         assert result.lock_waits > 0
+
+
+class TestLockHierarchy:
+    """The Table-4 run's lock hierarchy: db, its relations, and each
+    relation's pages declared as one range."""
+
+    def test_every_page_lock_is_protocol_checked(self):
+        db = bank_database(120)
+        locks = LockManager(Engine())
+        _declare_hierarchy(locks, db)
+        assert len(locks._parent) + len(locks._ranges) == 10
+        txn = Transaction(1)
+        for name, relation in db.relations.items():
+            for page in (0, relation.n_pages - 1):
+                with pytest.raises(LockProtocolError):
+                    locks.acquire(txn, ("page", name, page), LockMode.X)
+        locks.acquire(txn, "db", LockMode.IX)
+        for name, relation in db.relations.items():
+            locks.acquire(txn, ("rel", name), LockMode.IX)
+            for page in (0, relation.n_pages - 1):
+                assert locks.acquire(txn, ("page", name, page), LockMode.X) == ()
 
 
 class TestTable4Shape:

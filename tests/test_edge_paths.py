@@ -11,8 +11,9 @@ from repro.core.api import (
 )
 from repro.core.faults import FaultKind, PageFault
 from repro.core.flags import PageFlags
-from repro.core.kernel import Kernel
+from repro.core.kernel import MAX_FAULT_RETRIES, Kernel
 from repro.core.manager_api import SegmentManager
+from repro.core.supervisor import FAILOVER_AFTER_ATTEMPTS
 from repro.errors import UIOError
 from repro.managers.base import GenericSegmentManager
 from repro.managers.coloring_manager import ColoringSegmentManager
@@ -58,20 +59,43 @@ class TestAllocateRunFallback:
         assert len(manager.allocate_run(1)) == 1
 
 
-class TestUIOFailurePaths:
-    def test_manager_that_never_provides_raises_uio_error(self, system):
-        class BrokenManager(SegmentManager):
-            def handle_fault(self, fault):
-                pass  # resolves nothing
+class _SilentManager(SegmentManager):
+    """Counts the faults delivered to it and resolves none."""
 
+    def __init__(self, kernel) -> None:
+        super().__init__(kernel, "silent")
+        self.deliveries = 0
+
+    def handle_fault(self, fault):
+        self.deliveries += 1
+
+
+class TestUIOFailurePaths:
+    def test_manager_that_never_provides_is_failed_over(self, system):
         kernel = system.kernel
-        broken = BrokenManager(kernel, "broken")
+        silent = _SilentManager(kernel)
         seg = kernel.create_segment(
-            0, name="f", manager=broken, auto_grow=True
+            0, name="f", manager=silent, auto_grow=True
+        )
+        system.file_server.create_file(seg, data=b"x" * 4096)
+        assert system.uio.read(seg, 0, 4096) == b"x" * 4096
+        assert silent.deliveries == FAILOVER_AFTER_ATTEMPTS
+        assert kernel.stats.manager_failovers == 1
+        assert kernel.stats.fallback_resolutions == 1
+        assert seg.manager is system.default_manager
+
+    def test_manager_that_never_provides_raises_uio_error(self, system):
+        kernel = system.kernel
+        kernel.supervisor.fallback = None
+        silent = _SilentManager(kernel)
+        seg = kernel.create_segment(
+            0, name="f", manager=silent, auto_grow=True
         )
         system.file_server.create_file(seg, data=b"x" * 4096)
         with pytest.raises(UIOError):
             system.uio.read(seg, 0, 4096)
+        assert silent.deliveries == MAX_FAULT_RETRIES
+        assert kernel.stats.manager_failovers == 0
 
 
 class TestColoringNonMissingFaults:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import inspect
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.dbms.locking import (
     LockManager,
@@ -437,6 +439,91 @@ class TestHierarchyProtocol:
             run_txn(engine, writer(page))
         engine.run()
         assert outcomes == pages
+
+
+#: prefixes a probed key may extend: the declared family's, two foreign
+#: ones, a shorter and an empty one
+_PREFIXES = [("page", "t"), ("page", "u"), ("rel", "t"), ("page",), ()]
+
+_indexed = st.tuples(st.sampled_from(_PREFIXES), st.integers(-4, 14))
+
+#: ``(*prefix, i)``, one item longer, or no tuple at all
+_probe_keys = st.one_of(
+    _indexed.map(lambda pair: (*pair[0], pair[1])),
+    _indexed.map(lambda pair: (*pair[0], pair[1], 0)),
+    st.sampled_from(["db", ()]),
+)
+
+
+class TestRangeDeclaration:
+    """``declare_range`` gives the same parents as enumerating the
+    children with ``declare_child``."""
+
+    @given(
+        st.sampled_from([("page", "t"), ("page",), ()]),
+        st.integers(-3, 6),
+        st.integers(-3, 12),
+        st.sampled_from([1, 2, 3, -1]),
+        _probe_keys,
+        st.sampled_from([None, *LockMode]),
+        st.sampled_from(list(LockMode)),
+    )
+    @example(("page", "t"), 0, 3, 1, ("page", "t", 2), None, LockMode.X)
+    @example(("page", "t"), 0, 3, 1, ("page", "t", 0), LockMode.IX, LockMode.X)
+    @example(("page", "t"), 0, 3, 1, ("page", "t", 3), None, LockMode.X)
+    @example(("page", "t"), 0, 3, 1, ("page", "t", 1, 0), None, LockMode.X)
+    @example(("page", "t"), 0, 3, 1, ("page", 1), None, LockMode.X)
+    @example(("page",), 0, 3, 1, ("page", 1), None, LockMode.X)
+    def test_same_outcome_as_enumerated_children(
+        self, prefix, start, stop, step, key, parent_mode, mode
+    ):
+        indices = range(start, stop, step)
+
+        def by_range(locks):
+            locks.declare_range(("rel", "t"), prefix, indices)
+
+        def by_enumeration(locks):
+            locks.declare_child(("rel", "t"), *((*prefix, i) for i in indices))
+
+        outcomes = []
+        for declare in (by_range, by_enumeration):
+            locks = LockManager(Engine())
+            declare(locks)
+            txn = Transaction(1)
+            if parent_mode is not None:
+                locks.acquire(txn, ("rel", "t"), parent_mode)
+            try:
+                locks.acquire(txn, key, mode)
+            except LockProtocolError:
+                outcomes.append("refused")
+            else:
+                outcomes.append(dict(txn.held))
+        assert outcomes[0] == outcomes[1]
+
+    def test_exact_declaration_takes_precedence(self, world):
+        _, locks = world
+        locks.declare_range(("rel", "t"), ("page", "t"), range(3))
+        locks.declare_child(("rel", "u"), ("page", "t", 1))
+        txn = Transaction(1)
+        locks.acquire(txn, ("rel", "t"), LockMode.IX)
+        with pytest.raises(LockProtocolError):
+            locks.acquire(txn, ("page", "t", 1), LockMode.X)
+        assert locks.acquire(txn, ("page", "t", 2), LockMode.X) == ()
+
+    def test_redeclaring_a_prefix_replaces_its_range(self, world):
+        _, locks = world
+        locks.declare_range(("rel", "t"), ("page", "t"), range(3))
+        locks.declare_range(("rel", "t"), ("page", "t"), range(5, 8))
+        txn = Transaction(1)
+        assert locks.acquire(txn, ("page", "t", 0), LockMode.X) == ()
+        with pytest.raises(LockProtocolError):
+            locks.acquire(txn, ("page", "t", 5), LockMode.X)
+
+    def test_self_parent_rejected(self, world):
+        _, locks = world
+        with pytest.raises(LockProtocolError):
+            locks.declare_range(("page", "t", 2), ("page", "t"), range(3))
+        locks.declare_range(("page", "t", 3), ("page", "t"), range(3))
 
 
 class TestTheCouplingTable4DependsOn:
