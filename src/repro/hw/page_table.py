@@ -61,10 +61,12 @@ class GlobalHashPageTable:
 
     def insert(self, entry: Translation) -> None:
         """Install a translation, spilling a colliding entry to overflow."""
-        idx = self._index(entry.space_id, entry.vpn)
+        space_id, vpn = entry.space_id, entry.vpn
+        # _index, inline (as in lookup, which runs on every TLB miss)
+        idx = hash((space_id, vpn)) % self.n_entries
         occupant = self._table[idx]
         if occupant is not None and (
-            occupant.space_id != entry.space_id or occupant.vpn != entry.vpn
+            occupant.space_id != space_id or occupant.vpn != vpn
         ):
             self.stats.collisions += 1
             if len(self._overflow) < self.overflow_entries:
@@ -74,20 +76,21 @@ class GlobalHashPageTable:
                 self.stats.dropped += 1
         self._table[idx] = entry
         if self._overflow:
-            self._overflow.pop((entry.space_id, entry.vpn), None)
+            self._overflow.pop((space_id, vpn), None)
 
     def lookup(self, space_id: int, vpn: int) -> Translation | None:
         """Look up a translation; ``None`` is a soft miss."""
-        self.stats.lookups += 1
-        idx = self._index(space_id, vpn)
-        entry = self._table[idx]
+        stats = self.stats
+        stats.lookups += 1
+        entry = self._table[hash((space_id, vpn)) % self.n_entries]
         if entry is not None and entry.space_id == space_id and entry.vpn == vpn:
-            self.stats.hits += 1
+            stats.hits += 1
             return entry
-        entry = self._overflow.get((space_id, vpn))
-        if entry is not None:
-            self.stats.hits += 1
-            return entry
+        if self._overflow:
+            entry = self._overflow.get((space_id, vpn))
+            if entry is not None:
+                stats.hits += 1
+                return entry
         return None
 
     def remove(self, space_id: int, vpn: int) -> bool:

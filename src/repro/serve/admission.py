@@ -30,25 +30,29 @@ class TokenBucket:
         self.tokens = burst
         self.last_refill_us = 0.0
 
-    def _refill(self, now_us: float) -> None:
-        dt_us = now_us - self.last_refill_us
-        if dt_us > 0:
-            self.tokens = min(
-                self.burst, self.tokens + dt_us * 1e-6 * self.rate_per_s
-            )
-            self.last_refill_us = now_us
-
     def try_take(self, now_us: float) -> float:
         """Take one token if available.
 
-        Returns ``0.0`` on success, else the simulated microseconds
-        until a token will have accrued (the ``RetryAfter`` horizon).
+        The bucket first refills from the simulated clock: when
+        ``now_us`` is past the last refill it gains ``rate_per_s``
+        tokens a second, capped at ``burst``; an equal or earlier time
+        adds nothing and leaves the refill time where it is.  Returns
+        ``0.0`` on success, else the simulated microseconds until a
+        token will have accrued (the ``RetryAfter`` horizon,
+        ``(1 - tokens) / rate_per_s * 1e6``).
         """
-        self._refill(now_us)
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
+        tokens = self.tokens
+        dt_us = now_us - self.last_refill_us
+        if dt_us > 0:
+            tokens += dt_us * 1e-6 * self.rate_per_s
+            if tokens > self.burst:
+                tokens = self.burst
+            self.last_refill_us = now_us
+        if tokens >= 1.0:
+            self.tokens = tokens - 1.0
             return 0.0
-        return (1.0 - self.tokens) / self.rate_per_s * 1e6
+        self.tokens = tokens
+        return (1.0 - tokens) / self.rate_per_s * 1e6
 
 
 class AdmissionController:
@@ -107,16 +111,16 @@ class AdmissionController:
 
         Returns ``None`` when admitted, else the typed shed.
         """
-        if self.backlog_fn is not None:
-            backlog = self.backlog_fn()
+        backlog_fn = self.backlog_fn
+        if backlog_fn is not None:
+            backlog = backlog_fn()
             if backlog >= self.max_backlog:
                 # horizon: time for the excess to drain at the token rate
                 excess = backlog - self.max_backlog + 1
                 return self._shed(
                     tenant, excess / self.rate_per_s * 1e6, "backpressure"
                 )
-        bucket = self.buckets[tenant]
-        wait_us = bucket.try_take(now_us)
+        wait_us = self.buckets[tenant].try_take(now_us)
         if wait_us > 0:
             return self._shed(tenant, wait_us, "admission")
         self.admitted += 1

@@ -30,40 +30,59 @@ def run_load(
     Returns the number of requests serviced.  Page picks, think times
     and read/write mix come from per-tenant substreams of the serving
     system's seeded RNG; arrivals past ``duration_us`` stop, then one
-    final flush drains the scheduler.
+    final flush drains the scheduler.  A non-positive ``think_us_mean``
+    or a ``write_fraction`` outside [0, 1] raises ``ValueError`` before
+    any arrival runs.
     """
+    if think_us_mean <= 0:
+        raise ValueError(f"think_us_mean must be positive: {think_us_mean}")
+    if not 0.0 <= write_fraction <= 1.0:
+        raise ValueError(f"write_fraction out of range: {write_fraction}")
     engine = serving.engine
+    schedule = engine.schedule
+    submit = serving.submit
     end = engine.now + duration_us
+    think_rate = 1.0 / think_us_mean
 
     def arrival_for(session: TenantSession) -> Callable[[], None]:
-        """The tenant's arrival callback, made once and rescheduled."""
-        rng = serving.rng.substream(f"tenant:{session.tenant}")
+        """The tenant's arrival callback, made once and rescheduled.
+
+        Its draws are the tenant substream's ``randint(0, n_pages - 1)``,
+        ``bernoulli(write_fraction)`` and ``exponential(think_us_mean)``,
+        made on the substream's generator with the arguments checked
+        above (see :attr:`~repro.sim.rng.RandomSource.generator`).
+        """
+        generator = serving.rng.substream(f"tenant:{session.tenant}").generator
+        page_below = generator._randbelow
+        uniform = generator.random
+        think = generator.expovariate
         segment = session.segment
+        n_pages = segment.n_pages
+        page_size = segment.page_size
 
         def arrive() -> None:
             if engine.now >= end:
                 return
-            vaddr = rng.randint(0, segment.n_pages - 1) * segment.page_size
-            write = rng.bernoulli(write_fraction)
-            shed = serving.submit(session, vaddr, write)
+            vaddr = page_below(n_pages) * page_size
+            shed = submit(session, vaddr, uniform() < write_fraction)
             if shed is not None:
                 # obey the typed Retry-After: same tenant, new arrival at
                 # exactly the shed horizon (clamped to stay schedulable)
-                engine.schedule(max(shed.retry_after_us, 1.0), arrive)
+                schedule(max(shed.retry_after_us, 1.0), arrive)
                 return
-            engine.schedule(rng.exponential(think_us_mean), arrive)
+            schedule(think(think_rate), arrive)
 
         return arrive
 
     def pump() -> None:
         serving.flush()
         if engine.now < end:
-            engine.schedule(flush_interval_us, pump)
+            schedule(flush_interval_us, pump)
 
     for i, tenant in enumerate(sorted(serving.sessions)):
         # stagger first arrivals so 64 tenants do not trample one event slot
-        engine.schedule(float(i), arrival_for(serving.sessions[tenant]))
-    engine.schedule(flush_interval_us, pump)
+        schedule(float(i), arrival_for(serving.sessions[tenant]))
+    schedule(flush_interval_us, pump)
     engine.run(until=end)
     serving.flush()
     return serving.scheduler.items_serviced

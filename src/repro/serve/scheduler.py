@@ -17,7 +17,7 @@ its own service.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 
@@ -26,25 +26,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.tenants import TenantSession
 
 
-class QueuedRequest(NamedTuple):
-    """One admitted reference waiting for the next flush (a tuple: one
-    is built per admitted reference)."""
-
-    session: "TenantSession"
-    vaddr: int
-    write: bool
-    t_submit_us: float
-
-
 class BatchScheduler:
-    """Coalesces outstanding fault-service work into batched flushes."""
+    """Coalesces outstanding fault-service work into batched flushes.
+
+    A queue entry is the plain tuple ``(session, vaddr, write,
+    t_submit_us)``: one is built per admitted reference.
+    """
 
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
         # (manager name, home node) -> FIFO of queued requests, for keys
         # with work only; walked in sorted key order at flush so the
         # service order is deterministic
-        self._queues: dict[tuple[str, int], list[QueuedRequest]] = {}
+        self._queues: dict[
+            tuple[str, int], list[tuple["TenantSession", int, bool, float]]
+        ] = {}
         self.backlog = 0
         self.batches_flushed = 0
         self.items_serviced = 0
@@ -60,7 +56,7 @@ class BatchScheduler:
         """Queue one admitted reference for the next flush."""
         key = (session.manager.name, session.home_node)
         self._queues.setdefault(key, []).append(
-            QueuedRequest(session, vaddr, write, t_submit_us)
+            (session, vaddr, write, t_submit_us)
         )
         self.backlog += 1
 
@@ -81,13 +77,14 @@ class BatchScheduler:
             return 0
         queues, self._queues = self._queues, {}
         kernel = self.kernel
+        reference = kernel.reference
         meter = kernel.meter
         serviced = 0
         for key in sorted(queues):
             items = queues[key]
             self.backlog -= len(items)
             self.batches_flushed += 1
-            manager = items[0].session.manager
+            manager = items[0][0].manager
             # one batched refill for the whole batch: the SPCM turns this
             # into a single BatchMigratePagesRequest kernel entry instead
             # of per-fault refill churn inside each reference below
@@ -101,20 +98,17 @@ class BatchScheduler:
                     # reference below asks for its own frame and is
                     # counted if that fails too
                     pass
-            for item in items:
-                session = item.session
+            for session, vaddr, write, t_submit_us in items:
                 before = meter.total_us
                 ok = True
                 try:
-                    kernel.reference(session.segment, item.vaddr, item.write)
+                    reference(session.segment, vaddr, write)
                 except ReproError:
                     ok = False
                     self.errors += 1
-                latency = (now_us - item.t_submit_us) + (
-                    meter.total_us - before
-                )
-                serviced += 1
-                self.items_serviced += 1
+                latency = (now_us - t_submit_us) + (meter.total_us - before)
                 if on_serviced is not None:
                     on_serviced(session, latency, ok)
+            serviced += len(items)
+        self.items_serviced += serviced
         return serviced

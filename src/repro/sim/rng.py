@@ -23,6 +23,20 @@ class RandomSource:
         self._rng = random.Random(seed)
         self._substreams: dict[str, "RandomSource"] = {}
 
+    @property
+    def generator(self) -> random.Random:
+        """The seeded ``random.Random`` this source draws from.
+
+        For loops that draw many times: bind its methods once and call
+        them directly.  Each method here is a draw of that generator
+        (``randint(lo, hi)`` is ``lo + generator._randbelow(hi - lo + 1)``,
+        ``bernoulli(p)`` is ``generator.random() < p`` and
+        ``exponential(mean)`` is ``generator.expovariate(1.0 / mean)``),
+        so a caller that checks the arguments once and then calls the
+        generator draws exactly what these wrappers would.
+        """
+        return self._rng
+
     def substream(self, name: str) -> "RandomSource":
         """A child stream deterministically derived from (seed, name)."""
         if name not in self._substreams:

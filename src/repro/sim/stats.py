@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
+
+#: :meth:`Tally.percentile` inserts the observations recorded since its
+#: last call one by one while the sorted copy holds at least this many
+#: times as many; otherwise it sorts once (a sort first scans the whole
+#: copy, which costs more than a few binary searches)
+_INSORT_RATIO = 8
 
 
 class Tally:
@@ -12,11 +19,21 @@ class Tally:
     Keeps every observation (experiments here are small enough), which
     makes exact percentiles and worst-case values available --- Table 4
     reports both the average and the worst-case response time.
+
+    :meth:`percentile` keeps a sorted copy of the observations and brings
+    it up to date when it is called: each observation recorded since the
+    last call is put in place with ``bisect.insort``, or, when many have
+    arrived, they are appended and the copy is sorted once.  So a caller
+    that reads a percentile after every observation (the SLO watchdog's
+    p99 objectives) pays a binary search per observation, not a sort of
+    the whole sample, and :meth:`record` stays one append.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._values: list[float] = []
+        # percentile's sorted copy of the first len(_sorted) observations
+        self._sorted: list[float] = []
 
     def record(self, value: float) -> None:
         """Add one observation."""
@@ -64,11 +81,23 @@ class Tally:
         hundreds of observations, where nearest-rank and interpolating
         definitions agree to within one observation.
         """
-        if not self._values:
+        values = self._values
+        if not values:
             return 0.0
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile out of range: {p}")
-        ordered = sorted(self._values)
+        ordered = self._sorted
+        n_sorted = len(ordered)
+        if n_sorted < len(values):
+            # both branches keep equal observations in arrival order, as
+            # one stable sort of the whole sample would
+            fresh = values[n_sorted:]
+            if len(fresh) * _INSORT_RATIO <= n_sorted:
+                for value in fresh:
+                    insort(ordered, value)
+            else:
+                ordered += fresh
+                ordered.sort()
         rank = max(1, math.ceil(p / 100.0 * len(ordered)))
         return ordered[rank - 1]
 

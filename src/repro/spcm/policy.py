@@ -38,6 +38,14 @@ class PolicyVerdict(NamedTuple):
     n_frames: int = 0
 
 
+#: the verdicts that carry no frame count, built once: the SPCM asks its
+#: policy on every refill, and a NamedTuple's ``__new__`` is a Python
+#: function (``tuple.__new__(PolicyVerdict, ...)`` builds the same tuple)
+DEFER_VERDICT = PolicyVerdict(DEFER)
+REFUSE_VERDICT = PolicyVerdict(REFUSE)
+_new_verdict = tuple.__new__
+
+
 class AllocationPolicy(ABC):
     """Decides how much of a frame request to satisfy."""
 
@@ -67,10 +75,13 @@ class ReservePolicy(AllocationPolicy):
     def decide(
         self, account: str, n_requested: int, n_free: int, page_size: int
     ) -> PolicyVerdict:
-        grantable = max(0, n_free - self.reserve_frames)
-        if grantable == 0:
-            return PolicyVerdict(DEFER)
-        return PolicyVerdict(GRANT, min(n_requested, grantable))
+        grantable = n_free - self.reserve_frames
+        if grantable <= 0:
+            return DEFER_VERDICT
+        return _new_verdict(
+            PolicyVerdict,
+            (GRANT, n_requested if n_requested < grantable else grantable),
+        )
 
 
 class MarketPolicy(AllocationPolicy):
@@ -96,12 +107,12 @@ class MarketPolicy(AllocationPolicy):
         self, account: str, n_requested: int, n_free: int, page_size: int
     ) -> PolicyVerdict:
         if account not in self.market.accounts:
-            return PolicyVerdict(REFUSE)
+            return REFUSE_VERDICT
         if self.market.is_broke(account):
-            return PolicyVerdict(REFUSE)
+            return REFUSE_VERDICT
         grantable = max(0, n_free - self.reserve_frames)
         if grantable == 0:
-            return PolicyVerdict(DEFER)
+            return DEFER_VERDICT
         acct = self.market.account(account)
         mb_per_frame = page_size / (1024.0 * 1024.0)
         # Largest holding the account can carry for min_hold_seconds.
@@ -112,4 +123,4 @@ class MarketPolicy(AllocationPolicy):
             if horizon >= self.min_hold_seconds:
                 return PolicyVerdict(GRANT, n)
             n //= 2
-        return PolicyVerdict(DEFER)
+        return DEFER_VERDICT

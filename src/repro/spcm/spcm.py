@@ -417,7 +417,9 @@ class SystemPageCacheManager:
             raise SPCMError(
                 "destination segment page size does not match request"
             )
-        account = self.account_of(manager)
+        # account_of and, below, arbiter.quota_of, inline: every refill
+        # runs them, and the serving layer's refills are mostly clamped
+        account = self._accounts.get(manager.name, manager.name)
         free = self._free[size]
         home = request.home_node
         # a placement hint serves local frames first, then spills to
@@ -456,7 +458,9 @@ class SystemPageCacheManager:
             raise AllocationRefusedError(
                 f"SPCM refused {request.n_frames} frames for {account!r}"
             )
-        n_grant = min(verdict.n_frames, n_matching)
+        n_grant = verdict.n_frames
+        if n_matching < n_grant:
+            n_grant = n_matching
         # memory is in demand when the pool, not a tenant's own cap, is
         # what holds a grant back (S2.4: free use absent competing demand)
         pool_short = (
@@ -466,7 +470,7 @@ class SystemPageCacheManager:
         # headroom; a breach defers (never refuses), so the tenant recycles
         # its own residents and retries rather than failing (S2.4 forced
         # return, applied proactively at the cap)
-        quota = self.arbiter.quota_of(account)
+        quota = self.arbiter.quotas.get(account)
         if quota is not None and n_grant > 0:
             headroom = quota - self.frames_held.get(account, 0)
             if n_grant > headroom:

@@ -51,7 +51,8 @@ class TestGreenPaths:
 #: chain records more of it, which a change must declare and re-record.
 #: The apps, table1 and disk heads gained one link per UIO fault when
 #: UIO fault services started reaching the fault listeners (16, 4 and 23
-#: links; every earlier link and the end state unchanged).
+#: links; every earlier link and the end state unchanged).  The flat
+#: serve heads pin the unsharded SPCM grant path under serving.
 PINNED_HEADS = {
     ("figure2", None): "23e16752303b8437",
     ("apps", None): "53712a8f773152ef",
@@ -59,7 +60,10 @@ PINNED_HEADS = {
     ("figure2", 2): "24a436ac0e7ad1c0",
     ("apps", 2): "113cd007abbadf64",
     ("table1", 2): "8a0a09f8aeb45db6",
+    ("serve-64x2", None): "cbf0c24d547f5cea",
     ("serve-64x2", 2): "29aa8871ff3db8f9",
+    ("serve-smoke", None): "9e7d3341aa65a8ea",
+    ("serve-smoke", 2): "d4912e471a7e2141",
     ("figure2", 4): "9f3f9c69cc27ebb8",
     ("apps", 4): "8ee3c919aab9667b",
     ("table1", 4): "1fe1cf5038979205",

@@ -90,6 +90,55 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate_per_s=1.0, burst=0.5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rate_per_s=st.floats(min_value=1.0, max_value=1e6),
+        burst=st.floats(min_value=1.0, max_value=16.0),
+        steps=st.lists(
+            st.one_of(
+                st.floats(min_value=0.001, max_value=5_000.0),  # later
+                st.just(0.0),  # the same instant
+                st.floats(min_value=-5_000.0, max_value=-0.001),  # earlier
+            ),
+            max_size=80,
+        ),
+    )
+    def test_bucket_and_controller_follow_the_documented_rule(
+        self, rate_per_s, burst, steps
+    ):
+        """Call for call, over times that move forward, stand still and
+        move back, ``try_take`` and ``try_admit`` agree with a bucket
+        written here from the rule: tokens refill at ``rate_per_s``
+        only when time advances, are capped at ``burst``, and a shed's
+        horizon is ``(1 - tokens) / rate_per_s * 1e6``."""
+        tokens, last_us = burst, 0.0
+        bucket = TokenBucket(rate_per_s, burst)
+        controller = AdmissionController(rate_per_s=rate_per_s, burst=burst)
+        controller.admit_tenant("t")
+        now_us = 0.0
+        admitted = shed = 0
+        for delta in steps:
+            now_us += delta
+            if now_us > last_us:
+                tokens = min(
+                    burst, tokens + (now_us - last_us) * 1e-6 * rate_per_s
+                )
+                last_us = now_us
+            if tokens >= 1.0:
+                tokens -= 1.0
+                expected = 0.0
+                admitted += 1
+            else:
+                expected = (1.0 - tokens) / rate_per_s * 1e6
+                shed += 1
+            assert bucket.try_take(now_us) == expected
+            result = controller.try_admit("t", now_us)
+            if expected == 0.0:
+                assert result is None
+            else:
+                assert result == RetryAfter("t", expected, "admission")
+        assert (controller.admitted, controller.shed) == (admitted, shed)
+
 
 # ---------------------------------------------------------------------------
 # admission controller: three shed reasons, all typed
@@ -454,6 +503,74 @@ def test_serving_interleavings_conserve_and_repeat(
     first = _serve_run(seed, n_tenants, quota_frames, duration_us, chaos_seed)
     second = _serve_run(seed, n_tenants, quota_frames, duration_us, chaos_seed)
     assert first == second
+
+
+#: seed -> (``digest_payload(serving.digest_rows())`` head, SPCM
+#: ``quota_deferrals``) of a 16-tenant, 2-node, 20 ms run with the
+#: ``bench serve`` constants.  The determinism chains record fault
+#: services and the end state, not the serving layer's own counters;
+#: these pin its admission, shed, batch and per-tenant latency rows and
+#: the quota clamps of its refills at more than one seed.
+PINNED_SERVING_ROWS = {
+    0: ("d0da47d8a9b34e9a", 433),
+    1: ("1d4c1b86725e0edc", 380),
+    7: ("459ced6e61919c24", 426),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SERVING_ROWS))
+def test_serving_rows_and_quota_deferrals_are_pinned(seed):
+    from repro import build_system
+    from repro.serve import bench as serve_bench
+    from repro.verify.digest import digest_payload
+
+    system = build_system(
+        memory_mb=serve_bench.MEMORY_MB, n_nodes=2, manager_frames=64
+    )
+    serving = ServingSystem(
+        system,
+        seed=seed,
+        rate_per_s=serve_bench.RATE_PER_S,
+        burst=serve_bench.BURST,
+        max_backlog=serve_bench.MAX_BACKLOG,
+    )
+    admit_fleet(
+        serving,
+        16,
+        working_set_pages=serve_bench.WORKING_SET_PAGES,
+        quota_frames=serve_bench.QUOTA_FRAMES,
+    )
+    run_load(serving, 20_000.0)
+    head = digest_payload(serving.digest_rows())[:16]
+    assert (head, system.spcm.quota_deferrals) == PINNED_SERVING_ROWS[seed]
+
+
+class TestRunLoadValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"think_us_mean": 0.0},
+            {"think_us_mean": -5.0},
+            {"write_fraction": -0.1},
+            {"write_fraction": 1.5},
+        ],
+        ids=["think-zero", "think-negative", "write-below", "write-above"],
+    )
+    def test_bad_load_shape_raises_before_any_arrival(self, kwargs):
+        """The load shape is checked once, up front: nothing is
+        scheduled, no tenant submits and no tenant's stream draws."""
+        from repro.sim.rng import RandomSource
+
+        system, serving = build_serving(seed=3)
+        sessions = admit_fleet(serving, 2, working_set_pages=8)
+        with pytest.raises(ValueError):
+            run_load(serving, 1_000.0, **kwargs)
+        assert serving.engine.now == 0.0
+        assert serving.engine.pending_events == 0
+        assert [s.submitted for s in sessions] == [0, 0]
+        fresh = RandomSource(3).substream("tenant:tenant-0").generator
+        drawn = serving.rng.substream("tenant:tenant-0").generator
+        assert drawn.getstate() == fresh.getstate()
 
 
 class TestServingObservability:

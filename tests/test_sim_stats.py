@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import RandomSource
 from repro.sim.stats import Tally, UtilizationTracker
@@ -49,6 +52,71 @@ class TestTally:
         vs = t.values()
         vs.append(99.0)
         assert t.count == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("record"),
+                    st.floats(
+                        min_value=-1e6,
+                        max_value=1e6,
+                        allow_nan=False,
+                    ),
+                ),
+                # a small pool of values, so duplicates are common
+                st.tuples(
+                    st.just("record"), st.sampled_from([-1.0, 0.0, 2.5])
+                ),
+                st.tuples(
+                    st.just("percentile"), st.sampled_from([0, 50, 99, 100])
+                ),
+            ),
+            max_size=120,
+        )
+    )
+    def test_interleaved_percentiles_are_nearest_rank(self, steps):
+        """Whatever the interleaving of records and reads, and however
+        many records arrive between reads, ``percentile(p)`` is the
+        nearest-rank element of the whole sample sorted afresh."""
+        t = Tally()
+        values: list[float] = []
+        for op, arg in steps:
+            if op == "record":
+                t.record(arg)
+                values.append(arg)
+                continue
+            if not values:
+                assert t.percentile(arg) == 0.0
+                continue
+            rank = max(1, math.ceil(arg / 100 * len(values)))
+            assert t.percentile(arg) == sorted(values)[rank - 1]
+
+    def test_percentile_after_each_record_makes_few_comparisons(self):
+        """A p99 read after every observation (the SLO watchdog's
+        pattern) costs a binary search per observation, not a sort of
+        the whole sample: sorting all ``n`` values on every call would
+        take thousands of comparisons per call at this size."""
+        comparisons = [0]
+
+        class Counted(float):
+            def __lt__(self, other):
+                comparisons[0] += 1
+                return float.__lt__(self, other)
+
+        picker = random.Random(3)
+        t = Tally()
+        values = []
+        n_calls = 2_000
+        for _ in range(n_calls):
+            value = Counted(picker.uniform(0.0, 1_000.0))
+            values.append(value)
+            t.record(value)
+            t.percentile(99)
+        assert comparisons[0] < 30 * n_calls
+        rank = max(1, math.ceil(0.99 * n_calls))
+        assert t.percentile(99) == sorted(map(float, values))[rank - 1]
 
 
 class TestUtilizationTracker:
