@@ -47,8 +47,10 @@ REFERENCED_I = int(PageFlags.REFERENCED)
 DIRTY_I = int(PageFlags.DIRTY)
 PINNED_I = int(PageFlags.PINNED)
 ZERO_FILL_I = int(PageFlags.ZERO_FILL)
+NONE = PageFlags.NONE
 RW = PageFlags.READ | PageFlags.WRITE
 REFERENCED = PageFlags.REFERENCED
+DIRTY = PageFlags.DIRTY
 RW_REFERENCED = RW | PageFlags.REFERENCED
 REFERENCED_DIRTY = PageFlags.REFERENCED | PageFlags.DIRTY
 

@@ -85,6 +85,9 @@ _MANAGER_SETTABLE_I = int(MANAGER_SETTABLE)
 # REFERENCED so the next touch re-enters the kernel, DIRTY so the next
 # store does (a translation is writable only while its frame is dirty)
 _SHOOTDOWN_I = RW_I | REFERENCED_I | DIRTY_I
+# a result record's namedtuple ``__new__`` is a Python function;
+# ``tuple.__new__(ModifyPageFlagsResult, (n,))`` builds the same tuple
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -446,10 +449,16 @@ class Kernel:
         cost = (
             self.costs.vpp_migrate_call if call_cost_us is None else call_cost_us
         )
+        topology = self.topology
+        # the moved frames are collected only for a NUMA split: without a
+        # hint or a topology every page counts as local
+        moved: list[PageFrame] | None = (
+            None if home_node is None or topology is None else []
+        )
         if not self.tracer.enabled:
-            moved = self._migrate_pages(
+            self._migrate_pages(
                 src, dst, src_page, dst_page, n_pages,
-                set_flags, clear_flags, cost,
+                set_flags, clear_flags, cost, moved,
             )
         else:
             with self.tracer.span(
@@ -460,24 +469,22 @@ class Kernel:
                 dst_page=dst_page,
                 n_pages=n_pages,
             ):
-                moved = self._migrate_pages(
+                self._migrate_pages(
                     src, dst, src_page, dst_page, n_pages,
-                    set_flags, clear_flags, cost,
+                    set_flags, clear_flags, cost, moved,
                 )
-        local = len(moved)
-        remote = 0
-        if self.topology is not None and home_node is not None:
-            local = sum(
-                1
-                for frame in moved
-                if self.topology.is_local(home_node, frame.phys_addr)
-            )
-            remote = len(moved) - local
-            if remote:
-                penalty = self.costs.numa_remote_penalty_us * remote
-                if penalty > 0:
-                    self.meter.charge("numa_remote_placement", penalty)
         stats = self.stats
+        if moved is None:
+            stats.numa_local_pages += n_pages
+            return
+        local = sum(
+            1 for frame in moved if topology.is_local(home_node, frame.phys_addr)
+        )
+        remote = n_pages - local
+        if remote:
+            penalty = self.costs.numa_remote_penalty_us * remote
+            if penalty > 0:
+                self.meter.charge("numa_remote_placement", penalty)
         stats.numa_local_pages += local
         stats.numa_remote_pages += remote
 
@@ -491,7 +498,9 @@ class Kernel:
         set_flags: PageFlags,
         clear_flags: PageFlags,
         call_cost_us: float,
-    ) -> list[PageFrame]:
+        moved: list[PageFrame] | None,
+    ) -> None:
+        """Move the frames; appends each to ``moved`` unless it is None."""
         # unbound segments (the common fault path) skip the binding walk
         # and take its range/grow checks inline; a range that fits raises
         # nothing, so the segment's own check runs only to raise
@@ -534,74 +543,98 @@ class Kernel:
             )
         src_pages = src.pages
         dst_pages = dst.pages
-        # validate the whole range before mutating anything
-        for i in range(n_pages):
-            if src_page + i not in src_pages:
-                raise MigrationError(
-                    f"source page {src_page + i} of {src.name} has no frame"
-                )
-            if dst_page + i in dst_pages:
-                raise MigrationError(
-                    f"destination page {dst_page + i} of {dst.name} is "
-                    "already backed"
-                )
-        if type(dst_pages) is HomePages:
-            # a boot segment takes back each page's own frame only
-            for i in range(n_pages):
-                pfn = src_pages[src_page + i].pfn
-                if pfn != dst_pages.first_pfn + dst_page + i:
-                    raise MigrationError(
-                        f"frame pfn={pfn} cannot go to page {dst_page + i} "
-                        f"of {dst.name}: it is not that page's frame"
-                    )
-        moved: list[PageFrame] = []
         not_clear_i = ~clear_i
-        dst_cow = dst.cow_source
         dst_seg_id = dst.seg_id
         frame_translations = self._frame_translations
-        tlb = self.tlb
-        page_table = self.page_table
-        for i in range(n_pages):
-            frame = src_pages.pop(src_page + i)
-            # translation shootdown for the whole batch, inline: every
-            # cached translation naming a moved frame is dropped here
+        # One page between two plain-dict segments, with no copy to make
+        # (every park and supply of the pressure path), needs no range
+        # walk: a frame that is there, bound for an empty page and not
+        # flagged ZERO_FILL moves here.  Anything else, every refusal
+        # included, takes the general path.
+        frame = None
+        if (
+            n_pages == 1
+            and type(src_pages) is dict
+            and type(dst_pages) is dict
+            and dst.cow_source is None
+            and dst_page not in dst_pages
+        ):
+            frame = src_pages.get(src_page)
+            if frame is not None and frame.flags & ZERO_FILL_I:
+                frame = None
+        if frame is not None:
+            del src_pages[src_page]
             keys = frame_translations.pop(frame.pfn, None)
             if keys:
-                for key in keys:
-                    tlb.invalidate(key[0], key[1])
-                    page_table.remove(key[0], key[1])
-            flags = frame.flags
-            if flags & ZERO_FILL_I:
-                frame.zero()
-                flags &= ~ZERO_FILL_I
-                self.meter.charge("zero_fill", self.costs.zero_page)
-                stats.zero_fills += 1
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "zeroing",
-                        f"zero-fill frame pfn={frame.pfn} in transit",
-                        self.costs.zero_page,
-                    )
-            flags = (flags | set_i) & not_clear_i
-            # COW privatization: the arriving frame takes a copy of the
-            # still-shared source page ("the kernel performs the copy after
-            # the manager has allocated a page", S2.1).
-            if dst_cow is not None and (dst_page + i) not in dst_pages:
-                source_res = (
-                    dst_cow.resolve(dst_page + i)
-                    if dst_page + i < dst_cow.n_pages
-                    else None
-                )
-                if source_res is not None and source_res.frame is not None:
-                    frame.copy_from(source_res.frame)
-                    flags |= DIRTY_I
-                    self.meter.charge("cow_copy", self.costs.copy_page)
-                    stats.cow_copies += 1
-            frame.flags = flags
-            dst_pages[dst_page + i] = frame
+                self._shoot_down(keys)
+            frame.flags = (frame.flags | set_i) & not_clear_i
+            dst_pages[dst_page] = frame
             frame.owner_segment_id = dst_seg_id
-            frame.page_index = dst_page + i
-            moved.append(frame)
+            frame.page_index = dst_page
+            if moved is not None:
+                moved.append(frame)
+        else:
+            # the general path: validate the whole range before mutating
+            # anything
+            for i in range(n_pages):
+                if src_page + i not in src_pages:
+                    raise MigrationError(
+                        f"source page {src_page + i} of {src.name} has no frame"
+                    )
+                if dst_page + i in dst_pages:
+                    raise MigrationError(
+                        f"destination page {dst_page + i} of {dst.name} is "
+                        "already backed"
+                    )
+            if type(dst_pages) is HomePages:
+                # a boot segment takes back each page's own frame only
+                for i in range(n_pages):
+                    pfn = src_pages[src_page + i].pfn
+                    if pfn != dst_pages.first_pfn + dst_page + i:
+                        raise MigrationError(
+                            f"frame pfn={pfn} cannot go to page {dst_page + i}"
+                            f" of {dst.name}: it is not that page's frame"
+                        )
+            dst_cow = dst.cow_source
+            for i in range(n_pages):
+                page = dst_page + i
+                frame = src_pages.pop(src_page + i)
+                # translation shootdown: every cached translation naming a
+                # moved frame is dropped here
+                keys = frame_translations.pop(frame.pfn, None)
+                if keys:
+                    self._shoot_down(keys)
+                flags = frame.flags
+                if flags & ZERO_FILL_I:
+                    frame.zero()
+                    flags &= ~ZERO_FILL_I
+                    self.meter.charge("zero_fill", self.costs.zero_page)
+                    stats.zero_fills += 1
+                    if self.tracer.enabled:
+                        self.tracer.event(
+                            "zeroing",
+                            f"zero-fill frame pfn={frame.pfn} in transit",
+                            self.costs.zero_page,
+                        )
+                flags = (flags | set_i) & not_clear_i
+                # COW privatization: the arriving frame takes a copy of the
+                # still-shared source page ("the kernel performs the copy
+                # after the manager has allocated a page", S2.1).
+                if dst_cow is not None and page not in dst_pages:
+                    source_res = (
+                        dst_cow.resolve(page) if page < dst_cow.n_pages else None
+                    )
+                    if source_res is not None and source_res.frame is not None:
+                        frame.copy_from(source_res.frame)
+                        flags |= DIRTY_I
+                        self.meter.charge("cow_copy", self.costs.copy_page)
+                        stats.cow_copies += 1
+                frame.flags = flags
+                dst_pages[page] = frame
+                frame.owner_segment_id = dst_seg_id
+                frame.page_index = page
+                if moved is not None:
+                    moved.append(frame)
         stats.pages_migrated += n_pages
         if self.tracer.enabled:
             self.tracer.step(
@@ -610,7 +643,6 @@ class Kernel:
                 f" page {dst_page}",
                 self.costs.vpp_migrate_call,
             )
-        return moved
 
     def modify_page_flags(
         self, request: ModifyPageFlagsRequest
@@ -649,18 +681,22 @@ class Kernel:
         if n_pages <= 0 or page < 0 or page + n_pages > segment.n_pages:
             segment.check_page_range(page, n_pages)
         modified = 0
-        shoots_down = bool(clear_i & _SHOOTDOWN_I)
+        shoots_down = clear_i & _SHOOTDOWN_I
         not_clear_i = ~clear_i
         segment_pages = segment.pages
-        for i in range(n_pages):
-            frame = segment_pages.get(page + i)
+        frame_translations = self._frame_translations
+        # one page (every clock second chance) walks a 1-tuple
+        for index in (page,) if n_pages == 1 else range(page, page + n_pages):
+            frame = segment_pages.get(index)
             if frame is None:
                 continue
             frame.flags = (frame.flags | set_i) & not_clear_i
             if shoots_down:
-                self._invalidate_frame_translations(frame)
+                keys = frame_translations.pop(frame.pfn, None)
+                if keys:
+                    self._shoot_down(keys)
             modified += 1
-        return ModifyPageFlagsResult(modified)
+        return _new_tuple(ModifyPageFlagsResult, (modified,))
 
     def get_page_attributes(
         self, request: GetPageAttributesRequest
@@ -1010,7 +1046,9 @@ class Kernel:
         page = frame.page_index
         if owner is not None and owner.pages.get(page) is frame:
             del owner.pages[page]
-        self._invalidate_frame_translations(frame)
+        keys = self._frame_translations.pop(frame.pfn, None)
+        if keys:
+            self._shoot_down(keys)
         frame.owner_segment_id = None
         frame.page_index = None
         frame.flags = 0
@@ -1055,14 +1093,19 @@ class Kernel:
     # internals
     # ------------------------------------------------------------------
 
-    def _invalidate_frame_translations(self, frame: PageFrame) -> None:
-        """Shoot down every cached translation that names ``frame``."""
-        keys = self._frame_translations.pop(frame.pfn, None)
-        if not keys:
-            return
+    def _shoot_down(self, keys: set[tuple[int, int]]) -> None:
+        """Translation shootdown: drop the cached translations of ``keys``
+        (``(space_id, vpn)`` pairs) from the TLB and the page table.
+
+        Callers pop a frame's keys from ``_frame_translations`` inline
+        and call this only when there are any: a frame that is moved,
+        flagged or retired usually has none.
+        """
+        tlb = self.tlb
+        page_table = self.page_table
         for space_id, vpn in keys:
-            self.tlb.invalidate(space_id, vpn)
-            self.page_table.remove(space_id, vpn)
+            tlb.invalidate(space_id, vpn)
+            page_table.remove(space_id, vpn)
 
     # -- invariant support -------------------------------------------------
 

@@ -24,6 +24,10 @@ from repro.core.supervisor import FAILOVER_AFTER_ATTEMPTS
 from repro.errors import TransientDiskError, UIOError
 from repro.hw.disk import Disk
 
+# builds a record without its namedtuple ``__new__``, a Python function:
+# every UIO fault builds one ``PageFault``
+_new_tuple = tuple.__new__
+
 #: Transient disk errors are retried this many times (with exponential
 #: backoff) before the file server gives up on the request.
 MAX_IO_RETRIES = 4
@@ -70,11 +74,21 @@ class CachedFile:
     size_bytes: int
     extent_pages: int = field(default=0, init=False)
     overflow: dict[int, int] = field(default_factory=dict, init=False)
+    # ``initialized_pages`` as of the size it was last computed for: a
+    # refetch reads it twice (the manager's fill, then the server's fetch)
+    _pages_of_size: tuple[int, int] = field(
+        default=(-1, 0), init=False, repr=False, compare=False
+    )
 
     @property
     def initialized_pages(self) -> int:
         """Pages of the segment that have on-disk data behind them."""
-        return pages_for_bytes(self.size_bytes, self.segment.page_size)
+        size, pages = self._pages_of_size
+        if size != self.size_bytes:
+            size = self.size_bytes
+            pages = pages_for_bytes(size, self.segment.page_size)
+            self._pages_of_size = (size, pages)
+        return pages
 
 
 class FileServer:
@@ -116,21 +130,24 @@ class FileServer:
     def _disk_read(self, block_no: int, n_blocks: int) -> tuple[bytes, float]:
         """``disk.read_range`` with retry-with-backoff on transient errors."""
         return self._with_retries(
-            "read", block_no, lambda: self.disk.read_range(block_no, n_blocks)
+            "read", block_no, self.disk.read_range, block_no, n_blocks
         )
 
     def _disk_write(self, block_no: int, data: bytes) -> float:
         """``disk.write_range`` with retry-with-backoff on transient errors."""
         return self._with_retries(
-            "write", block_no, lambda: self.disk.write_range(block_no, data)
+            "write", block_no, self.disk.write_range, block_no, data
         )
 
-    def _with_retries(self, op, block_no, attempt_fn):
+    def _with_retries(self, op, block_no, attempt_fn, *args):
+        """``attempt_fn(*args)``, retried with backoff while it raises
+        :class:`~repro.errors.TransientDiskError` (the arguments ride
+        along, so a request builds no closure)."""
         attempt = 0
         while True:
             attempt += 1
             try:
-                return attempt_fn()
+                return attempt_fn(*args)
             except TransientDiskError as exc:
                 self.io_errors += 1
                 if attempt > self.max_io_attempts:
@@ -184,7 +201,11 @@ class FileServer:
         return file
 
     def file_for(self, segment: Segment) -> CachedFile:
-        """The file record of ``segment`` (raises if not a file)."""
+        """The file record of ``segment`` (raises if not a file).
+
+        The per-page paths below (and :class:`UIO`'s) read ``_files``
+        directly and come here only to raise.
+        """
         try:
             return self._files[segment.seg_id]
         except KeyError:
@@ -215,7 +236,7 @@ class FileServer:
         Returns zeroes past end-of-file (a new page).  Charges disk and
         network time.
         """
-        file = self.file_for(segment)
+        file = self._files.get(segment.seg_id) or self.file_for(segment)
         if page >= file.initialized_pages:
             return bytes(segment.page_size)
         if not self.kernel.tracer.enabled:
@@ -248,8 +269,14 @@ class FileServer:
         return data
 
     def store_page(self, segment: Segment, page: int, data: bytes) -> None:
-        """Write one page of file data back to backing store."""
-        file = self.file_for(segment)
+        """Write one page of file data back to backing store.
+
+        A page wholly past the end of the file extends the file to cover
+        it (a mapped store past the end); a store to a page the file
+        already reaches leaves its length alone, so writing back a
+        partial last page does not pad the file to a page boundary.
+        """
+        file = self._files.get(segment.seg_id) or self.file_for(segment)
         if len(data) != segment.page_size:
             raise UIOError("store_page requires exactly one page of data")
         if not self.kernel.tracer.enabled:
@@ -269,7 +296,9 @@ class FileServer:
             self.disk.costs.disk_transfer_us(segment.page_size)
             + self.network_rtt_us,
         )
-        file.size_bytes = max(file.size_bytes, (page + 1) * segment.page_size)
+        start = page * segment.page_size
+        if start >= file.size_bytes:
+            file.size_bytes = start + segment.page_size
 
 
 class UIO:
@@ -288,7 +317,8 @@ class UIO:
         kernel's :meth:`~repro.core.kernel.Kernel.on_fault_serviced`
         listeners see.
         """
-        file = self.file_server.file_for(segment)
+        files = self.file_server._files
+        file = files.get(segment.seg_id) or self.file_server.file_for(segment)
         if offset < 0 or n_bytes < 0:
             raise UIOError("negative read range")
         n_bytes = min(n_bytes, max(0, file.size_bytes - offset))
@@ -335,7 +365,8 @@ class UIO:
         default manager's 16 KB append-allocation unit shows up (S3.2).
         Returns the number of bytes written.
         """
-        file = self.file_server.file_for(segment)
+        files = self.file_server._files
+        file = files.get(segment.seg_id) or self.file_server.file_for(segment)
         if offset < 0:
             raise UIOError("negative write offset")
         if not data:
@@ -393,11 +424,18 @@ class UIO:
         for attempt in range(MAX_FAULT_RETRIES + 1):
             frame = segment.pages.get(page)
             if frame is not None:
-                supervisor.fault_ended(resolved=True)
+                # tested inline, as on the reference slow path: a healthy
+                # fault makes no call
+                if supervisor._failover_pending:
+                    supervisor.fault_ended(resolved=True)
                 return frame
             if attempt == MAX_FAULT_RETRIES:
                 break
-            fault = PageFault(segment.seg_id, page, MISSING_PAGE, write)
+            # (segment_id, page, kind, write, space_id, vaddr), built
+            # without the namedtuple's Python-level ``__new__``
+            fault = _new_tuple(
+                PageFault, (segment.seg_id, page, MISSING_PAGE, write, None, None)
+            )
             if attempt >= FAILOVER_AFTER_ATTEMPTS and supervisor.distrust(
                 fault, attempt
             ):

@@ -73,19 +73,29 @@ class PageFrame:
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
         """Read ``length`` bytes starting at ``offset`` (zero-fill default)."""
+        page_size = self.page_size
         if length is None:
-            length = self.page_size - offset
-        self._check_range(offset, length)
-        if self._data is None:
+            length = page_size - offset
+        # a range inside the frame raises nothing, so the check runs only
+        # to raise
+        if offset < 0 or length < 0 or offset + length > page_size:
+            self._check_range(offset, length)
+        buffer = self._data
+        if buffer is None:
             return bytes(length)
-        return bytes(self._data[offset : offset + length])
+        if length == page_size:
+            # the whole page: one copy, not a slice and then a copy of it
+            return bytes(buffer)
+        return bytes(buffer[offset : offset + length])
 
     def write(self, data: bytes, offset: int = 0) -> None:
         """Write ``data`` at ``offset``, materializing the frame."""
-        self._check_range(offset, len(data))
+        end = offset + len(data)
+        if offset < 0 or end > self.page_size:
+            self._check_range(offset, len(data))
         if self._data is None:
             self._data = bytearray(self.page_size)
-        self._data[offset : offset + len(data)] = data
+        self._data[offset:end] = data
 
     def zero(self) -> None:
         """Zero-fill the frame (drops the buffer; reads return zeroes)."""

@@ -67,6 +67,7 @@ from repro.core.api import (
 from repro.core.faults import MISSING_PAGE, PROTECTION, PageFault
 from repro.core.flags import (
     DIRTY_I,
+    NONE,
     PINNED_I,
     REFERENCED,
     REFERENCED_DIRTY,
@@ -234,7 +235,8 @@ class GenericSegmentManager(SegmentManager):
                 f"{self.name} allocates a frame from its free segment",
                 self.kernel.costs.vpp_manager_alloc,
             )
-        self._maybe_crash_in_alloc()
+        if self.kernel.supervisor.injector.enabled:
+            self._maybe_crash_in_alloc()
         return self._pop_slot()
 
     def allocate_run(self, n_slots: int) -> list[int]:
@@ -244,7 +246,8 @@ class GenericSegmentManager(SegmentManager):
         self.kernel.meter.charge(
             "manager_alloc", self.kernel.costs.vpp_manager_alloc
         )
-        self._maybe_crash_in_alloc()
+        if self.kernel.supervisor.injector.enabled:
+            self._maybe_crash_in_alloc()
         run = self._find_run(n_slots)
         # Fresh SPCM grants are appended, hence contiguous.
         if run is None and self.request_frames(n_slots) == n_slots:
@@ -271,7 +274,8 @@ class GenericSegmentManager(SegmentManager):
         self.kernel.meter.charge(
             "manager_alloc", self.kernel.costs.vpp_manager_alloc
         )
-        self._maybe_crash_in_alloc()
+        if self.kernel.supervisor.injector.enabled:
+            self._maybe_crash_in_alloc()
         slot = free[i]
         self._slots_taken((slot,))
         if self.journal.enabled:
@@ -281,15 +285,17 @@ class GenericSegmentManager(SegmentManager):
     def _pop_slot(self) -> int:
         """Take the newest free slot, refilling the stock from the SPCM
         and then by reclaiming victims when it is dry."""
-        if not self._free_slots:
+        free = self._free_slots
+        if not free:
             self.request_frames(self.refill_batch)
-        if not self._free_slots:
-            self.reclaim_pages(self.reclaim_batch)
-        if not self._free_slots:
-            raise OutOfFramesError(
-                f"manager {self.name} has no frames and could not reclaim"
-            )
-        slot = self._free_slots[-1]
+            if not self._free_slots:
+                self.reclaim_pages(self.reclaim_batch)
+            free = self._free_slots
+            if not free:
+                raise OutOfFramesError(
+                    f"manager {self.name} has no frames and could not reclaim"
+                )
+        slot = free[-1]
         self._slots_taken((slot,))
         if self.journal.enabled:
             self.journal.append("mgr.alloc", slots=[slot])
@@ -299,7 +305,9 @@ class GenericSegmentManager(SegmentManager):
         """Chaos choke point: the manager can die inside its allocator.
 
         Every allocator passes it once, after its charge and before any
-        slot leaves the free list.  Models a manager crashing
+        slot leaves the free list; the allocators test
+        ``injector.enabled`` inline first, so a healthy allocation makes
+        no call.  Models a manager crashing
         mid-handler; the kernel's
         :class:`~repro.core.supervisor.ManagerSupervisor` catches the
         resulting :class:`~repro.errors.ManagerCrashError` and fails the
@@ -468,12 +476,13 @@ class GenericSegmentManager(SegmentManager):
         """``slots`` leave the free list, and any migrate-back entry
         with them: their frames leave the free segment."""
         free = self._free_slots
+        stale_origin = self._stale_origin
         for slot in slots:
             if free and free[-1] == slot:  # the allocator takes the newest
                 free.pop()
             elif slot in free:
                 free.remove(slot)
-            origin = self._stale_origin.pop(slot, None)
+            origin = stale_origin.pop(slot, None)
             if origin is not None:
                 self._stale_slot.pop(origin, None)
 
@@ -529,42 +538,41 @@ class GenericSegmentManager(SegmentManager):
         copy-on-write fault: migrate its reclaimed frame back if that is
         still in the free segment, else migrate in a newly filled one
         (the slot ``choose_slot`` picks, when a subclass defines it)."""
-        key = (fault.segment_id, fault.page)
+        seg_id = fault.segment_id
+        page = fault.page
+        missing = fault.kind is MISSING_PAGE
+        kernel = self.kernel
+        tracer = kernel.tracer
         home = (
             self.home_node
             if self.home_node_for is None
             else self.home_node_for(segment)
         )
-        stale_slot = self._stale_slot.get(key)
-        if stale_slot is not None and fault.kind is MISSING_PAGE:
+        stale_slot = self._stale_slot.get((seg_id, page))
+        if stale_slot is not None and missing:
             # The paper's fast path: the frame reclaimed from this page is
             # still in the free segment with its data; migrate it back.
-            if self.kernel.tracer.enabled:
-                self.kernel.tracer.event(
+            if tracer.enabled:
+                tracer.event(
                     "manager",
-                    f"fast reclaim: frame for page {fault.page} of "
+                    f"fast reclaim: frame for page {page} of "
                     f"{segment.name} still cached in the free segment",
                 )
             slots = (stale_slot,)
             self._slots_taken(slots)
-            self.kernel.migrate_pages(
+            # (src, dst, src_page, dst_page, n_pages, set, clear, home_node),
+            # built positionally: keyword arguments slow the constructor
+            kernel.migrate_pages(
                 MigratePagesRequest(
-                    self.free_segment.seg_id,
-                    fault.segment_id,
-                    stale_slot,
-                    fault.page,
-                    set_flags=RW,
-                    home_node=home,
+                    self.free_segment.seg_id, seg_id,
+                    stale_slot, page, 1, RW, NONE, home,
                 )
             )
-            self._pages_backed(slots, fault.segment_id, (fault.page,))
+            self._pages_backed(slots, seg_id, (page,))
             self.fast_reclaims += 1
             if self.journal.enabled:
                 self.journal.append(
-                    "mgr.fastreclaim",
-                    seg=fault.segment_id,
-                    page=fault.page,
-                    slot=stale_slot,
+                    "mgr.fastreclaim", seg=seg_id, page=page, slot=stale_slot
                 )
             return
         slot = (
@@ -573,41 +581,33 @@ class GenericSegmentManager(SegmentManager):
             else self.choose_slot(segment, fault)
         )
         frame = self.free_segment.pages[slot]
-        if fault.kind is MISSING_PAGE:
-            if self.kernel.tracer.enabled:
-                with self.kernel.tracer.span(
+        if missing:
+            if tracer.enabled:
+                with tracer.span(
                     "manager", "fill_page", segment=segment.name,
-                    page=fault.page, pfn=frame.pfn,
+                    page=page, pfn=frame.pfn,
                 ):
-                    self.fill_page(segment, fault.page, frame)
+                    self.fill_page(segment, page, frame)
             else:
-                self.fill_page(segment, fault.page, frame)
+                self.fill_page(segment, page, frame)
         # For COPY_ON_WRITE the kernel copies the source data during the
         # migrate; the manager only supplies the frame.
-        self.kernel.migrate_pages(
+        kernel.migrate_pages(
             MigratePagesRequest(
-                self.free_segment.seg_id,
-                fault.segment_id,
-                slot,
-                fault.page,
-                set_flags=RW,
-                clear_flags=REFERENCED,
-                home_node=home,
+                self.free_segment.seg_id, seg_id,
+                slot, page, 1, RW, REFERENCED, home,
             )
         )
-        self._pages_backed((slot,), fault.segment_id, (fault.page,))
+        self._pages_backed((slot,), seg_id, (page,))
         if self.journal.enabled:
             self.journal.append(
-                "mgr.place",
-                seg=fault.segment_id,
-                pages=[fault.page],
-                slots=[slot],
+                "mgr.place", seg=seg_id, pages=[page], slots=[slot]
             )
-        if self.kernel.tracer.enabled:
-            self.kernel.tracer.step(
+        if tracer.enabled:
+            tracer.step(
                 "manager",
                 f"migrate frame pfn={frame.pfn} into {segment.name} "
-                f"page {fault.page}",
+                f"page {page}",
             )
 
     def _note_duplicate_delivery(
@@ -743,11 +743,8 @@ class GenericSegmentManager(SegmentManager):
             free_segment.grow(1)
         self.kernel.migrate_pages(
             MigratePagesRequest(
-                segment.seg_id,
-                free_segment.seg_id,
-                page,
-                slot,
-                clear_flags=REFERENCED_DIRTY,
+                segment.seg_id, free_segment.seg_id,
+                page, slot, 1, NONE, REFERENCED_DIRTY, None,
             )
         )
         self._page_parked(segment.seg_id, page, slot, keep)

@@ -21,11 +21,12 @@ from typing import TYPE_CHECKING
 
 from repro.core.api import ModifyPageFlagsRequest
 from repro.core.flags import (
+    NONE,
     PINNED_I,
+    REFERENCED,
     REFERENCED_I,
     RW,
     RW_REFERENCED,
-    PageFlags,
 )
 from repro.core.segment import Segment
 
@@ -68,34 +69,51 @@ class ClockReplacer:
         n_ring = len(ring)
         if not n_ring:
             return victims
-        kernel = self.manager.kernel
-        pinned = self.manager.pinned_segments
+        manager = self.manager
+        kernel = manager.kernel
+        modify_page_flags = kernel.modify_page_flags
+        pinned = manager.pinned_segments
+        # ring entries taken this sweep: a second lap meets them again
+        taken: set[tuple[int, int]] = set()
+        # consecutive ring entries mostly share a segment, so each run of
+        # one segment's pages looks the segment up once
+        seg_id_of_run = None
+        segment = None
+        pages = None
+        hand = self._hand
         sweeps = 0
         max_sweeps = 2 * n_ring
-        while len(victims) < n_pages and sweeps < max_sweeps:
-            sweeps += 1
-            seg_id, page = ring[self._hand % n_ring]
-            self._hand += 1
-            if seg_id in pinned:
-                continue
-            segment = kernel.segment(seg_id)
-            frame = segment.pages.get(page)
-            if frame is None:
-                continue
-            flags = frame.flags
-            if flags & PINNED_I:
-                continue
-            if flags & REFERENCED_I:
-                # Second chance: clear the bit (shooting down cached
-                # translations so a future touch re-sets it) and move on.
-                kernel.modify_page_flags(
-                    ModifyPageFlagsRequest(
-                        seg_id, page, clear_flags=PageFlags.REFERENCED
+        try:
+            while len(victims) < n_pages and sweeps < max_sweeps:
+                sweeps += 1
+                key = ring[hand % n_ring]
+                hand += 1
+                seg_id, page = key
+                if seg_id in pinned:
+                    continue
+                if seg_id != seg_id_of_run:
+                    segment = kernel.segment(seg_id)
+                    pages = segment.pages
+                    seg_id_of_run = seg_id
+                frame = pages.get(page)
+                if frame is None:
+                    continue
+                flags = frame.flags
+                if flags & PINNED_I:
+                    continue
+                if flags & REFERENCED_I:
+                    # Second chance: clear the bit (shooting down cached
+                    # translations so a future touch re-sets it) and move
+                    # on.
+                    modify_page_flags(
+                        ModifyPageFlagsRequest(seg_id, page, 1, NONE, REFERENCED)
                     )
-                )
-                continue
-            if (segment, page) not in victims:
-                victims.append((segment, page))
+                    continue
+                if key not in taken:
+                    taken.add(key)
+                    victims.append((segment, page))
+        finally:
+            self._hand = hand
         return victims
 
 

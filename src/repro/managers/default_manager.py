@@ -25,7 +25,14 @@ from typing import TYPE_CHECKING
 
 from repro.core.api import MigratePagesRequest, ModifyPageFlagsRequest
 from repro.core.faults import MISSING_PAGE, PROTECTION, PageFault
-from repro.core.flags import DIRTY_I, REFERENCED, REFERENCED_I, RW, PageFlags
+from repro.core.flags import (
+    DIRTY,
+    DIRTY_I,
+    NONE,
+    REFERENCED,
+    REFERENCED_I,
+    RW,
+)
 from repro.core.manager_api import InvocationMode
 from repro.core.segment import Segment
 from repro.core.uio import FileServer
@@ -130,16 +137,11 @@ class DefaultSegmentManager(GenericSegmentManager):
         else:
             moves = [(slot, page, 1) for slot, page in zip(slots, run)]
         for slot, page, n_pages in moves:
+            # (src, dst, src_page, dst_page, n_pages, set, clear, home_node)
             self.kernel.migrate_pages(
                 MigratePagesRequest(
-                    self.free_segment.seg_id,
-                    segment.seg_id,
-                    slot,
-                    page,
-                    n_pages,
-                    set_flags=RW,
-                    clear_flags=REFERENCED,
-                    home_node=self.home_node,
+                    self.free_segment.seg_id, segment.seg_id,
+                    slot, page, n_pages, RW, REFERENCED, self.home_node,
                 )
             )
         self._pages_backed(slots, segment.seg_id, run)
@@ -229,10 +231,9 @@ class DefaultSegmentManager(GenericSegmentManager):
             frame = segment.pages[page]
             if frame.flags & DIRTY_I:
                 self.file_server.store_page(segment, page, frame.read())
+                # (segment, page, n_pages, set, clear)
                 self.kernel.modify_page_flags(
-                    ModifyPageFlagsRequest(
-                        segment.seg_id, page, clear_flags=PageFlags.DIRTY
-                    )
+                    ModifyPageFlagsRequest(segment.seg_id, page, 1, NONE, DIRTY)
                 )
                 self.writebacks += 1
 

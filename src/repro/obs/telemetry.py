@@ -220,7 +220,7 @@ class TelemetryCollector:
             node = shard.node
             self.gauge(
                 f"spcm.node{node}.free_frames",
-                (lambda n=node: spcm.free_frames_by_node().get(n, 0)),
+                (lambda n=node: spcm.free_frames_on(n)),
             )
             self.gauge(
                 f"spcm.node{node}.granted_frames",

@@ -77,11 +77,13 @@ class NodeBucketedFreeList:
                 self._marks[node] = min(self._marks[node], page)
                 return
 
+    def count_on(self, node: int) -> int:
+        """``node``'s free page count."""
+        return self._pages.count(self._runs[node])
+
     def counts_by_node(self) -> dict[int, int]:
         """``node -> free page count``."""
-        return {
-            node: self._pages.count(run) for node, run in enumerate(self._runs)
-        }
+        return {node: self.count_on(node) for node in range(len(self._runs))}
 
     def matching(
         self,

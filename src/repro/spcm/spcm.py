@@ -233,6 +233,14 @@ class SystemPageCacheManager:
             return {shard.node: 0 for shard in self.shards}
         return free.counts_by_node()
 
+    def free_frames_on(self, node: int) -> int:
+        """Free base-size frames on one node: its entry of
+        :meth:`free_frames_by_node`, counting that node alone."""
+        free = self._free.get(self.kernel.memory.page_size)
+        if free is None:
+            return 0
+        return free.count_on(node)
+
     # -- registration -------------------------------------------------------
 
     def register_manager(

@@ -212,9 +212,8 @@ def collect_vpp(system, schedule: WorkloadSchedule, anon_manager, segments):
             continue
         segment = segments[index]
         file = system.file_server.file_for(segment)
-        # the application-visible size at close time; writeback below
-        # rounds size_bytes up to page granularity (store_page), which
-        # is server bookkeeping, not file contents
+        # the application-visible size at close time; the fetched pages
+        # below run to a page boundary, past the file's last byte
         size = file.size_bytes
         system.default_manager.file_closed(segment, writeback=True)
         data = b"".join(

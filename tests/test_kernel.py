@@ -353,6 +353,103 @@ class TestMigratePages:
         assert stats.pages_migrated - pages == 1 + 4 + 1
 
 
+class TestOnePageMigrate:
+    """One page between two plain-dict segments with no COW source (every
+    park and supply of the pressure path) moves without a range walk;
+    errors, ZERO_FILL frames and COW destinations take the general path.
+    Either way the outcome is the general path's."""
+
+    @pytest.fixture
+    def two(self, bare_kernel):
+        a = bare_kernel.create_segment(4, name="a")
+        b = bare_kernel.create_segment(4, name="b")
+        bare_kernel.migrate_pages(
+            MigratePagesRequest(bare_kernel.initial_segment, a, 0, 0, 4)
+        )
+        return bare_kernel, a, b
+
+    def test_moves_the_frame_with_its_data_and_flags(self, two):
+        kernel, a, b = two
+        frame = a.pages[1]
+        frame.write(b"data")
+        frame.flags = int(PageFlags.rw() | PageFlags.REFERENCED | PageFlags.DIRTY)
+        kernel.migrate_pages(
+            MigratePagesRequest(
+                a, b, 1, 3, 1, PageFlags.NONE,
+                PageFlags.REFERENCED | PageFlags.DIRTY,
+            )
+        )
+        assert 1 not in a.pages
+        assert b.pages[3] is frame
+        assert (frame.owner_segment_id, frame.page_index) == (b.seg_id, 3)
+        assert PageFlags(frame.flags) == PageFlags.rw()
+        assert frame.read(0, 4) == b"data"
+        assert kernel.stats.pages_migrated == 5
+        kernel.check_frame_conservation()
+
+    def test_shoots_down_the_frames_translations(self, two):
+        kernel, a, b = two
+        kernel.reference(a, 2 * a.page_size)
+        assert kernel.tlb.lookup(a.seg_id, 2) is not None
+        kernel.migrate_pages(MigratePagesRequest(a, b, 2, 0, 1))
+        assert kernel.tlb.lookup(a.seg_id, 2) is None
+        assert kernel.page_table.lookup(a.seg_id, 2) is None
+
+    @pytest.mark.parametrize("src_page, dst_page, n_pages", [(0, 1, 1), (0, 0, 2)])
+    def test_backed_destination_refused_before_anything_moves(
+        self, two, src_page, dst_page, n_pages
+    ):
+        kernel, a, b = two
+        kernel.migrate_pages(MigratePagesRequest(a, b, 3, 1, 1))
+        held = dict(a.pages)
+        with pytest.raises(
+            MigrationError, match="destination page 1 of b is already backed"
+        ):
+            kernel.migrate_pages(
+                MigratePagesRequest(a, b, src_page, dst_page, n_pages)
+            )
+        assert a.pages == held
+        assert sorted(b.pages) == [1]
+        kernel.check_frame_conservation()
+
+    @pytest.mark.parametrize("src_page, n_pages", [(3, 1), (2, 2)])
+    def test_missing_source_refused_before_anything_moves(
+        self, two, src_page, n_pages
+    ):
+        kernel, a, b = two
+        kernel.migrate_pages(MigratePagesRequest(a, b, 3, 3, 1))
+        with pytest.raises(MigrationError, match="source page 3 of a has no frame"):
+            kernel.migrate_pages(MigratePagesRequest(a, b, src_page, 0, n_pages))
+        assert sorted(a.pages) == [0, 1, 2]
+        assert sorted(b.pages) == [3]
+
+    def test_missing_source_is_reported_before_a_backed_destination(self, two):
+        kernel, a, b = two
+        kernel.migrate_pages(MigratePagesRequest(a, b, 3, 0, 1))
+        with pytest.raises(MigrationError, match="source page 3 of a"):
+            kernel.migrate_pages(MigratePagesRequest(a, b, 3, 0, 1))
+
+    def test_zero_fill_frame_is_zeroed_in_transit(self, two):
+        kernel, a, b = two
+        frame = a.pages[0]
+        frame.write(b"secret")
+        frame.flags |= ZERO_FILL_I
+        kernel.migrate_pages(MigratePagesRequest(a, b, 0, 0, 1))
+        assert b.pages[0] is frame
+        assert frame.read(0, 6) == bytes(6)
+        assert not frame.flags & ZERO_FILL_I
+        assert kernel.stats.zero_fills == 1
+
+    def test_cow_destination_takes_a_copy(self, two):
+        kernel, a, b = two
+        a.pages[0].write(b"shared")
+        shadow = kernel.create_segment(4, name="shadow", cow_source=a)
+        kernel.migrate_pages(MigratePagesRequest(a, shadow, 1, 0, 1))
+        assert shadow.pages[0].read(0, 6) == b"shared"
+        assert PageFlags.DIRTY & PageFlags(shadow.pages[0].flags)
+        assert kernel.stats.cow_copies == 1
+
+
 class TestModifyPageFlags:
     def test_modifies_present_pages_only(self, bare_kernel):
         seg = bare_kernel.create_segment(8)

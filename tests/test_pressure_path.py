@@ -7,9 +7,13 @@ log, and a 128-page heap written and then re-read in seeded order.
 Clock victim selection, dirty writeback, refetch and migrate-back all
 run, and every one of them feeds the state digest, so a change to the
 pressure path that moves any simulated outcome (the clock's victim
-order included) fails here.  The pinned values were recorded before the
-path's host-side rewrite (plain-dict resident set, int flag tests) and
-must not move with it.
+order included) fails here.  The manager's own policy state (the clock
+ring and hand, the order of the free and empty slot lists, the
+migrate-back map and the counters) is pinned beside it: it can drift
+without any change to kernel state until it changes a victim or a slot
+choice.  The pinned values were recorded before the path's host-side
+rewrites (plain-dict resident set, int flag tests; one-page migrates,
+hoisted clock sweeps) and must not move with them.
 
 The same drive, without its boot, must make no call into ``enum.py``:
 PageFlags and FaultKind operators run there at Python speed, and the
@@ -25,7 +29,7 @@ import sys
 import pytest
 
 from repro import build_system
-from repro.verify.digest import state_digest
+from repro.verify.digest import digest_payload, state_digest
 
 PAGE = 4096
 SCAN_PAGES = 384
@@ -34,19 +38,23 @@ LOG_PAGES = 256
 LOG_REREADS = 64
 HEAP_PAGES = 128
 
-#: seed -> (faults, pages reclaimed, writebacks, fast reclaims, digest)
+#: seed -> (faults, pages reclaimed, writebacks, fast reclaims, state
+#: digest, policy-state digest)
 PINNED = {
     0: (
         973, 944, 176, 4,
         "83e75bdc9b8824730c314f2e80d5b22f4dfb595fd8b483655dd46d92f21a9e3e",
+        "e300efbaa962f1f01d41c09af7794e361f7a302d6618b59cff2233225b1f39c1",
     ),
     1: (
         974, 944, 176, 3,
         "e4af152eda2c8af890d7977d33b5c478815a612e7ea5509248b5b9f68868a62b",
+        "70e048c1c7fa6605a45115db0577f23ba5f1ff14857d621728bb3374692c6dc0",
     ),
     2: (
         974, 944, 176, 2,
         "f9951d9c65bd1c6814bd80ba52e4cb0bf2dfd3934b85c5d5801b28b7e52faa72",
+        "d134655c07b240b681b7fbe9f48c9d724b4cf6173fb760eb09ec0fd3d5c7d1f0",
     ),
 }
 
@@ -106,6 +114,7 @@ def outcome(system) -> tuple:
         manager.writebacks,
         manager.fast_reclaims,
         state_digest(system),
+        digest_payload(manager.serialize_policy_state()),
     )
 
 

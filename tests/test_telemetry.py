@@ -179,6 +179,39 @@ class TestInstalledProbes:
         assert "spcm.node0.free_frames" in sample.values
         assert "spcm.node1.free_frames" in sample.values
 
+    def test_free_frame_gauges_count_each_node_once(self, monkeypatch):
+        """Each node's free-frame gauge counts that node alone: a sample's
+        values equal ``free_frames_by_node()``, and the sample makes one
+        ``HomePages.count`` a node, not one a node for every gauge."""
+        from repro.core.segment import HomePages
+
+        system = build_system(memory_mb=8, n_nodes=2)
+        collector = install_telemetry(system, interval_us=250.0)
+        nodes = len(system.spcm.shards)
+        assert nodes == 2
+        counted = []
+        count = HomePages.count
+
+        def counting(pages_at_home, pages):
+            counted.append(pages)
+            return count(pages_at_home, pages)
+
+        monkeypatch.setattr(HomePages, "count", counting)
+        seen = []
+        for step in range(4):
+            system.default_manager.request_frames(8 + step, home_node=step % 2)
+            expected = system.spcm.free_frames_by_node()
+            counted.clear()
+            values = collector.sample_now().values
+            assert len(counted) == nodes
+            assert {
+                node: values[f"spcm.node{node}.free_frames"]
+                for node in range(nodes)
+            } == {node: float(n) for node, n in expected.items()}
+            seen.append(expected)
+        # each grant moved a node's count: every sample met new values
+        assert len({tuple(counts.values()) for counts in seen}) == 4
+
     def test_values_deterministic_across_identical_runs(self):
         def run() -> dict:
             system = build_system(memory_mb=8)

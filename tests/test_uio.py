@@ -252,3 +252,42 @@ class TestUIOWrite:
         system.file_server.create_file(seg)
         with pytest.raises(UIOError):
             system.uio.write(seg, -5, b"x")
+
+
+class TestPartialPageWriteback:
+    """Writing back a dirty page the file only partly covers leaves the
+    file's length alone; only a page wholly past the end extends it."""
+
+    def test_reclaimed_partial_last_page_keeps_the_length(self, world):
+        system, seg = world
+        data = bytes(range(100))
+        file = system.file_server.create_file(seg, data=data)
+        system.uio.write(seg, 0, b"y")
+        system.default_manager.reclaim_one(seg, 0)
+        assert system.default_manager.writebacks == 1
+        assert 0 not in seg.pages
+        assert file.size_bytes == 100
+        assert file.initialized_pages == 1
+        assert system.uio.read(seg, 0, 4096) == b"y" + data[1:]
+
+    def test_close_with_writeback_keeps_the_length(self, world):
+        system, seg = world
+        file = system.file_server.create_file(seg, data=b"0123456789")
+        system.uio.write(seg, 0, b"A")
+        system.default_manager.file_closed(seg, writeback=True)
+        assert system.default_manager.writebacks == 1
+        assert file.size_bytes == 10
+        assert system.uio.read(seg, 0, 4096) == b"A123456789"
+        assert system.file_server.fetch_page(seg, 0)[:10] == b"A123456789"
+
+    def test_store_to_a_page_past_the_end_extends_the_file(self, world):
+        system, seg = world
+        file = system.file_server.create_file(seg, data=b"x" * 100)
+        seg.ensure_size(3)
+        frame = system.kernel.reference(seg, 2 * 4096 + 5, write=True)
+        frame.write(b"past", 5)
+        system.default_manager.reclaim_one(seg, 2)
+        assert file.size_bytes == 3 * 4096
+        page = system.file_server.fetch_page(seg, 2)
+        assert page[5:9] == b"past"
+        assert system.uio.read(seg, 2 * 4096 + 5, 4) == b"past"
