@@ -69,7 +69,6 @@ def build_system(
     page_size: int | None = None,
     manager_frames: int = 1024,
     tracer: "Tracer | NullTracer | None" = None,
-    injector: "object | None" = None,
     n_nodes: int | None = None,
 ) -> System:
     """Boot a complete V++ system the way the paper describes:
@@ -106,7 +105,7 @@ def build_system(
     disk = Disk(costs, block_size=psize)
     disk.tracer = tracer
     file_server = FileServer(kernel, disk)
-    uio = UIO(kernel, file_server)
+    uio = UIO(kernel)
     spcm = SystemPageCacheManager(kernel)
     default_manager = DefaultSegmentManager(
         kernel, spcm, file_server, initial_frames=manager_frames
@@ -114,7 +113,7 @@ def build_system(
     # the default manager is the paper's safety net: faults of a failed
     # application manager are failed over here (chaos degradation paths)
     kernel.supervisor.fallback = default_manager
-    system = System(
+    return System(
         memory=memory,
         kernel=kernel,
         disk=disk,
@@ -124,6 +123,3 @@ def build_system(
         default_manager=default_manager,
         tracer=tracer,
     )
-    if injector is not None:
-        injector.install(system)
-    return system

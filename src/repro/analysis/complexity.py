@@ -16,6 +16,7 @@ the kernel) exceeds the kernel itself --- the same modularity shift.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,22 @@ def count_code_lines(path: Path) -> int:
             continue
         lines += 1
     return lines
+
+
+def count_settings(root: Path) -> int:
+    """Parameters with a default value, positional and keyword-only, of
+    every function and method in the ``.py`` files under ``root``
+    (nested and private ones included; dataclass fields are not
+    parameters)."""
+    settings = 0
+    for path in sorted(Path(root).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                settings += len(args.defaults) + sum(
+                    default is not None for default in args.kw_defaults
+                )
+    return settings
 
 
 def package_lines(root: Path, package: str) -> int:

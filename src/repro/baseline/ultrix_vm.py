@@ -84,12 +84,11 @@ class UltrixVM:
         self,
         memory: PhysicalMemory,
         costs: MachineCosts = DECSTATION_5000_200,
-        meter: CostMeter | None = None,
         pin_quota: int = 64,
     ) -> None:
         self.memory = memory
         self.costs = costs
-        self.meter = meter if meter is not None else CostMeter()
+        self.meter = CostMeter()
         self.stats = UltrixStats()
         self.page_table = LinearPageTable()
         self.tlb = TLB()
@@ -186,15 +185,25 @@ class UltrixVM:
             raise OutOfFramesError("ULTRIX free list exhausted")
         return self.memory.frame(self._free.pop())
 
+    def _reclaim_exempt(self) -> set[int]:
+        """The ``id`` of every frame :meth:`_reclaim` must skip: none."""
+        return set()
+
     def _reclaim(self, n_pages: int) -> None:
-        """Kernel clock-ish reclamation: FIFO over unpinned residents."""
+        """Kernel clock-ish reclamation: FIFO over unpinned residents,
+        skipping the frames :meth:`_reclaim_exempt` names."""
+        exempt = self._reclaim_exempt()
         reclaimed = 0
         survivors: list[tuple[UltrixSpace, int]] = []
         for space, vpn in self._resident:
             frame = space.pages.get(vpn)
             if frame is None:
                 continue
-            if reclaimed >= n_pages or vpn in space.pinned:
+            if (
+                reclaimed >= n_pages
+                or vpn in space.pinned
+                or id(frame) in exempt
+            ):
                 survivors.append((space, vpn))
                 continue
             if PageFlags.DIRTY & PageFlags(frame.flags):

@@ -228,35 +228,10 @@ class UnixRetrofitVM(UltrixVM):
     # reclamation respects the page-cache designation
     # ------------------------------------------------------------------
 
-    def _reclaim(self, n_pages: int) -> None:
-        pagecache_frames = set(
-            id(f) for f in self._pagecache_frames.values()
-        )
-        reclaimed = 0
-        survivors = []
-        for space, vpn in self._resident:
-            frame = space.pages.get(vpn)
-            if frame is None:
-                continue
-            if (
-                reclaimed >= n_pages
-                or vpn in space.pinned
-                or id(frame) in pagecache_frames
-            ):
-                survivors.append((space, vpn))
-                continue
-            if PageFlags.DIRTY & PageFlags(frame.flags):
-                self.meter.charge(
-                    "pageout", self.costs.disk_transfer_us(space.page_size)
-                )
-                self.stats.pageouts += 1
-            del space.pages[vpn]
-            self.tlb.invalidate(space.space_id, vpn)
-            self.page_table.remove(space.space_id, vpn)
-            self._free.append(frame.pfn)
-            reclaimed += 1
-            self.stats.reclaimed_pages += 1
-        self._resident = survivors
+    def _reclaim_exempt(self) -> set[int]:
+        """Page-cache frames belong to the external manager: the kernel
+        sweep never takes them."""
+        return {id(f) for f in self._pagecache_frames.values()}
 
 
 def retrofit_fault_cost(vm: UnixRetrofitVM) -> float:

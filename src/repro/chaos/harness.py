@@ -25,6 +25,7 @@ from repro.chaos.injector import Injector
 from repro.chaos.plan import ChaosPlan
 from repro.errors import ChaosError, InvariantViolationError, ReproError
 from repro.invariants import InvariantChecker
+from repro.serve.loadgen import serve_schedule
 
 #: the application manager every manager-directed scenario injects into
 #: (the kernel's fallback --- the real default manager --- stays exempt)
@@ -106,7 +107,7 @@ class ChaosResult:
 # ---------------------------------------------------------------------------
 
 
-def build_workload_system(tracer=None, n_nodes=None):
+def build_workload_system(n_nodes=None):
     """The small system every chaos/verify workload runs against.
 
     Public because the determinism gate (:mod:`repro.verify.determinism`)
@@ -115,9 +116,7 @@ def build_workload_system(tracer=None, n_nodes=None):
     """
     from repro import build_system
 
-    return build_system(
-        memory_mb=4, manager_frames=64, tracer=tracer, n_nodes=n_nodes
-    )
+    return build_system(memory_mb=4, manager_frames=64, n_nodes=n_nodes)
 
 
 def _make_victim(system):
@@ -256,37 +255,6 @@ def _workload_apps(system, checker) -> int:
 SERVE_TENANTS = ("tenant-0", "tenant-1", "tenant-2", "tenant-3")
 
 
-def _serve(system, checker, quota_frames: int) -> int:
-    from repro.serve.loadgen import admit_fleet, run_load
-    from repro.serve.tenants import ServingSystem
-
-    serving = ServingSystem(system, seed=7, rate_per_s=10_000.0)
-    admit_fleet(
-        serving,
-        len(SERVE_TENANTS),
-        working_set_pages=8,
-        quota_frames=quota_frames,
-    )
-    serviced = run_load(serving, duration_us=10_000.0)
-    checker.check_all()
-    return serviced
-
-
-def _workload_serve(system, checker) -> int:
-    """Four quota'd tenants served closed-loop while injection crashes
-    and hangs their managers; batched service must degrade per-item
-    (typed errors booked on the session), never corrupt frame or quota
-    accounting."""
-    return _serve(system, checker, quota_frames=8)
-
-
-def _workload_serve_thrash(system, checker) -> int:
-    """The same fleet under quotas tighter than the working set, so
-    every tenant recycles its own residents continuously while faults
-    land --- the quota-conservation sweep runs hot the whole time."""
-    return _serve(system, checker, quota_frames=4)
-
-
 def _run_dbms(plan: ChaosPlan) -> ChaosResult:
     """Table-4 DBMS run (index-with-paging) under mild disk-error
     injection; no kernel in the loop, so no invariant checker."""
@@ -321,8 +289,26 @@ WORKLOADS = {
     "ecc": _workload_ecc,
     "disk": _workload_disk,
     "apps": _workload_apps,
-    "serve": _workload_serve,
-    "serve-thrash": _workload_serve_thrash,
+    # the tenant fleet served closed-loop while injection crashes and
+    # hangs its managers: batched service must degrade per item (typed
+    # errors booked on the session), never corrupt frame or quota
+    # accounting.  ``serve-thrash`` sets quotas tighter than the working
+    # set, so every tenant recycles its own residents while faults land
+    # and the quota-conservation sweep runs hot.
+    "serve": serve_schedule(
+        n_tenants=len(SERVE_TENANTS),
+        duration_us=10_000.0,
+        quota_frames=8,
+        seed=7,
+        rate_per_s=10_000.0,
+    ),
+    "serve-thrash": serve_schedule(
+        n_tenants=len(SERVE_TENANTS),
+        duration_us=10_000.0,
+        quota_frames=4,
+        seed=7,
+        rate_per_s=10_000.0,
+    ),
 }
 
 SCENARIOS: dict[str, Scenario] = {
@@ -498,7 +484,6 @@ def run_schedule(
     scenario: str,
     seed: int = 0,
     plan: ChaosPlan | None = None,
-    tracer=None,
     n_nodes: int | None = None,
     slo: bool = False,
     slo_policy=None,
@@ -541,7 +526,7 @@ def run_schedule(
     if spec.workload == "dbms":
         return _run_dbms(effective)
 
-    system = build_workload_system(tracer=tracer, n_nodes=n_nodes)
+    system = build_workload_system(n_nodes=n_nodes)
     injector = Injector(effective)
     injector.install(system)
     coordinator = None

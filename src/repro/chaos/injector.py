@@ -84,14 +84,10 @@ class Injector:
 
     enabled = True
 
-    def __init__(
-        self,
-        plan: ChaosPlan,
-        rng: RandomSource | None = None,
-    ) -> None:
+    def __init__(self, plan: ChaosPlan) -> None:
         plan.validate()
         self.plan = plan
-        source = rng if rng is not None else RandomSource(plan.seed)
+        source = RandomSource(plan.seed)
         self._disk_rng = source.substream("chaos.disk")
         self._ecc_rng = source.substream("chaos.ecc")
         self._mgr_rng = source.substream("chaos.manager")

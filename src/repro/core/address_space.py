@@ -182,21 +182,15 @@ def fork_address_space(
 
 
 def build_figure1_layout(
-    kernel: Kernel,
-    manager: SegmentManager,
-    code_pages: int = 16,
-    data_pages: int = 32,
-    stack_pages: int = 8,
-    name: str = "vas",
+    kernel: Kernel, manager: SegmentManager
 ) -> VirtualAddressSpace:
-    """The canonical Figure-1 space: code, data and stack regions."""
+    """The canonical Figure-1 space: 16 code, 32 data and 8 stack pages."""
     return build_address_space(
         kernel,
         manager,
         [
-            RegionSpec("code", code_pages, prot=PageFlags.READ),
-            RegionSpec("data", data_pages, guard_pages=16),
-            RegionSpec("stack", stack_pages, guard_pages=16),
+            RegionSpec("code", 16, prot=PageFlags.READ),
+            RegionSpec("data", 32, guard_pages=16),
+            RegionSpec("stack", 8, guard_pages=16),
         ],
-        name=name,
     )

@@ -26,7 +26,7 @@ an experiment can read both elapsed cost and its decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.api import (
     BatchMigratePagesRequest,
@@ -134,31 +134,9 @@ class KernelStats:
     tenant_fault_us: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, float]:
-        """Flat scalar view for the verify state digest and chaos results."""
-        out: dict[str, float] = {
-            "references": float(self.references),
-            "faults": float(self.faults),
-            "migrate_calls": float(self.migrate_calls),
-            "migrate_batches": float(self.migrate_batches),
-            "pages_migrated": float(self.pages_migrated),
-            "numa_local_pages": float(self.numa_local_pages),
-            "numa_remote_pages": float(self.numa_remote_pages),
-            "modify_flags_calls": float(self.modify_flags_calls),
-            "get_attributes_calls": float(self.get_attributes_calls),
-            "set_manager_calls": float(self.set_manager_calls),
-            "zero_fills": float(self.zero_fills),
-            "cow_copies": float(self.cow_copies),
-            "manager_timeouts": float(self.manager_timeouts),
-            "manager_crashes": float(self.manager_crashes),
-            "manager_failovers": float(self.manager_failovers),
-            "fallback_resolutions": float(self.fallback_resolutions),
-            "byzantine_replies": float(self.byzantine_replies),
-            "ipc_drops": float(self.ipc_drops),
-            "ipc_duplicates": float(self.ipc_duplicates),
-            "ecc_retirements": float(self.ecc_retirements),
-            "warm_restarts": float(self.warm_restarts),
-            "listener_errors": float(self.listener_errors),
-        }
+        """Flat scalar view for the verify state digest and chaos results:
+        every int counter, in field order, then the per-name counts."""
+        out = {name: float(getattr(self, name)) for name in _INT_COUNTERS}
         for kind, n in self.faults_by_kind.items():
             out[f"faults.{kind.lower()}"] = float(n)
         for name, n in self.manager_calls.items():
@@ -181,6 +159,10 @@ class KernelStats:
         )
 
 
+#: the int counters of :class:`KernelStats`, in field order
+_INT_COUNTERS = tuple(f.name for f in fields(KernelStats) if f.type == "int")
+
+
 class Kernel:
     """The V++ kernel: segments, translation, fault forwarding."""
 
@@ -188,9 +170,6 @@ class Kernel:
         self,
         memory: PhysicalMemory,
         costs: MachineCosts = DECSTATION_5000_200,
-        meter: CostMeter | None = None,
-        tlb: TLB | None = None,
-        page_table: GlobalHashPageTable | None = None,
         tracer: Tracer | NullTracer = NULL_TRACER,
         topology: NumaTopology | None = None,
     ) -> None:
@@ -202,11 +181,9 @@ class Kernel:
         if topology is not None:
             topology.validate_for(memory)
         self.topology = topology
-        self.meter = meter if meter is not None else CostMeter()
-        self.tlb = tlb if tlb is not None else TLB()
-        self.page_table = (
-            page_table if page_table is not None else GlobalHashPageTable()
-        )
+        self.meter = CostMeter()
+        self.tlb = TLB()
+        self.page_table = GlobalHashPageTable()
         self.stats = KernelStats()
         #: structured span/event collector (NULL_TRACER when disabled);
         #: its clock follows this kernel's cost meter, and its ``steps``

@@ -163,6 +163,10 @@ class Segment:
         self.deleted = False
         self.pages: MutableMapping[int, "PageFrame"] = {}
         self.bindings: list[Binding] = []
+        #: a cached file's length in bytes (``None``: not a file; see
+        #: :meth:`set_file_size`), and the pages that length reaches
+        self.file_size: int | None = None
+        self.file_pages = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -201,6 +205,13 @@ class Segment:
         """Grow so the segment covers at least ``n_pages`` pages."""
         if n_pages > self.n_pages:
             self.n_pages = n_pages
+
+    def set_file_size(self, n_bytes: int) -> None:
+        """Make the segment a cached file ``n_bytes`` long, or set its
+        length (the file server creates it; UIO writes and stores past
+        the end extend it)."""
+        self.file_size = n_bytes
+        self.file_pages = -(-n_bytes // self.page_size)
 
     # -- bindings -------------------------------------------------------------
 

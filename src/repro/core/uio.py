@@ -4,11 +4,12 @@ Cached files in V++ are segments accessed through "a kernel-provided
 file-like block read/write interface, specifically the Uniform Input/Output
 Object (UIO) protocol" (paper, S2.1).  A read of an unbacked page raises an
 ordinary page fault to the file segment's manager; when the file is cached
-the access is a single kernel operation.
+the access is a single kernel operation.  A cached file's length is state
+of its segment (``Segment.file_size``), so UIO needs only the kernel.
 
 :class:`FileServer` models the backing store (the paper's V++ machine was
 diskless, served by a DECstation 3100): it owns a disk extent per file and
-answers managers' fetch/store requests, charging device and network time.
+answers managers' fetch/store requests, charging device time.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ MAX_IO_RETRIES = 4
 #: Disk blocks a new file reserves past its initial pages, for growth.
 GROWTH_SLACK_BLOCKS = 64
 
-#: The backoff stops doubling after this many retries: later attempts
-#: wait the capped interval (times jitter) instead of growing without
-#: bound when a server is configured with a large attempt budget.
-MAX_IO_BACKOFF_DOUBLINGS = 6
-
 
 def _backoff_jitter(op: str, block_no: int, attempt: int) -> float:
     """Deterministic jitter factor in [0.5, 1.0).
@@ -58,71 +54,45 @@ def pages_for_bytes(n_bytes: int, page_size: int) -> int:
     return -(-n_bytes // page_size)
 
 
+def _not_a_file(segment: Segment) -> UIOError:
+    return UIOError(f"segment {segment.name} is not a file")
+
+
 @dataclass
 class CachedFile:
-    """One file: a segment plus its disk extent and logical size.
+    """Where one file's blocks are: its segment and disk extent.
 
     The server sets the extent's size, ``extent_pages``, when it creates
     the file.  A page past the extent gets blocks no other file owns the
     first time the server reads or writes it (``overflow``: page -> first
     block), so a file that outgrows its extent never reaches into the
-    next file's.
+    next file's.  The file's length is its segment's ``file_size``.
     """
 
     segment: Segment
     start_block: int
-    size_bytes: int
-    extent_pages: int = field(default=0, init=False)
+    extent_pages: int
     overflow: dict[int, int] = field(default_factory=dict, init=False)
-    # ``initialized_pages`` as of the size it was last computed for: a
-    # refetch reads it twice (the manager's fill, then the server's fetch)
-    _pages_of_size: tuple[int, int] = field(
-        default=(-1, 0), init=False, repr=False, compare=False
-    )
-
-    @property
-    def initialized_pages(self) -> int:
-        """Pages of the segment that have on-disk data behind them."""
-        size, pages = self._pages_of_size
-        if size != self.size_bytes:
-            size = self.size_bytes
-            pages = pages_for_bytes(size, self.segment.page_size)
-            self._pages_of_size = (size, pages)
-        return pages
 
 
 class FileServer:
     """Backing store for cached files.
 
     Managers call :meth:`fetch_page` / :meth:`store_page`; the server
-    charges disk service time plus a fixed network round trip to the
-    kernel meter under the ``file_server`` category.
+    charges disk service time to the kernel meter under the
+    ``file_server`` category.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        disk: Disk,
-        network_rtt_us: float = 0.0,
-        max_io_attempts: int = MAX_IO_RETRIES,
-    ) -> None:
-        if max_io_attempts < 1:
-            raise UIOError(
-                f"max_io_attempts must be at least 1: {max_io_attempts}"
-            )
+    def __init__(self, kernel: Kernel, disk: Disk) -> None:
         self.kernel = kernel
         self.disk = disk
-        self.network_rtt_us = network_rtt_us
-        self.max_io_attempts = max_io_attempts
         self._files: dict[int, CachedFile] = {}
         self._next_block = 0
         self.io_retries = 0
         self.io_errors = 0
         #: simulated time spent waiting in retry backoff
         self.io_backoff_us = 0.0
-        #: retries whose backoff hit the doubling cap
-        self.io_retry_caps = 0
-        #: requests abandoned after the attempt budget ran out
+        #: requests abandoned after ``MAX_IO_RETRIES`` retries
         self.io_exhausted = 0
 
     # -- disk access with transient-error retry ---------------------------
@@ -150,20 +120,16 @@ class FileServer:
                 return attempt_fn(*args)
             except TransientDiskError as exc:
                 self.io_errors += 1
-                if attempt > self.max_io_attempts:
+                if attempt > MAX_IO_RETRIES:
                     self.io_exhausted += 1
                     raise UIOError(
                         f"disk {op} at block {block_no} failed after "
-                        f"{self.max_io_attempts} retries: {exc}"
+                        f"{MAX_IO_RETRIES} retries: {exc}"
                     ) from exc
                 self.io_retries += 1
-                doublings = attempt - 1
-                if doublings > MAX_IO_BACKOFF_DOUBLINGS:
-                    doublings = MAX_IO_BACKOFF_DOUBLINGS
-                    self.io_retry_caps += 1
                 backoff = (
                     self.kernel.costs.io_retry_backoff_us
-                    * 2**doublings
+                    * 2 ** (attempt - 1)
                     * _backoff_jitter(op, block_no, attempt)
                 )
                 self.io_backoff_us += backoff
@@ -177,44 +143,43 @@ class FileServer:
                     )
 
     def create_file(
-        self, segment: Segment, size_bytes: int = 0, data: bytes | None = None
+        self, segment: Segment, data: bytes | None = None
     ) -> CachedFile:
-        """Register ``segment`` as a file, optionally with initial data."""
+        """Register ``segment`` as a file whose contents are ``data``
+        (empty by default), which also sets its length."""
         if segment.seg_id in self._files:
             raise UIOError(f"segment {segment.name} is already a file")
-        if data is not None:
-            size_bytes = max(size_bytes, len(data))
+        size_bytes = len(data) if data is not None else 0
         n_pages = pages_for_bytes(size_bytes, segment.page_size) or 1
         if segment.page_size % self.disk.block_size != 0:
             raise UIOError("page size must be a multiple of the disk block size")
         blocks_per_page = segment.page_size // self.disk.block_size
         start_block = self._next_block
         self._next_block += n_pages * blocks_per_page + GROWTH_SLACK_BLOCKS
-        file = CachedFile(segment, start_block, size_bytes)
-        file.extent_pages = n_pages + GROWTH_SLACK_BLOCKS // blocks_per_page
+        file = CachedFile(
+            segment,
+            start_block,
+            n_pages + GROWTH_SLACK_BLOCKS // blocks_per_page,
+        )
         self._files[segment.seg_id] = file
+        segment.set_file_size(size_bytes)
         if data:
             padded_len = pages_for_bytes(len(data), self.disk.block_size)
             padded = data + bytes(padded_len * self.disk.block_size - len(data))
             self._disk_write(start_block, padded)
-        segment.ensure_size(pages_for_bytes(size_bytes, segment.page_size))
+        segment.ensure_size(segment.file_pages)
         return file
 
     def file_for(self, segment: Segment) -> CachedFile:
         """The file record of ``segment`` (raises if not a file).
 
-        The per-page paths below (and :class:`UIO`'s) read ``_files``
-        directly and come here only to raise.
+        The per-page paths below read ``_files`` directly and come here
+        only to raise.
         """
         try:
             return self._files[segment.seg_id]
         except KeyError:
-            raise UIOError(f"segment {segment.name} is not a file") from None
-
-    def lookup(self, segment: Segment) -> CachedFile | None:
-        """The file record of ``segment``, or ``None`` when it is not a
-        registered cached file."""
-        return self._files.get(segment.seg_id)
+            raise _not_a_file(segment) from None
 
     def _page_block(
         self, file: CachedFile, page: int, blocks_per_page: int
@@ -233,11 +198,10 @@ class FileServer:
     def fetch_page(self, segment: Segment, page: int) -> bytes:
         """Fetch one page of file data from backing store.
 
-        Returns zeroes past end-of-file (a new page).  Charges disk and
-        network time.
+        Returns zeroes past end-of-file (a new page).  Charges disk time.
         """
         file = self._files.get(segment.seg_id) or self.file_for(segment)
-        if page >= file.initialized_pages:
+        if page >= segment.file_pages:
             return bytes(segment.page_size)
         if not self.kernel.tracer.enabled:
             return self._fetch_page(file, segment, page)
@@ -259,12 +223,10 @@ class FileServer:
         data, service_us = self._disk_read(
             self._page_block(file, page, blocks_per_page), blocks_per_page
         )
-        self.kernel.meter.charge("file_server", service_us + self.network_rtt_us)
+        self.kernel.meter.charge("file_server", service_us)
         if self.kernel.tracer.enabled:
             self.kernel.tracer.step(
-                "file server",
-                "reply with page data",
-                service_us + self.network_rtt_us,
+                "file server", "reply with page data", service_us
             )
         return data
 
@@ -292,21 +254,18 @@ class FileServer:
         blocks_per_page = segment.page_size // self.disk.block_size
         self._disk_write(self._page_block(file, page, blocks_per_page), data)
         self.kernel.meter.charge(
-            "file_server",
-            self.disk.costs.disk_transfer_us(segment.page_size)
-            + self.network_rtt_us,
+            "file_server", self.disk.costs.disk_transfer_us(segment.page_size)
         )
         start = page * segment.page_size
-        if start >= file.size_bytes:
-            file.size_bytes = start + segment.page_size
+        if start >= segment.file_size:
+            segment.set_file_size(start + segment.page_size)
 
 
 class UIO:
     """The kernel block read/write interface over cached-file segments."""
 
-    def __init__(self, kernel: Kernel, file_server: FileServer) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.file_server = file_server
 
     def read(self, segment: Segment, offset: int, n_bytes: int) -> bytes:
         """Block read: ``n_bytes`` at ``offset`` of the file segment.
@@ -317,11 +276,12 @@ class UIO:
         kernel's :meth:`~repro.core.kernel.Kernel.on_fault_serviced`
         listeners see.
         """
-        files = self.file_server._files
-        file = files.get(segment.seg_id) or self.file_server.file_for(segment)
+        size = segment.file_size
+        if size is None:
+            raise _not_a_file(segment)
         if offset < 0 or n_bytes < 0:
             raise UIOError("negative read range")
-        n_bytes = min(n_bytes, max(0, file.size_bytes - offset))
+        n_bytes = min(n_bytes, max(0, size - offset))
         kernel = self.kernel
         costs = kernel.costs
         meter = kernel.meter
@@ -365,8 +325,8 @@ class UIO:
         default manager's 16 KB append-allocation unit shows up (S3.2).
         Returns the number of bytes written.
         """
-        files = self.file_server._files
-        file = files.get(segment.seg_id) or self.file_server.file_for(segment)
+        if segment.file_size is None:
+            raise _not_a_file(segment)
         if offset < 0:
             raise UIOError("negative write offset")
         if not data:
@@ -407,7 +367,8 @@ class UIO:
             frame.flags |= REFERENCED_I | DIRTY_I
             pos += take
             written += take
-        file.size_bytes = max(file.size_bytes, end)
+        if end > segment.file_size:
+            segment.set_file_size(end)
         return written
 
     def _require_frame(self, segment: Segment, page: int, write: bool):

@@ -147,11 +147,9 @@ class CostMeter:
     """Accumulates microsecond charges by named category.
 
     Every simulated code path charges the meter, so an experiment can read
-    both the total elapsed cost and its decomposition.  Meters can be
-    nested: give a child meter a ``parent`` and charges propagate up.
+    both the total elapsed cost and its decomposition.
     """
 
-    parent: "CostMeter | None" = None
     total_us: float = 0.0
     by_category: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
@@ -168,8 +166,6 @@ class CostMeter:
         else:
             by_category[category] = microseconds + 0.0
             self.counts[category] = 1
-        if self.parent is not None:
-            self.parent.charge(category, microseconds)
         return microseconds
 
     def count(self, category: str) -> int:
@@ -177,7 +173,7 @@ class CostMeter:
         return self.counts.get(category, 0)
 
     def reset(self) -> None:
-        """Zero the meter (does not touch the parent)."""
+        """Zero the meter."""
         self.total_us = 0.0
         self.by_category.clear()
         self.counts.clear()

@@ -80,19 +80,14 @@ class DBMSSegmentManager(GenericSegmentManager):
 
     def fill_page(self, segment: Segment, page: int, frame) -> None:
         """Page relations in from backing store when a server is wired."""
-        if self.file_server is None:
-            return
-        file = self.file_server.lookup(segment)
-        if file is None or page >= file.initialized_pages:
+        if self.file_server is None or page >= segment.file_pages:
             return
         frame.write(self.file_server.fetch_page(segment, page))
         self.kernel.meter.charge("manager_copy", self.kernel.costs.copy_page)
         self.charge_io(segment.page_size)
 
     def writeback(self, segment: Segment, page: int, frame) -> None:
-        if self.file_server is None:
-            return
-        if self.file_server.lookup(segment) is None:
+        if self.file_server is None or segment.file_size is None:
             return
         self.file_server.store_page(segment, page, frame.read())
 

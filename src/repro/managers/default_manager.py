@@ -88,11 +88,10 @@ class DefaultSegmentManager(GenericSegmentManager):
             self._note_duplicate_delivery(segment, fault)
             return
         if fault.kind is MISSING_PAGE and fault.write:
-            file = self.file_server.lookup(segment)
             if (
-                file is not None
+                segment.file_size is not None
                 and (fault.segment_id, fault.page) not in self._stale_slot
-                and fault.page >= file.initialized_pages
+                and fault.page >= segment.file_pages
             ):
                 self._handle_append(segment, fault)
                 return
@@ -170,9 +169,8 @@ class DefaultSegmentManager(GenericSegmentManager):
     def fill_page(
         self, segment: Segment, page: int, frame: "PageFrame"
     ) -> None:
-        """Page-in from the file server for initialized file pages."""
-        file = self.file_server.lookup(segment)
-        if file is None or page >= file.initialized_pages:
+        """Page-in from the file server for pages within the file."""
+        if page >= segment.file_pages:
             return
         data = self.file_server.fetch_page(segment, page)
         frame.write(data)
@@ -184,7 +182,7 @@ class DefaultSegmentManager(GenericSegmentManager):
     ) -> None:
         """Write dirty file pages back to the server; anonymous dirty
         pages stay recoverable in the free segment (migrate-back)."""
-        if self.file_server.lookup(segment) is None:
+        if segment.file_size is None:
             return
         self.file_server.store_page(segment, page, frame.read())
         self.charge_io(segment.page_size)
@@ -225,7 +223,7 @@ class DefaultSegmentManager(GenericSegmentManager):
                 "manager", f"file close forwarded: {segment.name}"
             )
         self.files_closed += 1
-        if not writeback or self.file_server.lookup(segment) is None:
+        if not writeback or segment.file_size is None:
             return
         for page in sorted(segment.pages):
             frame = segment.pages[page]

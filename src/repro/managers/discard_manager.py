@@ -76,10 +76,7 @@ class DiscardableSegmentManager(GenericSegmentManager):
         if (segment.seg_id, page) in self._discardable:
             self.writebacks_avoided += 1
             return
-        if (
-            self.file_server is not None
-            and self.file_server.lookup(segment) is not None
-        ):
+        if self.file_server is not None and segment.file_size is not None:
             self.file_server.store_page(segment, page, frame.read())
         self.writebacks_done += 1
 

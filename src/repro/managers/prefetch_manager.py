@@ -184,7 +184,7 @@ class PrefetchingSegmentManager(GenericSegmentManager):
         dirty = bool(PageFlags.DIRTY & PageFlags(frame.flags))
         discard = dirty and segment.seg_id in self.discardable_segments
         if dirty and not discard:
-            if self.file_server.lookup(segment) is not None:
+            if segment.file_size is not None:
                 self.file_server.store_page(segment, page, frame.read())
             completion = self.io.issue(now_us)
             self.writebacks_issued += 1
@@ -216,8 +216,7 @@ class PrefetchingSegmentManager(GenericSegmentManager):
     def fill_page(
         self, segment: Segment, page: int, frame: "PageFrame"
     ) -> None:
-        file = self.file_server.lookup(segment)
-        if file is None or page >= file.initialized_pages:
+        if page >= segment.file_pages:
             return
         data = self.file_server.fetch_page(segment, page)
         frame.write(data)

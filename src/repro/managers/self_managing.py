@@ -42,6 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: this "invariably" succeeds quickly)
 MAX_INIT_RETRIES = 8
 
+#: pages of the manager's own code, data and signal-stack segments, the
+#: footprint it locks in memory before it takes over its application
+CODE_PAGES = 8
+DATA_PAGES = 8
+SIGNAL_STACK_PAGES = 2
+
 
 class SelfManagingManager(GenericSegmentManager):
     """An application manager that locks its own pages in memory."""
@@ -54,9 +60,6 @@ class SelfManagingManager(GenericSegmentManager):
         file_server: FileServer | None = None,
         name: str = "self-managing",
         initial_frames: int = 64,
-        code_pages: int = 8,
-        data_pages: int = 8,
-        signal_stack_pages: int = 2,
     ) -> None:
         super().__init__(kernel, spcm, name, initial_frames)
         self.default_manager = default_manager
@@ -64,13 +67,13 @@ class SelfManagingManager(GenericSegmentManager):
         # The manager's own segments start under the default manager,
         # exactly as a freshly-executed program's would.
         self.code_segment = kernel.create_segment(
-            code_pages, name=f"{name}.code", manager=default_manager
+            CODE_PAGES, name=f"{name}.code", manager=default_manager
         )
         self.data_segment = kernel.create_segment(
-            data_pages, name=f"{name}.data", manager=default_manager
+            DATA_PAGES, name=f"{name}.data", manager=default_manager
         )
         self.signal_stack = kernel.create_segment(
-            signal_stack_pages, name=f"{name}.sigstack", manager=default_manager
+            SIGNAL_STACK_PAGES, name=f"{name}.sigstack", manager=default_manager
         )
         self.active = False
         self.init_retries = 0
@@ -218,8 +221,5 @@ class SelfManagingManager(GenericSegmentManager):
                 self.kernel.costs.disk_transfer_us(segment.page_size),
             )
             return
-        if self.file_server is None:
-            return
-        file = self.file_server.lookup(segment)
-        if file is not None and page < file.initialized_pages:
+        if self.file_server is not None and page < segment.file_pages:
             frame.write(self.file_server.fetch_page(segment, page))

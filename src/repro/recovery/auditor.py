@@ -23,7 +23,7 @@ ground truth the invariant engine's ``managers`` check reads:
   account, so a mismatch is not evidence of damage.
 
 Every repair is a typed :class:`Discrepancy` record.  A repair count
-past ``max_repairs`` raises :class:`~repro.errors.RecoveryError` (the
+past ``MAX_REPAIRS`` raises :class:`~repro.errors.RecoveryError` (the
 coordinator then falls back cold), and a closing
 :class:`~repro.invariants.InvariantChecker` sweep proves the repaired
 system globally consistent.
@@ -35,6 +35,9 @@ from dataclasses import dataclass
 
 from repro.errors import RecoveryError
 from repro.invariants import InvariantChecker, manager_truth
+
+#: repairs one audit may make before the coordinator falls back cold
+MAX_REPAIRS = 64
 
 
 @dataclass(frozen=True)
@@ -60,10 +63,9 @@ class Discrepancy:
 class RecoveryAuditor:
     """Cross-checks and repairs a recovered manager's policy state."""
 
-    def __init__(self, kernel, spcm, max_repairs: int = 64) -> None:
+    def __init__(self, kernel, spcm) -> None:
         self.kernel = kernel
         self.spcm = spcm
-        self.max_repairs = max_repairs
         self.audits = 0
         self.repairs = 0
         #: every discrepancy ever found (typed, in discovery order)
@@ -89,10 +91,10 @@ class RecoveryAuditor:
         repaired = [d for d in found if d.action != "reported"]
         self.repairs += len(repaired)
         self.discrepancies.extend(found)
-        if len(repaired) > self.max_repairs:
+        if len(repaired) > MAX_REPAIRS:
             raise RecoveryError(
                 f"auditor found {len(repaired)} repairs for {manager.name}, "
-                f"past the budget of {self.max_repairs}"
+                f"past the budget of {MAX_REPAIRS}"
             )
         # the repaired state must be globally consistent
         InvariantChecker(self.kernel).check_all()

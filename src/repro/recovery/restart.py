@@ -46,6 +46,9 @@ from repro.recovery.journal import RecoveryJournal
 #: simulated cost of applying one journal record during replay
 REPLAY_US_PER_RECORD = 2.0
 
+#: a warm restart whose replay would cost more than this goes cold
+REPLAY_DEADLINE_US = 20_000.0
+
 
 @dataclass(frozen=True)
 class RestartReport:
@@ -67,23 +70,18 @@ class RecoveryCoordinator:
         system,
         checkpoint_every: int = 16,
         max_restarts: int = 3,
-        replay_deadline_us: float = 20_000.0,
-        max_repairs: int = 64,
     ) -> None:
         self.system = system
         self.kernel = system.kernel
         self.spcm = system.spcm
         self.max_restarts = max_restarts
-        self.replay_deadline_us = replay_deadline_us
         self.store = CheckpointStore(
             every=checkpoint_every,
             corrupt_hook=lambda name: (
                 self.kernel.supervisor.injector.checkpoint_corrupt(name)
             ),
         )
-        self.auditor = RecoveryAuditor(
-            self.kernel, self.spcm, max_repairs=max_repairs
-        )
+        self.auditor = RecoveryAuditor(self.kernel, self.spcm)
         self._tracked: dict[str, object] = {}
         #: consecutive warm restarts per manager since its last progress
         self._streak: dict[str, int] = {}
@@ -170,11 +168,11 @@ class RecoveryCoordinator:
                 position, state = self.store.latest(name)
                 suffix = records[position - journal.first :]
                 cost = REPLAY_US_PER_RECORD * (len(suffix) + 1)
-                if cost > self.replay_deadline_us:
+                if cost > REPLAY_DEADLINE_US:
                     raise ReplayDeadlineError(
                         f"replaying {len(suffix)} records would cost "
                         f"{cost:.0f}us, past the "
-                        f"{self.replay_deadline_us:.0f}us deadline"
+                        f"{REPLAY_DEADLINE_US:.0f}us deadline"
                     )
                 manager.restore_policy_state(state)
                 for record in suffix:
@@ -250,8 +248,6 @@ def install_recovery(
     system,
     checkpoint_every: int = 16,
     max_restarts: int = 3,
-    replay_deadline_us: float = 20_000.0,
-    max_repairs: int = 64,
 ) -> RecoveryCoordinator:
     """Arm crash-consistent recovery on a booted system.
 
@@ -265,8 +261,6 @@ def install_recovery(
         system,
         checkpoint_every=checkpoint_every,
         max_restarts=max_restarts,
-        replay_deadline_us=replay_deadline_us,
-        max_repairs=max_repairs,
     )
     system.kernel.supervisor.recovery = coordinator
     spcm = system.spcm

@@ -17,40 +17,35 @@ from collections.abc import Callable
 from repro.core.api import AdmitTenantRequest, TenantQuota
 from repro.serve.tenants import ServingSystem, TenantSession
 
+#: a tenant's mean think time between references (exponential)
+THINK_US_MEAN = 200.0
+#: how often the pump flushes the batch scheduler
+FLUSH_INTERVAL_US = 50.0
+#: the share of references that write
+WRITE_FRACTION = 0.25
 
-def run_load(
-    serving: ServingSystem,
-    duration_us: float,
-    think_us_mean: float = 200.0,
-    flush_interval_us: float = 50.0,
-    write_fraction: float = 0.25,
-) -> int:
+
+def run_load(serving: ServingSystem, duration_us: float) -> int:
     """Drive every admitted tenant closed-loop for ``duration_us``.
 
     Returns the number of requests serviced.  Page picks, think times
     and read/write mix come from per-tenant substreams of the serving
     system's seeded RNG; arrivals past ``duration_us`` stop, then one
-    final flush drains the scheduler.  A non-positive ``think_us_mean``
-    or a ``write_fraction`` outside [0, 1] raises ``ValueError`` before
-    any arrival runs.
+    final flush drains the scheduler.
     """
-    if think_us_mean <= 0:
-        raise ValueError(f"think_us_mean must be positive: {think_us_mean}")
-    if not 0.0 <= write_fraction <= 1.0:
-        raise ValueError(f"write_fraction out of range: {write_fraction}")
     engine = serving.engine
     schedule = engine.schedule
     submit = serving.submit
     end = engine.now + duration_us
-    think_rate = 1.0 / think_us_mean
+    think_rate = 1.0 / THINK_US_MEAN
 
     def arrival_for(session: TenantSession) -> Callable[[], None]:
         """The tenant's arrival callback, made once and rescheduled.
 
         Its draws are the tenant substream's ``randint(0, n_pages - 1)``,
-        ``bernoulli(write_fraction)`` and ``exponential(think_us_mean)``,
-        made on the substream's generator with the arguments checked
-        above (see :attr:`~repro.sim.rng.RandomSource.generator`).
+        ``bernoulli(WRITE_FRACTION)`` and ``exponential(THINK_US_MEAN)``,
+        made on the substream's generator (see
+        :attr:`~repro.sim.rng.RandomSource.generator`).
         """
         generator = serving.rng.substream(f"tenant:{session.tenant}").generator
         page_below = generator._randbelow
@@ -64,7 +59,7 @@ def run_load(
             if engine.now >= end:
                 return
             vaddr = page_below(n_pages) * page_size
-            shed = submit(session, vaddr, uniform() < write_fraction)
+            shed = submit(session, vaddr, uniform() < WRITE_FRACTION)
             if shed is not None:
                 # obey the typed Retry-After: same tenant, new arrival at
                 # exactly the shed horizon (clamped to stay schedulable)
@@ -77,12 +72,12 @@ def run_load(
     def pump() -> None:
         serving.flush()
         if engine.now < end:
-            schedule(flush_interval_us, pump)
+            schedule(FLUSH_INTERVAL_US, pump)
 
     for i, tenant in enumerate(sorted(serving.sessions)):
         # stagger first arrivals so 64 tenants do not trample one event slot
         schedule(float(i), arrival_for(serving.sessions[tenant]))
-    schedule(flush_interval_us, pump)
+    schedule(FLUSH_INTERVAL_US, pump)
     engine.run(until=end)
     serving.flush()
     return serving.scheduler.items_serviced
@@ -120,14 +115,15 @@ def admit_fleet(
 # ---------------------------------------------------------------------------
 
 
-def _serve_schedule(
+def serve_schedule(
     n_tenants: int,
     duration_us: float,
     quota_frames: int | None,
     seed: int,
     rate_per_s: float = 20_000.0,
 ):
-    """A ``fn(system, checker) -> refs`` workload over a booted system."""
+    """A ``fn(system, checker) -> refs`` workload over a booted system
+    (:data:`SERVING_SCHEDULES` and chaos's serving workloads are these)."""
 
     def workload(system, checker) -> int:
         serving = ServingSystem(system, seed=seed, rate_per_s=rate_per_s)
@@ -149,10 +145,10 @@ def _serve_schedule(
 #: name -> ``fn(system, checker) -> refs``, resolvable by
 #: ``python -m repro verify determinism --workload <name>``
 SERVING_SCHEDULES = {
-    "serve-smoke": _serve_schedule(
+    "serve-smoke": serve_schedule(
         n_tenants=4, duration_us=20_000.0, quota_frames=16, seed=42
     ),
-    "serve-64x2": _serve_schedule(
+    "serve-64x2": serve_schedule(
         n_tenants=64, duration_us=40_000.0, quota_frames=8, seed=42
     ),
 }

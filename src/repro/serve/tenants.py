@@ -30,6 +30,9 @@ from repro.sim.stats import Tally
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.segment import Segment
 
+#: a tenant manager's SPCM refill and reclaim batch, in frames
+TENANT_BATCH = 8
+
 
 @dataclass
 class TenantSession:
@@ -78,8 +81,6 @@ class ServingSystem:
         burst: float = 8.0,
         max_backlog: int = 256,
         max_tenants: int | None = None,
-        refill_batch: int = 8,
-        reclaim_batch: int = 8,
     ) -> None:
         self.system = system
         self.kernel = system.kernel
@@ -94,8 +95,6 @@ class ServingSystem:
             backlog_fn=lambda: self.scheduler.backlog,
             max_tenants=max_tenants,
         )
-        self.refill_batch = refill_batch
-        self.reclaim_batch = reclaim_batch
         self.sessions: dict[str, TenantSession] = {}
         self._next_node = 0
         # hooks called with (tenant, latency_us) per serviced request ---
@@ -133,8 +132,8 @@ class ServingSystem:
             self.spcm,
             request.tenant,
             initial_frames=0,
-            refill_batch=self.refill_batch,
-            reclaim_batch=self.reclaim_batch,
+            refill_batch=TENANT_BATCH,
+            reclaim_batch=TENANT_BATCH,
             home_node=home_node,
         )
         segment = self.kernel.create_segment(

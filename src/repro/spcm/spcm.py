@@ -184,7 +184,6 @@ class SystemPageCacheManager:
         # which account last held each frame (zero-fill decision)
         self._last_account: dict[int, str] = {}
         self.frames_held: dict[str, int] = {}
-        self._accounts: dict[str, str] = {}  # manager name -> account name
         #: live manager objects by name (telemetry probes iterate these
         #: for per-manager resident sets and dram balances)
         self.managers: dict[str, SegmentManager] = {}
@@ -243,19 +242,16 @@ class SystemPageCacheManager:
 
     # -- registration -------------------------------------------------------
 
-    def register_manager(
-        self, manager: SegmentManager, account: str | None = None
-    ) -> str:
-        """Associate a manager with a (market) account name.
+    def register_manager(self, manager: SegmentManager) -> str:
+        """Open the (market) account of a manager, named after it.
 
         The account is opened in every shard market, with the configured
         income split evenly across the shards so the machine-wide income
         matches the flat-SPCM economy; the arbiter then moves drams to
         wherever the account actually holds memory.
         """
-        name = account or manager.name
-        self._accounts[manager.name] = name
-        self.managers[manager.name] = manager
+        name = manager.name
+        self.managers[name] = manager
         self.frames_held.setdefault(name, 0)
         for shard in self.shards:
             shard.frames_held.setdefault(name, 0)
@@ -275,8 +271,8 @@ class SystemPageCacheManager:
         return name
 
     def account_of(self, manager: SegmentManager) -> str:
-        """The account a manager's holdings are charged to."""
-        return self._accounts.get(manager.name, manager.name)
+        """The account a manager's holdings are charged to: its name."""
+        return manager.name
 
     def set_tenant_quota(self, quota: TenantQuota) -> None:
         """Install (or clear) a per-tenant dram quota.
@@ -427,7 +423,7 @@ class SystemPageCacheManager:
             )
         # account_of and, below, arbiter.quota_of, inline: every refill
         # runs them, and the serving layer's refills are mostly clamped
-        account = self._accounts.get(manager.name, manager.name)
+        account = manager.name
         free = self._free[size]
         home = request.home_node
         # a placement hint serves local frames first, then spills to

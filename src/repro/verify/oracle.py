@@ -125,14 +125,11 @@ def _check_regime(schedule: WorkloadSchedule) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_vpp_system(schedule: WorkloadSchedule, tracer=None):
+def build_vpp_system(schedule: WorkloadSchedule):
     """Boot the V++ machine for a schedule: (system, anon_manager, segments)."""
     _check_regime(schedule)
     system = build_system(
-        memory_mb=ORACLE_MEMORY_MB,
-        manager_frames=256,
-        tracer=tracer,
-        n_nodes=schedule.nodes,
+        memory_mb=ORACLE_MEMORY_MB, manager_frames=256, n_nodes=schedule.nodes
     )
     if schedule.manager == "clock":
         anon_manager = ClockSegmentManager(system.kernel, system.spcm)
@@ -211,14 +208,13 @@ def collect_vpp(system, schedule: WorkloadSchedule, anon_manager, segments):
         if region.kind != FILE:
             continue
         segment = segments[index]
-        file = system.file_server.file_for(segment)
         # the application-visible size at close time; the fetched pages
         # below run to a page boundary, past the file's last byte
-        size = file.size_bytes
+        size = segment.file_size
         system.default_manager.file_closed(segment, writeback=True)
         data = b"".join(
             system.file_server.fetch_page(segment, page)
-            for page in range(file.initialized_pages)
+            for page in range(segment.file_pages)
         )
         result.file_bytes[index] = data[:size]
     result.anon_pages_in = sum(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 from repro.analysis.complexity import (
     count_code_lines,
+    count_settings,
     kernel_policy_split,
     render_split,
 )
@@ -29,6 +30,31 @@ class TestLineCounting:
         source = tmp_path / "empty.py"
         source.write_text("")
         assert count_code_lines(source) == 0
+
+
+class TestSettingsCounting:
+    def test_counts_defaults_of_every_function(self, tmp_path: Path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "m.py").write_text(
+            "from dataclasses import dataclass\n"
+            "def f(a, b=1, *args, c, d=None, e=2, **kw):\n"
+            "    def inner(x=0):\n"
+            "        return x\n"
+            "    return lambda y=1: y\n"
+            "class C:\n"
+            "    def __init__(self, n=3):\n"
+            "        self.n = n\n"
+            "    async def _go(self, *, t=1.0):\n"
+            "        pass\n"
+            "@dataclass\n"
+            "class D:\n"
+            "    field: int = 4\n"
+        )
+        (tmp_path / "top.py").write_text("def g(p, q=(1, 2)):\n    pass\n")
+        # f: b, d, e; inner: x; __init__: n; _go: t; g: q (the lambda and
+        # the dataclass field are not counted)
+        assert count_settings(tmp_path) == 7
+        assert count_settings(tmp_path / "pkg") == 6
 
 
 class TestSplit:

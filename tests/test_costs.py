@@ -112,20 +112,16 @@ class TestCostMeter:
         with pytest.raises(ValueError):
             CostMeter().charge("a", -1.0)
 
-    def test_parent_propagation(self):
-        parent = CostMeter()
-        child = CostMeter(parent=parent)
-        child.charge("x", 7.0)
-        assert parent.total_us == 7.0
-        assert child.total_us == 7.0
-
     def test_reset_clears_only_self(self):
-        parent = CostMeter()
-        child = CostMeter(parent=parent)
-        child.charge("x", 7.0)
-        child.reset()
-        assert child.total_us == 0.0
-        assert parent.total_us == 7.0
+        meter, other = CostMeter(), CostMeter()
+        meter.charge("x", 7.0)
+        other.charge("x", 7.0)
+        meter.reset()
+        assert (meter.total_us, meter.by_category, meter.counts) == (0.0, {}, {})
+        assert meter.count("x") == 0
+        assert other.total_us == 7.0
+        meter.charge("y", 2.0)
+        assert meter.by_category == {"y": 2.0}
 
     def test_snapshot_delta(self):
         meter = CostMeter()

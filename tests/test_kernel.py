@@ -12,7 +12,7 @@ from repro.core.api import (
     SetSegmentManagerRequest,
 )
 from repro.core.flags import ZERO_FILL_I, PageFlags
-from repro.core.kernel import Kernel
+from repro.core.kernel import Kernel, KernelStats
 from repro.core.manager_api import SegmentManager
 from repro.errors import (
     MigrationError,
@@ -56,6 +56,25 @@ class TestBoot:
 
     def test_conservation_at_boot(self, bare_kernel):
         bare_kernel.check_frame_conservation()
+
+
+class TestKernelStats:
+    def test_as_dict_holds_every_int_counter_then_the_named_counts(self):
+        stats = KernelStats(faults=3, warm_restarts=1)
+        stats.faults_by_kind["MISSING_PAGE"] = 3
+        stats.note_manager_call("m")
+        stats.note_tenant_fault("t", 5.0)
+        flat = stats.as_dict()
+        counters = [
+            name for name, value in vars(stats).items() if type(value) is int
+        ]
+        assert len(counters) == 22
+        assert list(flat) == counters + [
+            "faults.missing_page",
+            "manager_calls.m",
+            "tenant_faults.t",
+        ]
+        assert flat["faults"] == 3.0 and flat["warm_restarts"] == 1.0
 
 
 class TestSegmentLifecycle:

@@ -167,7 +167,7 @@ class TestIOChargeIntegration:
         server = FileServer(kernel, disk)
         manager = DefaultSegmentManager(kernel, spcm, server, initial_frames=64)
         mkt.account(manager.account).balance = 100.0
-        uio = UIO(kernel, server)
+        uio = UIO(kernel)
         seg = kernel.create_segment(
             0, name="scanfile", manager=manager, auto_grow=True
         )

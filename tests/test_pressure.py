@@ -24,7 +24,7 @@ def small_world(frames: int = 64):
     manager = DefaultSegmentManager(
         kernel, spcm, file_server, initial_frames=frames // 2
     )
-    return kernel, spcm, file_server, UIO(kernel, file_server), manager
+    return kernel, spcm, file_server, UIO(kernel), manager
 
 
 class TestPagingUnderPressure:

@@ -924,35 +924,11 @@ class TestIOBackoff:
         assert system.kernel.meter.total_us - before >= fs.io_backoff_us
 
     def test_attempt_budget_exhaustion_is_counted(self, system):
+        from repro.core.uio import MAX_IO_RETRIES
+
         fs = system.file_server
-        fs.max_io_attempts = 3
         with pytest.raises(UIOError):
             fs._with_retries("write", 7, self._failing(fs, 99))
         assert fs.io_exhausted == 1
-        assert fs.io_errors == 4  # 3 retries + the final failure
-
-    def test_doubling_cap_is_counted(self, system):
-        fs = system.file_server
-        fs.max_io_attempts = 10
-        fs._with_retries("read", 1, self._failing(fs, 9))
-        # attempts 8..9 retry with doublings clamped at the cap
-        assert fs.io_retry_caps == 2
-
-    def test_backoff_never_exceeds_capped_doubling(self, system):
-        from repro.core.uio import MAX_IO_BACKOFF_DOUBLINGS
-
-        fs = system.file_server
-        fs.max_io_attempts = 12
-        fs._with_retries("read", 2, self._failing(fs, 11))
-        ceiling = (
-            system.kernel.costs.io_retry_backoff_us
-            * 2**MAX_IO_BACKOFF_DOUBLINGS
-        )
-        per_retry_max = fs.io_backoff_us / fs.io_retries
-        assert per_retry_max < ceiling  # jitter < 1.0 keeps it under
-
-    def test_invalid_attempt_budget_rejected(self, system):
-        from repro.core.uio import FileServer
-
-        with pytest.raises(UIOError):
-            FileServer(system.kernel, system.disk, max_io_attempts=0)
+        assert fs.io_retries == MAX_IO_RETRIES == 4
+        assert fs.io_errors == 5  # 4 retries + the final failure

@@ -545,34 +545,6 @@ def test_serving_rows_and_quota_deferrals_are_pinned(seed):
     assert (head, system.spcm.quota_deferrals) == PINNED_SERVING_ROWS[seed]
 
 
-class TestRunLoadValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"think_us_mean": 0.0},
-            {"think_us_mean": -5.0},
-            {"write_fraction": -0.1},
-            {"write_fraction": 1.5},
-        ],
-        ids=["think-zero", "think-negative", "write-below", "write-above"],
-    )
-    def test_bad_load_shape_raises_before_any_arrival(self, kwargs):
-        """The load shape is checked once, up front: nothing is
-        scheduled, no tenant submits and no tenant's stream draws."""
-        from repro.sim.rng import RandomSource
-
-        system, serving = build_serving(seed=3)
-        sessions = admit_fleet(serving, 2, working_set_pages=8)
-        with pytest.raises(ValueError):
-            run_load(serving, 1_000.0, **kwargs)
-        assert serving.engine.now == 0.0
-        assert serving.engine.pending_events == 0
-        assert [s.submitted for s in sessions] == [0, 0]
-        fresh = RandomSource(3).substream("tenant:tenant-0").generator
-        drawn = serving.rng.substream("tenant:tenant-0").generator
-        assert drawn.getstate() == fresh.getstate()
-
-
 class TestServingObservability:
     def test_telemetry_binds_serving_gauges(self):
         from repro.obs.telemetry import install_telemetry

@@ -49,15 +49,17 @@ class TestFileServer:
     def test_non_file_rejected(self, world):
         system, _ = world
         other = system.kernel.create_segment(2)
+        assert other.file_size is None
         with pytest.raises(UIOError):
             system.file_server.file_for(other)
-        assert system.file_server.lookup(other) is None
+        with pytest.raises(UIOError):
+            system.file_server.fetch_page(other, 0)
 
     def test_store_page_extends_size(self, world):
         system, seg = world
-        file = system.file_server.create_file(seg, data=b"x" * 4096)
+        system.file_server.create_file(seg, data=b"x" * 4096)
         system.file_server.store_page(seg, 3, b"y" * 4096)
-        assert file.size_bytes == 4 * 4096
+        assert (seg.file_size, seg.file_pages) == (4 * 4096, 4)
         assert system.file_server.fetch_page(seg, 3) == b"y" * 4096
 
     def test_store_requires_full_page(self, world):
@@ -72,6 +74,48 @@ class TestFileServer:
         before = system.kernel.meter.by_category.get("file_server", 0.0)
         system.file_server.fetch_page(seg, 0)
         assert system.kernel.meter.by_category["file_server"] > before
+
+
+class TestFileLength:
+    """A cached file's length is state of its segment: the file server
+    sets it, and writes and stores past the end extend it."""
+
+    def test_no_length_until_created(self, world):
+        system, seg = world
+        assert (seg.file_size, seg.file_pages) == (None, 0)
+        with pytest.raises(UIOError, match="not a file"):
+            system.uio.read(seg, 0, 10)
+        with pytest.raises(UIOError, match="not a file"):
+            system.uio.write(seg, 0, b"x")
+        system.file_server.create_file(seg)
+        assert (seg.file_size, seg.file_pages) == (0, 0)
+        assert system.uio.read(seg, 0, 10) == b""
+
+    def test_created_length_is_the_data_length(self, world):
+        system, seg = world
+        data = b"d" * (4096 + 7)
+        system.file_server.create_file(seg, data=data)
+        assert (seg.file_size, seg.file_pages) == (len(data), 2)
+        assert seg.n_pages == 2
+
+    def test_write_past_the_end_extends_the_length(self, world):
+        system, seg = world
+        system.file_server.create_file(seg, data=b"x" * 100)
+        system.uio.write(seg, 50, b"y" * 20)
+        assert seg.file_size == 100
+        system.uio.write(seg, 4096 + 10, b"z" * 5)
+        assert (seg.file_size, seg.file_pages) == (4096 + 15, 2)
+        assert system.uio.read(seg, 4096, 100) == bytes(10) + b"z" * 5
+
+    def test_anonymous_fill_reads_no_disk(self, system):
+        seg = system.kernel.create_segment(
+            4, name="anon", manager=system.default_manager
+        )
+        reads = system.disk.stats.reads
+        frame = system.kernel.reference(seg, 0)  # fills through the manager
+        system.default_manager.fill_page(seg, 0, frame)
+        assert system.disk.stats.reads == reads
+        assert "file_server" not in system.kernel.meter.by_category
 
 
 class TestFileGrowth:
@@ -209,10 +253,10 @@ class TestUIOWrite:
 
     def test_append_grows_file_and_segment(self, world):
         system, seg = world
-        file = system.file_server.create_file(seg)
+        system.file_server.create_file(seg)
         system.uio.write(seg, 0, b"a" * 4096)
         system.uio.write(seg, 4096, b"b" * 4096)
-        assert file.size_bytes == 8192
+        assert seg.file_size == 8192
         assert seg.n_pages >= 2
 
     def test_append_uses_16kb_units(self, world):
@@ -243,9 +287,9 @@ class TestUIOWrite:
 
     def test_empty_write_is_noop(self, world):
         system, seg = world
-        file = system.file_server.create_file(seg)
+        system.file_server.create_file(seg)
         assert system.uio.write(seg, 0, b"") == 0
-        assert file.size_bytes == 0
+        assert seg.file_size == 0
 
     def test_negative_offset_rejected(self, world):
         system, seg = world
@@ -261,33 +305,32 @@ class TestPartialPageWriteback:
     def test_reclaimed_partial_last_page_keeps_the_length(self, world):
         system, seg = world
         data = bytes(range(100))
-        file = system.file_server.create_file(seg, data=data)
+        system.file_server.create_file(seg, data=data)
         system.uio.write(seg, 0, b"y")
         system.default_manager.reclaim_one(seg, 0)
         assert system.default_manager.writebacks == 1
         assert 0 not in seg.pages
-        assert file.size_bytes == 100
-        assert file.initialized_pages == 1
+        assert (seg.file_size, seg.file_pages) == (100, 1)
         assert system.uio.read(seg, 0, 4096) == b"y" + data[1:]
 
     def test_close_with_writeback_keeps_the_length(self, world):
         system, seg = world
-        file = system.file_server.create_file(seg, data=b"0123456789")
+        system.file_server.create_file(seg, data=b"0123456789")
         system.uio.write(seg, 0, b"A")
         system.default_manager.file_closed(seg, writeback=True)
         assert system.default_manager.writebacks == 1
-        assert file.size_bytes == 10
+        assert seg.file_size == 10
         assert system.uio.read(seg, 0, 4096) == b"A123456789"
         assert system.file_server.fetch_page(seg, 0)[:10] == b"A123456789"
 
     def test_store_to_a_page_past_the_end_extends_the_file(self, world):
         system, seg = world
-        file = system.file_server.create_file(seg, data=b"x" * 100)
+        system.file_server.create_file(seg, data=b"x" * 100)
         seg.ensure_size(3)
         frame = system.kernel.reference(seg, 2 * 4096 + 5, write=True)
         frame.write(b"past", 5)
         system.default_manager.reclaim_one(seg, 2)
-        assert file.size_bytes == 3 * 4096
+        assert (seg.file_size, seg.file_pages) == (3 * 4096, 3)
         page = system.file_server.fetch_page(seg, 2)
         assert page[5:9] == b"past"
         assert system.uio.read(seg, 2 * 4096 + 5, 4) == b"past"
